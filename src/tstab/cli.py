@@ -32,7 +32,8 @@ from typing import Sequence
 
 from .elliptic import (EllipticObject, EllipticStandard, ShiftedClass, StableClass,
                        normalize_elliptic)
-from .errors import (InvalidLengthError, NonCoprimeError, ObjectParseError, TStabError)
+from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
+                     ObjectParseError, TStabError)
 from .families import (INF, CoarseZ, ExceptionalP1, StandardP1, family_from_descriptor,
                        is_finer)
 from .p1 import (DerivedObject, Line, Point, PointOrder, ShiftedIndec, Torsion,
@@ -372,15 +373,24 @@ def _filtration_text(filt: HNFiltration) -> str:
 
 
 def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
-    """Rebuild (object, filtration) from the serialised form."""
-    family = family_from_descriptor(data["family"])
-    category = "elliptic" if data["family"]["family"] == "elliptic" else "p1"
-    resolver = _family_resolver(family)
-    obj = parse_object(data["object"], category, resolver)
-    quotients = tuple(
-        (family.slope_from_json(q["slope"]), parse_object(q["object"], category, resolver))
-        for q in data["quotients"])
-    terms = tuple(parse_object(t, category, resolver) for t in data["terms"])
+    """Rebuild (object, filtration) from the serialised form.
+
+    The document comes from outside: a missing field or one of the wrong
+    type raises FiltrationFormatError naming it.
+    """
+    try:
+        family = family_from_descriptor(data["family"])
+        category = "elliptic" if data["family"]["family"] == "elliptic" else "p1"
+        resolver = _family_resolver(family)
+        obj = parse_object(data["object"], category, resolver)
+        quotients = tuple(
+            (family.slope_from_json(q["slope"]), parse_object(q["object"], category, resolver))
+            for q in data["quotients"])
+        terms = tuple(parse_object(t, category, resolver) for t in data["terms"])
+    except KeyError as exc:
+        raise FiltrationFormatError(f"filtration JSON lacks the field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise FiltrationFormatError(f"malformed filtration JSON: {exc}") from None
     return obj, HNFiltration(family, quotients, terms)
 
 
@@ -507,10 +517,21 @@ def _fmt_params(params: dict) -> str:
     return f"({inner})"
 
 
+class UsageError(Exception):
+    """A command-line value is out of range (exit code 2)."""
+
+
+def _nonnegative(args, name: str) -> int:
+    value = getattr(args, name)
+    if value < 0:
+        raise UsageError(f"--{name} must be >= 0, got {value}")
+    return value
+
+
 def _window_from_args(args, session) -> Window:
-    radius = args.window
-    return Window(max_degree=radius, max_shift=2, max_length=3,
-                  samples=getattr(args, "samples", 30), seed=session.seed)
+    samples = _nonnegative(args, "samples") if hasattr(args, "samples") else 30
+    return Window(max_degree=_nonnegative(args, "window"), max_shift=2, max_length=3,
+                  samples=samples, seed=session.seed)
 
 
 def _report_exit(report: Report, session, out) -> int:
@@ -528,7 +549,8 @@ def _cmd_check(args, session, out) -> int:
         if not args.cut:
             raise TStabError("check cut needs --cut")
         cut, family = parse_cutspec(args.cut, session)
-        return _report_exit(validate_cut(cut, family, radius=args.window), session, out)
+        radius = _nonnegative(args, "window")
+        return _report_exit(validate_cut(cut, family, radius=radius), session, out)
     if args.what == "hn":
         if args.input and args.input != "-":
             with open(args.input, encoding="utf-8") as handle:
@@ -635,6 +657,9 @@ def run(argv: Sequence[str], out=None) -> int:
         return 1
     try:
         return args.func(args, session, out)
+    except UsageError as exc:
+        _emit({"error": str(exc)}, f"error: {exc}", session, out)
+        return 2
     except TStabError as exc:
         _emit({"error": str(exc)}, f"error: {exc}", session, out)
         return 1

@@ -86,11 +86,12 @@ def hom_dim_stable(e: StableClass, f: StableClass, ext_degree: int) -> int:
         return 0
     if e == f:
         return 1
+    # Ranks are >= 0 and the only rank-0 class is (0, 1), so the sign of
+    # chi decides the slope order exactly: chi > 0 iff mu(e) < mu(f).
     chi = e.r * f.d - e.d * f.r
-    mu_e, mu_f = e.mu(), f.mu()
-    if mu_e < mu_f:
+    if chi > 0:
         return chi if ext_degree == 0 else 0
-    if mu_f < mu_e:
+    if chi < 0:
         return 0 if ext_degree == 0 else -chi
     return 0
 
@@ -108,9 +109,12 @@ class ShiftedClass:
     def key(self):
         return (self.shift, *self.cls.key())
 
-    def k0(self) -> K0Class:
+    def rank_degree(self) -> tuple[int, int]:
         sign = -1 if self.shift % 2 else 1
-        return K0Class((sign * self.cls.r, sign * self.cls.d))
+        return sign * self.cls.r, sign * self.cls.d
+
+    def k0(self) -> K0Class:
+        return K0Class(self.rank_degree())
 
     def render(self) -> str:
         s = self.cls.render()
@@ -150,10 +154,12 @@ class EllipticObject:
                                            key=lambda tm: tm[0].key())))
 
     def k0(self) -> K0Class:
-        total = K0Class((0, 0))
+        rank = degree = 0
         for t, m in self.terms:
-            total = total + m * t.k0()
-        return total
+            r, d = t.rank_degree()
+            rank += m * r
+            degree += m * d
+        return K0Class((rank, degree))
 
     def render(self) -> str:
         if self.is_zero:
@@ -235,11 +241,11 @@ class EllipticStandard(StabilityFamily):
             raise TypeError("cross-family slope comparison")
         return Ordering.of((a.i, *a.cls.key()), (b.i, *b.cls.key()))
 
-    def tau(self, s: EllipticSlope) -> EllipticSlope:
-        return EllipticSlope(s.i + 1, s.mu, s.cls)
+    def tau(self, s: EllipticSlope, n: int = 1) -> EllipticSlope:
+        return EllipticSlope(s.i + n, s.mu, s.cls)
 
-    def tau_inv(self, s: EllipticSlope) -> EllipticSlope:
-        return EllipticSlope(s.i - 1, s.mu, s.cls)
+    def tau_inv(self, s: EllipticSlope, n: int = 1) -> EllipticSlope:
+        return EllipticSlope(s.i - n, s.mu, s.cls)
 
     def slope_of_term(self, term: ShiftedClass) -> EllipticSlope:
         return EllipticSlope(term.shift, term.cls.mu(), term.cls)

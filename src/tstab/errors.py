@@ -53,6 +53,10 @@ class QOutOfRangeError(TStabError):
     """A tilting slope parameter lies outside [0, 1) and is not infinity."""
 
 
+class FiltrationFormatError(TStabError):
+    """A serialised filtration lacks a field or holds one of the wrong type."""
+
+
 class ObjectParseError(TStabError):
     """Object expression could not be parsed."""
 

@@ -96,11 +96,11 @@ class CoarseZ(P1Family):
             raise TypeError("cross-family slope comparison")
         return Ordering.of(a.i, b.i)
 
-    def tau(self, s: CoarseSlope) -> CoarseSlope:
-        return CoarseSlope(s.i + 1)
+    def tau(self, s: CoarseSlope, n: int = 1) -> CoarseSlope:
+        return CoarseSlope(s.i + n)
 
-    def tau_inv(self, s: CoarseSlope) -> CoarseSlope:
-        return CoarseSlope(s.i - 1)
+    def tau_inv(self, s: CoarseSlope, n: int = 1) -> CoarseSlope:
+        return CoarseSlope(s.i - n)
 
     def slope_of_term(self, term: ShiftedIndec) -> CoarseSlope:
         return CoarseSlope(term.shift)
@@ -163,11 +163,11 @@ class StandardP1(P1Family):
             raise TypeError("cross-family slope comparison")
         return Ordering.of(a.key(), b.key())
 
-    def tau(self, s: StandardSlope) -> StandardSlope:
-        return StandardSlope(s.i + 1, s.level)
+    def tau(self, s: StandardSlope, n: int = 1) -> StandardSlope:
+        return StandardSlope(s.i + n, s.level)
 
-    def tau_inv(self, s: StandardSlope) -> StandardSlope:
-        return StandardSlope(s.i - 1, s.level)
+    def tau_inv(self, s: StandardSlope, n: int = 1) -> StandardSlope:
+        return StandardSlope(s.i - n, s.level)
 
     def slope_of_term(self, term: ShiftedIndec) -> StandardSlope:
         return standard_slope(term)
@@ -226,17 +226,21 @@ class ExceptionalP1(P1Family):
     kind = "exceptional"
 
     def __post_init__(self):
-        if self.p != INF and (not isinstance(self.p, int) or self.p < 0):
+        # bool is an int subclass; True must not pass for 1
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if isinstance(self.p, bool) or \
+                (self.p != INF and (not isinstance(self.p, int) or self.p < 0)):
             raise ValueError("p must be a nonnegative integer or inf")
 
     def compare(self, a: ExceptionalSlope, b: ExceptionalSlope) -> Ordering:
         return compare_exceptional(a, b, self.p)
 
-    def tau(self, s: ExceptionalSlope) -> ExceptionalSlope:
-        return ExceptionalSlope(s.i + 1, s.col)
+    def tau(self, s: ExceptionalSlope, n: int = 1) -> ExceptionalSlope:
+        return ExceptionalSlope(s.i + n, s.col)
 
-    def tau_inv(self, s: ExceptionalSlope) -> ExceptionalSlope:
-        return ExceptionalSlope(s.i - 1, s.col)
+    def tau_inv(self, s: ExceptionalSlope, n: int = 1) -> ExceptionalSlope:
+        return ExceptionalSlope(s.i - n, s.col)
 
     def slope_of_term(self, term: ShiftedIndec) -> ExceptionalSlope | None:
         if isinstance(term.base, Line):
@@ -380,9 +384,9 @@ class SlopePartition:
     """Blocks of a slope set, described by predicates.
 
     `block_of` maps a slope to its block id, `compare_blocks` orders the
-    block ids, and `tau_block` / `tau_block_inv` give the induced shift
-    on blocks.  Order-congruence and tau-stability are checked on a
-    window by `coarsen`.
+    block ids, and `tau_block(b, n=1)` / `tau_block_inv(b, n=1)` give the
+    induced shift on blocks, applied n times.  Order-congruence and
+    tau-stability are checked on a window by `coarsen`.
     """
 
     label: str
@@ -398,8 +402,8 @@ def by_shift_partition() -> SlopePartition:
         label="by-shift",
         block_of=lambda s: s.i,
         compare_blocks=lambda a, b: Ordering.of(a, b),
-        tau_block=lambda b: b + 1,
-        tau_block_inv=lambda b: b - 1,
+        tau_block=lambda b, n=1: b + n,
+        tau_block_inv=lambda b, n=1: b - n,
     )
 
 
@@ -414,8 +418,8 @@ def column_partition() -> SlopePartition:
         label="columns",
         block_of=lambda s: s.col,
         compare_blocks=lambda a, b: Ordering.of(a, b),
-        tau_block=lambda b: b,
-        tau_block_inv=lambda b: b,
+        tau_block=lambda b, n=1: b,
+        tau_block_inv=lambda b, n=1: b,
     )
 
 
@@ -448,11 +452,11 @@ class CoarsenedFamily(StabilityFamily):
     def compare(self, a, b) -> Ordering:
         return self.partition.compare_blocks(a, b)
 
-    def tau(self, s):
-        return self.partition.tau_block(s)
+    def tau(self, s, n: int = 1):
+        return self.partition.tau_block(s, n)
 
-    def tau_inv(self, s):
-        return self.partition.tau_block_inv(s)
+    def tau_inv(self, s, n: int = 1):
+        return self.partition.tau_block_inv(s, n)
 
     def slope_of_term(self, term):
         s = self.base.slope_of_term(term)
@@ -558,8 +562,8 @@ def finest_check(family: StabilityFamily, window: Window) -> Report:
                 break
         if not ok:
             break
-    item = CheckItem("mutual_hom_nonzero", ok,
-                     detail if not ok else f"{pairs_checked} pairs checked")
+    item = CheckItem.over("mutual_hom_nonzero", pairs_checked, ok,
+                          detail if not ok else f"{pairs_checked} pairs checked")
     return Report((item,))
 
 

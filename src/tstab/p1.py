@@ -129,11 +129,14 @@ class ShiftedIndec:
             return (self.shift, 0, (self.base.n,))
         return (self.shift, 1, (*self.base.x.key(), self.base.d))
 
-    def k0(self) -> K0Class:
+    def rank_degree(self) -> tuple[int, int]:
         sign = -1 if self.shift % 2 else 1
         if isinstance(self.base, Line):
-            return K0Class((sign, sign * self.base.n))
-        return K0Class((0, sign * self.base.d))
+            return sign, sign * self.base.n
+        return 0, sign * self.base.d
+
+    def k0(self) -> K0Class:
+        return K0Class(self.rank_degree())
 
     def render(self) -> str:
         if isinstance(self.base, Line):
@@ -191,10 +194,12 @@ class DerivedObject:
                                           key=lambda tm: tm[0].key())))
 
     def k0(self) -> K0Class:
-        total = K0Class((0, 0))
+        rank = degree = 0
         for t, m in self.terms:
-            total = total + m * t.k0()
-        return total
+            r, d = t.rank_degree()
+            rank += m * r
+            degree += m * d
+        return K0Class((rank, degree))
 
     def render(self) -> str:
         if self.is_zero:

@@ -17,6 +17,7 @@ object.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
@@ -106,6 +107,16 @@ class CheckItem:
     ok: bool
     detail: str = ""
 
+    @staticmethod
+    def over(name: str, cases: int, ok: bool, detail: str = "") -> "CheckItem":
+        """The item of a check that examined `cases` cases.
+
+        A check that examined none proves nothing, so it does not pass.
+        """
+        if ok and cases < 1:
+            return CheckItem(name, False, "no cases examined")
+        return CheckItem(name, ok, detail)
+
     def __str__(self):
         mark = "PASS" if self.ok else "FAIL"
         return f"{mark} {self.name}" + (f": {self.detail}" if self.detail and not self.ok else "")
@@ -185,6 +196,11 @@ class HNFiltration:
     terms[0] is the filtered object, terms[-1] is zero, and
     k0(terms[i]) = k0(terms[i+1]) + k0(quotients[i]) throughout.  The
     empty filtration represents the zero object.
+
+    All terms are held eagerly.  `merge_towers` builds them in one pass
+    over a running multiset of summands, so producing them costs about
+    as much as reading them, and serialisation and `verify_hn` read
+    every term anyway.
     """
 
     family: "StabilityFamily" = field(compare=False)
@@ -233,12 +249,9 @@ class HNFiltration:
     def shifted(self, n: int) -> "HNFiltration":
         """Apply the shift [n]: slopes move by tau^n, objects by [n]."""
         fam = self.family
-        quotients = []
-        for s, o in self.quotients:
-            for _ in range(abs(n)):
-                s = fam.tau(s) if n > 0 else fam.tau_inv(s)
-            quotients.append((s, o.shift(n)))
-        return HNFiltration(fam, tuple(quotients), tuple(t.shift(n) for t in self.terms))
+        step = fam.tau if n >= 0 else fam.tau_inv
+        quotients = tuple((step(s, abs(n)), o.shift(n)) for s, o in self.quotients)
+        return HNFiltration(fam, quotients, tuple(t.shift(n) for t in self.terms))
 
     def to_json(self) -> dict:
         fam = self.family
@@ -270,10 +283,12 @@ class StabilityFamily:
     def compare(self, a, b) -> Ordering:
         raise NotImplementedError
 
-    def tau(self, s):
+    def tau(self, s, n: int = 1):
+        """tau applied n >= 0 times."""
         raise NotImplementedError
 
-    def tau_inv(self, s):
+    def tau_inv(self, s, n: int = 1):
+        """tau^-1 applied n >= 0 times."""
         raise NotImplementedError
 
     def slope_cmp_key(self):
@@ -379,35 +394,69 @@ def merge_towers(family: StabilityFamily,
     len(terms) == len(quotients) + 1.  The merged term after each step
     is the direct sum of every source's current term, which realises
     the filtration of the direct sum of the source objects.
+
+    The sources' next quotients wait in a heap ordered by (slope, source
+    index); each step takes the lowest slope together with every head
+    comparing equal to it, and records the slope of the first such
+    source.  The merged term is one running multiset (atom ->
+    multiplicity): a source stepping from terms[p] to terms[p+1] takes
+    away the summands of terms[p] and adds those of terms[p+1], so split
+    towers and non-split mid-terms are handled alike.  Each atom's sort
+    key is computed once per merge, and each emitted term and coalesced
+    quotient takes one sort.
     """
+    compare = family.compare
+
+    def entry_cmp(a, b):
+        order = compare(a[0], b[0]).value
+        return order if order else a[1] - b[1]
+
+    entry_key = cmp_to_key(entry_cmp)
+    make = type(family.zero)
+    atom_keys: dict = {}
+    counts: dict = {}
+
+    def add(into: dict, obj, sign: int) -> None:
+        for atom, m in obj.summands():
+            if atom not in atom_keys:
+                atom_keys[atom] = atom.key()
+            m = into.get(atom, 0) + sign * m
+            if m:
+                into[atom] = m
+            else:
+                into.pop(atom, None)
+
+    def emit(multiset: dict):
+        return make(tuple(sorted(multiset.items(), key=lambda tm: atom_keys[tm[0]])))
+
+    heap = []
+    for idx, (quotients, terms) in enumerate(sources):
+        add(counts, terms[0], 1)
+        if quotients:
+            heap.append(entry_key((quotients[0][0], idx)))
+    heapq.heapify(heap)
     pointers = [0] * len(sources)
 
-    def current_term():
-        total = family.zero
-        for (_, terms), p in zip(sources, pointers):
-            total = total + terms[p]
-        return total
-
-    quotients: list[tuple[object, object]] = []
-    merged_terms = [current_term()]
-    while True:
-        active = [(idx, sources[idx][0][pointers[idx]][0])
-                  for idx in range(len(sources))
-                  if pointers[idx] < len(sources[idx][0])]
-        if not active:
-            break
-        best = active[0][1]
-        for _, slope in active[1:]:
-            if family.compare(slope, best) == Ordering.LESS:
-                best = slope
-        obj = family.zero
-        for idx, slope in active:
-            if family.compare(slope, best) == Ordering.EQUAL:
-                obj = obj + sources[idx][0][pointers[idx]][1]
-                pointers[idx] += 1
-        quotients.append((best, obj))
-        merged_terms.append(current_term())
-    return HNFiltration(family, tuple(quotients), tuple(merged_terms))
+    merged: list[tuple[object, object]] = []
+    merged_terms = [emit(counts)]
+    while heap:
+        best, first = heapq.heappop(heap).obj
+        group = [first]
+        while heap and compare(heap[0].obj[0], best) == Ordering.EQUAL:
+            group.append(heapq.heappop(heap).obj[1])
+        parts: dict = {}
+        for idx in group:
+            quotients, terms = sources[idx]
+            p = pointers[idx]
+            add(parts, quotients[p][1], 1)
+            add(counts, terms[p], -1)
+            add(counts, terms[p + 1], 1)
+            pointers[idx] = p + 1
+            if p + 1 < len(quotients):
+                heapq.heappush(heap, entry_key((quotients[p + 1][0], idx)))
+        merged.append((best, emit(parts)))
+        merged_terms.append(emit(counts))
+    return HNFiltration(family, tuple(merged), tuple(merged_terms))
 
 
 # --- module-level operations --------------------------------------------------
@@ -467,9 +516,10 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     checks.append(CheckItem("hom_vanishing", ok, detail))
 
     ok, detail = True, ""
+    term_k0 = [family.k0(t) for t in filt.terms]
     for i, (slope, obj) in enumerate(filt.quotients):
-        lhs = family.k0(filt.terms[i])
-        rhs = family.k0(filt.terms[i + 1]) + family.k0(obj)
+        lhs = term_k0[i]
+        rhs = term_k0[i + 1] + family.k0(obj)
         if lhs != rhs:
             ok, detail = False, f"k0(terms[{i}]) = {lhs} != {rhs}"
             break
@@ -571,7 +621,7 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
                                     f"window generator {g.render()} is not semistable"))
             return Report(tuple(checks))
         slopes.append(s)
-    checks.append(CheckItem("generators_semistable", True))
+    checks.append(CheckItem.over("generators_semistable", len(gens), True))
 
     ok, detail = True, ""
     for g, s in zip(gens, slopes):
@@ -585,12 +635,13 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
         if family.tau_inv(family.tau(s)) != s:
             ok, detail = False, f"tau_inv(tau) != id at {family.render_slope(s)}"
             break
-    checks.append(CheckItem("tau_equivariance", ok, detail))
+    checks.append(CheckItem.over("tau_equivariance", len(gens), ok, detail))
 
-    ok, detail = True, ""
+    ok, detail, pairs = True, "", 0
     for g1, s1 in zip(gens, slopes):
         for g2, s2 in zip(gens, slopes):
             if family.compare(s1, s2) == Ordering.GREATER:
+                pairs += 1
                 profile = family.hom_profile(g1, g2)
                 if not profile.vanishes_at_and_below(0):
                     ok = False
@@ -599,7 +650,7 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
                     break
         if not ok:
             break
-    checks.append(CheckItem("hom_vanishing", ok, detail))
+    checks.append(CheckItem.over("hom_vanishing", pairs, ok, detail))
 
     rng = random.Random(window.seed)
     ok, detail = True, ""
@@ -611,6 +662,6 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
             failed = ", ".join(c.name for c in report.failures())
             detail = f"hn({x.render()}) failed: {failed}"
             break
-    checks.append(CheckItem("hn_random_objects", ok, detail))
+    checks.append(CheckItem.over("hn_random_objects", window.samples, ok, detail))
 
     return Report(tuple(checks))

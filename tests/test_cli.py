@@ -237,6 +237,26 @@ def test_truncate_invalid_cut_is_domain_error():
     assert "error" in json.loads(out)
 
 
+def test_check_hn_malformed_document_is_domain_error(tmp_path):
+    _, out = _run("hn", "O(3)", "--stability", "exc", "--k", "0", "--p", "0",
+                  "--format", "json")
+    no_shift = json.loads(out)
+    del no_shift["quotients"][0]["slope"]["shift"]
+    no_class = {"object": "S(1,0,x)", "family": {"family": "elliptic", "point_order": []},
+                "quotients": [{"slope": {"shift": 0, "mu": "0"}, "object": "S(1,0,x)"}],
+                "terms": ["S(1,0,x)", "0"]}
+    docs = [{"object": "O(3)"}, no_shift, no_class, [], "O(3)", {"object": "O(3)", "family": 3},
+            {"object": 5, "family": {"family": "coarse"}, "quotients": [], "terms": ["0"]}]
+    path = tmp_path / "doc.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        code, out = _run("check", "hn", "--input", str(path), "--format", "json")
+        assert code == 1, doc
+        assert set(json.loads(out)) == {"error"}, doc
+        code, out = _run("check", "hn", "--input", str(path))
+        assert code == 1 and out.startswith("error: "), doc
+
+
 def test_check_hn_rejects_tampered_filtration(tmp_path):
     code, out = _run("hn", "O(3)", "--stability", "exc", "--k", "0", "--p", "0",
                      "--format", "json")
@@ -284,6 +304,25 @@ def test_check_stability_pass_and_fail_codes():
     assert report["ok"]
     code, out = _run("check", "stability", "--stability", "std", "--window", "4")
     assert code == 0 and "PASS" in out
+
+
+def test_check_stability_with_no_samples_fails():
+    code, out = _run("check", "stability", "--stability", "std", "--window", "2",
+                     "--samples", "0")
+    assert code == 1
+    assert "FAIL hn_random_objects: no cases examined" in out
+
+
+def test_negative_window_or_samples_is_usage_error():
+    for argv in (("check", "stability", "--window", "-3"),
+                 ("check", "stability", "--samples", "-1"),
+                 ("check", "cut", "--cut", "exc:a=1,b=-1", "--window", "-1"),
+                 ("compare", "--fine", "std", "--weak", "coarse", "--window", "-2")):
+        code, out = _run(*argv, "--format", "json")
+        assert code == 2, argv
+        assert json.loads(out)["error"].startswith("--"), argv
+        code, out = _run(*argv)
+        assert code == 2 and out.startswith("error: --"), argv
 
 
 def test_check_cut_codes():

@@ -96,6 +96,14 @@ def test_compare_exceptional_is_total_order_on_window():
                 assert compare_exceptional(a, c, p) == Ordering.LESS
 
 
+def test_exceptional_rejects_bool_and_non_integer_parameters():
+    # bool is an int subclass: True must not be taken for p = 1 or k = 1
+    for k, p in ((0, True), (0, False), (True, 0), (0.5, 0), (0, -1), (0, 1.5)):
+        with pytest.raises(ValueError):
+            ExceptionalP1(k, p)
+    assert ExceptionalP1(-1, INF).p == INF and ExceptionalP1(2, 3).p == 3
+
+
 def test_tau_preserves_order_and_raises():
     std, exc = StandardP1(), ExceptionalP1(0, 1)
     std_slopes = [StandardSlope(i, lvl) for i in (-2, 0, 1)
@@ -260,6 +268,11 @@ def test_finest_check_standard_and_exceptional():
     assert finest_check(StandardP1(), WINDOW).ok
     assert finest_check(ExceptionalP1(0, 0), WINDOW).ok
     assert finest_check(ExceptionalP1(1, INF), WINDOW).ok
+
+
+def test_finest_check_with_no_pairs_does_not_pass():
+    report = finest_check(CoarseZ(), Window(max_shift=-1))
+    assert not report.ok and report.failures()[0].detail == "no cases examined"
 
 
 def test_finest_check_fails_for_coarse():

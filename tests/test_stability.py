@@ -1,12 +1,15 @@
 """Tests for the HN engine: computation, verification, filtration algebra."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tstab.errors import InvalidShuffleError, UnsupportedFamilyError
-from tstab.families import CoarseZ, ExceptionalP1, StandardP1
+from tstab.elliptic import EllipticStandard, stable
+from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
+                            coarsen, column_partition)
 from tstab.p1 import Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize, torsion
 from tstab.slopes import Ordering
 from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
@@ -240,6 +243,29 @@ def test_shift_equivariance():
             x = fam.random_object(rng, WINDOW)
             assert hn(x.shift(1), fam) == hn(x, fam).shifted(1)
             assert hn(x.shift(-2), fam) == hn(x, fam).shifted(-2)
+
+
+def test_shifted_is_closed_form_for_huge_shifts():
+    n = 10 ** 8
+    p1 = line(3) + torsion(Point("x"), 2, 1) + line(-2, -1)
+    ell = stable(1, 2, "x") + stable(0, 1, "y", shift=-1)
+    cases = [(fam, p1) for fam in (STD, EXC0, CoarseZ(), coarsen(STD, by_shift_partition()),
+                                   coarsen(ExceptionalP1(0, INF), column_partition()))]
+    cases.append((EllipticStandard(), ell))
+    for fam, x in cases:
+        filt = hn(x, fam)
+        start = time.perf_counter()
+        far = filt.shifted(n)
+        assert time.perf_counter() - start < 1.0
+        assert far == hn(x.shift(n), fam)
+        assert far.shifted(-n) == filt
+
+
+def test_validate_stability_with_no_samples_does_not_pass():
+    report = validate_stability(STD, Window(max_degree=2, samples=0))
+    assert not report.ok
+    [failure] = report.failures()
+    assert failure.name == "hn_random_objects" and failure.detail == "no cases examined"
 
 
 _points = st.sampled_from([Point("x"), Point("y"), Point("z")])
