@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -99,6 +100,25 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
+# One summand with the scanner's whitespace rules: optional multiplicity,
+# an atom, an optional shift, then "+" or the end.  ASCII digits and
+# labels only, so every match is also accepted by `_Scanner`.  A shifted
+# zero atom is left to the scanner, which reads (and range-checks) its shift.
+# Compiled on first use, through `re`'s own cache, so commands that parse no
+# expression do not pay for it at import.
+_SUMMAND = r"""
+    \s*(?:(?P<mult>[0-9]+)\s*\*\s*)?
+    (?P<atom>
+        O\s*\(\s*(?P<n>[+-]?[0-9]+)\s*\)
+      | T\s*\(\s*(?P<tx>[A-Za-z0-9]+)\s*,\s*(?P<td>[0-9]+)\s*\)
+      | S\s*\(\s*(?P<r>[+-]?[0-9]+)\s*,\s*(?P<d>[+-]?[0-9]+)\s*,\s*(?P<sx>[A-Za-z0-9]+)\s*\)
+      | 0(?!\s*\[)
+    )
+    (?:\s*\[\s*(?P<shift>[+-]?[0-9]+)\s*\])?
+    \s*(?:(?P<more>\+)|\Z)
+"""
+
+
 def parse_object(text: str, category: str = "auto", resolve_point=None
                  ) -> DerivedObject | EllipticObject:
     """Parse an object expression into its normal form.
@@ -111,6 +131,83 @@ def parse_object(text: str, category: str = "auto", resolve_point=None
     """
     if resolve_point is None:
         resolve_point = Point
+    return _parse_object(text, category, resolve_point, {})
+
+
+def _parse_object(text: str, category: str, resolve_point, atoms: dict
+                  ) -> DerivedObject | EllipticObject:
+    """`parse_object` with `atoms`, a memo from atom text to (side, atom, key).
+
+    Well-formed text is read a summand at a time by `_SUMMAND`.  Text
+    it does not match, or whose values fail a check, goes to `_scan_object`,
+    which raises the parse error.  The memo may be shared by calls with the
+    same category and resolver.
+    """
+    if not isinstance(text, str):
+        return _scan_object(text, category, resolve_point)
+    match = re.compile(_SUMMAND, re.VERBOSE).match
+    side, pairs = None, []
+    pos, more, last, ascending = 0, True, None, True
+    while more:
+        m = match(text, pos)
+        if m is None:
+            return _scan_object(text, category, resolve_point)
+        pos = m.end()
+        mult, atom_text, shift_text, more = m.group("mult", "atom", "shift", "more")
+        mult = 1 if mult is None else int(mult)
+        if atom_text == "0":
+            continue  # the zero object contributes nothing
+        entry = atoms.get((atom_text, shift_text))
+        if entry is None:
+            entry = _memo_atom(m, resolve_point)
+            if entry is None:
+                return _scan_object(text, category, resolve_point)
+            atoms[atom_text, shift_text] = entry
+        atom_side, atom, key = entry
+        if side is None:
+            side = atom_side
+        elif atom_side != side:
+            return _scan_object(text, category, resolve_point)
+        ascending = ascending and mult > 0 and (last is None or last < key)
+        last = key
+        pairs.append((atom, mult))
+    if side is None:
+        side = "elliptic" if category == "elliptic" else "p1"
+    elif category in ("p1", "elliptic") and category != side:
+        return _scan_object(text, category, resolve_point)
+    # Summands in strictly ascending key order with positive multiplicities
+    # (as `render` writes them) are already a normal form.
+    if side == "elliptic":
+        return EllipticObject(tuple(pairs)) if ascending else normalize_elliptic(pairs)
+    return DerivedObject(tuple(pairs)) if ascending else normalize(pairs)
+
+
+def _memo_atom(m: re.Match, resolve_point) -> tuple[str, object, tuple] | None:
+    """(side, shifted atom, sort key) of a matched summand; None if a value
+    check fails.  Values are read in the scanner's order, so a conversion
+    or resolver error is the one the scanner would raise."""
+    if m.group("n") is not None:
+        base = Line(int(m.group("n")))
+        atom = ShiftedIndec(base, int(m.group("shift") or 0))
+        return "p1", atom, atom.key()
+    if m.group("td") is not None:
+        d = int(m.group("td"))
+        if d == 0:
+            return None
+        base = Torsion(resolve_point(m.group("tx")), d)
+        atom = ShiftedIndec(base, int(m.group("shift") or 0))
+        return "p1", atom, atom.key()
+    r, d = int(m.group("r")), int(m.group("d"))
+    if r < 0 or math.gcd(r, d) != 1:
+        return None
+    cls = StableClass(r, d, resolve_point(m.group("sx")))
+    atom = ShiftedClass(cls, int(m.group("shift") or 0))
+    return "elliptic", atom, atom.key()
+
+
+def _scan_object(text: str, category: str, resolve_point
+                 ) -> DerivedObject | EllipticObject:
+    """Parse character by character, raising the error of malformed text."""
     sc = _Scanner(text)
     p1_terms: list[tuple[ShiftedIndec, int]] = []
     ell_terms: list[tuple[ShiftedClass, int]] = []
@@ -380,13 +477,17 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
     """
     try:
         family = family_from_descriptor(data["family"])
-        category = "elliptic" if data["family"]["family"] == "elliptic" else "p1"
+        category = "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
         resolver = _family_resolver(family)
-        obj = parse_object(data["object"], category, resolver)
-        quotients = tuple(
-            (family.slope_from_json(q["slope"]), parse_object(q["object"], category, resolver))
-            for q in data["quotients"])
-        terms = tuple(parse_object(t, category, resolver) for t in data["terms"])
+        atoms: dict = {}  # terms are suffix sums: most of their atoms repeat
+
+        def parse(text):
+            return _parse_object(text, category, resolver, atoms)
+
+        obj = parse(data["object"])
+        quotients = tuple((family.slope_from_json(q["slope"]), parse(q["object"]))
+                          for q in data["quotients"])
+        terms = tuple(parse(t) for t in data["terms"])
     except KeyError as exc:
         raise FiltrationFormatError(f"filtration JSON lacks the field {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:

@@ -116,6 +116,10 @@ class ShiftedClass:
     def k0(self) -> K0Class:
         return K0Class(self.rank_degree())
 
+    def ext_dim(self, other: "ShiftedClass", i: int) -> int:
+        """dim Ext^i between the two stable classes, shifts ignored."""
+        return hom_dim_stable(self.cls, other.cls, i)
+
     def render(self) -> str:
         s = self.cls.render()
         if self.shift != 0:

@@ -314,9 +314,10 @@ def hn_exceptional(x: DerivedObject, k: int, p) -> HNFiltration:
 class FinerVerdict:
     """Outcome of a window check of the refinement conditions.
 
-    `condition` names the first failing condition ("semistable",
-    "well_defined", "order", "tau") and `witnesses` lists all window
-    generators breaking semistability, when that is the failure.
+    `condition` names the first failing condition ("coverage" when the
+    window has no generators, "semistable", "well_defined", "order",
+    "tau") and `witnesses` lists all window generators breaking
+    semistability, when that is the failure.
     """
 
     holds: bool
@@ -338,6 +339,8 @@ def is_finer(fine: StabilityFamily, weak: StabilityFamily, window: Window) -> Fi
     certifies the global statement.
     """
     gens = fine.window_generators(window)
+    if not gens:
+        return FinerVerdict(False, "coverage", "no cases examined")
     assignments = []  # (generator, fine slope, weak slope)
     bad = []
     for g in gens:
@@ -423,6 +426,10 @@ def column_partition() -> SlopePartition:
     )
 
 
+# The partitions a coarsened family's descriptor can name; their block ids are ints.
+PARTITIONS = {"by-shift": by_shift_partition, "columns": column_partition}
+
+
 class CoarsenedFamily(StabilityFamily):
     """The derived family of a validated slope-set partition.
 
@@ -436,6 +443,11 @@ class CoarsenedFamily(StabilityFamily):
         self.partition = partition
         self.kind = f"coarsened({base.kind}; {partition.label})"
         self.zero = base.zero
+
+    @property
+    def point_labels(self) -> tuple[str, ...]:
+        """The base family's point order; parsed documents resolve labels by it."""
+        return getattr(self.base, "point_labels", ())
 
     def accepts(self, x) -> bool:
         return self.base.accepts(x)
@@ -497,6 +509,9 @@ class CoarsenedFamily(StabilityFamily):
 
     def slope_json(self, s) -> dict:
         return {"block": str(s)}
+
+    def slope_from_json(self, data: dict):
+        return int(data["block"])
 
     def render_slope(self, s) -> str:
         return f"[{s}]"
@@ -582,4 +597,6 @@ def family_from_descriptor(desc: dict) -> StabilityFamily:
     if kind == "elliptic":
         from .elliptic import EllipticStandard
         return EllipticStandard(tuple(desc.get("point_order", ())))
+    if kind == "coarsened" and desc.get("partition") in PARTITIONS:
+        return coarsen(family_from_descriptor(desc["base"]), PARTITIONS[desc["partition"]]())
     raise ValueError(f"unknown family descriptor {desc!r}")

@@ -138,6 +138,10 @@ class ShiftedIndec:
     def k0(self) -> K0Class:
         return K0Class(self.rank_degree())
 
+    def ext_dim(self, other: "ShiftedIndec", i: int) -> int:
+        """dim Ext^i between the two sheaves, shifts ignored."""
+        return ext_dim(self.base, other.base, i)
+
     def render(self) -> str:
         if isinstance(self.base, Line):
             s = f"O({self.base.n})"

@@ -157,6 +157,12 @@ class Window:
     samples: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("max_degree", 0), ("max_shift", 0), ("max_length", 1),
+                            ("max_summands", 1), ("samples", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"Window.{name} must be >= {least}, got {getattr(self, name)}")
+
     def shifts(self) -> range:
         return range(-self.max_shift, self.max_shift + 1)
 
@@ -474,6 +480,55 @@ def is_semistable(x, family: StabilityFamily):
     return None
 
 
+def _maps_at_or_below_zero(t, s) -> bool:
+    """Whether Hom^q(t, s) != 0 for some q <= 0, for two shifted atoms.
+
+    Ext between sheaves lives in degrees 0 and 1, so Hom^q(t, s) is
+    Ext^0 at q = gap and Ext^1 at q = gap + 1, where gap = shift(t) -
+    shift(s); a gap >= 1 leaves nothing in degrees <= 0.
+    """
+    gap = t.shift - s.shift
+    return gap <= 0 and bool(t.ext_dim(s, 0) or (gap < 0 and t.ext_dim(s, 1)))
+
+
+def hom_vanishes_at_and_below_zero(x, y) -> bool:
+    """Whether Hom^q(x, y) = 0 for all q <= 0.
+
+    Multiplicities and dimensions are nonnegative, so the sum vanishes
+    exactly when every pair of summands does.
+    """
+    return not any(_maps_at_or_below_zero(t, s)
+                   for t, _ in x.summands() for s, _ in y.summands())
+
+
+def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
+    """The first (j, i), i < j, with Hom^(<=0)(objects[j], objects[i]) != 0.
+
+    "First" is in the order j ascending, then i ascending.  The summands
+    of objects[:j] wait in buckets by shift, each in ascending i; a
+    summand t of objects[j] is tested only against buckets with shift >=
+    shift(t), the only ones `_maps_at_or_below_zero` can hit.
+    """
+    by_shift: dict[int, list] = {}
+    for j, obj in enumerate(objects):
+        best = j
+        for t, _ in obj.summands():
+            for shift, bucket in by_shift.items():
+                if shift < t.shift:
+                    continue
+                for i, s in bucket:
+                    if i >= best:
+                        break
+                    if _maps_at_or_below_zero(t, s):
+                        best = i
+                        break
+        if best < j:
+            return j, best
+        for t, _ in obj.summands():
+            by_shift.setdefault(t.shift, []).append((j, t))
+    return None
+
+
 def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     """Re-check a filtration against the HN characterisation.
 
@@ -504,15 +559,11 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     checks.append(CheckItem("semistable_quotients", ok, detail))
 
     ok, detail = True, ""
-    for j in range(len(filt.quotients)):
-        for i in range(j):
-            profile = family.hom_profile(filt.quotients[j][1], filt.quotients[i][1])
-            if not profile.vanishes_at_and_below(0):
-                ok = False
-                detail = (f"Hom^(<=0)(Q_{j}, Q_{i}) != 0: profile {profile!r}")
-                break
-        if not ok:
-            break
+    bad = _first_hom_violation(filt.quotient_objects)
+    if bad is not None:
+        j, i = bad
+        profile = family.hom_profile(filt.quotients[j][1], filt.quotients[i][1])
+        ok, detail = False, f"Hom^(<=0)(Q_{j}, Q_{i}) != 0: profile {profile!r}"
     checks.append(CheckItem("hom_vanishing", ok, detail))
 
     ok, detail = True, ""
@@ -642,8 +693,8 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
         for g2, s2 in zip(gens, slopes):
             if family.compare(s1, s2) == Ordering.GREATER:
                 pairs += 1
-                profile = family.hom_profile(g1, g2)
-                if not profile.vanishes_at_and_below(0):
+                if not hom_vanishes_at_and_below_zero(g1, g2):
+                    profile = family.hom_profile(g1, g2)
                     ok = False
                     detail = (f"Hom^(<=0)({g1.render()}, {g2.render()}) != 0 "
                               f"against the order: profile {profile!r}")

@@ -3,8 +3,10 @@
 import io
 import json
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import validate as js_validate
 
 from tstab.cli import parse_object, run
@@ -396,3 +398,105 @@ def test_seed_determinism():
     a = _run("check", "stability", "--stability", "std", "--window", "4", "--seed", "9")
     b = _run("check", "stability", "--stability", "std", "--window", "4", "--seed", "9")
     assert a == b
+
+
+# --- fuzzing ---------------------------------------------------------------------
+
+_HN_DOCS = [json.loads(_run("hn", expr, *flags, "--format", "json")[1]) for expr, flags in (
+    ("O(3) + T(x,2) + 2*O(-4)[2]", ("--stability", "exc", "--k", "1", "--p", "2")),
+    ("T(c,2) + T(a,1)[1] + O(0) + 3*O(-1)[1]", ("--stability", "std", "--points", "c,b,a")),
+    ("2*S(2,1,l) + S(0,1,m)[1] + S(1,-3,n)[-1]", ("--stability", "ell")),
+)]
+_JUNK = st.one_of(  # fresh copies: a drawn value may be mutated later
+    st.sampled_from([None, True, 0, -1, 1.5, "", "x", [], {}, [1, 2], {"a": 1}]).map(
+        lambda value: json.loads(json.dumps(value))),
+    st.text(max_size=8))
+_STRAY = st.sampled_from(list("()[]*+,0123456789OTSxyz-") + [" ", "\t", "\n", " ", "é", "٣"])
+
+
+def _value_slots(value):
+    """(container, key) of every value nested in a JSON document."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    slots = []
+    for key, child in items:
+        slots.append((value, key))
+        slots.extend(_value_slots(child))
+    return slots
+
+
+@st.composite
+def mutated_documents(draw):
+    """A real `hn --format json` document, mangled a few times, as JSON text.
+
+    Strings (mostly object expressions) are cut short or get a stray
+    character or whitespace; values change type; fields go missing.
+    """
+    doc = json.loads(json.dumps(draw(st.sampled_from(_HN_DOCS))))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("mangle", "mangle", "mangle", "retype", "drop")))
+        slots = _value_slots(doc)
+        if op == "mangle":
+            slots = [(box, key) for box, key in slots if isinstance(box[key], str)]
+            if slots:
+                box, key = draw(st.sampled_from(slots))
+                text = box[key]
+                i = draw(st.integers(0, len(text)))
+                cut = draw(st.sampled_from(("truncate", "insert", "delete")))
+                box[key] = (text[:i] if cut == "truncate" else
+                            text[:i] + draw(_STRAY) + text[i:] if cut == "insert" else
+                            text[:i] + text[i + 1:])
+        elif op == "retype":
+            if slots and draw(st.integers(0, 9)):
+                box, key = draw(st.sampled_from(slots))
+                box[key] = draw(_JUNK)
+            else:
+                doc = draw(_JUNK)
+        else:
+            slots = [(box, key) for box, key in slots if isinstance(box, dict)]
+            if slots:
+                box, key = draw(st.sampled_from(slots))
+                del box[key]
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]  # cut off mid-document
+    return text
+
+
+def _assert_clean_exit(argv, stdin_text=None):
+    saved = sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    try:
+        code, out = _run(*argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2), (argv, stdin_text, out)
+    if "--format" in argv and code != 2:
+        payload = json.loads(out)
+        if code == 0:
+            assert payload.get("ok", True) is True
+        else:
+            assert set(payload) == {"error"} or payload.get("ok") is False, out
+    return code, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents(), st.booleans())
+def test_check_hn_fuzzed_documents_exit_cleanly(text, as_json):
+    argv = ["check", "hn"] + (["--format", "json"] if as_json else [])
+    code, out = _assert_clean_exit(argv, text)
+    if not as_json and code == 1 and not out.startswith("error: "):
+        assert "FAIL" in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_HN_DOCS), st.data())
+def test_object_expressions_fuzzed_exit_cleanly(doc, data):
+    text = doc["object"]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        text = text[:i] + data.draw(st.just("") | _STRAY) + text[i + 1:]
+    stability = "ell" if text.count("S") > text.count("O") + text.count("T") else "std"
+    for argv in (["normalize", text], ["hn", text, "--stability", stability]):
+        _assert_clean_exit(argv + ["--format", "json"])

@@ -1,23 +1,30 @@
-"""Differential tests: the fast HN engine, Hom rule and K0 sums against reference versions.
+"""Differential tests: the fast engine, parser and checks against reference versions.
 
-The references below are the straightforward implementations the engine
+The references below are the straightforward implementations the library
 used to run: a merge that rebuilds every filtration term as a fresh
 direct sum of all sources, the Hom rule for stable classes decided by
-comparing Fraction slopes, and K0 summed one K0Class per summand.  They
-are kept here only, as oracles, and every result must agree bit for bit.
+comparing Fraction slopes, K0 summed one K0Class per summand, the
+character-by-character object parser, and the Hom-vanishing check of
+`verify_hn` that builds one HomProfile per quotient pair.  They are kept
+here only, as oracles, and every result must agree bit for bit.  The
+JSON round trip of filtrations is tested here too, over the same
+families and objects.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from tstab.elliptic import (EllipticStandard, ShiftedClass, StableClass, hom_dim_stable,
-                            normalize_elliptic)
+from tstab import cli
+from tstab.elliptic import (EllipticObject, EllipticStandard, ShiftedClass, StableClass,
+                            hom_dim_stable, normalize_elliptic)
+from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
 from tstab.p1 import Line, Point, ShiftedIndec, Torsion, normalize
 from tstab.slopes import K0Class, Ordering
-from tstab.stability import HNFiltration, Window, merge_towers, shuffle_merge
+from tstab.stability import (CheckItem, HNFiltration, Window, hom_vanishes_at_and_below_zero,
+                             merge_towers, shuffle_merge, verify_hn)
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -98,6 +105,164 @@ def per_summand_k0(x):
     return total
 
 
+def oracle_hom_vanishing(filt, family):
+    """Check (c) of `verify_hn`: one HomProfile per pair of quotients."""
+    ok, detail = True, ""
+    for j in range(len(filt.quotients)):
+        for i in range(j):
+            profile = family.hom_profile(filt.quotients[j][1], filt.quotients[i][1])
+            if not profile.vanishes_at_and_below(0):
+                ok = False
+                detail = (f"Hom^(<=0)(Q_{j}, Q_{i}) != 0: profile {profile!r}")
+                break
+        if not ok:
+            break
+    return CheckItem("hom_vanishing", ok, detail)
+
+
+class _OracleScanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, expected: str):
+        self.skip_ws()
+        if not self.text.startswith(expected, self.pos):
+            raise ObjectParseError(f"expected {expected!r}", self.pos)
+        self.pos += len(expected)
+
+    def nat(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise ObjectParseError("expected a natural number", start)
+        return int(self.text[start:self.pos])
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start or self.text[start:self.pos] in ("+", "-"):
+            raise ObjectParseError("expected an integer", start)
+        return int(self.text[start:self.pos])
+
+    def label(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalnum():
+            self.pos += 1
+        if self.pos == start:
+            raise ObjectParseError("expected a point label", start)
+        return self.text[start:self.pos]
+
+
+def _oracle_opt_shift(sc):
+    if sc.peek() == "[":
+        sc.take("[")
+        n = sc.integer()
+        sc.take("]")
+        return n
+    return 0
+
+
+def oracle_parse_object(text, category="auto", resolve_point=None):
+    """The object parser as a scanner alone, one character at a time."""
+    if resolve_point is None:
+        resolve_point = Point
+    sc = _OracleScanner(text)
+    p1_terms = []
+    ell_terms = []
+
+    while True:
+        sc.skip_ws()
+        mult = 1
+        if sc.peek().isdigit():
+            mult = sc.nat()
+            if sc.peek() == "*":
+                sc.take("*")
+            elif mult == 0 and sc.peek() in ("", "+", "["):
+                if sc.peek() == "[":
+                    sc.take("[")
+                    sc.integer()
+                    sc.take("]")
+                mult = None
+            else:
+                raise ObjectParseError("expected '*' after a multiplicity", sc.pos)
+        if mult is not None:
+            atom_pos = sc.pos
+            head = sc.peek()
+            if head == "0":
+                sc.take("0")
+                _oracle_opt_shift(sc)
+            elif head == "O":
+                sc.take("O")
+                sc.take("(")
+                n = sc.integer()
+                sc.take(")")
+                shift = _oracle_opt_shift(sc)
+                p1_terms.append((ShiftedIndec(Line(n), shift), mult))
+            elif head == "T":
+                sc.take("T")
+                sc.take("(")
+                lbl = sc.label()
+                sc.take(",")
+                d = sc.nat()
+                sc.take(")")
+                if d == 0:
+                    raise InvalidLengthError("torsion length must be >= 1", atom_pos)
+                base = Torsion(resolve_point(lbl), d)
+                shift = _oracle_opt_shift(sc)
+                p1_terms.append((ShiftedIndec(base, shift), mult))
+            elif head == "S":
+                sc.take("S")
+                sc.take("(")
+                r = sc.integer()
+                sc.take(",")
+                d = sc.integer()
+                sc.take(",")
+                lbl = sc.label()
+                sc.take(")")
+                if r < 0 or math.gcd(r, d) != 1:
+                    raise NonCoprimeError(
+                        f"stable classes need coprime rank >= 0 and degree, got ({r},{d})",
+                        atom_pos)
+                cls = StableClass(r, d, resolve_point(lbl))
+                shift = _oracle_opt_shift(sc)
+                ell_terms.append((ShiftedClass(cls, shift), mult))
+            else:
+                raise ObjectParseError("expected an atom O(...), T(...), S(...) or 0", sc.pos)
+        if sc.at_end():
+            break
+        sc.take("+")
+
+    if p1_terms and ell_terms:
+        raise ObjectParseError("cannot mix O/T atoms with S atoms", 0)
+    if category == "p1" and ell_terms:
+        raise ObjectParseError("an object on the line was expected", 0)
+    if category == "elliptic" and p1_terms:
+        raise ObjectParseError("an elliptic object was expected", 0)
+    if ell_terms or category == "elliptic":
+        return normalize_elliptic(ell_terms)
+    return normalize(p1_terms)
+
+
 # --- strategies ---------------------------------------------------------------------
 
 LABELS = ("x", "y", "z")
@@ -139,13 +304,20 @@ def _exceptional():
     return st.builds(ExceptionalP1, st.sampled_from((-1, 0, 1)), st.sampled_from((0, 1, INF)))
 
 
+# `coarsen` validates its partition on a window, so each family is built once.
+_COARSENED = {**{("std", order): coarsen(StandardP1(order), by_shift_partition())
+                 for order in ORDERS},
+              **{("exc", k): coarsen(ExceptionalP1(k, INF), column_partition())
+                 for k in (-1, 0, 1)}}
+
+
 @st.composite
-def family_and_object(draw):
+def family_and_object(draw, max_size=12):
     """A family of every kind, with an object of its object model."""
     kind = draw(st.sampled_from(("coarse", "std", "exc", "ell", "std-by-shift", "exc-columns")))
     order = draw(st.sampled_from(ORDERS))
     if kind == "ell":
-        return EllipticStandard(order), draw(elliptic_objects(order))
+        return EllipticStandard(order), draw(elliptic_objects(order, max_size))
     if kind == "coarse":
         family = CoarseZ()
     elif kind == "std":
@@ -153,11 +325,10 @@ def family_and_object(draw):
     elif kind == "exc":
         family = draw(_exceptional())
     elif kind == "std-by-shift":
-        family = coarsen(StandardP1(order), by_shift_partition())
+        family = _COARSENED["std", order]
     else:
-        family = coarsen(ExceptionalP1(draw(st.sampled_from((-1, 0, 1))), INF),
-                         column_partition())
-    return family, draw(p1_objects(order))
+        family = _COARSENED["exc", draw(st.sampled_from((-1, 0, 1)))]
+    return family, draw(p1_objects(order, max_size))
 
 
 def _assert_same(filt, ref):
@@ -230,3 +401,202 @@ def test_k0_matches_per_summand_sum_p1(x):
 @given(elliptic_objects())
 def test_k0_matches_per_summand_sum_elliptic(x):
     assert x.k0() == per_summand_k0(x)
+
+
+# --- parser ---------------------------------------------------------------------------
+
+_WS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", " ", " "])
+_INT = st.tuples(st.sampled_from(["", "", "+", "-"]),
+                 st.sampled_from(["0", "1", "2", "3", "5", "07", "12", "9" * 5000])).map("".join)
+_LABEL = st.sampled_from(["x", "y", "z", "q", "a1", "7"])
+
+
+@st.composite
+def _summand(draw, kinds):
+    """Tokens of one summand; whitespace may go between any two of them."""
+    tokens = []
+    mult = draw(st.sampled_from([None, None, "0", "1", "2", "03", "12"]))
+    if mult is not None:
+        tokens += [mult, "*"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "O":
+        tokens += ["O", "(", draw(_INT), ")"]
+    elif kind == "T":
+        tokens += ["T", "(", draw(_LABEL), ",",
+                   draw(st.sampled_from(["0", "1", "2", "3", "04"])), ")"]
+    elif kind == "S":
+        tokens += ["S", "(", draw(st.sampled_from(["0", "1", "2", "3", "-1"])), ",",
+                   draw(_INT), ",", draw(_LABEL), ")"]
+    else:
+        tokens.append("0")
+    if draw(st.booleans()):
+        tokens += ["[", draw(_INT), "]"]
+    return tokens
+
+
+@st.composite
+def expressions(draw):
+    """Well-formed expressions with whitespace anywhere the grammar allows it."""
+    kinds = draw(st.sampled_from([("O", "T", "0"), ("S", "0"), ("O", "T", "S", "0")]))
+    summands = draw(st.lists(_summand(kinds), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        summands.append(summands[-1])  # a repeated atom, spelled alike
+    tokens = [tok for i, summand in enumerate(summands)
+              for tok in (["+"] if i else []) + summand]
+    return draw(_WS) + "".join(tok + draw(_WS) for tok in tokens)
+
+
+_NOISE = st.sampled_from(list("0123456789OTSxq()[],*+- \t") + ["٣", "²", "é", "_"])
+
+
+@st.composite
+def mangled_expressions(draw):
+    """Expressions with a few characters deleted, inserted, replaced or cut off."""
+    text = draw(expressions())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("delete", "insert", "replace", "truncate")))
+        if op == "delete":
+            text = text[:i] + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + draw(_NOISE) + text[i:]
+        elif op == "replace":
+            text = text[:i] + draw(_NOISE) + text[i + 1:]
+        else:
+            text = text[:i]
+    return text
+
+
+_RESOLVERS = {
+    "default": None,
+    "family": cli._family_resolver(StandardP1(("z", "x", "y"))),
+    "session": cli.SessionConfig(points=("y", "x", "z")).resolver(),
+}
+
+
+def _outcome(parse, *args):
+    try:
+        obj = parse(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return type(obj), obj.terms, obj.render()
+
+
+def _assert_parses_like_oracle(texts, category, resolver_name):
+    resolver = _RESOLVERS[resolver_name]
+    memo: dict = {}
+    for text in texts:
+        expected = _outcome(oracle_parse_object, text, category, resolver)
+        assert _outcome(cli.parse_object, text, category, resolver) == expected, text
+        shared = _outcome(cli._parse_object, text, category, resolver or Point, memo)
+        assert shared == expected, text
+
+
+_CATEGORIES = st.sampled_from(("auto", "p1", "elliptic"))
+
+
+@settings(max_examples=100)
+@given(st.lists(expressions(), min_size=1, max_size=3), _CATEGORIES,
+       st.sampled_from(sorted(_RESOLVERS)))
+def test_parser_matches_scanner_oracle_on_expressions(texts, category, resolver):
+    _assert_parses_like_oracle(texts, category, resolver)
+
+
+@settings(max_examples=100)
+@given(st.lists(mangled_expressions(), min_size=1, max_size=3), _CATEGORIES,
+       st.sampled_from(sorted(_RESOLVERS)))
+def test_parser_matches_scanner_oracle_on_mangled_expressions(texts, category, resolver):
+    _assert_parses_like_oracle(texts, category, resolver)
+
+
+def test_parser_matches_scanner_oracle_on_non_strings():
+    _assert_parses_like_oracle([5, None, ["O(3)"], ["  "], [], ("0",)], "p1", "default")
+
+
+# --- Hom-vanishing check ----------------------------------------------------------------
+
+@st.composite
+def tampered_filtrations(draw):
+    """HN filtrations of every family with quotients shuffled, swapped or shifted."""
+    family, x = draw(family_and_object())
+    filt = family.hn(x)
+    quotients = list(filt.quotients)
+    for _ in range(draw(st.integers(0, 2))):
+        if not quotients:
+            break
+        op = draw(st.sampled_from(("shuffle", "replace", "shift")))
+        j = draw(st.integers(0, len(quotients) - 1))
+        if op == "shuffle":
+            quotients = draw(st.permutations(quotients))
+        elif op == "replace":
+            _, y = draw(family_and_object())
+            if family.accepts(y) and not y.is_zero:
+                quotients[j] = (quotients[j][0], y)
+        else:
+            slope, obj = quotients[j]
+            quotients[j] = (slope, obj.shift(draw(st.sampled_from((-1, 1)))))
+    return family, x, HNFiltration(family, tuple(quotients), filt.terms)
+
+
+@settings(max_examples=120)
+@given(tampered_filtrations())
+def test_hom_vanishing_sweep_matches_pairwise_oracle(case):
+    family, x, filt = case
+    [item] = [c for c in verify_hn(x, filt, family).checks if c.name == "hom_vanishing"]
+    assert item == oracle_hom_vanishing(filt, family)
+
+
+@settings(max_examples=60)
+@given(family_and_object(), family_and_object())
+def test_hom_vanishing_rule_matches_hom_profile(a, b):
+    (family, x), (_, y) = a, b
+    if family.accepts(y):
+        expected = family.hom_profile(x, y).vanishes_at_and_below(0)
+        assert hom_vanishes_at_and_below_zero(x, y) == expected
+
+
+# --- JSON round trip ------------------------------------------------------------------------
+
+def _respell(data, text):
+    """Another spelling of a rendered object: "[0]" shifts, "1*" and "0*"
+    multiplicities, k*A split as A + (k-1)*A, bare zeros and whitespace
+    leave the object unchanged."""
+    summands = [] if text == "0" else text.split(" + ")
+    out = []
+    for summand in summands:
+        if "[" not in summand and data.draw(st.booleans()):
+            summand += data.draw(st.sampled_from(["[0]", " [ 0 ]", "[-0]", "[+0]"]))
+        if "*" not in summand and data.draw(st.booleans()):
+            summand = "1*" + summand
+        elif "*" in summand and data.draw(st.booleans()):
+            mult, atom = summand.split("*")
+            out.append(atom)  # k*A as A + (k-1)*A
+            summand = f"{int(mult) - 1}*{atom}"
+        if data.draw(st.booleans()):
+            out.append("0*" + summand.split("*")[-1])
+        out.append(summand)
+    if not out or data.draw(st.booleans()):
+        out.insert(data.draw(st.integers(0, len(out))), data.draw(st.sampled_from(["0", "0[2]"])))
+    return data.draw(_WS) + " + ".join(out) + data.draw(_WS)
+
+
+@settings(max_examples=50)
+@given(family_and_object(max_size=30), st.data())
+def test_filtration_json_round_trip_all_families(case, data):
+    family, drawn = case
+    # Points as the family's documents resolve them (see ROADMAP item 3).
+    category = "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
+    x = oracle_parse_object(drawn.render(), category, cli._family_resolver(family))
+    filt = family.hn(x)
+    doc = filt.to_json()
+    x2, filt2 = cli.filtration_from_json(doc)
+    assert x2 == x and filt2 == filt
+    assert filt2.to_json() == doc
+    respelled = {**doc,
+                 "object": _respell(data, doc["object"]),
+                 "quotients": [{**q, "object": _respell(data, q["object"])}
+                               for q in doc["quotients"]],
+                 "terms": [_respell(data, t) for t in doc["terms"]]}
+    x3, filt3 = cli.filtration_from_json(respelled)
+    assert x3 == x and filt3 == filt
+    assert filt3.to_json() == doc

@@ -271,8 +271,18 @@ def test_finest_check_standard_and_exceptional():
 
 
 def test_finest_check_with_no_pairs_does_not_pass():
-    report = finest_check(CoarseZ(), Window(max_shift=-1))
+    from tstab.elliptic import EllipticStandard
+    report = finest_check(EllipticStandard(), Window(points=()))
     assert not report.ok and report.failures()[0].detail == "no cases examined"
+
+
+def test_is_finer_over_no_generators_does_not_hold():
+    from tstab.elliptic import EllipticStandard
+    with pytest.raises(ValueError, match="max_degree"):
+        is_finer(StandardP1(), CoarseZ(), Window(max_degree=-3, max_shift=-1))
+    verdict = is_finer(EllipticStandard(), EllipticStandard(), Window(points=()))
+    assert not verdict.holds and verdict.condition == "coverage"
+    assert verdict.witness == "no cases examined"
 
 
 def test_finest_check_fails_for_coarse():

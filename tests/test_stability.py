@@ -261,6 +261,18 @@ def test_shifted_is_closed_form_for_huge_shifts():
         assert far.shifted(-n) == filt
 
 
+@pytest.mark.parametrize("bounds, field", [
+    (dict(max_degree=-3), "max_degree"),
+    (dict(max_shift=-1), "max_shift"),
+    (dict(max_length=0, samples=3), "max_length"),
+    (dict(max_summands=0), "max_summands"),
+    (dict(samples=-1), "samples"),
+])
+def test_window_rejects_out_of_range_bounds(bounds, field):
+    with pytest.raises(ValueError, match=f"Window.{field} must be >="):
+        Window(**bounds)
+
+
 def test_validate_stability_with_no_samples_does_not_pass():
     report = validate_stability(STD, Window(max_degree=2, samples=0))
     assert not report.ok
