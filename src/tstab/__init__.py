@@ -3,26 +3,25 @@
 from .slopes import (ExtendedRational, K0Class, Nu, One, Ordering, PLUS_INFINITY,
                      PositiveSystem, RANK_DEGREE, SlopeValue, check_positive,
                      compare_slopes, gamma_slope, mu_bar, seesaw_check)
-from .p1 import (DerivedObject, HomProfile, Indec, Line, Point, PointOrder, ShiftedIndec,
-                 Torsion, ZERO, direct_sum, euler_form, hom_dim, hom_profile, k0_class,
-                 line, normalize, shift, torsion)
+from .p1 import (DerivedObject, FormalSum, HomProfile, Indec, Line, Point, PointOrder,
+                 ShiftedIndec, Torsion, ZERO, direct_sum, euler_form, hom_dim, hom_profile,
+                 line, normalize, torsion)
 from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                         HNFiltration, IntLevel, PointLevel, Report, StabilityFamily,
-                        StandardSlope, TermRewrite, Window, glue, hn, is_semistable,
+                        StandardSlope, TermRewrite, Window, glue, is_semistable,
                         merge_towers, shuffle_merge, split, validate_stability, verify_hn)
 from .families import (INF, CoarseZ, CoarsenedFamily, ExceptionalP1, FinerVerdict,
                        SlopePartition, StandardP1, by_shift_partition, coarsen,
                        column_partition, compare_exceptional, exceptional_rewrite,
-                       family_from_descriptor, finest_check, hn_exceptional, hn_standard,
-                       is_finer, standard_slope)
+                       family_from_descriptor, finest_check, is_finer)
 from .tstructures import (CatalogEntry, Classification, CoarseCut, ExceptionalCut,
                           HeartDescription, SlopeCut, StandardCut, TorsionPair,
                           apply_twist_shift, catalog, catalog_entries, classify_bounded_cut,
                           diagram, heart_contains, heart_slopes, is_bounded,
                           torsion_pair_cut, truncate, validate_cut)
 from .elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, ShiftedClass,
-                       StableClass, a_qp_split, elliptic_heart_contains, hn_elliptic,
-                       hom_dim_stable, mu_class, stable)
+                       StableClass, a_qp_split, elliptic_heart_contains, hom_dim_stable,
+                       stable)
 from .cli import parse_object, run
 
 __version__ = "0.1.0"

@@ -31,12 +31,10 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elliptic import (EllipticObject, EllipticStandard, ShiftedClass, StableClass,
-                       normalize_elliptic)
+from .elliptic import EllipticObject, ShiftedClass, StableClass, normalize_elliptic
 from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
                      ObjectParseError, TStabError)
-from .families import (INF, CoarseZ, ExceptionalP1, StandardP1, family_from_descriptor,
-                       is_finer)
+from .families import INF, family_from_descriptor, is_finer
 from .p1 import (DerivedObject, Line, Point, PointOrder, ShiftedIndec, Torsion,
                  hom_profile, normalize)
 from .stability import HNFiltration, Report, StabilityFamily, Window, verify_hn
@@ -407,18 +405,23 @@ def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, Stabilit
             P = frozenset()
         else:
             P = frozenset(lbl for lbl in p_field.split(";") if lbl)
-        return StandardCut(m, K, P), StandardP1(session.points)
-    if kind == "exc":
+        cut = StandardCut(m, K, P)
+    elif kind == "exc":
         if "a" not in fields or "b" not in fields:
             raise TStabError("an exceptional cut needs a and b")
-        return (ExceptionalCut(_parse_bound(fields["a"]), _parse_bound(fields["b"])),
-                ExceptionalP1(session.k, session.p))
-    if kind == "coarse":
-        return CoarseCut(int(fields.get("m", "0"))), CoarseZ()
-    raise TStabError(f"unknown cut kind {kind!r} (use std:, exc: or coarse:)")
+        cut = ExceptionalCut(_parse_bound(fields["a"]), _parse_bound(fields["b"]))
+    elif kind == "coarse":
+        cut = CoarseCut(int(fields.get("m", "0")))
+    else:
+        raise TStabError(f"unknown cut kind {kind!r} (use std:, exc: or coarse:)")
+    return cut, parse_famspec(kind, session)
 
 
 def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
+    """Build the family a spec names, through its README descriptor.
+
+    `exc` takes k and p from the spec's fields, else from the session.
+    """
     kind, _, body = spec.partition(":")
     fields = {}
     if body:
@@ -426,28 +429,18 @@ def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
             key, _, value = part.partition("=")
             fields[key.strip()] = value.strip()
     if kind == "std":
-        return StandardP1(session.points)
-    if kind == "coarse":
-        return CoarseZ()
-    if kind == "exc":
+        desc = {"family": "standard", "point_order": list(session.points)}
+    elif kind == "coarse":
+        desc = {"family": "coarse"}
+    elif kind == "exc":
         k = int(fields.get("k", session.k))
         p = _parse_p(fields["p"]) if "p" in fields else session.p
-        return ExceptionalP1(k, p)
-    if kind == "ell":
-        return EllipticStandard(session.points)
-    raise TStabError(f"unknown family {spec!r} (use std, coarse, exc:k=..,p=.. or ell)")
-
-
-def family_for(name: str, session: SessionConfig) -> StabilityFamily:
-    if name == "std":
-        return StandardP1(session.points)
-    if name == "exc":
-        return ExceptionalP1(session.k, session.p)
-    if name == "coarse":
-        return CoarseZ()
-    if name == "ell":
-        return EllipticStandard(session.points)
-    raise TStabError(f"unknown stability {name!r}")
+        desc = {"family": "exceptional", "k": k, "p": "inf" if p == INF else p}
+    elif kind == "ell":
+        desc = {"family": "elliptic", "point_order": list(session.points)}
+    else:
+        raise TStabError(f"unknown family {spec!r} (use std, coarse, exc:k=..,p=.. or ell)")
+    return family_from_descriptor(desc)
 
 
 # --- output helpers -----------------------------------------------------------------
@@ -477,7 +470,7 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
     """
     try:
         family = family_from_descriptor(data["family"])
-        category = "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
+        category = _category(family)
         resolver = _family_resolver(family)
         atoms: dict = {}  # terms are suffix sums: most of their atoms repeat
 
@@ -493,6 +486,11 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
     except (TypeError, AttributeError) as exc:
         raise FiltrationFormatError(f"malformed filtration JSON: {exc}") from None
     return obj, HNFiltration(family, quotients, terms)
+
+
+def _category(family: StabilityFamily) -> str:
+    """The `parse_object` category of the family's objects."""
+    return "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
 
 
 def _family_resolver(family: StabilityFamily):
@@ -515,13 +513,9 @@ def _cmd_hom(args, session, out) -> int:
     resolver = session.resolver()
     x = parse_object(args.x, "auto", resolver)
     y = parse_object(args.y, "auto", resolver)
-    if isinstance(x, EllipticObject) != isinstance(y, EllipticObject):
+    if type(x) is not type(y):
         raise TStabError("both objects must live on the same curve")
-    if isinstance(x, EllipticObject):
-        from .elliptic import hom_profile_elliptic
-        profile = hom_profile_elliptic(x, y)
-    else:
-        profile = hom_profile(x, y)
+    profile = hom_profile(x, y)
     if args.degree is not None:
         dim = profile[args.degree]
         _emit({"dim": dim}, str(dim), session, out)
@@ -533,9 +527,8 @@ def _cmd_hom(args, session, out) -> int:
 
 
 def _cmd_hn(args, session, out) -> int:
-    family = family_for(args.stability, session)
-    category = "elliptic" if args.stability == "ell" else "p1"
-    obj = parse_object(args.expr, category, session.resolver())
+    family = parse_famspec(args.stability, session)
+    obj = parse_object(args.expr, _category(family), session.resolver())
     filt = family.hn(obj)
     _emit(filt.to_json(), _filtration_text(filt), session, out)
     return 0
@@ -642,7 +635,7 @@ def _report_exit(report: Report, session, out) -> int:
 
 def _cmd_check(args, session, out) -> int:
     if args.what == "stability":
-        family = family_for(args.stability, session)
+        family = parse_famspec(args.stability, session)
         window = _window_from_args(args, session)
         from .stability import validate_stability
         return _report_exit(validate_stability(family, window), session, out)
@@ -653,12 +646,15 @@ def _cmd_check(args, session, out) -> int:
         radius = _nonnegative(args, "window")
         return _report_exit(validate_cut(cut, family, radius=radius), session, out)
     if args.what == "hn":
-        if args.input and args.input != "-":
-            with open(args.input, encoding="utf-8") as handle:
-                data = json.load(handle)
-        else:
-            data = json.load(sys.stdin)
-        obj, filt = filtration_from_json(data)
+        try:
+            if args.input and args.input != "-":
+                with open(args.input, encoding="utf-8") as handle:
+                    data = json.load(handle)
+            else:
+                data = json.load(sys.stdin)
+            obj, filt = filtration_from_json(data)
+        except RecursionError:
+            raise FiltrationFormatError("malformed filtration JSON: nested too deeply") from None
         return _report_exit(verify_hn(obj, filt, filt.family), session, out)
     raise TStabError(f"unknown check {args.what!r}")
 

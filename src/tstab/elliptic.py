@@ -4,7 +4,9 @@ Semistable building blocks are stable classes (r, d, x): coprime rank
 and degree plus a point of the curve (the moduli of stable bundles of
 each slope is a copy of the curve; skyscrapers are the slope-infinity
 classes).  Derived objects are finite formal sums of shifted classes,
-the normal form being justified by homological dimension one.
+the normal form being justified by homological dimension one: the same
+`FormalSum` as on the line, with `ShiftedClass` as its atom type
+(`EllipticObject`), and the same `hom_profile` over the atoms' `ext_dim`.
 
 Hom dimensions between stable classes are determined by their slopes:
 
@@ -27,12 +29,12 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import QOutOfRangeError
-from .p1 import HomProfile, Point
+from .p1 import FormalSum, Point, hom_profile
 from .slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
-from .stability import (EllipticSlope, HNFiltration, StabilityFamily, TermRewrite, Window)
+from .stability import EllipticSlope, StabilityFamily, Window
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,6 @@ class StableClass:
 
     def __repr__(self):
         return self.render()
-
-
-def mu_class(c: StableClass) -> ExtendedRational:
-    """Slope d/r of a stable class, +infinity for skyscrapers."""
-    return c.mu()
 
 
 def hom_dim_stable(e: StableClass, f: StableClass, ext_degree: int) -> int:
@@ -130,80 +127,18 @@ class ShiftedClass:
         return self.render()
 
 
-@dataclass(frozen=True)
-class EllipticObject:
-    """Normal-form finite sum of shifted stable classes with multiplicities."""
-
-    terms: tuple[tuple[ShiftedClass, int], ...] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def summands(self) -> Iterator[tuple[ShiftedClass, int]]:
-        return iter(self.terms)
-
-    def __add__(self, other: "EllipticObject") -> "EllipticObject":
-        return normalize_elliptic(list(self.terms) + list(other.terms))
-
-    def __rmul__(self, m: int) -> "EllipticObject":
-        if m < 0:
-            raise ValueError("multiplicities must be >= 0")
-        if m == 0:
-            return ELLIPTIC_ZERO
-        return EllipticObject(tuple((t, m * k) for t, k in self.terms))
-
-    def shift(self, n: int) -> "EllipticObject":
-        return EllipticObject(tuple(sorted(((t.shifted(n), m) for t, m in self.terms),
-                                           key=lambda tm: tm[0].key())))
-
-    def k0(self) -> K0Class:
-        rank = degree = 0
-        for t, m in self.terms:
-            r, d = t.rank_degree()
-            rank += m * r
-            degree += m * d
-        return K0Class((rank, degree))
-
-    def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join(t.render() if m == 1 else f"{m}*{t.render()}"
-                          for t, m in self.terms)
-
-    def __repr__(self):
-        return self.render()
+class EllipticObject(FormalSum):
+    """An object of the elliptic model: a formal sum of `ShiftedClass` atoms."""
 
 
 ELLIPTIC_ZERO = EllipticObject()
-
-
-def normalize_elliptic(pairs: Iterable[tuple[ShiftedClass, int]]) -> EllipticObject:
-    acc: dict[ShiftedClass, int] = {}
-    for t, m in pairs:
-        if m < 0:
-            raise ValueError("multiplicities must be >= 0")
-        if m:
-            acc[t] = acc.get(t, 0) + m
-    return EllipticObject(tuple(sorted(acc.items(), key=lambda tm: tm[0].key())))
+normalize_elliptic = EllipticObject.from_pairs
 
 
 def stable(r: int, d: int, x: Point | str, shift: int = 0, mult: int = 1) -> EllipticObject:
     """Convenience constructor: mult * S(r,d,x)[shift]."""
     pt = x if isinstance(x, Point) else Point(x)
     return normalize_elliptic([(ShiftedClass(StableClass(r, d, pt), shift), mult)])
-
-
-def hom_profile_elliptic(x: EllipticObject, y: EllipticObject) -> HomProfile:
-    acc: dict[int, int] = {}
-    for t, m in x.summands():
-        for s, k in y.summands():
-            gap = t.shift - s.shift
-            for q in (gap, gap + 1):
-                n = hom_dim_stable(t.cls, s.cls, q + s.shift - t.shift)
-                if n:
-                    acc[q] = acc.get(q, 0) + m * k * n
-    return HomProfile.from_dict(acc)
 
 
 # --- the standard family ------------------------------------------------------
@@ -228,18 +163,6 @@ class EllipticStandard(StabilityFamily):
     def __post_init__(self):
         object.__setattr__(self, "point_labels", tuple(self.point_labels))
 
-    def accepts(self, x) -> bool:
-        return isinstance(x, EllipticObject)
-
-    def hom_profile(self, x, y) -> HomProfile:
-        return hom_profile_elliptic(x, y)
-
-    def k0(self, x) -> K0Class:
-        return x.k0()
-
-    def single_term_object(self, term: ShiftedClass, mult: int) -> EllipticObject:
-        return normalize_elliptic([(term, mult)])
-
     def compare(self, a: EllipticSlope, b: EllipticSlope) -> Ordering:
         if not isinstance(a, EllipticSlope) or not isinstance(b, EllipticSlope):
             raise TypeError("cross-family slope comparison")
@@ -253,10 +176,6 @@ class EllipticStandard(StabilityFamily):
 
     def slope_of_term(self, term: ShiftedClass) -> EllipticSlope:
         return EllipticSlope(term.shift, term.cls.mu(), term.cls)
-
-    def term_filtration(self, term: ShiftedClass, mult: int) -> TermRewrite:
-        obj = normalize_elliptic([(term, mult)])
-        return TermRewrite(((self.slope_of_term(term), obj),), ELLIPTIC_ZERO)
 
     def descriptor(self) -> dict:
         return {"family": "elliptic", "point_order": list(self.point_labels)}
@@ -303,11 +222,6 @@ class EllipticStandard(StabilityFamily):
         return normalize_elliptic(pairs)
 
 
-def hn_elliptic(x: EllipticObject, point_labels: Sequence[str] = ()) -> HNFiltration:
-    """HN filtration under the standard elliptic family: group and sort."""
-    return EllipticStandard(tuple(point_labels)).hn(x)
-
-
 # --- tilting torsion pairs ------------------------------------------------------
 
 def _check_q(q: ExtendedRational) -> None:
@@ -345,7 +259,7 @@ def a_qp_split(x: EllipticObject, q: ExtendedRational | Fraction | str,
             second = second + piece
         else:
             first = first + piece
-    profile = hom_profile_elliptic(first, second)
+    profile = hom_profile(first, second)
     if profile[0] != 0:
         raise AssertionError(f"torsion pair violated: Hom^0 = {profile[0]}")
     return first, second

@@ -31,13 +31,13 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
-from .p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
-                 hom_profile, k0_class, line, normalize, torsion)
+from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
+                 torsion)
 from .slopes import Ordering
-from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, HNFiltration, IntLevel,
-                        PointLevel, Report, StabilityFamily, StandardSlope, TermRewrite,
-                        Window)
+from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel, Report,
+                        StabilityFamily, StandardSlope, TermRewrite, Window)
 
 INF = float("inf")
 
@@ -46,18 +46,6 @@ class P1Family(StabilityFamily):
     """Shared object model of the three P1 families."""
 
     zero = ZERO
-
-    def accepts(self, x) -> bool:
-        return isinstance(x, DerivedObject)
-
-    def hom_profile(self, x, y) -> HomProfile:
-        return hom_profile(x, y)
-
-    def k0(self, x):
-        return k0_class(x)
-
-    def single_term_object(self, term: ShiftedIndec, mult: int) -> DerivedObject:
-        return normalize([(term, mult)])
 
     def window_generators(self, window: Window) -> list[DerivedObject]:
         gens = []
@@ -105,10 +93,6 @@ class CoarseZ(P1Family):
     def slope_of_term(self, term: ShiftedIndec) -> CoarseSlope:
         return CoarseSlope(term.shift)
 
-    def term_filtration(self, term: ShiftedIndec, mult: int) -> TermRewrite:
-        obj = normalize([(term, mult)])
-        return TermRewrite(((CoarseSlope(term.shift), obj),), ZERO)
-
     def descriptor(self) -> dict:
         return {"family": "coarse"}
 
@@ -123,13 +107,6 @@ class CoarseZ(P1Family):
 
 
 # --- standard -----------------------------------------------------------------
-
-def standard_slope(term: ShiftedIndec) -> StandardSlope:
-    """Slope of a shifted indecomposable in the standard families."""
-    if isinstance(term.base, Line):
-        return StandardSlope(term.shift, IntLevel(term.base.n))
-    return StandardSlope(term.shift, PointLevel(term.base.x))
-
 
 @dataclass(frozen=True)
 class StandardP1(P1Family):
@@ -170,11 +147,9 @@ class StandardP1(P1Family):
         return StandardSlope(s.i - n, s.level)
 
     def slope_of_term(self, term: ShiftedIndec) -> StandardSlope:
-        return standard_slope(term)
-
-    def term_filtration(self, term: ShiftedIndec, mult: int) -> TermRewrite:
-        obj = normalize([(term, mult)])
-        return TermRewrite(((standard_slope(term), obj),), ZERO)
+        if isinstance(term.base, Line):
+            return StandardSlope(term.shift, IntLevel(term.base.n))
+        return StandardSlope(term.shift, PointLevel(term.base.x))
 
     def descriptor(self) -> dict:
         return {"family": "standard", "point_order": list(self.point_labels)}
@@ -194,11 +169,6 @@ class StandardP1(P1Family):
 
     def render_slope(self, s: StandardSlope) -> str:
         return repr(s)
-
-
-def hn_standard(x: DerivedObject) -> HNFiltration:
-    """HN filtration under the standard family: group, sort, coalesce."""
-    return StandardP1().hn(x)
 
 
 # --- exceptional ----------------------------------------------------------------
@@ -301,11 +271,6 @@ def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> TermRewrit
     low = (ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * d))
     high = (ExceptionalSlope(i, 1), line(k + 1, i, mult * d))
     return TermRewrite((low, high), high[1])
-
-
-def hn_exceptional(x: DerivedObject, k: int, p) -> HNFiltration:
-    """HN filtration over (O(k), O(k+1)): rewrite summands, merge by slope."""
-    return ExceptionalP1(k, p).hn(x)
 
 
 # --- refinement order -----------------------------------------------------------
@@ -449,18 +414,6 @@ class CoarsenedFamily(StabilityFamily):
         """The base family's point order; parsed documents resolve labels by it."""
         return getattr(self.base, "point_labels", ())
 
-    def accepts(self, x) -> bool:
-        return self.base.accepts(x)
-
-    def hom_profile(self, x, y):
-        return self.base.hom_profile(x, y)
-
-    def k0(self, x):
-        return self.base.k0(x)
-
-    def single_term_object(self, term, mult: int):
-        return self.base.single_term_object(term, mult)
-
     def compare(self, a, b) -> Ordering:
         return self.partition.compare_blocks(a, b)
 
@@ -595,7 +548,6 @@ def family_from_descriptor(desc: dict) -> StabilityFamily:
         p = desc.get("p", 0)
         return ExceptionalP1(int(desc.get("k", 0)), INF if p == "inf" else int(p))
     if kind == "elliptic":
-        from .elliptic import EllipticStandard
         return EllipticStandard(tuple(desc.get("point_order", ())))
     if kind == "coarsened" and desc.get("partition") in PARTITIONS:
         return coarsen(family_from_descriptor(desc["base"]), PARTITIONS[desc["partition"]]())

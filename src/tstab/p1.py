@@ -3,8 +3,12 @@
 Coherent sheaves on the projective line split into line bundles O(n) and
 indecomposable torsion sheaves T(x, d) of length d at a point x; because
 the category has homological dimension 1, every derived object is a
-finite direct sum of shifted indecomposables.  `DerivedObject` is that
-normal form: a multiset of shifted indecomposables with multiplicities.
+finite direct sum of shifted indecomposables.  `FormalSum` is that
+normal form: a multiset of shifted atoms with multiplicities.  It is the
+one normal form of the package, over two atom types: `ShiftedIndec`
+here, whose sums are `DerivedObject`s, and the elliptic model's
+`ShiftedClass`, whose sums are `EllipticObject`s.  `hom_profile` serves
+both through the atoms' `ext_dim`.
 
 The Hom rule table is classical:
 
@@ -158,44 +162,59 @@ class ShiftedIndec:
 # --- normal forms -----------------------------------------------------------
 
 @dataclass(frozen=True)
-class DerivedObject:
-    """Normal form of a derived object: shifted indecomposables with multiplicities.
+class FormalSum:
+    """Normal form of a derived object: shifted atoms with multiplicities.
 
-    The term list is canonically sorted and free of zero multiplicities;
-    the zero object is the empty sum.
+    The atoms are `ShiftedIndec` on the line and `ShiftedClass` on the
+    elliptic curve; both provide `key`, `rank_degree`, `render`,
+    `shifted` and `ext_dim`.  The term list is sorted by atom key and
+    free of zero multiplicities; the zero object is the empty sum.  Each
+    curve has its own subclass, and sums of different subclasses are
+    never equal.
     """
 
-    terms: tuple[tuple[ShiftedIndec, int], ...] = ()
+    terms: tuple[tuple[object, int], ...] = ()
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[object, int]]):
+        """Merge, sort and drop zeros; the normal form of a formal sum."""
+        acc: dict = {}
+        for t, m in pairs:
+            if m < 0:
+                raise ValueError("multiplicities must be >= 0")
+            if m:
+                acc[t] = acc.get(t, 0) + m
+        return cls(tuple(sorted(acc.items(), key=lambda tm: tm[0].key())))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def multiplicity(self, t: ShiftedIndec) -> int:
+    def multiplicity(self, t) -> int:
         for s, m in self.terms:
             if s == t:
                 return m
         return 0
 
-    def summands(self) -> Iterator[tuple[ShiftedIndec, int]]:
+    def summands(self) -> Iterator[tuple[object, int]]:
         return iter(self.terms)
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.terms)
 
-    def __add__(self, other: "DerivedObject") -> "DerivedObject":
-        return normalize(list(self.terms) + list(other.terms))
+    def __add__(self, other):
+        return self.from_pairs(list(self.terms) + list(other.terms))
 
-    def __rmul__(self, m: int) -> "DerivedObject":
+    def __rmul__(self, m: int):
         if m < 0:
             raise ValueError("multiplicities must be >= 0")
         if m == 0:
-            return ZERO
-        return DerivedObject(tuple((t, m * k) for t, k in self.terms))
+            return type(self)()
+        return type(self)(tuple((t, m * k) for t, k in self.terms))
 
-    def shift(self, n: int) -> "DerivedObject":
-        return DerivedObject(tuple(sorted(((t.shifted(n), m) for t, m in self.terms),
-                                          key=lambda tm: tm[0].key())))
+    def shift(self, n: int):
+        return type(self)(tuple(sorted(((t.shifted(n), m) for t, m in self.terms),
+                                       key=lambda tm: tm[0].key())))
 
     def k0(self) -> K0Class:
         rank = degree = 0
@@ -208,28 +227,19 @@ class DerivedObject:
     def render(self) -> str:
         if self.is_zero:
             return "0"
-        parts = []
-        for t, m in self.terms:
-            parts.append(t.render() if m == 1 else f"{m}*{t.render()}")
-        return " + ".join(parts)
+        return " + ".join(t.render() if m == 1 else f"{m}*{t.render()}"
+                          for t, m in self.terms)
 
     def __repr__(self):
         return self.render()
 
 
+class DerivedObject(FormalSum):
+    """A derived object on P1: a formal sum of `ShiftedIndec` atoms."""
+
+
 ZERO = DerivedObject()
-
-
-def normalize(pairs: Iterable[tuple[ShiftedIndec, int]]) -> DerivedObject:
-    """Merge, sort and drop zeros; the normal form of a formal sum."""
-    acc: dict[ShiftedIndec, int] = {}
-    for t, m in pairs:
-        if m < 0:
-            raise ValueError("multiplicities must be >= 0")
-        if m:
-            acc[t] = acc.get(t, 0) + m
-    items = sorted(acc.items(), key=lambda tm: tm[0].key())
-    return DerivedObject(tuple(items))
+normalize = DerivedObject.from_pairs
 
 
 def direct_sum(*objects: DerivedObject) -> DerivedObject:
@@ -237,14 +247,6 @@ def direct_sum(*objects: DerivedObject) -> DerivedObject:
     for x in objects:
         total = total + x
     return total
-
-
-def shift(x: DerivedObject, n: int) -> DerivedObject:
-    return x.shift(n)
-
-
-def k0_class(x: DerivedObject) -> K0Class:
-    return x.k0()
 
 
 def line(n: int, shift: int = 0, mult: int = 1) -> DerivedObject:
@@ -278,9 +280,9 @@ def ext_dim(a: Indec, b: Indec, i: int) -> int:
     return 0
 
 
-def hom_dim(a: ShiftedIndec, b: ShiftedIndec, q: int) -> int:
-    """dim Hom^q(a, b) = dim Ext^(q + shift(b) - shift(a)) of the bases."""
-    return ext_dim(a.base, b.base, q + b.shift - a.shift)
+def hom_dim(a, b, q: int) -> int:
+    """dim Hom^q(a, b) between two shifted atoms: Ext^(q + shift(b) - shift(a))."""
+    return a.ext_dim(b, q + b.shift - a.shift)
 
 
 @dataclass(frozen=True)
@@ -319,16 +321,16 @@ class HomProfile:
         return "{" + ", ".join(f"{q}: {n}" for q, n in self.entries) + "}"
 
 
-def hom_profile(x: DerivedObject, y: DerivedObject) -> HomProfile:
-    """Bilinear extension of `hom_dim` over direct sums."""
+def hom_profile(x: FormalSum, y: FormalSum) -> HomProfile:
+    """Bilinear extension of `hom_dim` over direct sums, on either curve."""
     acc: dict[int, int] = {}
     for t, m in x.summands():
         for s, k in y.summands():
             # Ext lives in degrees 0 and 1, so Hom^q is supported at
-            # q = shift gap and shift gap + 1.
+            # q = shift gap and shift gap + 1; hom_dim(t, s, q), inlined.
             gap = t.shift - s.shift
             for q in (gap, gap + 1):
-                n = hom_dim(t, s, q)
+                n = t.ext_dim(s, q - gap)
                 if n:
                     acc[q] = acc.get(q, 0) + m * k * n
     return HomProfile.from_dict(acc)

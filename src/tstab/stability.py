@@ -24,7 +24,7 @@ from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .errors import InvalidShuffleError, UnsupportedFamilyError
-from .p1 import Point
+from .p1 import Point, hom_profile
 from .slopes import ExtendedRational, K0Class, Ordering
 
 
@@ -276,8 +276,9 @@ class StabilityFamily:
     """Interface shared by the concrete stability families.
 
     Subclasses fix the slope order (`compare`, `tau`), the object model
-    (`accepts`, `hom_profile`, `k0`, `zero`) and the per-indecomposable
-    HN data (`slope_of_term`, `term_filtration`); the generic engine
+    (`zero`, whose type is the family's `FormalSum` subclass) and the
+    per-atom slopes (`slope_of_term`); a family whose atoms are not all
+    semistable also overrides `term_filtration`.  The generic engine
     assembles full filtrations from those.
     """
 
@@ -306,10 +307,10 @@ class StabilityFamily:
     # -- object model --
 
     def accepts(self, x) -> bool:
-        raise NotImplementedError
+        return isinstance(x, type(self.zero))
 
     def hom_profile(self, x, y):
-        raise NotImplementedError
+        return hom_profile(x, y)
 
     def k0(self, x) -> K0Class:
         return x.k0()
@@ -332,11 +333,10 @@ class StabilityFamily:
         """Slope of a semistable generator term, or None if not a generator."""
         raise NotImplementedError
 
-    def slope_of(self, term):
-        return self.slope_of_term(term)
-
     def term_filtration(self, term, mult: int) -> TermRewrite:
-        raise NotImplementedError
+        """HN data of `mult` copies of one atom; here every atom is semistable."""
+        return TermRewrite(((self.slope_of_term(term), self.single_term_object(term, mult)),),
+                           self.zero)
 
     # -- assembled operations --
 
@@ -347,7 +347,7 @@ class StabilityFamily:
 
     def single_term_object(self, term, mult: int):
         """The object with a single summand `term` of multiplicity `mult`."""
-        raise NotImplementedError
+        return type(self.zero).from_pairs([(term, mult)])
 
     def hn(self, x) -> HNFiltration:
         """The HN filtration: rewrite each summand, merge towers by slope."""
@@ -466,11 +466,6 @@ def merge_towers(family: StabilityFamily,
 
 
 # --- module-level operations --------------------------------------------------
-
-def hn(x, family: StabilityFamily) -> HNFiltration:
-    """HN filtration of x under the family (empty for the zero object)."""
-    return family.hn(x)
-
 
 def is_semistable(x, family: StabilityFamily):
     """The slope if the HN filtration of x has exactly one quotient, else None."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from tstab.elliptic import (ELLIPTIC_ZERO, EllipticStandard, ShiftedClass, StableClass,
                             a_qp_split, elliptic_heart_contains, hom_dim_stable,
-                            hom_profile_elliptic, normalize_elliptic)
+                            normalize_elliptic)
 from tstab.errors import InvalidPartitionError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, coarsen,
                             column_partition, exceptional_rewrite, finest_check, is_finer)
@@ -400,7 +400,7 @@ def test_criterion_10_elliptic_suite():
                     x = x + normalize_elliptic([(ShiftedClass(cls, 0), rng.randint(1, 2))])
                 first, second = a_qp_split(x, q, P)
                 ok = ok and (first + second == x)
-                ok = ok and hom_profile_elliptic(first, second)[0] == 0
+                ok = ok and hom_profile(first, second)[0] == 0
 
     def rule_second(cls, q, P):
         if isinstance(q, str):  # q = inf: everything of finite slope drops below

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as js_validate
 
-from tstab.cli import parse_object, run
-from tstab.elliptic import EllipticObject, stable
+from tstab.cli import (build_parser, make_session, parse_cutspec, parse_famspec, parse_object,
+                       run)
+from tstab.elliptic import EllipticObject, EllipticStandard, stable
 from tstab.errors import (InvalidLengthError, NonCoprimeError, ObjectParseError)
+from tstab.families import INF, CoarseZ, ExceptionalP1, StandardP1, family_from_descriptor
 from tstab.p1 import Point, ZERO, line, torsion
 
 
@@ -259,6 +261,21 @@ def test_check_hn_malformed_document_is_domain_error(tmp_path):
         assert code == 1 and out.startswith("error: "), doc
 
 
+def test_check_hn_deeply_nested_document_is_domain_error(tmp_path, monkeypatch):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    for source in ("stdin", "input"):
+        for fmt in ("json", "text"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 100000))
+            extra = ("--input", str(path)) if source == "input" else ()
+            code, out = _run("check", "hn", *extra, "--format", fmt)
+            assert code == 1, (source, fmt)
+            if fmt == "json":
+                assert set(json.loads(out)) == {"error"}
+            else:
+                assert out.startswith("error: ")
+
+
 def test_check_hn_rejects_tampered_filtration(tmp_path):
     code, out = _run("hn", "O(3)", "--stability", "exc", "--k", "0", "--p", "0",
                      "--format", "json")
@@ -398,6 +415,43 @@ def test_seed_determinism():
     a = _run("check", "stability", "--stability", "std", "--window", "4", "--seed", "9")
     b = _run("check", "stability", "--stability", "std", "--window", "4", "--seed", "9")
     assert a == b
+
+
+# --- family registry ------------------------------------------------------------------
+
+def _session(*flags):
+    return make_session(build_parser().parse_args(["normalize", "0", *flags]))
+
+
+def test_family_specs_round_trip_through_descriptors():
+    bounds = {"0": 0, "2": 2, "inf": INF}
+    for flags, points in (((), ()), (("--points", "z,x,y"), ("z", "x", "y"))):
+        session = _session(*flags)
+        expected = {"std": StandardP1(points), "coarse": CoarseZ(),
+                    "ell": EllipticStandard(points)}
+        expected.update({f"exc:k={k},p={p}": ExceptionalP1(k, bounds[p])
+                         for k in (-1, 0, 1) for p in bounds})
+        for spec, family in expected.items():
+            assert parse_famspec(spec, session) == family, spec
+            assert family_from_descriptor(family.descriptor()) == family, spec
+        for k in (-1, 0, 1):
+            for p in bounds:
+                exc_session = _session(*flags, "--k", str(k), "--p", p)
+                assert parse_famspec("exc", exc_session) == ExceptionalP1(k, bounds[p])
+                cut_family = parse_cutspec("exc:a=0,b=-inf", exc_session)[1]
+                assert cut_family == parse_famspec("exc", exc_session)
+        for cut, kind in (("std:m=0,K=2", "std"), ("coarse:m=1", "coarse")):
+            assert parse_cutspec(cut, session)[1] == parse_famspec(kind, session)
+
+
+def test_bad_family_specs_keep_their_error_texts():
+    unknown = "unknown family 'foo' (use std, coarse, exc:k=..,p=.. or ell)"
+    for spec, message in (("exc:p=-1", "p must be nonnegative or inf"), ("foo", unknown)):
+        for side in ("--fine", "--weak"):
+            other = "--weak" if side == "--fine" else "--fine"
+            assert _run("compare", side, spec, other, "std") == (1, f"error: {message}\n")
+            code, out = _run("compare", side, spec, other, "std", "--format", "json")
+            assert (code, json.loads(out)) == (1, {"error": message})
 
 
 # --- fuzzing ---------------------------------------------------------------------

@@ -4,8 +4,9 @@ The references below are the straightforward implementations the library
 used to run: a merge that rebuilds every filtration term as a fresh
 direct sum of all sources, the Hom rule for stable classes decided by
 comparing Fraction slopes, K0 summed one K0Class per summand, the
-character-by-character object parser, and the Hom-vanishing check of
-`verify_hn` that builds one HomProfile per quotient pair.  They are kept
+character-by-character object parser, the Hom-vanishing check of
+`verify_hn` that builds one HomProfile per quotient pair, and the two
+per-curve Hom loops that the one `hom_profile` replaced.  They are kept
 here only, as oracles, and every result must agree bit for bit.  The
 JSON round trip of filtrations is tested here too, over the same
 families and objects.
@@ -21,7 +22,8 @@ from tstab.elliptic import (EllipticObject, EllipticStandard, ShiftedClass, Stab
 from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
-from tstab.p1 import Line, Point, ShiftedIndec, Torsion, normalize
+from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, hom_profile,
+                      normalize)
 from tstab.slopes import K0Class, Ordering
 from tstab.stability import (CheckItem, HNFiltration, Window, hom_vanishes_at_and_below_zero,
                              merge_towers, shuffle_merge, verify_hn)
@@ -103,6 +105,32 @@ def per_summand_k0(x):
     for t, m in x.summands():
         total = total + m * t.k0()
     return total
+
+
+def oracle_p1_hom_loop(x, y):
+    """Graded Hom between objects on the line, from the sheaf rule table."""
+    acc: dict[int, int] = {}
+    for t, m in x.summands():
+        for s, k in y.summands():
+            gap = t.shift - s.shift
+            for q in (gap, gap + 1):
+                n = ext_dim(t.base, s.base, q + s.shift - t.shift)
+                if n:
+                    acc[q] = acc.get(q, 0) + m * k * n
+    return HomProfile.from_dict(acc)
+
+
+def oracle_elliptic_hom_loop(x, y):
+    """Graded Hom between elliptic objects, from the stable-class rule table."""
+    acc: dict[int, int] = {}
+    for t, m in x.summands():
+        for s, k in y.summands():
+            gap = t.shift - s.shift
+            for q in (gap, gap + 1):
+                n = hom_dim_stable(t.cls, s.cls, q + s.shift - t.shift)
+                if n:
+                    acc[q] = acc.get(q, 0) + m * k * n
+    return HomProfile.from_dict(acc)
 
 
 def oracle_hom_vanishing(filt, family):
@@ -553,6 +581,25 @@ def test_hom_vanishing_rule_matches_hom_profile(a, b):
     if family.accepts(y):
         expected = family.hom_profile(x, y).vanishes_at_and_below(0)
         assert hom_vanishes_at_and_below_zero(x, y) == expected
+
+
+def _window_objects(family, oracle):
+    """Random window objects of a family: torsion or skyscrapers and mixed shifts."""
+    window = Window(max_degree=4, max_shift=2, max_summands=8)
+    return st.randoms(use_true_random=False).map(
+        lambda rng: (oracle, family.random_object(rng, window), family.random_object(rng, window)))
+
+
+@settings(max_examples=200)
+@given(st.one_of(st.tuples(st.just(oracle_p1_hom_loop), p1_objects(), p1_objects()),
+                 st.tuples(st.just(oracle_elliptic_hom_loop), elliptic_objects(),
+                           elliptic_objects()),
+                 _window_objects(StandardP1(), oracle_p1_hom_loop),
+                 _window_objects(EllipticStandard(), oracle_elliptic_hom_loop)))
+def test_hom_profile_matches_per_curve_oracle_loops(case):
+    oracle, x, y = case
+    for a, b in ((x, y), (y, x), (x, x), (x + y, x.shift(1))):
+        assert hom_profile(a, b) == oracle(a, b)
 
 
 # --- JSON round trip ------------------------------------------------------------------------

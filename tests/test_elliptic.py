@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, ShiftedClass,
-                            StableClass, a_qp_split, elliptic_heart_contains, hn_elliptic,
-                            hom_dim_stable, hom_profile_elliptic, mu_class, stable)
+                            StableClass, a_qp_split, elliptic_heart_contains, hom_dim_stable,
+                            stable)
 from tstab.errors import QOutOfRangeError
-from tstab.p1 import Point
+from tstab.p1 import Point, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
 from tstab.stability import Window, validate_stability, verify_hn
 
@@ -46,9 +46,9 @@ def test_stable_class_validation():
 
 
 def test_mu_class_examples():
-    assert mu_class(StableClass(1, 0, L)) == ExtendedRational.finite(0)
-    assert mu_class(StableClass(0, 1, L)) == PLUS_INFINITY
-    assert mu_class(StableClass(2, 3, L)) == ExtendedRational.finite(Fraction(3, 2))
+    assert StableClass(1, 0, L).mu() == ExtendedRational.finite(0)
+    assert StableClass(0, 1, L).mu() == PLUS_INFINITY
+    assert StableClass(2, 3, L).mu() == ExtendedRational.finite(Fraction(3, 2))
 
 
 def test_hom_dim_stable_examples():
@@ -82,17 +82,17 @@ def test_normal_form_and_render():
 
 
 def test_hn_elliptic_grouping():
-    filt = hn_elliptic(stable(1, 0, L) + stable(1, 1, M))
+    filt = EllipticStandard().hn(stable(1, 0, L) + stable(1, 1, M))
     assert [s.mu for s in filt.slopes] == [ExtendedRational.finite(0),
                                            ExtendedRational.finite(1)]
-    filt = hn_elliptic(stable(0, 1, L) + stable(1, 5, M))
+    filt = EllipticStandard().hn(stable(0, 1, L) + stable(1, 5, M))
     assert [s.cls.is_skyscraper for s in filt.slopes] == [False, True]
-    assert len(hn_elliptic(4 * stable(2, 1, N)).quotients) == 1
+    assert len(EllipticStandard().hn(4 * stable(2, 1, N)).quotients) == 1
 
 
 def test_hn_elliptic_orders_by_shift_mu_then_point():
     x = stable(1, 0, M) + stable(1, 0, L) + stable(1, 1, L) + stable(2, 1, L, shift=-1)
-    filt = hn_elliptic(x)
+    filt = EllipticStandard().hn(x)
     rendered = [o.render() for o in filt.quotient_objects]
     assert rendered == ["S(2,1,l)[-1]", "S(1,0,l)", "S(1,0,m)", "S(1,1,l)"]
     report = verify_hn(x, filt, FAMILY)
@@ -164,7 +164,7 @@ def test_a_qp_split_hom_vanishing_random():
                     x = x + stable(cls.r, cls.d, cls.x)
                 first, second = a_qp_split(x, q, P)
                 assert first + second == x
-                assert hom_profile_elliptic(first, second)[0] == 0
+                assert hom_profile(first, second)[0] == 0
 
 
 def test_elliptic_heart_contains_examples():

@@ -5,15 +5,16 @@ import random
 
 import pytest
 
-from tstab.errors import InvalidPartitionError
+from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, EllipticStandard, stable
+from tstab.errors import InvalidPartitionError, UnsupportedFamilyError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, StandardP1,
                             by_shift_partition, coarsen, column_partition,
                             compare_exceptional, exceptional_rewrite, family_from_descriptor,
-                            finest_check, hn_exceptional, hn_standard, is_finer,
-                            standard_slope)
-from tstab.p1 import Line, Point, ShiftedIndec, Torsion, ZERO, line, torsion
+                            finest_check, is_finer)
+from tstab.p1 import DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, torsion
 from tstab.slopes import Ordering
 from tstab.stability import (ExceptionalSlope, IntLevel, PointLevel, StandardSlope,
+                             merge_towers,
                              Window, validate_stability, verify_hn)
 
 WINDOW = Window(max_degree=6, max_shift=2, max_length=3, samples=30)
@@ -22,10 +23,11 @@ WINDOW = Window(max_degree=6, max_shift=2, max_length=3, samples=30)
 # --- standard ------------------------------------------------------------------
 
 def test_standard_slope_examples():
-    assert standard_slope(ShiftedIndec(Line(3), 2)) == StandardSlope(2, IntLevel(3))
+    slope_of_term = StandardP1().slope_of_term
+    assert slope_of_term(ShiftedIndec(Line(3), 2)) == StandardSlope(2, IntLevel(3))
     pt = Point("x")
-    assert standard_slope(ShiftedIndec(Torsion(pt, 5), 0)) == StandardSlope(0, PointLevel(pt))
-    assert standard_slope(ShiftedIndec(Line(-1), -1)) == StandardSlope(-1, IntLevel(-1))
+    assert slope_of_term(ShiftedIndec(Torsion(pt, 5), 0)) == StandardSlope(0, PointLevel(pt))
+    assert slope_of_term(ShiftedIndec(Line(-1), -1)) == StandardSlope(-1, IntLevel(-1))
 
 
 def test_standard_order_rules():
@@ -43,16 +45,16 @@ def test_standard_order_rules():
 
 
 def test_hn_standard_grouping():
-    filt = hn_standard(line(3) + line(-1) + torsion(Point("x"), 1))
+    filt = StandardP1().hn(line(3) + line(-1) + torsion(Point("x"), 1))
     assert [s.level for s in filt.slopes] == [IntLevel(-1), IntLevel(3), PointLevel(Point("x"))]
-    filt = hn_standard(line(0, 1) + line(0))
+    filt = StandardP1().hn(line(0, 1) + line(0))
     assert [s.i for s in filt.slopes] == [0, 1]
-    filt = hn_standard(torsion(Point("y"), 2))
+    filt = StandardP1().hn(torsion(Point("y"), 2))
     assert len(filt.quotients) == 1
 
 
 def test_point_order_configuration_changes_torsion_order():
-    default = hn_standard(torsion(Point("b"), 1) + torsion(Point("a"), 1))
+    default = StandardP1().hn(torsion(Point("b"), 1) + torsion(Point("a"), 1))
     assert [s.level.point.label for s in default.slopes] == ["a", "b"]
     fam = StandardP1(("b", "a"))
     swapped = fam.hn(torsion(fam.point("b"), 1) + torsion(fam.point("a"), 1))
@@ -171,11 +173,11 @@ def test_exceptional_rewrite_k0_additivity_and_mid_term():
 
 
 def test_hn_exceptional_examples():
-    filt = hn_exceptional(line(3) + line(-2), 0, 0)
+    filt = ExceptionalP1(0, 0).hn(line(3) + line(-2))
     assert [(s.i, s.col) for s in filt.slopes] == [(0, 0), (-1, 1), (1, 0), (0, 1)]
-    filt = hn_exceptional(line(1), 0, 0)
+    filt = ExceptionalP1(0, 0).hn(line(1))
     assert filt.quotients == ((ExceptionalSlope(0, 1), line(1)),)
-    filt = hn_exceptional(line(3) + line(-2), 0, INF)
+    filt = ExceptionalP1(0, INF).hn(line(3) + line(-2))
     assert [s.col for s in filt.slopes] == [0, 0, 1, 1]
 
 
@@ -290,6 +292,34 @@ def test_finest_check_fails_for_coarse():
     assert not report.ok
     detail = report.failures()[0].detail
     assert "Hom^0" in detail
+
+
+# --- object models ------------------------------------------------------------------------
+
+def test_families_keep_to_their_own_object_model():
+    p1_families = (CoarseZ(), StandardP1(), ExceptionalP1(0, 0), ExceptionalP1(1, INF),
+                   coarsen(StandardP1(), by_shift_partition()),
+                   coarsen(ExceptionalP1(0, INF), column_partition()))
+    ell = EllipticStandard()
+    for family in p1_families:
+        with pytest.raises(UnsupportedFamilyError):
+            family.hn(stable(1, 0, "x"))
+        with pytest.raises(UnsupportedFamilyError):
+            family.semistable_slope(stable(0, 1, "x"))
+    for x in (line(0), torsion("x", 2), ZERO):
+        with pytest.raises(UnsupportedFamilyError):
+            ell.hn(x)
+    assert not isinstance(stable(1, 0, "x"), DerivedObject)
+    assert not isinstance(line(0), EllipticObject)
+    assert ZERO != ELLIPTIC_ZERO
+    cases = [(family, line(3) + torsion("x", 1, 1) + line(-2, -1)) for family in p1_families]
+    cases.append((ell, stable(1, 0, "x") + stable(0, 1, "y", 1) + 2 * stable(2, 1, "x")))
+    for family, x in cases:
+        filt = family.hn(x)
+        merged = merge_towers(family, [(filt.quotients, filt.terms)])
+        assert merged == filt
+        for obj in (*merged.terms, *merged.quotient_objects):
+            assert type(obj) is type(family.zero)
 
 
 # --- descriptors ------------------------------------------------------------------------

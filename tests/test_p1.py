@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tstab.p1 import (HomProfile, Line, Point, PointOrder, ShiftedIndec, Torsion, ZERO,
-                      direct_sum, ext_dim, euler_form, hom_dim, hom_profile, k0_class,
+                      direct_sum, ext_dim, euler_form, hom_dim, hom_profile,
                       line, normalize, torsion)
 from tstab.slopes import K0Class
 
@@ -75,18 +75,18 @@ def test_point_default_order_is_lexicographic():
 # --- K0 ------------------------------------------------------------------------
 
 def test_k0_examples():
-    assert k0_class(line(2)) == K0Class((1, 2))
-    assert k0_class(line(2, shift=1)) == K0Class((-1, -2))
-    assert k0_class(torsion(X, 3) + line(0)) == K0Class((1, 3))
+    assert line(2).k0() == K0Class((1, 2))
+    assert line(2, shift=1).k0() == K0Class((-1, -2))
+    assert (torsion(X, 3) + line(0)).k0() == K0Class((1, 3))
 
 
 @given(st.integers(-4, 4), st.integers(-6, 6), st.integers(1, 5))
 def test_k0_additive_and_shift_parity(i, n, m):
     obj = m * line(n, i)
-    assert k0_class(obj + obj) == k0_class(obj) + k0_class(obj)
+    assert (obj + obj).k0() == obj.k0() + obj.k0()
     sign = -1 if i % 2 else 1
-    assert k0_class(obj).components == (sign * m, sign * m * n)
-    assert k0_class(obj.shift(1)) == -k0_class(obj)
+    assert obj.k0().components == (sign * m, sign * m * n)
+    assert obj.shift(1).k0() == -obj.k0()
 
 
 # --- Hom rule table -------------------------------------------------------------

@@ -13,7 +13,7 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_pa
 from tstab.p1 import Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize, torsion
 from tstab.slopes import Ordering
 from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
-                             StandardSlope, Window, glue, hn, is_semistable, shuffle_merge,
+                             StandardSlope, Window, glue, is_semistable, shuffle_merge,
                              split, validate_stability, verify_hn)
 
 STD = StandardP1()
@@ -29,13 +29,13 @@ def _random_objects(count, seed=0, window=WINDOW):
 # --- hn -------------------------------------------------------------------------
 
 def test_hn_standard_semistable_generator():
-    filt = hn(line(5), STD)
+    filt = STD.hn(line(5))
     assert filt.quotients == ((StandardSlope(0, IntLevel(5)), line(5)),)
     assert filt.terms == (line(5), ZERO)
 
 
 def test_hn_exceptional_destabilises_line():
-    filt = hn(line(3), EXC0)
+    filt = EXC0.hn(line(3))
     assert filt.quotients == (
         (ExceptionalSlope(1, 0), 2 * line(0, 1)),
         (ExceptionalSlope(0, 1), 3 * line(1)),
@@ -44,7 +44,7 @@ def test_hn_exceptional_destabilises_line():
 
 
 def test_hn_zero_object():
-    filt = hn(ZERO, STD)
+    filt = STD.hn(ZERO)
     assert filt.quotients == ()
     assert filt.terms == (ZERO,)
 
@@ -52,12 +52,12 @@ def test_hn_zero_object():
 def test_hn_rejects_foreign_objects():
     from tstab.elliptic import stable
     with pytest.raises(UnsupportedFamilyError):
-        hn(stable(1, 0, "x"), STD)
+        STD.hn(stable(1, 0, "x"))
 
 
 def test_hn_coarse_groups_by_shift():
     x = line(1) + torsion(Point("x"), 2) + line(0, -1)
-    filt = hn(x, CoarseZ())
+    filt = CoarseZ().hn(x)
     assert [s.i for s in filt.slopes] == [-1, 0]
     assert filt.quotient_objects[1] == line(1) + torsion(Point("x"), 2)
 
@@ -66,12 +66,12 @@ def test_hn_coarse_groups_by_shift():
 
 def test_verify_accepts_computed_filtration():
     x = line(3)
-    report = verify_hn(x, hn(x, EXC0), EXC0)
+    report = verify_hn(x, EXC0.hn(x), EXC0)
     assert report.ok, report.summary()
 
 
 def test_verify_rejects_descending_order():
-    filt = hn(line(3), EXC0)
+    filt = EXC0.hn(line(3))
     swapped = HNFiltration(EXC0, tuple(reversed(filt.quotients)), filt.terms)
     report = verify_hn(line(3), swapped, EXC0)
     assert not report.ok
@@ -85,7 +85,7 @@ def test_verify_rejects_non_semistable_quotient():
 
 
 def test_verify_rejects_wrong_endpoints():
-    filt = hn(line(2), STD)
+    filt = STD.hn(line(2))
     wrong = HNFiltration(STD, filt.quotients, (line(1), ZERO))
     report = verify_hn(line(2), wrong, STD)
     assert any(c.name == "endpoints" and not c.ok for c in report.checks)
@@ -155,7 +155,7 @@ def test_glue_split_round_trip_random():
     rng = random.Random(13)
     for _ in range(50):
         x = STD.random_object(rng, WINDOW)
-        flat = list(hn(x, STD).quotients)
+        flat = list(STD.hn(x).quotients)
         if not flat:
             continue
         # random consecutive partition
@@ -177,7 +177,7 @@ def test_glue_split_round_trip_random():
 # --- shuffle_merge --------------------------------------------------------------------
 
 def test_merge_by_slope_standard():
-    merged = shuffle_merge(hn(line(-1), STD), hn(line(3), STD))
+    merged = shuffle_merge(STD.hn(line(-1)), STD.hn(line(3)))
     assert merged.quotients == (
         (StandardSlope(0, IntLevel(-1)), line(-1)),
         (StandardSlope(0, IntLevel(3)), line(3)),
@@ -185,7 +185,7 @@ def test_merge_by_slope_standard():
 
 
 def test_merge_exceptional_interleaving():
-    merged = shuffle_merge(hn(line(3), EXC0), hn(line(-2), EXC0))
+    merged = shuffle_merge(EXC0.hn(line(3)), EXC0.hn(line(-2)))
     slopes = [(s.i, s.col) for s in merged.slopes]
     assert slopes == [(0, 0), (-1, 1), (1, 0), (0, 1)]
     objs = [o.render() for o in merged.quotient_objects]
@@ -203,18 +203,18 @@ def test_merge_exceptional_interleaving():
 
 
 def test_merge_with_empty_is_identity():
-    filt = hn(line(2) + torsion(Point("x"), 1), STD)
-    merged = shuffle_merge(filt, hn(ZERO, STD))
+    filt = STD.hn(line(2) + torsion(Point("x"), 1))
+    merged = shuffle_merge(filt, STD.hn(ZERO))
     assert merged == filt
 
 
 def test_merge_coalesces_equal_slopes():
-    merged = shuffle_merge(hn(line(2), STD), hn(2 * line(2), STD))
+    merged = shuffle_merge(STD.hn(line(2)), STD.hn(2 * line(2)))
     assert merged.quotients == ((StandardSlope(0, IntLevel(2)), 3 * line(2)),)
 
 
 def test_explicit_shuffle_preserves_sources():
-    fa, fb = hn(line(0), STD), hn(line(1) + line(2, 1), STD)
+    fa, fb = STD.hn(line(0)), STD.hn(line(1) + line(2, 1))
     merged = shuffle_merge(fa, fb, mode="bab")
     assert [o.render() for o in merged.quotient_objects] == ["O(1)", "O(0)", "O(2)[1]"]
     assert merged.terms[0] == line(0) + line(1) + line(2, 1)
@@ -224,7 +224,7 @@ def test_explicit_shuffle_preserves_sources():
     with pytest.raises(InvalidShuffleError):
         shuffle_merge(fa, fb, mode="bax")
     with pytest.raises(InvalidShuffleError):
-        shuffle_merge(fa, hn(line(0), EXC0))
+        shuffle_merge(fa, EXC0.hn(line(0)))
 
 
 def test_hn_of_sum_equals_merge():
@@ -233,7 +233,7 @@ def test_hn_of_sum_equals_merge():
         for _ in range(40):
             x = fam.random_object(rng, WINDOW)
             y = fam.random_object(rng, WINDOW)
-            assert hn(x + y, fam) == shuffle_merge(hn(x, fam), hn(y, fam))
+            assert fam.hn(x + y) == shuffle_merge(fam.hn(x), fam.hn(y))
 
 
 def test_shift_equivariance():
@@ -241,8 +241,8 @@ def test_shift_equivariance():
     for fam in (STD, EXC0):
         for _ in range(40):
             x = fam.random_object(rng, WINDOW)
-            assert hn(x.shift(1), fam) == hn(x, fam).shifted(1)
-            assert hn(x.shift(-2), fam) == hn(x, fam).shifted(-2)
+            assert fam.hn(x.shift(1)) == fam.hn(x).shifted(1)
+            assert fam.hn(x.shift(-2)) == fam.hn(x).shifted(-2)
 
 
 def test_shifted_is_closed_form_for_huge_shifts():
@@ -253,11 +253,11 @@ def test_shifted_is_closed_form_for_huge_shifts():
                                    coarsen(ExceptionalP1(0, INF), column_partition()))]
     cases.append((EllipticStandard(), ell))
     for fam, x in cases:
-        filt = hn(x, fam)
+        filt = fam.hn(x)
         start = time.perf_counter()
         far = filt.shifted(n)
         assert time.perf_counter() - start < 1.0
-        assert far == hn(x.shift(n), fam)
+        assert far == fam.hn(x.shift(n))
         assert far.shifted(-n) == filt
 
 
@@ -294,17 +294,17 @@ families = st.sampled_from([STD, EXC0, ExceptionalP1(1, 2),
 
 @given(families, objects, objects)
 def test_property_hn_is_additive_under_direct_sum(fam, x, y):
-    assert hn(x + y, fam) == shuffle_merge(hn(x, fam), hn(y, fam))
+    assert fam.hn(x + y) == shuffle_merge(fam.hn(x), fam.hn(y))
 
 
 @given(families, objects, st.integers(-2, 2))
 def test_property_hn_commutes_with_shift(fam, x, n):
-    assert hn(x.shift(n), fam) == hn(x, fam).shifted(n)
+    assert fam.hn(x.shift(n)) == fam.hn(x).shifted(n)
 
 
 @given(families, objects)
 def test_property_hn_output_verifies(fam, x):
-    assert verify_hn(x, hn(x, fam), fam).ok
+    assert verify_hn(x, fam.hn(x), fam).ok
 
 
 # --- validate_stability -------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_filtration_json_round_trip():
     for fam in (STD, StandardP1(("a", "b")), EXC0, CoarseZ()):
         x = 2 * line(3) + torsion(Point("a" if fam.point_labels else "x"), 2) + line(0, -1) \
             if getattr(fam, "point_labels", ()) else 2 * line(3) + torsion(Point("x"), 2)
-        filt = hn(x, fam)
+        filt = fam.hn(x)
         data = filt.to_json()
         obj, rebuilt = filtration_from_json(data)
         assert obj == x
