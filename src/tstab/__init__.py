@@ -12,7 +12,7 @@ from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                         merge_towers, shuffle_merge, split, validate_stability, verify_hn)
 from .families import (INF, CoarseZ, CoarsenedFamily, ExceptionalP1, FinerVerdict,
                        SlopePartition, StandardP1, by_shift_partition, coarsen,
-                       column_partition, compare_exceptional, exceptional_rewrite,
+                       column_partition, exceptional_rewrite,
                        family_from_descriptor, finest_check, is_finer)
 from .tstructures import (CatalogEntry, Classification, CoarseCut, ExceptionalCut,
                           HeartDescription, SlopeCut, StandardCut, TorsionPair,

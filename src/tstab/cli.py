@@ -385,16 +385,35 @@ def _parse_bound(text: str) -> int | float:
     return int(text)
 
 
+# The fields each kind of spec takes; any other field is an error.
+_CUT_FIELDS = {"std": ("m", "K", "P"), "exc": ("a", "b"), "coarse": ("m",)}
+_FAMILY_FIELDS = {"std": (), "coarse": (), "exc": ("k", "p"), "ell": ()}
+
+
+def _spec_fields(spec: str, what: str, allowed: dict) -> tuple[str, dict]:
+    """Split ``kind:key=value,...`` into the kind and its fields.
+
+    A field without "=", a repeated field and, for a known kind, a field
+    the kind does not take are errors; an unknown kind is left to the caller.
+    """
+    kind, _, body = spec.partition(":")
+    fields: dict = {}
+    for part in body.split(",") if body else ():
+        key, eq, value = part.partition("=")
+        key = key.strip()
+        if not eq:
+            raise TStabError(f"bad {what} field {part!r} in {spec!r}")
+        if key in fields:
+            raise TStabError(f"repeated {what} field {key!r} in {spec!r}")
+        if kind in allowed and key not in allowed[kind]:
+            raise TStabError(f"unknown {what} field {key!r} in {spec!r}")
+        fields[key] = value.strip()
+    return kind, fields
+
+
 def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, StabilityFamily]:
     """Parse a cut specification and build the matching family."""
-    kind, _, body = spec.partition(":")
-    fields = {}
-    if body:
-        for part in body.split(","):
-            if "=" not in part:
-                raise TStabError(f"bad cut field {part!r} in {spec!r}")
-            key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
+    kind, fields = _spec_fields(spec, "cut", _CUT_FIELDS)
     if kind == "std":
         m = int(fields.get("m", "0"))
         K = _parse_bound(fields.get("K", "-inf"))
@@ -422,12 +441,7 @@ def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
 
     `exc` takes k and p from the spec's fields, else from the session.
     """
-    kind, _, body = spec.partition(":")
-    fields = {}
-    if body:
-        for part in body.split(","):
-            key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
+    kind, fields = _spec_fields(spec, "family", _FAMILY_FIELDS)
     if kind == "std":
         desc = {"family": "standard", "point_order": list(session.points)}
     elif kind == "coarse":

@@ -33,7 +33,7 @@ from typing import Iterable
 
 from .errors import QOutOfRangeError
 from .p1 import FormalSum, Point, hom_profile
-from .slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
+from .slopes import ExtendedRational, K0Class, PLUS_INFINITY
 from .stability import EllipticSlope, StabilityFamily, Window
 
 
@@ -163,16 +163,13 @@ class EllipticStandard(StabilityFamily):
     def __post_init__(self):
         object.__setattr__(self, "point_labels", tuple(self.point_labels))
 
-    def compare(self, a: EllipticSlope, b: EllipticSlope) -> Ordering:
-        if not isinstance(a, EllipticSlope) or not isinstance(b, EllipticSlope):
+    def slope_key(self, s: EllipticSlope) -> tuple:
+        if not isinstance(s, EllipticSlope):
             raise TypeError("cross-family slope comparison")
-        return Ordering.of((a.i, *a.cls.key()), (b.i, *b.cls.key()))
+        return (s.i, *s.cls.key())
 
     def tau(self, s: EllipticSlope, n: int = 1) -> EllipticSlope:
         return EllipticSlope(s.i + n, s.mu, s.cls)
-
-    def tau_inv(self, s: EllipticSlope, n: int = 1) -> EllipticSlope:
-        return EllipticSlope(s.i - n, s.mu, s.cls)
 
     def slope_of_term(self, term: ShiftedClass) -> EllipticSlope:
         return EllipticSlope(term.shift, term.cls.mu(), term.cls)
@@ -192,9 +189,6 @@ class EllipticStandard(StabilityFamily):
         idx = self.point_labels.index(label) if label in self.point_labels else 0
         cls = StableClass(r, d, Point(label, idx))
         return EllipticSlope(int(data["shift"]), cls.mu(), cls)
-
-    def render_slope(self, s: EllipticSlope) -> str:
-        return f"({s.i}, {s.mu}, {s.cls.render()})"
 
     def window_classes(self, window: Window, max_rank: int = 3) -> list[StableClass]:
         classes = []

@@ -22,7 +22,8 @@ Three families are provided.
 
 The cross-column order for finite p is (i,0) < (j,1) iff i <= j+p+1
 (equivalently (j,1) < (i,0) iff i >= j+p+2), the unique total order
-extending the interleaving chain O(k)[i+p] < O(k+1)[i-1] < O(k)[i+p+1].
+extending the interleaving chain O(k)[i+p] < O(k+1)[i-1] < O(k)[i+p+1];
+its sort key is (i-p-1, 0) for column 0 and (i, 1) for column 1.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
 from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
                  torsion)
-from .slopes import Ordering
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel, Report,
                         StabilityFamily, StandardSlope, TermRewrite, Window)
 
@@ -79,16 +79,13 @@ class CoarseZ(P1Family):
 
     kind = "coarse"
 
-    def compare(self, a: CoarseSlope, b: CoarseSlope) -> Ordering:
-        if not isinstance(a, CoarseSlope) or not isinstance(b, CoarseSlope):
+    def slope_key(self, s: CoarseSlope) -> int:
+        if not isinstance(s, CoarseSlope):
             raise TypeError("cross-family slope comparison")
-        return Ordering.of(a.i, b.i)
+        return s.i
 
     def tau(self, s: CoarseSlope, n: int = 1) -> CoarseSlope:
         return CoarseSlope(s.i + n)
-
-    def tau_inv(self, s: CoarseSlope, n: int = 1) -> CoarseSlope:
-        return CoarseSlope(s.i - n)
 
     def slope_of_term(self, term: ShiftedIndec) -> CoarseSlope:
         return CoarseSlope(term.shift)
@@ -101,9 +98,6 @@ class CoarseZ(P1Family):
 
     def slope_from_json(self, data: dict) -> CoarseSlope:
         return CoarseSlope(int(data["shift"]))
-
-    def render_slope(self, s: CoarseSlope) -> str:
-        return f"({s.i})"
 
 
 # --- standard -----------------------------------------------------------------
@@ -135,16 +129,13 @@ class StandardP1(P1Family):
             raise KeyError(f"undeclared point label {label!r}")
         return Point(label, self.point_labels.index(label))
 
-    def compare(self, a: StandardSlope, b: StandardSlope) -> Ordering:
-        if not isinstance(a, StandardSlope) or not isinstance(b, StandardSlope):
+    def slope_key(self, s: StandardSlope) -> tuple:
+        if not isinstance(s, StandardSlope):
             raise TypeError("cross-family slope comparison")
-        return Ordering.of(a.key(), b.key())
+        return s.key()
 
     def tau(self, s: StandardSlope, n: int = 1) -> StandardSlope:
         return StandardSlope(s.i + n, s.level)
-
-    def tau_inv(self, s: StandardSlope, n: int = 1) -> StandardSlope:
-        return StandardSlope(s.i - n, s.level)
 
     def slope_of_term(self, term: ShiftedIndec) -> StandardSlope:
         if isinstance(term.base, Line):
@@ -167,24 +158,8 @@ class StandardP1(P1Family):
         pt = self.point(label) if label in self.point_labels else Point(label)
         return StandardSlope(int(data["shift"]), PointLevel(pt))
 
-    def render_slope(self, s: StandardSlope) -> str:
-        return repr(s)
-
 
 # --- exceptional ----------------------------------------------------------------
-
-def compare_exceptional(a: ExceptionalSlope, b: ExceptionalSlope, p) -> Ordering:
-    """Total order on the two-column slope set for interleaving parameter p."""
-    if not isinstance(a, ExceptionalSlope) or not isinstance(b, ExceptionalSlope):
-        raise TypeError("cross-family slope comparison")
-    if a.col == b.col:
-        return Ordering.of(a.i, b.i)
-    if a.col == 0:
-        if p == INF or a.i <= b.i + p + 1:
-            return Ordering.LESS
-        return Ordering.GREATER
-    return Ordering(-compare_exceptional(b, a, p).value)
-
 
 @dataclass(frozen=True)
 class ExceptionalP1(P1Family):
@@ -203,14 +178,16 @@ class ExceptionalP1(P1Family):
                 (self.p != INF and (not isinstance(self.p, int) or self.p < 0)):
             raise ValueError("p must be a nonnegative integer or inf")
 
-    def compare(self, a: ExceptionalSlope, b: ExceptionalSlope) -> Ordering:
-        return compare_exceptional(a, b, self.p)
+    def slope_key(self, s: ExceptionalSlope) -> tuple[int, int]:
+        """The two-column order for interleaving parameter p (module docstring)."""
+        if not isinstance(s, ExceptionalSlope):
+            raise TypeError("cross-family slope comparison")
+        if self.p == INF:
+            return (s.col, s.i)
+        return (s.i, 1) if s.col else (s.i - self.p - 1, 0)
 
     def tau(self, s: ExceptionalSlope, n: int = 1) -> ExceptionalSlope:
         return ExceptionalSlope(s.i + n, s.col)
-
-    def tau_inv(self, s: ExceptionalSlope, n: int = 1) -> ExceptionalSlope:
-        return ExceptionalSlope(s.i - n, s.col)
 
     def slope_of_term(self, term: ShiftedIndec) -> ExceptionalSlope | None:
         if isinstance(term.base, Line):
@@ -327,10 +304,11 @@ def is_finer(fine: StabilityFamily, weak: StabilityFamily, window: Window) -> Fi
                                 f"slope {fine.render_slope(phi)} maps to two weak slopes")
         induced[phi] = psi
 
-    for phi1, psi1 in induced.items():
-        for phi2, psi2 in induced.items():
-            if fine.compare(phi1, phi2) == Ordering.LESS \
-                    and weak.compare(psi1, psi2) == Ordering.GREATER:
+    keyed = [(fine.slope_key(phi), weak.slope_key(psi), phi, psi)
+             for phi, psi in induced.items()]
+    for fine1, weak1, phi1, psi1 in keyed:
+        for fine2, weak2, phi2, psi2 in keyed:
+            if fine1 < fine2 and weak1 > weak2:
                 return FinerVerdict(False, "order",
                                     f"{fine.render_slope(phi1)} < {fine.render_slope(phi2)} "
                                     f"but induced slopes reverse: {weak.render_slope(psi1)} > "
@@ -351,17 +329,17 @@ def is_finer(fine: StabilityFamily, weak: StabilityFamily, window: Window) -> Fi
 class SlopePartition:
     """Blocks of a slope set, described by predicates.
 
-    `block_of` maps a slope to its block id, `compare_blocks` orders the
-    block ids, and `tau_block(b, n=1)` / `tau_block_inv(b, n=1)` give the
-    induced shift on blocks, applied n times.  Order-congruence and
-    tau-stability are checked on a window by `coarsen`.
+    `block_of` maps a slope to its block id, `block_key` maps a block id
+    to a sort key whose natural order is the block order, and
+    `tau_block(b, n=1)` gives the induced shift on blocks, tau^n for any
+    integer n.  Order-congruence and tau-stability are checked on a
+    window by `coarsen`.
     """
 
     label: str
     block_of: Callable
-    compare_blocks: Callable
+    block_key: Callable
     tau_block: Callable
-    tau_block_inv: Callable
 
 
 def by_shift_partition() -> SlopePartition:
@@ -369,9 +347,8 @@ def by_shift_partition() -> SlopePartition:
     return SlopePartition(
         label="by-shift",
         block_of=lambda s: s.i,
-        compare_blocks=lambda a, b: Ordering.of(a, b),
+        block_key=lambda b: b,
         tau_block=lambda b, n=1: b + n,
-        tau_block_inv=lambda b, n=1: b - n,
     )
 
 
@@ -385,9 +362,8 @@ def column_partition() -> SlopePartition:
     return SlopePartition(
         label="columns",
         block_of=lambda s: s.col,
-        compare_blocks=lambda a, b: Ordering.of(a, b),
+        block_key=lambda b: b,
         tau_block=lambda b, n=1: b,
-        tau_block_inv=lambda b, n=1: b,
     )
 
 
@@ -414,14 +390,11 @@ class CoarsenedFamily(StabilityFamily):
         """The base family's point order; parsed documents resolve labels by it."""
         return getattr(self.base, "point_labels", ())
 
-    def compare(self, a, b) -> Ordering:
-        return self.partition.compare_blocks(a, b)
+    def slope_key(self, s):
+        return self.partition.block_key(s)
 
     def tau(self, s, n: int = 1):
         return self.partition.tau_block(s, n)
-
-    def tau_inv(self, s, n: int = 1):
-        return self.partition.tau_block_inv(s, n)
 
     def slope_of_term(self, term):
         s = self.base.slope_of_term(term)
@@ -432,7 +405,7 @@ class CoarsenedFamily(StabilityFamily):
         grouped: list[tuple[object, object]] = []
         for slope, obj in base_rw.quotients:
             block = self.partition.block_of(slope)
-            if grouped and self.compare(grouped[-1][0], block) == Ordering.EQUAL:
+            if grouped and self.slope_key(grouped[-1][0]) == self.slope_key(block):
                 grouped[-1] = (grouped[-1][0], grouped[-1][1] + obj)
             else:
                 grouped.append((block, obj))
@@ -485,16 +458,19 @@ def coarsen(family: StabilityFamily, partition: SlopePartition,
         if s is not None and s not in seen:
             seen.add(s)
             slopes.append(s)
-    for s1 in slopes:
-        for s2 in slopes:
-            b1, b2 = partition.block_of(s1), partition.block_of(s2)
-            cmp_slopes = family.compare(s1, s2)
-            cmp_blocks = partition.compare_blocks(b1, b2)
-            if cmp_slopes == Ordering.LESS and cmp_blocks == Ordering.GREATER:
+    try:
+        blocks = [partition.block_of(s) for s in slopes]
+    except (AttributeError, TypeError):
+        raise InvalidPartitionError(f"partition {partition.label!r} does not apply to "
+                                    f"the slopes of the {family.kind} family") from None
+    keyed = [(s, family.slope_key(s), b, partition.block_key(b)) for s, b in zip(slopes, blocks)]
+    for s1, key1, b1, bkey1 in keyed:
+        for s2, key2, b2, bkey2 in keyed:
+            if key1 < key2 and bkey1 > bkey2:
                 raise InvalidPartitionError(
                     f"blocks are not order-congruent: {family.render_slope(s1)} < "
                     f"{family.render_slope(s2)} but block {b1} > block {b2}")
-            if cmp_blocks == Ordering.EQUAL and b1 != b2:
+            if bkey1 == bkey2 and b1 != b2:
                 raise InvalidPartitionError("block ids must order consistently with equality")
     for s in slopes:
         t = family.tau(s)

@@ -199,10 +199,9 @@ class FormalSum:
     def summands(self) -> Iterator[tuple[object, int]]:
         return iter(self.terms)
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.terms)
-
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented  # sums on different curves do not mix
         return self.from_pairs(list(self.terms) + list(other.terms))
 
     def __rmul__(self, m: int):

@@ -20,8 +20,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from functools import cmp_to_key
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidShuffleError, UnsupportedFamilyError
 from .p1 import Point, hom_profile
@@ -255,8 +254,7 @@ class HNFiltration:
     def shifted(self, n: int) -> "HNFiltration":
         """Apply the shift [n]: slopes move by tau^n, objects by [n]."""
         fam = self.family
-        step = fam.tau if n >= 0 else fam.tau_inv
-        quotients = tuple((step(s, abs(n)), o.shift(n)) for s, o in self.quotients)
+        quotients = tuple((fam.tau(s, n), o.shift(n)) for s, o in self.quotients)
         return HNFiltration(fam, quotients, tuple(t.shift(n) for t in self.terms))
 
     def to_json(self) -> dict:
@@ -275,10 +273,10 @@ class HNFiltration:
 class StabilityFamily:
     """Interface shared by the concrete stability families.
 
-    Subclasses fix the slope order (`compare`, `tau`), the object model
-    (`zero`, whose type is the family's `FormalSum` subclass) and the
-    per-atom slopes (`slope_of_term`); a family whose atoms are not all
-    semistable also overrides `term_filtration`.  The generic engine
+    Subclasses fix the slope order (`slope_key`, `tau`), the object
+    model (`zero`, whose type is the family's `FormalSum` subclass) and
+    the per-atom slopes (`slope_of_term`); a family whose atoms are not
+    all semistable also overrides `term_filtration`.  The generic engine
     assembles full filtrations from those.
     """
 
@@ -287,22 +285,17 @@ class StabilityFamily:
 
     # -- slope order --
 
-    def compare(self, a, b) -> Ordering:
+    def slope_key(self, s):
+        """An exact key (ints, tuples, Fractions) whose natural order is the
+        slope order; a slope of another family raises TypeError."""
         raise NotImplementedError
+
+    def compare(self, a, b) -> Ordering:
+        return Ordering.of(self.slope_key(a), self.slope_key(b))
 
     def tau(self, s, n: int = 1):
-        """tau applied n >= 0 times."""
+        """tau^n, for any integer n."""
         raise NotImplementedError
-
-    def tau_inv(self, s, n: int = 1):
-        """tau^-1 applied n >= 0 times."""
-        raise NotImplementedError
-
-    def slope_cmp_key(self):
-        return cmp_to_key(lambda a, b: self.compare(a, b).value)
-
-    def sort_slopes(self, slopes: Iterable) -> list:
-        return sorted(slopes, key=self.slope_cmp_key())
 
     # -- object model --
 
@@ -401,23 +394,17 @@ def merge_towers(family: StabilityFamily,
     is the direct sum of every source's current term, which realises
     the filtration of the direct sum of the source objects.
 
-    The sources' next quotients wait in a heap ordered by (slope, source
-    index); each step takes the lowest slope together with every head
-    comparing equal to it, and records the slope of the first such
-    source.  The merged term is one running multiset (atom ->
-    multiplicity): a source stepping from terms[p] to terms[p+1] takes
-    away the summands of terms[p] and adds those of terms[p+1], so split
-    towers and non-split mid-terms are handled alike.  Each atom's sort
+    The sources' next quotients wait in a heap of (slope key, source
+    index); each step takes the lowest key together with every head of
+    an equal key, and records the slope of the first such source.  The
+    merged term is one running multiset (atom -> multiplicity): a source
+    stepping from terms[p] to terms[p+1] takes away the summands of
+    terms[p] and adds those of terms[p+1], so split towers and non-split
+    mid-terms are handled alike.  Each atom's sort
     key is computed once per merge, and each emitted term and coalesced
     quotient takes one sort.
     """
-    compare = family.compare
-
-    def entry_cmp(a, b):
-        order = compare(a[0], b[0]).value
-        return order if order else a[1] - b[1]
-
-    entry_key = cmp_to_key(entry_cmp)
+    slope_key = family.slope_key
     make = type(family.zero)
     atom_keys: dict = {}
     counts: dict = {}
@@ -439,17 +426,18 @@ def merge_towers(family: StabilityFamily,
     for idx, (quotients, terms) in enumerate(sources):
         add(counts, terms[0], 1)
         if quotients:
-            heap.append(entry_key((quotients[0][0], idx)))
+            heap.append((slope_key(quotients[0][0]), idx))
     heapq.heapify(heap)
     pointers = [0] * len(sources)
 
     merged: list[tuple[object, object]] = []
     merged_terms = [emit(counts)]
     while heap:
-        best, first = heapq.heappop(heap).obj
+        key, first = heapq.heappop(heap)
+        best = sources[first][0][pointers[first]][0]
         group = [first]
-        while heap and compare(heap[0].obj[0], best) == Ordering.EQUAL:
-            group.append(heapq.heappop(heap).obj[1])
+        while heap and heap[0][0] == key:
+            group.append(heapq.heappop(heap)[1])
         parts: dict = {}
         for idx in group:
             quotients, terms = sources[idx]
@@ -459,7 +447,7 @@ def merge_towers(family: StabilityFamily,
             add(counts, terms[p + 1], 1)
             pointers[idx] = p + 1
             if p + 1 < len(quotients):
-                heapq.heappush(heap, entry_key((quotients[p + 1][0], idx)))
+                heapq.heappush(heap, (slope_key(quotients[p + 1][0]), idx))
         merged.append((best, emit(parts)))
         merged_terms.append(emit(counts))
     return HNFiltration(family, tuple(merged), tuple(merged_terms))
@@ -678,15 +666,16 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
         if family.compare(family.tau(s), s) == Ordering.LESS:
             ok, detail = False, f"tau({family.render_slope(s)}) < {family.render_slope(s)}"
             break
-        if family.tau_inv(family.tau(s)) != s:
+        if family.tau(family.tau(s), -1) != s:
             ok, detail = False, f"tau_inv(tau) != id at {family.render_slope(s)}"
             break
     checks.append(CheckItem.over("tau_equivariance", len(gens), ok, detail))
 
     ok, detail, pairs = True, "", 0
-    for g1, s1 in zip(gens, slopes):
-        for g2, s2 in zip(gens, slopes):
-            if family.compare(s1, s2) == Ordering.GREATER:
+    keys = [family.slope_key(s) for s in slopes]
+    for g1, k1 in zip(gens, keys):
+        for g2, k2 in zip(gens, keys):
+            if k1 > k2:
                 pairs += 1
                 if not hom_vanishes_at_and_below_zero(g1, g2):
                     profile = family.hom_profile(g1, g2)

@@ -32,7 +32,6 @@ from .errors import (BadParamsError, HomViolationError, InvalidCutError,
                      NotSlopeDescribableError, UnboundedError)
 from .families import INF, CoarseZ, ExceptionalP1, StandardP1
 from .p1 import (DerivedObject, Indec, Line, Point, Torsion, hom_profile, line, torsion)
-from .slopes import Ordering
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel,
                         Report, StabilityFamily, StandardSlope)
 
@@ -202,12 +201,13 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
     checks.append(CheckItem("cut_constraints", reason is None, reason or ""))
     if _check_cut_family(cut, family) is None:
         slopes = _window_slopes(cut, family, radius)
+        keyed = [(s, family.slope_key(s), cut.in_plus(s)) for s in slopes]
         ok, detail = True, ""
-        for s1 in slopes:
-            if not cut.in_plus(s1):
+        for s1, key1, up1 in keyed:
+            if not up1:
                 continue
-            for s2 in slopes:
-                if family.compare(s2, s1) == Ordering.GREATER and not cut.in_plus(s2):
+            for s2, key2, up2 in keyed:
+                if key2 > key1 and not up2:
                     ok = False
                     detail = (f"up-closure fails: {family.render_slope(s1)} is in the up-set "
                               f"but {family.render_slope(s2)} above it is not")
@@ -273,7 +273,7 @@ class HeartDescription:
     cut: SlopeCut = None
 
     def contains_slope(self, s) -> bool:
-        return self.cut.in_plus(s) and not self.cut.in_plus(self.family.tau_inv(s))
+        return self.cut.in_plus(s) and not self.cut.in_plus(self.family.tau(s, -1))
 
     def generators(self) -> list[str]:
         cut, family = self.cut, self.family
@@ -362,9 +362,6 @@ class TorsionPair:
         if isinstance(base, Line):
             return base.n >= self.line_threshold
         return self.torsion_points is None or base.x.label in self.torsion_points
-
-    def in_second(self, base: Indec) -> bool:
-        return not self.in_first(base)
 
     @staticmethod
     def from_predicates(pred_first, degrees: Iterable[int],
@@ -621,7 +618,7 @@ def diagram(cut: SlopeCut, family: StabilityFamily, radius: int = 2) -> str:
     """ASCII slope line: generators in ascending order, the cut marked by
     "][", and "^" under the heart slopes."""
     require_valid_cut(cut, family)
-    slopes = family.sort_slopes(_window_slopes(cut, family, radius))
+    slopes = sorted(_window_slopes(cut, family, radius), key=family.slope_key)
     heart = HeartDescription(family, cut)
     line1 = ["..."]
     line2 = ["   "]

@@ -19,7 +19,6 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, coarsen,
                             column_partition, exceptional_rewrite, finest_check, is_finer)
 from tstab.p1 import (Line, Point, ShiftedIndec, Torsion, ZERO, euler_form, hom_profile,
                       line)
-from tstab.slopes import Ordering
 from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
                              StandardSlope, Window, validate_stability, verify_hn)
 from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, apply_twist_shift,
@@ -149,12 +148,10 @@ def test_criterion_4_hom_euler_equivalence():
 # --- 5: axiom windows ----------------------------------------------------------------------
 
 class _TorsionBelowLines(StandardP1):
-    def compare(self, a, b):
-        def key(s):
-            if isinstance(s.level, IntLevel):
-                return (s.i, 1, (s.level.n, ""))
-            return (s.i, 0, s.level.point.key())
-        return Ordering.of(key(a), key(b))
+    def slope_key(self, s):
+        if isinstance(s.level, IntLevel):
+            return (s.i, 1, (s.level.n, ""))
+        return (s.i, 0, s.level.point.key())
 
 
 def test_criterion_5_axiom_windows():

@@ -276,6 +276,21 @@ def test_check_hn_deeply_nested_document_is_domain_error(tmp_path, monkeypatch):
                 assert out.startswith("error: ")
 
 
+def test_check_hn_nested_coarsened_family_is_domain_error(tmp_path):
+    by_shift = {"family": "coarsened", "base": {"family": "standard", "point_order": []},
+                "partition": "by-shift"}
+    doc = {"object": "O(0)", "family": {"family": "coarsened", "base": by_shift,
+                                        "partition": "by-shift"},
+           "quotients": [{"slope": {"block": "0"}, "object": "O(0)"}], "terms": ["O(0)", "0"]}
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    message = ("partition 'by-shift' does not apply to the slopes of the "
+               "coarsened(standard; by-shift) family")
+    assert _run("check", "hn", "--input", str(path)) == (1, f"error: {message}\n")
+    code, out = _run("check", "hn", "--input", str(path), "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": message})
+
+
 def test_check_hn_rejects_tampered_filtration(tmp_path):
     code, out = _run("hn", "O(3)", "--stability", "exc", "--k", "0", "--p", "0",
                      "--format", "json")
@@ -452,6 +467,28 @@ def test_bad_family_specs_keep_their_error_texts():
             assert _run("compare", side, spec, other, "std") == (1, f"error: {message}\n")
             code, out = _run("compare", side, spec, other, "std", "--format", "json")
             assert (code, json.loads(out)) == (1, {"error": message})
+
+
+def test_spec_fields_are_never_silently_ignored():
+    cases = [
+        (("heart", "--cut", "coarse:m=1,K=2"), "unknown cut field 'K' in 'coarse:m=1,K=2'"),
+        (("heart", "--cut", "std:m=1,Q=2"), "unknown cut field 'Q' in 'std:m=1,Q=2'"),
+        (("heart", "--cut", "exc:a=1,b=-1,k=2", "--p", "0"),
+         "unknown cut field 'k' in 'exc:a=1,b=-1,k=2'"),
+        (("heart", "--cut", "std:m=1,m=2"), "repeated cut field 'm' in 'std:m=1,m=2'"),
+        (("heart", "--cut", "std:m"), "bad cut field 'm' in 'std:m'"),
+        (("compare", "--fine", "exc:k=1,q=2", "--weak", "std"),
+         "unknown family field 'q' in 'exc:k=1,q=2'"),
+        (("compare", "--fine", "std", "--weak", "exc:k"), "bad family field 'k' in 'exc:k'"),
+        (("compare", "--fine", "exc:p=1,p=2", "--weak", "std"),
+         "repeated family field 'p' in 'exc:p=1,p=2'"),
+        (("compare", "--fine", "std:k=1", "--weak", "coarse"),
+         "unknown family field 'k' in 'std:k=1'"),
+    ]
+    for argv, message in cases:
+        assert _run(*argv) == (1, f"error: {message}\n"), argv
+        code, out = _run(*argv, "--format", "json")
+        assert (code, json.loads(out)) == (1, {"error": message}), argv
 
 
 # --- fuzzing ---------------------------------------------------------------------

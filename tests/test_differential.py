@@ -6,14 +6,18 @@ direct sum of all sources, the Hom rule for stable classes decided by
 comparing Fraction slopes, K0 summed one K0Class per summand, the
 character-by-character object parser, the Hom-vanishing check of
 `verify_hn` that builds one HomProfile per quotient pair, and the two
-per-curve Hom loops that the one `hom_profile` replaced.  They are kept
-here only, as oracles, and every result must agree bit for bit.  The
-JSON round trip of filtrations is tested here too, over the same
-families and objects.
+per-curve Hom loops that the one `hom_profile` replaced, and the
+hand-written slope comparators that each family's `slope_key` replaced.
+They are kept here only, as oracles, and every result must agree bit for
+bit.  The JSON round trip of filtrations is tested here too, over the
+same families and objects.
 """
 
 import math
+import random
+from functools import cmp_to_key
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tstab import cli
@@ -25,8 +29,10 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_pa
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, hom_profile,
                       normalize)
 from tstab.slopes import K0Class, Ordering
-from tstab.stability import (CheckItem, HNFiltration, Window, hom_vanishes_at_and_below_zero,
-                             merge_towers, shuffle_merge, verify_hn)
+from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
+                             HNFiltration, IntLevel, StandardSlope, Window,
+                             hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
+                             verify_hn)
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -131,6 +137,42 @@ def oracle_elliptic_hom_loop(x, y):
                 if n:
                     acc[q] = acc.get(q, 0) + m * k * n
     return HomProfile.from_dict(acc)
+
+
+def oracle_compare_coarse(a, b):
+    if not isinstance(a, CoarseSlope) or not isinstance(b, CoarseSlope):
+        raise TypeError("cross-family slope comparison")
+    return Ordering.of(a.i, b.i)
+
+
+def oracle_compare_standard(a, b):
+    if not isinstance(a, StandardSlope) or not isinstance(b, StandardSlope):
+        raise TypeError("cross-family slope comparison")
+    return Ordering.of(a.key(), b.key())
+
+
+def oracle_compare_exceptional(a, b, p):
+    """Total order on the two-column slope set for interleaving parameter p."""
+    if not isinstance(a, ExceptionalSlope) or not isinstance(b, ExceptionalSlope):
+        raise TypeError("cross-family slope comparison")
+    if a.col == b.col:
+        return Ordering.of(a.i, b.i)
+    if a.col == 0:
+        if p == INF or a.i <= b.i + p + 1:
+            return Ordering.LESS
+        return Ordering.GREATER
+    return Ordering(-oracle_compare_exceptional(b, a, p).value)
+
+
+def oracle_compare_elliptic(a, b):
+    if not isinstance(a, EllipticSlope) or not isinstance(b, EllipticSlope):
+        raise TypeError("cross-family slope comparison")
+    return Ordering.of((a.i, *a.cls.key()), (b.i, *b.cls.key()))
+
+
+def oracle_compare_blocks(a, b):
+    """The block order of both registered partitions: block ids are ints."""
+    return Ordering.of(a, b)
 
 
 def oracle_hom_vanishing(filt, family):
@@ -399,6 +441,53 @@ def test_merge_of_unsorted_towers_matches_oracle(order, objects, data):
         filt = HNFiltration.from_quotients(family, quotients)
         sources.append((filt.quotients, filt.terms))
     _assert_same(merge_towers(family, sources), oracle_merge_towers(family, sources))
+
+
+# --- slope order ----------------------------------------------------------------------
+
+def _order_cases():
+    """(family, oracle comparator, a foreign slope) for every family kind."""
+    foreign = StandardSlope(0, IntLevel(0))
+    cases = [pytest.param(CoarseZ(), oracle_compare_coarse, foreign, id="coarse"),
+             pytest.param(EllipticStandard(), oracle_compare_elliptic, CoarseSlope(0), id="ell")]
+    cases += [pytest.param(StandardP1(order), oracle_compare_standard, CoarseSlope(0),
+                           id="std-" + "".join(order)) for order in ORDERS]
+    cases += [pytest.param(ExceptionalP1(k, p),
+                           lambda a, b, p=p: oracle_compare_exceptional(a, b, p),
+                           CoarseSlope(0), id=f"exc-k{k}-p{p}")
+              for k in (-1, 0, 1) for p in (0, 1, 2, INF)]
+    cases += [pytest.param(_COARSENED["std", order], oracle_compare_blocks, foreign,
+                           id="std-by-shift-" + "".join(order)) for order in ORDERS]
+    cases += [pytest.param(_COARSENED["exc", k], oracle_compare_blocks, foreign,
+                           id=f"exc-columns-k{k}") for k in (-1, 0, 1)]
+    return cases
+
+
+def _window_slopes(family):
+    """Distinct slopes of the window generators, with their tau-shifts by -2..2.
+
+    Points carry the family's order and the default order side by side."""
+    order = getattr(family, "point_labels", ()) or LABELS
+    points = tuple(Point(lbl, order.index(lbl)) for lbl in order) + \
+        tuple(Point(lbl) for lbl in LABELS)
+    window = Window(max_degree=3, max_shift=1, max_length=1, points=points)
+    slopes = {family.semistable_slope(g) for g in family.window_generators(window)}
+    return sorted({family.tau(s, n) for s in slopes for n in range(-2, 3)}, key=repr)
+
+
+@pytest.mark.parametrize("family, oracle, foreign", _order_cases())
+def test_slope_key_order_matches_comparator_oracle(family, oracle, foreign):
+    slopes = _window_slopes(family)
+    assert len(slopes) >= 2
+    for a in slopes:
+        for b in slopes:
+            assert family.compare(a, b) == oracle(a, b), (a, b)
+    random.Random(5).shuffle(slopes)
+    assert sorted(slopes, key=family.slope_key) == \
+        sorted(slopes, key=cmp_to_key(lambda a, b: oracle(a, b).value))
+    for a, b in ((slopes[0], foreign), (foreign, slopes[0])):
+        with pytest.raises(TypeError):
+            family.compare(a, b)
 
 
 # --- Hom rule -------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,7 @@ from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, EllipticStandard, stab
 from tstab.errors import InvalidPartitionError, UnsupportedFamilyError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, StandardP1,
                             by_shift_partition, coarsen, column_partition,
-                            compare_exceptional, exceptional_rewrite, family_from_descriptor,
+                            exceptional_rewrite, family_from_descriptor,
                             finest_check, is_finer)
 from tstab.p1 import DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, torsion
 from tstab.slopes import Ordering
@@ -70,16 +71,16 @@ def test_compare_exceptional_chain_instances():
             low = ExceptionalSlope(i + p, 0)
             middle = ExceptionalSlope(i - 1, 1)
             high = ExceptionalSlope(i + p + 1, 0)
-            assert compare_exceptional(low, middle, p) == Ordering.LESS
-            assert compare_exceptional(middle, high, p) == Ordering.LESS
+            assert ExceptionalP1(0, p).compare(low, middle) == Ordering.LESS
+            assert ExceptionalP1(0, p).compare(middle, high) == Ordering.LESS
 
 
 def test_compare_exceptional_examples():
-    assert compare_exceptional(ExceptionalSlope(0, 0), ExceptionalSlope(-1, 1), 0) \
+    assert ExceptionalP1(0, 0).compare(ExceptionalSlope(0, 0), ExceptionalSlope(-1, 1)) \
         == Ordering.LESS
-    assert compare_exceptional(ExceptionalSlope(1, 0), ExceptionalSlope(-1, 1), 0) \
+    assert ExceptionalP1(0, 0).compare(ExceptionalSlope(1, 0), ExceptionalSlope(-1, 1)) \
         == Ordering.GREATER
-    assert compare_exceptional(ExceptionalSlope(100, 0), ExceptionalSlope(-100, 1), INF) \
+    assert ExceptionalP1(0, INF).compare(ExceptionalSlope(100, 0), ExceptionalSlope(-100, 1)) \
         == Ordering.LESS
 
 
@@ -87,15 +88,15 @@ def test_compare_exceptional_is_total_order_on_window():
     slopes = [ExceptionalSlope(i, c) for i in range(-6, 7) for c in (0, 1)]
     for p in (0, 1, 2, INF):
         for a, b in itertools.product(slopes, slopes):
-            ab = compare_exceptional(a, b, p)
-            ba = compare_exceptional(b, a, p)
+            ab = ExceptionalP1(0, p).compare(a, b)
+            ba = ExceptionalP1(0, p).compare(b, a)
             assert ab == Ordering(-ba.value)
             assert (ab == Ordering.EQUAL) == (a == b)
         for a, b, c in itertools.product(slopes, slopes, slopes):
-            if compare_exceptional(a, b, p) != Ordering.LESS:
+            if ExceptionalP1(0, p).compare(a, b) != Ordering.LESS:
                 continue
-            if compare_exceptional(b, c, p) == Ordering.LESS:
-                assert compare_exceptional(a, c, p) == Ordering.LESS
+            if ExceptionalP1(0, p).compare(b, c) == Ordering.LESS:
+                assert ExceptionalP1(0, p).compare(a, c) == Ordering.LESS
 
 
 def test_exceptional_rejects_bool_and_non_integer_parameters():
@@ -228,7 +229,7 @@ def test_coarsen_by_shift_acts_like_coarse_family():
 
 def test_coarsen_singleton_blocks_is_identity():
     std = StandardP1()
-    identity = SlopePartition("identity", lambda s: s, std.compare, std.tau, std.tau_inv)
+    identity = SlopePartition("identity", lambda s: s, std.slope_key, std.tau)
     derived = coarsen(std, identity, WINDOW)
     rng = random.Random(37)
     for _ in range(30):
@@ -238,10 +239,22 @@ def test_coarsen_singleton_blocks_is_identity():
 
 def test_coarsen_rejects_non_tau_stable_blocks():
     std = StandardP1()
-    capped = SlopePartition("capped", lambda s: min(s.i, 0),
-                            lambda a, b: Ordering.of(a, b), lambda b: b + 1, lambda b: b - 1)
+    capped = SlopePartition("capped", lambda s: min(s.i, 0), lambda b: b, lambda b: b + 1)
     with pytest.raises(InvalidPartitionError):
         coarsen(std, capped, WINDOW)
+
+
+def test_coarsen_rejects_partitions_of_another_slope_set():
+    by_shift = coarsen(StandardP1(), by_shift_partition())
+    for family, partition in ((by_shift, by_shift_partition()), (StandardP1(), column_partition()),
+                              (CoarseZ(), column_partition())):
+        with pytest.raises(InvalidPartitionError,
+                           match=f"partition '{partition.label}' does not apply to the "
+                                 rf"slopes of the {re.escape(family.kind)} family"):
+            coarsen(family, partition, WINDOW)
+    desc = {"family": "coarsened", "base": by_shift.descriptor(), "partition": "by-shift"}
+    with pytest.raises(InvalidPartitionError):
+        family_from_descriptor(desc)
 
 
 def test_coarsen_rejects_interleaved_columns_at_finite_p():
@@ -320,6 +333,14 @@ def test_families_keep_to_their_own_object_model():
         assert merged == filt
         for obj in (*merged.terms, *merged.quotient_objects):
             assert type(obj) is type(family.zero)
+
+
+def test_objects_on_different_curves_do_not_add():
+    for a, b in ((ZERO, stable(1, 0, "x")), (ELLIPTIC_ZERO, line(2)),
+                 (line(0) + torsion("x"), stable(0, 1, "x", 1))):
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(TypeError):
+                left + right
 
 
 # --- descriptors ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the HN engine: computation, verification, filtration algebra."""
 
+import itertools
 import random
 import time
 
@@ -11,7 +12,6 @@ from tstab.elliptic import EllipticStandard, stable
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
 from tstab.p1 import Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize, torsion
-from tstab.slopes import Ordering
 from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
                              StandardSlope, Window, glue, is_semistable, shuffle_merge,
                              split, validate_stability, verify_hn)
@@ -246,13 +246,12 @@ def test_shift_equivariance():
 
 
 def test_shifted_is_closed_form_for_huge_shifts():
-    n = 10 ** 8
     p1 = line(3) + torsion(Point("x"), 2, 1) + line(-2, -1)
     ell = stable(1, 2, "x") + stable(0, 1, "y", shift=-1)
     cases = [(fam, p1) for fam in (STD, EXC0, CoarseZ(), coarsen(STD, by_shift_partition()),
                                    coarsen(ExceptionalP1(0, INF), column_partition()))]
     cases.append((EllipticStandard(), ell))
-    for fam, x in cases:
+    for (fam, x), n in itertools.product(cases, (10 ** 8, -10 ** 8)):
         filt = fam.hn(x)
         start = time.perf_counter()
         far = filt.shifted(n)
@@ -319,12 +318,10 @@ def test_validate_standard_and_exceptional():
 class _TorsionBelowLines(StandardP1):
     """Deliberately wrong order: point strata below line strata."""
 
-    def compare(self, a, b):
-        def key(s):
-            if isinstance(s.level, IntLevel):
-                return (s.i, 1, (s.level.n, ""))
-            return (s.i, 0, s.level.point.key())
-        return Ordering.of(key(a), key(b))
+    def slope_key(self, s):
+        if isinstance(s.level, IntLevel):
+            return (s.i, 1, (s.level.n, ""))
+        return (s.i, 0, s.level.point.key())
 
 
 def test_validate_rejects_inverted_torsion_order():

@@ -227,7 +227,7 @@ def test_heart_membership_matches_truncation():
             x = fam.random_object(rng, WINDOW)
             member = heart_contains(x, cut, fam)
             truncates_whole = truncate(x, cut, fam) == (x, ZERO)
-            tau_cond = all(not cut.in_plus(fam.tau_inv(s)) for s in fam.hn(x).slopes)
+            tau_cond = all(not cut.in_plus(fam.tau(s, -1)) for s in fam.hn(x).slopes)
             assert member == (truncates_whole and tau_cond)
             assert member == all(heart.contains_slope(s) for s in fam.hn(x).slopes)
 
