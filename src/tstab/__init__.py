@@ -3,9 +3,9 @@
 from .slopes import (ExtendedRational, K0Class, Nu, One, Ordering, PLUS_INFINITY,
                      PositiveSystem, RANK_DEGREE, SlopeValue, check_positive,
                      compare_slopes, gamma_slope, mu_bar, seesaw_check)
-from .p1 import (DerivedObject, FormalSum, HomProfile, Indec, Line, Point, PointOrder,
+from .p1 import (DEFAULT_POINTS, DerivedObject, FormalSum, HomProfile, Indec, Line, Point,
                  ShiftedIndec, Torsion, ZERO, direct_sum, euler_form, hom_dim, hom_profile,
-                 line, normalize, torsion)
+                 line, normalize, point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                         HNFiltration, IntLevel, PointLevel, Report, StabilityFamily,
                         StandardSlope, TermRewrite, Window, glue, is_semistable,

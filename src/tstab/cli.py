@@ -35,8 +35,8 @@ from .elliptic import EllipticObject, ShiftedClass, StableClass, normalize_ellip
 from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
                      ObjectParseError, TStabError)
 from .families import INF, family_from_descriptor, is_finer
-from .p1 import (DerivedObject, Line, Point, PointOrder, ShiftedIndec, Torsion,
-                 hom_profile, normalize)
+from .p1 import (DEFAULT_POINTS, DerivedObject, Line, Point, ShiftedIndec, Torsion,
+                 hom_profile, normalize, point_resolver)
 from .stability import HNFiltration, Report, StabilityFamily, Window, verify_hn
 from .tstructures import (CATALOG_NAMES, CoarseCut, ExceptionalCut, SlopeCut, StandardCut,
                           catalog, catalog_entries, diagram, heart_contains, heart_slopes,
@@ -127,9 +127,7 @@ def parse_object(text: str, category: str = "auto", resolve_point=None
     the line).  `resolve_point` maps labels to Points and defaults to
     label-ordered points.
     """
-    if resolve_point is None:
-        resolve_point = Point
-    return _parse_object(text, category, resolve_point, {})
+    return _parse_object(text, category, resolve_point or Point, {})
 
 
 def _parse_object(text: str, category: str, resolve_point, atoms: dict
@@ -309,22 +307,24 @@ class SessionConfig:
     fmt: str = "text"
     seed: int = 0
 
-    def resolver(self):
-        if not self.points:
-            return Point
-        order = PointOrder(self.points)
 
-        def resolve(label: str) -> Point:
-            if label in order:
-                return order.point(label)
-            raise ObjectParseError(f"undeclared point label {label!r}", 0)
-        return resolve
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
-def _parse_p(text: str) -> int | float:
-    if text == "inf":
-        return INF
-    value = int(text)
+def _int_field(text: str, name: str, where: str, infinite: tuple[str, ...] = ()) -> int | float:
+    """An integer field of a spec, flag or config line, or one of the
+    `infinite` spellings ("inf", "-inf"); anything else raises TStabError
+    naming the field and where it was given."""
+    if text in infinite:
+        return -INF if text == "-inf" else INF
+    if not _INT_RE.match(text):
+        allowed = " or ".join(("an integer", *infinite))
+        raise TStabError(f"{name} must be {allowed}, got {text!r} in {where!r}")
+    return int(text)
+
+
+def _parse_p(text: str, where: str) -> int | float:
+    value = _int_field(text, "p", where, ("inf",))
     if value < 0:
         raise ValueError("p must be nonnegative or inf")
     return value
@@ -344,15 +344,15 @@ def load_config(path: str) -> dict:
             if key == "points":
                 settings["points"] = tuple(part.strip() for part in value.split(",") if part.strip())
             elif key == "k":
-                settings["k"] = int(value)
+                settings["k"] = _int_field(value, "k", f"{path}:{lineno}")
             elif key == "p":
-                settings["p"] = _parse_p(value)
+                settings["p"] = _parse_p(value, f"{path}:{lineno}")
             elif key == "format":
                 if value not in ("text", "json"):
                     raise TStabError(f"{path}:{lineno}: format must be text or json")
                 settings["fmt"] = value
             elif key == "seed":
-                settings["seed"] = int(value)
+                settings["seed"] = _int_field(value, "seed", f"{path}:{lineno}")
             else:
                 raise TStabError(f"{path}:{lineno}: unknown key {key!r}")
     return settings
@@ -367,7 +367,7 @@ def make_session(args: argparse.Namespace) -> SessionConfig:
     if getattr(args, "k", None) is not None:
         settings["k"] = args.k
     if getattr(args, "p", None) is not None:
-        settings["p"] = _parse_p(args.p)
+        settings["p"] = _parse_p(args.p, "--p")
     if getattr(args, "format", None):
         settings["fmt"] = args.format
     if getattr(args, "seed", None) is not None:
@@ -377,17 +377,11 @@ def make_session(args: argparse.Namespace) -> SessionConfig:
 
 # --- cut and family specifications -------------------------------------------------
 
-def _parse_bound(text: str) -> int | float:
-    if text == "inf":
-        return INF
-    if text == "-inf":
-        return -INF
-    return int(text)
-
-
 # The fields each kind of spec takes; any other field is an error.
 _CUT_FIELDS = {"std": ("m", "K", "P"), "exc": ("a", "b"), "coarse": ("m",)}
 _FAMILY_FIELDS = {"std": (), "coarse": (), "exc": ("k", "p"), "ell": ()}
+_CATALOG_FIELDS = {**dict.fromkeys(CATALOG_NAMES, ()), "D": ("P",), "E": ("p",), "F": ("p",)}
+_BOUND = ("inf", "-inf")
 
 
 def _spec_fields(spec: str, what: str, allowed: dict) -> tuple[str, dict]:
@@ -415,8 +409,8 @@ def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, Stabilit
     """Parse a cut specification and build the matching family."""
     kind, fields = _spec_fields(spec, "cut", _CUT_FIELDS)
     if kind == "std":
-        m = int(fields.get("m", "0"))
-        K = _parse_bound(fields.get("K", "-inf"))
+        m = _int_field(fields.get("m", "0"), "m", spec)
+        K = _int_field(fields.get("K", "-inf"), "K", spec, _BOUND)
         p_field = fields.get("P", "all")
         if p_field == "all":
             P = None
@@ -428,9 +422,10 @@ def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, Stabilit
     elif kind == "exc":
         if "a" not in fields or "b" not in fields:
             raise TStabError("an exceptional cut needs a and b")
-        cut = ExceptionalCut(_parse_bound(fields["a"]), _parse_bound(fields["b"]))
+        cut = ExceptionalCut(_int_field(fields["a"], "a", spec, _BOUND),
+                             _int_field(fields["b"], "b", spec, _BOUND))
     elif kind == "coarse":
-        cut = CoarseCut(int(fields.get("m", "0")))
+        cut = CoarseCut(_int_field(fields.get("m", "0"), "m", spec))
     else:
         raise TStabError(f"unknown cut kind {kind!r} (use std:, exc: or coarse:)")
     return cut, parse_famspec(kind, session)
@@ -447,8 +442,8 @@ def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
     elif kind == "coarse":
         desc = {"family": "coarse"}
     elif kind == "exc":
-        k = int(fields.get("k", session.k))
-        p = _parse_p(fields["p"]) if "p" in fields else session.p
+        k = _int_field(fields["k"], "k", spec) if "k" in fields else session.k
+        p = _parse_p(fields["p"], spec) if "p" in fields else session.p
         desc = {"family": "exceptional", "k": k, "p": "inf" if p == INF else p}
     elif kind == "ell":
         desc = {"family": "elliptic", "point_order": list(session.points)}
@@ -485,7 +480,7 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
     try:
         family = family_from_descriptor(data["family"])
         category = _category(family)
-        resolver = _family_resolver(family)
+        resolver = point_resolver(family.point_labels)
         atoms: dict = {}  # terms are suffix sums: most of their atoms repeat
 
         def parse(text):
@@ -507,24 +502,16 @@ def _category(family: StabilityFamily) -> str:
     return "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
 
 
-def _family_resolver(family: StabilityFamily):
-    labels = getattr(family, "point_labels", ())
-    if labels:
-        order = PointOrder(labels)
-        return lambda lbl: order.point(lbl) if lbl in order else Point(lbl)
-    return Point
-
-
 # --- subcommand handlers --------------------------------------------------------------
 
 def _cmd_normalize(args, session, out) -> int:
-    obj = parse_object(args.expr, "auto", session.resolver())
+    obj = parse_object(args.expr, "auto", point_resolver(session.points))
     _emit({"object": obj.render()}, obj.render(), session, out)
     return 0
 
 
 def _cmd_hom(args, session, out) -> int:
-    resolver = session.resolver()
+    resolver = point_resolver(session.points)
     x = parse_object(args.x, "auto", resolver)
     y = parse_object(args.y, "auto", resolver)
     if type(x) is not type(y):
@@ -542,7 +529,7 @@ def _cmd_hom(args, session, out) -> int:
 
 def _cmd_hn(args, session, out) -> int:
     family = parse_famspec(args.stability, session)
-    obj = parse_object(args.expr, _category(family), session.resolver())
+    obj = parse_object(args.expr, _category(family), point_resolver(session.points))
     filt = family.hn(obj)
     _emit(filt.to_json(), _filtration_text(filt), session, out)
     return 0
@@ -550,7 +537,7 @@ def _cmd_hn(args, session, out) -> int:
 
 def _cmd_truncate(args, session, out) -> int:
     cut, family = parse_cutspec(args.cut, session)
-    obj = parse_object(args.expr, "p1", session.resolver())
+    obj = parse_object(args.expr, "p1", point_resolver(session.points))
     le0, ge1 = truncate(obj, cut, family)
     _emit({"le0": le0.render(), "ge1": ge1.render()},
           f"le0: {le0.render()}\nge1: {ge1.render()}", session, out)
@@ -559,15 +546,15 @@ def _cmd_truncate(args, session, out) -> int:
 
 def _cmd_heart(args, session, out) -> int:
     cut, family = parse_cutspec(args.cut, session)
-    heart = heart_slopes(cut, family)
-    gens = heart.generators()
-    payload: dict = {"generators": gens, "bounded": is_bounded(cut, family)}
+    gens = heart_slopes(cut, family).generators()
+    bounded = is_bounded(cut, family)
+    payload: dict = {"generators": gens, "bounded": bounded}
     lines = ["heart generators:"] + [f"  {g}" for g in gens]
     if not gens:
         lines = ["heart generators: (none)"]
-    lines.append(f"bounded: {str(is_bounded(cut, family)).lower()}")
+    lines.append(f"bounded: {str(bounded).lower()}")
     if args.contains is not None:
-        obj = parse_object(args.contains, "p1", session.resolver())
+        obj = parse_object(args.contains, "p1", point_resolver(session.points))
         member = heart_contains(obj, cut, family)
         payload["contains"] = member
         lines.append(f"contains {obj.render()}: {str(member).lower()}")
@@ -575,27 +562,8 @@ def _cmd_heart(args, session, out) -> int:
     return 0
 
 
-def _parse_params(param_args: Sequence[str]) -> dict:
-    params: dict = {}
-    for chunk in param_args or ():
-        for part in chunk.split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise TStabError(f"bad parameter {part!r} (use name=value)")
-            key, _, value = part.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "p":
-                params["p"] = _parse_p(value)
-            elif key == "P":
-                params["P"] = frozenset(lbl for lbl in value.split(";") if lbl)
-            else:
-                raise TStabError(f"unknown parameter {key!r}")
-    return params
-
-
 def _cmd_catalog(args, session, out) -> int:
-    points = session.points or ("x", "y", "z")
+    points = session.points or DEFAULT_POINTS
     if not args.name:
         entries = catalog_entries(points=points, p=0)
         payload = {"entries": [e.to_json() for e in entries]}
@@ -604,8 +572,11 @@ def _cmd_catalog(args, session, out) -> int:
                          for e in entries)
         _emit(payload, text, session, out)
         return 0
-    params = _parse_params(args.params)
-    entry = catalog(args.name, p=params.get("p"), P=params.get("P"), points=points)
+    spec = f"{args.name}:{','.join(args.params)}"
+    _, params = _spec_fields(spec, "parameter", _CATALOG_FIELDS)
+    p = _parse_p(params["p"], spec) if "p" in params else None
+    P = frozenset(lbl for lbl in params["P"].split(";") if lbl) if "P" in params else None
+    entry = catalog(args.name, p=p, P=P, points=points)
     if args.diagram:
         text = diagram(entry.cut, entry.family)
         _emit({**entry.to_json(), "diagram": text}, text, session, out)

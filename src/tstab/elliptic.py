@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import QOutOfRangeError
-from .p1 import FormalSum, Point, hom_profile
+from .p1 import FormalSum, Point, hom_profile, point_resolver
 from .slopes import ExtendedRational, K0Class, PLUS_INFINITY
 from .stability import EllipticSlope, StabilityFamily, Window
 
@@ -162,6 +162,7 @@ class EllipticStandard(StabilityFamily):
 
     def __post_init__(self):
         object.__setattr__(self, "point_labels", tuple(self.point_labels))
+        point_resolver(self.point_labels)  # checks the labels
 
     def slope_key(self, s: EllipticSlope) -> tuple:
         if not isinstance(s, EllipticSlope):
@@ -186,8 +187,7 @@ class EllipticStandard(StabilityFamily):
         if not match:
             raise ValueError(f"bad stable class {data['class']!r}")
         r, d, label = int(match.group(1)), int(match.group(2)), match.group(3)
-        idx = self.point_labels.index(label) if label in self.point_labels else 0
-        cls = StableClass(r, d, Point(label, idx))
+        cls = StableClass(r, d, point_resolver(self.point_labels)(label))
         return EllipticSlope(int(data["shift"]), cls.mu(), cls)
 
     def window_classes(self, window: Window, max_rank: int = 3) -> list[StableClass]:

@@ -34,8 +34,8 @@ from typing import Callable
 
 from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
-from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
-                 torsion)
+from .p1 import (DerivedObject, Line, ShiftedIndec, Torsion, ZERO, line, normalize,
+                 point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel, Report,
                         StabilityFamily, StandardSlope, TermRewrite, Window)
 
@@ -107,10 +107,10 @@ class StandardP1(P1Family):
     """The finest grading by (shift, degree-or-point).
 
     Within one shift level all line-bundle slopes (ascending in degree)
-    lie below all point slopes; points are ordered by their session
-    order (lexicographic by label when unconfigured).  `point_labels`
-    records the declared point universe for serialisation and for
-    validating point sets of cuts; slope comparisons use the order
+    lie below all point slopes; points are ordered by their declared
+    order (lexicographic by label when none is declared).  `point_labels`
+    is that order: it is serialised, resolves the labels of documents
+    and validates point sets of cuts; slope comparisons use the order
     carried by the points themselves.
     """
 
@@ -120,14 +120,7 @@ class StandardP1(P1Family):
 
     def __post_init__(self):
         object.__setattr__(self, "point_labels", tuple(self.point_labels))
-
-    def points(self) -> tuple[Point, ...]:
-        return tuple(Point(lbl, idx) for idx, lbl in enumerate(self.point_labels))
-
-    def point(self, label: str) -> Point:
-        if label not in self.point_labels:
-            raise KeyError(f"undeclared point label {label!r}")
-        return Point(label, self.point_labels.index(label))
+        point_resolver(self.point_labels)  # checks the labels
 
     def slope_key(self, s: StandardSlope) -> tuple:
         if not isinstance(s, StandardSlope):
@@ -154,8 +147,7 @@ class StandardP1(P1Family):
         level = data["level"]
         if "int" in level:
             return StandardSlope(int(data["shift"]), IntLevel(int(level["int"])))
-        label = level["point"]
-        pt = self.point(label) if label in self.point_labels else Point(label)
+        pt = point_resolver(self.point_labels)(level["point"])
         return StandardSlope(int(data["shift"]), PointLevel(pt))
 
 
@@ -388,7 +380,7 @@ class CoarsenedFamily(StabilityFamily):
     @property
     def point_labels(self) -> tuple[str, ...]:
         """The base family's point order; parsed documents resolve labels by it."""
-        return getattr(self.base, "point_labels", ())
+        return self.base.point_labels
 
     def slope_key(self, s):
         return self.partition.block_key(s)
@@ -514,17 +506,19 @@ def finest_check(family: StabilityFamily, window: Window) -> Report:
 # --- descriptors ------------------------------------------------------------------
 
 def family_from_descriptor(desc: dict) -> StabilityFamily:
-    """Rebuild a family from its JSON descriptor."""
+    """Rebuild a family from its JSON descriptor; a field of the wrong type
+    (`point_order` not a list, `k` or `p` not an integer) raises ValueError."""
     kind = desc.get("family")
     if kind == "coarse":
         return CoarseZ()
-    if kind == "standard":
-        return StandardP1(tuple(desc.get("point_order", ())))
+    if kind in ("standard", "elliptic"):
+        order = desc.get("point_order", [])
+        if not isinstance(order, list):
+            raise ValueError(f"point_order must be a list of point labels, got {order!r}")
+        return (StandardP1 if kind == "standard" else EllipticStandard)(tuple(order))
     if kind == "exceptional":
         p = desc.get("p", 0)
-        return ExceptionalP1(int(desc.get("k", 0)), INF if p == "inf" else int(p))
-    if kind == "elliptic":
-        return EllipticStandard(tuple(desc.get("point_order", ())))
+        return ExceptionalP1(desc.get("k", 0), INF if p == "inf" else p)
     if kind == "coarsened" and desc.get("partition") in PARTITIONS:
         return coarsen(family_from_descriptor(desc["base"]), PARTITIONS[desc["partition"]]())
     raise ValueError(f"unknown family descriptor {desc!r}")

@@ -29,67 +29,65 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Union
 
+from .errors import ObjectParseError
 from .slopes import K0Class
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9]+\Z")
+
+
+# The point universe of windows, catalogs and cut checks when no order is declared.
+DEFAULT_POINTS = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
 class Point:
     """A point of P1: an opaque label plus its position in the point order.
 
-    Points compare by (order_index, label), so leaving order_index at 0
-    gives the default lexicographic order on labels.  All points of one
-    session should be produced by the same `PointOrder`.
+    Points sort by `key()`, (order_index, label), so leaving order_index at
+    0 gives the default lexicographic order on labels.  Points of a
+    declared order come from `point_resolver`.
     """
 
     label: str
     order_index: int = 0
 
     def __post_init__(self):
-        if not _LABEL_RE.match(self.label):
+        if not isinstance(self.label, str) or not _LABEL_RE.match(self.label):
             raise ValueError(f"point label must be letters/digits, got {self.label!r}")
 
     def key(self):
         return (self.order_index, self.label)
 
-    def __lt__(self, other: "Point"):
-        return self.key() < other.key()
-
     def __repr__(self):
         return self.label
 
 
-class PointOrder:
-    """A session's point universe: labels with a fixed total order."""
+@lru_cache(maxsize=64)
+def point_resolver(labels: tuple[str, ...] = ()) -> Callable[[str], Point]:
+    """The map from a label to its Point under a declared point order.
 
-    def __init__(self, labels: Sequence[str]):
-        if len(set(labels)) != len(labels):
-            raise ValueError("point labels must be unique")
-        self._points = {lbl: Point(lbl, i) for i, lbl in enumerate(labels)}
-        self._labels = tuple(labels)
+    With no order declared every label gets its lexicographic `Point`.
+    Otherwise the labels must be unique point labels; a declared label
+    gets its position in the order, and an undeclared one raises
+    ObjectParseError.  This is the only code that gives a point a
+    position.  Resolvers of recent orders are cached, so per-call use
+    (one slope of a document) costs a lookup.
+    """
+    if not labels:
+        return Point
+    if len(set(labels)) != len(labels):
+        raise ValueError("point labels must be unique")
+    points = {lbl: Point(lbl, i) for i, lbl in enumerate(labels)}
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
-
-    def point(self, label: str) -> Point:
+    def resolve(label: str) -> Point:
         try:
-            return self._points[label]
+            return points[label]
         except KeyError:
-            raise KeyError(f"undeclared point label {label!r}") from None
-
-    def points(self) -> tuple[Point, ...]:
-        return tuple(self._points[lbl] for lbl in self._labels)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._points
-
-    @staticmethod
-    def lexicographic(labels: Sequence[str]) -> "PointOrder":
-        return PointOrder(sorted(set(labels)))
+            raise ObjectParseError(f"undeclared point label {label!r}", 0) from None
+    return resolve
 
 
 # --- indecomposables --------------------------------------------------------

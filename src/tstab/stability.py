@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InvalidShuffleError, UnsupportedFamilyError
-from .p1 import Point, hom_profile
+from .p1 import DEFAULT_POINTS, Point, hom_profile
 from .slopes import ExtendedRational, K0Class, Ordering
 
 
@@ -152,7 +152,7 @@ class Window:
     max_shift: int = 2
     max_length: int = 3
     max_summands: int = 6
-    points: tuple[Point, ...] = (Point("x"), Point("y"), Point("z"))
+    points: tuple[Point, ...] = tuple(map(Point, DEFAULT_POINTS))
     samples: int = 50
     seed: int = 0
 
@@ -282,6 +282,7 @@ class StabilityFamily:
 
     kind = "abstract"
     zero: object = None
+    point_labels: tuple[str, ...] = ()  # the declared point order, if any
 
     # -- slope order --
 

@@ -31,7 +31,8 @@ from typing import Iterable, Sequence
 from .errors import (BadParamsError, HomViolationError, InvalidCutError,
                      NotSlopeDescribableError, UnboundedError)
 from .families import INF, CoarseZ, ExceptionalP1, StandardP1
-from .p1 import (DerivedObject, Indec, Line, Point, Torsion, hom_profile, line, torsion)
+from .p1 import (DEFAULT_POINTS, DerivedObject, Indec, Line, Point, Torsion, hom_profile, line,
+                 point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel,
                         Report, StabilityFamily, StandardSlope)
 
@@ -168,13 +169,18 @@ def cut_is_valid(cut: SlopeCut, family: StabilityFamily) -> bool:
     return _cut_validity_reason(cut, family) is None
 
 
+def _universe(family: StandardP1) -> tuple[Point, ...]:
+    """The family's declared points in their order, else the default universe."""
+    labels = family.point_labels
+    return tuple(map(point_resolver(labels), labels or DEFAULT_POINTS))
+
+
 def _window_slopes(cut: SlopeCut, family: StabilityFamily, radius: int) -> list:
     if isinstance(cut, StandardCut):
         center = cut.m
         degrees = range(-radius, radius + 1) if cut.K in (INF, -INF) else \
             range(int(cut.K) - radius, int(cut.K) + radius + 1)
-        points = family.points() if family.point_labels else \
-            tuple(Point(lbl) for lbl in ("x", "y", "z"))
+        points = _universe(family)
         slopes = []
         for i in range(center - radius, center + radius + 2):
             for n in degrees:
@@ -404,13 +410,12 @@ def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),
     HomViolationError, and a pair whose cut would not be up-closed in
     the session's point order raises NotSlopeDescribableError.
     """
-    points = family.points() if family.point_labels else tuple(Point(lbl) for lbl in ("x", "y", "z"))
     degrees = range(-radius, radius + 1) if pair.line_threshold in (INF, -INF) else \
         range(int(pair.line_threshold) - radius, int(pair.line_threshold) + radius + 1)
     first, second = [], []
     for n in degrees:
         (first if pair.in_first(Line(n)) else second).append(line(n))
-    for pt in points:
+    for pt in _universe(family):
         for d in (1, 2):
             (first if pair.in_first(Torsion(pt, d)) else second).append(torsion(pt, d))
     for a in first:
@@ -418,10 +423,7 @@ def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),
             if hom_profile(a, b)[0] != 0:
                 raise HomViolationError(
                     f"Hom^0({a.render()}, {b.render()}) != 0 across the claimed pair")
-    if pair.torsion_points is None:
-        cut = StandardCut(0, pair.line_threshold, None)
-    else:
-        cut = StandardCut(0, pair.line_threshold, pair.torsion_points)
+    cut = StandardCut(0, pair.line_threshold, pair.torsion_points)
     reason = _cut_validity_reason(cut, family)
     if reason is not None:
         raise NotSlopeDescribableError(reason)
@@ -476,7 +478,7 @@ def _params_json(params: dict) -> dict:
 
 
 def catalog(name: str, p: int | None = None, P: Iterable[str] | None = None,
-            points: Sequence[str] = ("x", "y", "z")) -> CatalogEntry:
+            points: Sequence[str] = DEFAULT_POINTS) -> CatalogEntry:
     """The named t-structure, normalised to twist 0 and shift 0.
 
     Standard entries (A, B, C, D) live over the standard family with the
@@ -524,7 +526,7 @@ def catalog(name: str, p: int | None = None, P: Iterable[str] | None = None,
     raise BadParamsError(f"unknown catalog name {name!r}")
 
 
-def catalog_entries(points: Sequence[str] = ("x", "y", "z"), p: int = 0) -> list[CatalogEntry]:
+def catalog_entries(points: Sequence[str] = DEFAULT_POINTS, p: int = 0) -> list[CatalogEntry]:
     """All nine entries with default parameters (D uses the top point)."""
     top = points[-1]
     return [catalog("A", points=points), catalog("B", points=points),

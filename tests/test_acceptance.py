@@ -18,7 +18,7 @@ from tstab.errors import InvalidPartitionError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, coarsen,
                             column_partition, exceptional_rewrite, finest_check, is_finer)
 from tstab.p1 import (Line, Point, ShiftedIndec, Torsion, ZERO, euler_form, hom_profile,
-                      line)
+                      line, point_resolver)
 from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
                              StandardSlope, Window, validate_stability, verify_hn)
 from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, apply_twist_shift,
@@ -228,7 +228,8 @@ def test_criterion_6_catalog_golden():
         if name in "ABCD":
             slopes = [StandardSlope(i, IntLevel(n)) for i in range(-2, 4)
                       for n in range(-6, 7)]
-            slopes += [StandardSlope(i, PointLevel(entry.family.point(lbl)))
+            resolve = point_resolver(entry.family.point_labels)
+            slopes += [StandardSlope(i, PointLevel(resolve(lbl)))
                        for i in range(-2, 4) for lbl in points]
             for s in slopes:
                 ok = ok and heart.contains_slope(s) == preds[name](s)
@@ -294,7 +295,7 @@ def test_criterion_8_truncation_contract():
     points = ("x", "y", "z")
     std = StandardP1(points)
     window = Window(max_degree=8, max_shift=3, max_length=4, max_summands=6,
-                    points=std.points())
+                    points=tuple(map(point_resolver(points), points)))
     upsets = [None, frozenset({"z"}), frozenset({"y", "z"})]
     cuts = []
     for m in range(-2, 3):

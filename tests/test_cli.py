@@ -491,6 +491,69 @@ def test_spec_fields_are_never_silently_ignored():
         assert (code, json.loads(out)) == (1, {"error": message}), argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("compare", "--fine", "exc:k=x", "--weak", "std"),
+     "k must be an integer, got 'x' in 'exc:k=x'"),
+    (("heart", "--cut", "std:m=x"), "m must be an integer, got 'x' in 'std:m=x'"),
+    (("heart", "--cut", "exc:a=1.5,b=0"),
+     "a must be an integer or inf or -inf, got '1.5' in 'exc:a=1.5,b=0'"),
+    (("check", "cut", "--cut", "std:m=1,K=x"),
+     "K must be an integer or inf or -inf, got 'x' in 'std:m=1,K=x'"),
+    (("hn", "O(1)", "--stability", "exc", "--p", "x"),
+     "p must be an integer or inf, got 'x' in '--p'"),
+    (("catalog", "E", "--params", "p=1.5"), "p must be an integer or inf, got '1.5' in 'E:p=1.5'"),
+], ids=["family-k", "cut-m", "cut-a", "cut-K", "flag-p", "catalog-p"])
+def test_integer_fields_name_the_field_and_the_spec(argv, message):
+    assert _run(*argv) == (1, f"error: {message}\n")
+    code, out = _run(*argv, "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": message})
+
+
+def test_catalog_parameters_are_spec_fields():
+    assert _run("catalog", "A", "--params", "p=1") == \
+        (1, "error: unknown parameter field 'p' in 'A:p=1'\n")
+    assert _run("catalog", "E", "--params", "p=1", "--params", "p=2") == \
+        (1, "error: repeated parameter field 'p' in 'E:p=1,p=2'\n")
+    assert _run("catalog", "D", "--params", "P=y;z")[0] == 0
+
+
+def _check_hn_is_domain_error(doc, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run("check", "hn", "--input", str(path), "--format", "json")
+    assert code == 1 and set(json.loads(out)) == {"error"}, out
+    return json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("family", [
+    {"family": "exceptional", "k": 1.5, "p": 2.7},
+    {"family": "exceptional", "k": True, "p": 0},
+    {"family": "standard", "point_order": "zyx"},
+    {"family": "standard", "point_order": ["x", "x"]},
+], ids=["float-k-p", "bool-k", "string-order", "repeated-label"])
+def test_family_descriptor_fields_are_not_coerced(family, tmp_path):
+    with pytest.raises(ValueError):
+        family_from_descriptor(family)
+    doc = {"object": "O(3)", "family": family, "quotients": [], "terms": ["O(3)", "0"]}
+    _check_hn_is_domain_error(doc, tmp_path)
+
+
+def test_check_hn_rejects_a_fractional_twist(tmp_path):
+    _, out = _run("hn", "O(3)", "--stability", "exc", "--k", "0", "--p", "0", "--format", "json")
+    doc = json.loads(out)
+    doc["family"]["k"] = 0.9
+    assert _check_hn_is_domain_error(doc, tmp_path) == "k must be an integer, got 0.9"
+
+
+def test_check_hn_rejects_labels_outside_the_declared_order(tmp_path):
+    _, out = _run("hn", "T(y,1) + T(x,1)", "--stability", "std", "--points", "y,x",
+                  "--format", "json")
+    doc = json.loads(out)
+    doc["family"]["point_order"] = ["y"]
+    assert _check_hn_is_domain_error(doc, tmp_path) == \
+        "undeclared point label 'x' (at position 0)"
+
+
 # --- fuzzing ---------------------------------------------------------------------
 
 _HN_DOCS = [json.loads(_run("hn", expr, *flags, "--format", "json")[1]) for expr, flags in (

@@ -6,8 +6,9 @@ direct sum of all sources, the Hom rule for stable classes decided by
 comparing Fraction slopes, K0 summed one K0Class per summand, the
 character-by-character object parser, the Hom-vanishing check of
 `verify_hn` that builds one HomProfile per quotient pair, and the two
-per-curve Hom loops that the one `hom_profile` replaced, and the
-hand-written slope comparators that each family's `slope_key` replaced.
+per-curve Hom loops that the one `hom_profile` replaced, the
+hand-written slope comparators that each family's `slope_key` replaced,
+and the three label resolvers that `point_resolver` replaced.
 They are kept here only, as oracles, and every result must agree bit for
 bit.  The JSON round trip of filtrations is tested here too, over the
 same families and objects.
@@ -27,7 +28,7 @@ from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, hom_profile,
-                      normalize)
+                      normalize, point_resolver)
 from tstab.slopes import K0Class, Ordering
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                              HNFiltration, IntLevel, StandardSlope, Window,
@@ -188,6 +189,46 @@ def oracle_hom_vanishing(filt, family):
         if not ok:
             break
     return CheckItem("hom_vanishing", ok, detail)
+
+
+class OraclePointOrder:
+    """A session's point universe: labels with a fixed total order."""
+
+    def __init__(self, labels):
+        if len(set(labels)) != len(labels):
+            raise ValueError("point labels must be unique")
+        self._points = {lbl: Point(lbl, i) for i, lbl in enumerate(labels)}
+
+    def point(self, label):
+        try:
+            return self._points[label]
+        except KeyError:
+            raise KeyError(f"undeclared point label {label!r}") from None
+
+    def __contains__(self, label):
+        return label in self._points
+
+
+def oracle_session_resolver(points):
+    """The session's resolver: undeclared labels of a declared order are errors."""
+    if not points:
+        return Point
+    order = OraclePointOrder(points)
+
+    def resolve(label):
+        if label in order:
+            return order.point(label)
+        raise ObjectParseError(f"undeclared point label {label!r}", 0)
+    return resolve
+
+
+def oracle_family_resolver(family):
+    """The resolver of parsed documents: undeclared labels got order index 0."""
+    labels = getattr(family, "point_labels", ())
+    if labels:
+        order = OraclePointOrder(labels)
+        return lambda lbl: order.point(lbl) if lbl in order else Point(lbl)
+    return Point
 
 
 class _OracleScanner:
@@ -586,8 +627,8 @@ def mangled_expressions(draw):
 
 _RESOLVERS = {
     "default": None,
-    "family": cli._family_resolver(StandardP1(("z", "x", "y"))),
-    "session": cli.SessionConfig(points=("y", "x", "z")).resolver(),
+    "family": point_resolver(StandardP1(("z", "x", "y")).point_labels),
+    "session": point_resolver(("y", "x", "z")),
 }
 
 
@@ -628,6 +669,42 @@ def test_parser_matches_scanner_oracle_on_mangled_expressions(texts, category, r
 
 def test_parser_matches_scanner_oracle_on_non_strings():
     _assert_parses_like_oracle([5, None, ["O(3)"], ["  "], [], ("0",)], "p1", "default")
+
+
+# --- point order ------------------------------------------------------------------------
+
+_ORDER_LABELS = st.sampled_from(["x", "y", "z", "a", "b1", "7"])
+
+
+@settings(max_examples=200)
+@given(st.lists(_ORDER_LABELS, unique=True, max_size=4), st.lists(_ORDER_LABELS, max_size=6))
+def test_point_resolver_matches_replaced_resolvers(order, labels):
+    """Declared labels (or any label when no order is declared) resolve to the
+    old resolvers' Points; an undeclared one raises the session's error."""
+    resolve = point_resolver(tuple(order))
+    session = oracle_session_resolver(tuple(order))
+    family = oracle_family_resolver(StandardP1(tuple(order)))
+    for label in labels:
+        if order and label not in order:
+            with pytest.raises(ObjectParseError) as new:
+                resolve(label)
+            with pytest.raises(ObjectParseError) as old:
+                session(label)
+            assert str(new.value) == str(old.value)
+            continue
+        expected = [session(label), family(label)]
+        if order:
+            expected.append(OraclePointOrder(order).point(label))
+        for point in expected:
+            assert resolve(label) == point and resolve(label).key() == point.key()
+
+
+@given(st.lists(_ORDER_LABELS, min_size=2, max_size=4).filter(lambda o: len(set(o)) < len(o)))
+def test_point_resolver_rejects_repeated_labels_like_point_order(order):
+    with pytest.raises(ValueError, match="unique"):
+        OraclePointOrder(order)
+    with pytest.raises(ValueError, match="unique"):
+        point_resolver(tuple(order))
 
 
 # --- Hom-vanishing check ----------------------------------------------------------------
@@ -720,9 +797,9 @@ def _respell(data, text):
 @given(family_and_object(max_size=30), st.data())
 def test_filtration_json_round_trip_all_families(case, data):
     family, drawn = case
-    # Points as the family's documents resolve them (see ROADMAP item 3).
+    # Points as the family's documents resolve them (see ROADMAP item 4).
     category = "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
-    x = oracle_parse_object(drawn.render(), category, cli._family_resolver(family))
+    x = oracle_parse_object(drawn.render(), category, point_resolver(family.point_labels))
     filt = family.hn(x)
     doc = filt.to_json()
     x2, filt2 = cli.filtration_from_json(doc)

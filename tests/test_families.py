@@ -12,7 +12,8 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, Standar
                             by_shift_partition, coarsen, column_partition,
                             exceptional_rewrite, family_from_descriptor,
                             finest_check, is_finer)
-from tstab.p1 import DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, torsion
+from tstab.p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line,
+                      point_resolver, torsion)
 from tstab.slopes import Ordering
 from tstab.stability import (ExceptionalSlope, IntLevel, PointLevel, StandardSlope,
                              merge_towers,
@@ -58,7 +59,8 @@ def test_point_order_configuration_changes_torsion_order():
     default = StandardP1().hn(torsion(Point("b"), 1) + torsion(Point("a"), 1))
     assert [s.level.point.label for s in default.slopes] == ["a", "b"]
     fam = StandardP1(("b", "a"))
-    swapped = fam.hn(torsion(fam.point("b"), 1) + torsion(fam.point("a"), 1))
+    resolve = point_resolver(fam.point_labels)
+    swapped = fam.hn(torsion(resolve("b"), 1) + torsion(resolve("a"), 1))
     assert [s.level.point.label for s in swapped.slopes] == ["b", "a"]
 
 

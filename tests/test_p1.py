@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tstab.p1 import (HomProfile, Line, Point, PointOrder, ShiftedIndec, Torsion, ZERO,
+from tstab.errors import ObjectParseError
+from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
                       direct_sum, ext_dim, euler_form, hom_dim, hom_profile,
-                      line, normalize, torsion)
+                      line, normalize, point_resolver, torsion)
 from tstab.slopes import K0Class
 
 
@@ -63,13 +64,13 @@ def test_shift_involution_and_zero():
 
 
 def test_point_default_order_is_lexicographic():
-    assert Point("a") < Point("b")
-    order = PointOrder(["z", "a"])
-    assert order.point("z") < order.point("a")
+    assert Point("a").key() < Point("b").key()
+    resolve = point_resolver(("z", "a"))
+    assert resolve("z").key() < resolve("a").key()
     with pytest.raises(ValueError):
-        PointOrder(["a", "a"])
-    with pytest.raises(KeyError):
-        order.point("q")
+        point_resolver(("a", "a"))
+    with pytest.raises(ObjectParseError):
+        resolve("q")
 
 
 # --- K0 ------------------------------------------------------------------------

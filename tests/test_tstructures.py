@@ -8,7 +8,7 @@ import pytest
 from tstab.errors import (BadParamsError, HomViolationError, InvalidCutError,
                           NotSlopeDescribableError, UnboundedError)
 from tstab.families import INF, CoarseZ, ExceptionalP1, StandardP1
-from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, torsion
+from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, point_resolver, torsion
 from tstab.slopes import Ordering
 from tstab.stability import Window
 from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, TorsionPair,
@@ -18,6 +18,7 @@ from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, TorsionPa
                                validate_cut)
 
 STD3 = StandardP1(("x", "y", "z"))
+STD3_POINTS = tuple(map(point_resolver(STD3.point_labels), STD3.point_labels))
 WINDOW = Window(max_degree=5, max_shift=2, samples=20)
 
 
@@ -97,8 +98,8 @@ def test_exceptional_validity_matches_brute_force_up_closure():
 def test_standard_validity_matches_brute_force_up_closure():
     from tstab.stability import IntLevel, PointLevel, StandardSlope
     slopes = [StandardSlope(i, IntLevel(n)) for i in range(-2, 4) for n in range(-6, 7)]
-    slopes += [StandardSlope(i, PointLevel(STD3.point(lbl)))
-               for i in range(-2, 4) for lbl in STD3.point_labels]
+    slopes += [StandardSlope(i, PointLevel(pt))
+               for i in range(-2, 4) for pt in STD3_POINTS]
     subsets = [frozenset(s) for r in range(4)
                for s in itertools.combinations(STD3.point_labels, r)]
     for m in (-1, 0, 1):
@@ -148,7 +149,7 @@ def test_truncate_matches_hn_tower_oracle():
     # up-set (everything below has been quotiented away)
     rng = random.Random(60)
     std = STD3
-    window = Window(max_degree=5, max_shift=2, points=std.points())
+    window = Window(max_degree=5, max_shift=2, points=STD3_POINTS)
     cases = [(StandardCut(0, 0, None), std),
              (StandardCut(-1, INF, frozenset({"z"})), std),
              (ExceptionalCut(1, -1), ExceptionalP1(0, 0)),
@@ -170,7 +171,7 @@ def test_truncate_matches_hn_tower_oracle():
 def test_truncation_contract_random():
     rng = random.Random(51)
     std = STD3
-    window = Window(max_degree=5, max_shift=2, points=std.points())
+    window = Window(max_degree=5, max_shift=2, points=STD3_POINTS)
     cases = []
     for m in (-1, 0, 1):
         cases.append((StandardCut(m, 0, None), std))
