@@ -8,8 +8,8 @@ from .p1 import (DEFAULT_POINTS, DerivedObject, FormalSum, HomProfile, Indec, Li
                  line, normalize, point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                         HNFiltration, IntLevel, PointLevel, Report, StabilityFamily,
-                        StandardSlope, TermRewrite, Window, glue, is_semistable,
-                        merge_towers, shuffle_merge, split, validate_stability, verify_hn)
+                        StandardSlope, Window, glue, is_semistable, merge_towers,
+                        shuffle_merge, split, validate_stability, verify_hn)
 from .families import (INF, CoarseZ, CoarsenedFamily, ExceptionalP1, FinerVerdict,
                        SlopePartition, StandardP1, by_shift_partition, coarsen,
                        column_partition, exceptional_rewrite,

@@ -37,7 +37,8 @@ from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
 from .families import INF, family_from_descriptor, is_finer
 from .p1 import (DEFAULT_POINTS, DerivedObject, Line, Point, ShiftedIndec, Torsion,
                  hom_profile, normalize, point_resolver)
-from .stability import HNFiltration, Report, StabilityFamily, Window, verify_hn
+from .stability import (INT_TEXT, HNFiltration, Report, StabilityFamily, Window,
+                        validate_stability, verify_hn)
 from .tstructures import (CATALOG_NAMES, CoarseCut, ExceptionalCut, SlopeCut, StandardCut,
                           catalog, catalog_entries, diagram, heart_contains, heart_slopes,
                           is_bounded, truncate, validate_cut)
@@ -308,16 +309,13 @@ class SessionConfig:
     seed: int = 0
 
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-
-
 def _int_field(text: str, name: str, where: str, infinite: tuple[str, ...] = ()) -> int | float:
     """An integer field of a spec, flag or config line, or one of the
     `infinite` spellings ("inf", "-inf"); anything else raises TStabError
     naming the field and where it was given."""
     if text in infinite:
         return -INF if text == "-inf" else INF
-    if not _INT_RE.match(text):
+    if not INT_TEXT.match(text):
         allowed = " or ".join(("an integer", *infinite))
         raise TStabError(f"{name} must be {allowed}, got {text!r} in {where!r}")
     return int(text)
@@ -622,7 +620,6 @@ def _cmd_check(args, session, out) -> int:
     if args.what == "stability":
         family = parse_famspec(args.stability, session)
         window = _window_from_args(args, session)
-        from .stability import validate_stability
         return _report_exit(validate_stability(family, window), session, out)
     if args.what == "cut":
         if not args.cut:

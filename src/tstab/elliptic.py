@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import QOutOfRangeError
+from .errors import FiltrationFormatError, QOutOfRangeError
 from .p1 import FormalSum, Point, hom_profile, point_resolver
 from .slopes import ExtendedRational, K0Class, PLUS_INFINITY
-from .stability import EllipticSlope, StabilityFamily, Window
+from .stability import EllipticSlope, StabilityFamily, Window, slope_int
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def stable(r: int, d: int, x: Point | str, shift: int = 0, mult: int = 1) -> Ell
 
 # --- the standard family ------------------------------------------------------
 
-_CLASS_RE = re.compile(r"S\((-?\d+),(-?\d+),([A-Za-z0-9]+)\)\Z")
+_CLASS_RE = re.compile(r"S\((-?[0-9]+),(-?[0-9]+),([A-Za-z0-9]+)\)\Z")
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,12 @@ class EllipticStandard(StabilityFamily):
             raise ValueError(f"bad stable class {data['class']!r}")
         r, d, label = int(match.group(1)), int(match.group(2)), match.group(3)
         cls = StableClass(r, d, point_resolver(self.point_labels)(label))
-        return EllipticSlope(int(data["shift"]), cls.mu(), cls)
+        slope = EllipticSlope(slope_int(data["shift"], "shift"), cls.mu(), cls)
+        mu = self.slope_json(slope)["mu"]
+        if data["mu"] != mu:
+            raise FiltrationFormatError(f"slope field 'mu' is {data['mu']!r}, "
+                                        f"but {cls.render()} has slope {mu!r}")
+        return slope
 
     def window_classes(self, window: Window, max_rank: int = 3) -> list[StableClass]:
         classes = []
@@ -246,13 +251,10 @@ def a_qp_split(x: EllipticObject, q: ExtendedRational | Fraction | str,
     pset = frozenset(P)
     if any(t.shift != 0 for t, _ in x.summands()):
         raise ValueError("the tilting split applies to shift-0 objects")
-    first, second = ELLIPTIC_ZERO, ELLIPTIC_ZERO
+    first, second = [], []
     for t, m in x.summands():
-        piece = normalize_elliptic([(t, m)])
-        if _in_second_part(t.cls, q, pset):
-            second = second + piece
-        else:
-            first = first + piece
+        (second if _in_second_part(t.cls, q, pset) else first).append((t, m))
+    first, second = normalize_elliptic(first), normalize_elliptic(second)
     profile = hom_profile(first, second)
     if profile[0] != 0:
         raise AssertionError(f"torsion pair violated: Hom^0 = {profile[0]}")

@@ -18,7 +18,8 @@ Three families are provided.
       (k-n) O(k+1)[-1]   -> O(n)   -> (k-n+1) O(k)       for n < k
       d O(k+1)           -> T(x,d) -> d O(k)[1]
 
-  and `exceptional_rewrite` turns these into per-summand HN data.
+  In each triangle A -> E -> B, `exceptional_rewrite` gives B as the low
+  HN quotient and A as the top one, which is also the term above B.
 
 The cross-column order for finite p is (i,0) < (j,1) iff i <= j+p+1
 (equivalently (j,1) < (i,0) iff i >= j+p+2), the unique total order
@@ -37,7 +38,7 @@ from .errors import InvalidPartitionError
 from .p1 import (DerivedObject, Line, ShiftedIndec, Torsion, ZERO, line, normalize,
                  point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel, Report,
-                        StabilityFamily, StandardSlope, TermRewrite, Window)
+                        StabilityFamily, StandardSlope, Window, slope_int)
 
 INF = float("inf")
 
@@ -97,7 +98,7 @@ class CoarseZ(P1Family):
         return {"shift": s.i}
 
     def slope_from_json(self, data: dict) -> CoarseSlope:
-        return CoarseSlope(int(data["shift"]))
+        return CoarseSlope(slope_int(data["shift"], "shift"))
 
 
 # --- standard -----------------------------------------------------------------
@@ -144,11 +145,11 @@ class StandardP1(P1Family):
         return {"shift": s.i, "level": {"point": s.level.point.label}}
 
     def slope_from_json(self, data: dict) -> StandardSlope:
-        level = data["level"]
+        shift, level = slope_int(data["shift"], "shift"), data["level"]
         if "int" in level:
-            return StandardSlope(int(data["shift"]), IntLevel(int(level["int"])))
+            return StandardSlope(shift, IntLevel(slope_int(level["int"], "level.int")))
         pt = point_resolver(self.point_labels)(level["point"])
-        return StandardSlope(int(data["shift"]), PointLevel(pt))
+        return StandardSlope(shift, PointLevel(pt))
 
 
 # --- exceptional ----------------------------------------------------------------
@@ -189,7 +190,7 @@ class ExceptionalP1(P1Family):
                 return ExceptionalSlope(term.shift, 1)
         return None
 
-    def term_filtration(self, term: ShiftedIndec, mult: int) -> TermRewrite:
+    def term_filtration(self, term: ShiftedIndec, mult: int) -> tuple:
         return exceptional_rewrite(term, self.k, mult)
 
     def window_generators(self, window: Window) -> list[DerivedObject]:
@@ -207,39 +208,37 @@ class ExceptionalP1(P1Family):
         return {"shift": s.i, "col": s.col}
 
     def slope_from_json(self, data: dict) -> ExceptionalSlope:
-        return ExceptionalSlope(int(data["shift"]), int(data["col"]))
+        return ExceptionalSlope(slope_int(data["shift"], "shift"), slope_int(data["col"], "col"))
 
     def render_slope(self, s: ExceptionalSlope) -> str:
         return f"({s.i}, {s.col})"
 
 
-def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> TermRewrite:
-    """Per-summand HN data over the twisting pair (O(k), O(k+1)).
+def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> tuple:
+    """The HN quotients of `mult` copies of one atom over the twisting
+    pair (O(k), O(k+1)), ascending.
 
     Generators stay put; any other line bundle and any torsion sheaf
     splits into a column-0 and a column-1 quotient via its two-term
-    resolution, with the mid-term recording the intermediate object.
+    resolution (module docstring).
     """
     i = term.shift
     base = term.base
     if isinstance(base, Line):
         n = base.n
         if n == k:
-            return TermRewrite(((ExceptionalSlope(i, 0), line(k, i, mult)),), ZERO)
+            return ((ExceptionalSlope(i, 0), line(k, i, mult)),)
         if n == k + 1:
-            return TermRewrite(((ExceptionalSlope(i, 1), line(k + 1, i, mult)),), ZERO)
+            return ((ExceptionalSlope(i, 1), line(k + 1, i, mult)),)
         if n > k + 1:
-            low = (ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * (n - k - 1)))
-            high = (ExceptionalSlope(i, 1), line(k + 1, i, mult * (n - k)))
-            return TermRewrite((low, high), high[1])
+            return ((ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * (n - k - 1))),
+                    (ExceptionalSlope(i, 1), line(k + 1, i, mult * (n - k))))
         # n < k
-        low = (ExceptionalSlope(i, 0), line(k, i, mult * (k - n + 1)))
-        high = (ExceptionalSlope(i - 1, 1), line(k + 1, i - 1, mult * (k - n)))
-        return TermRewrite((low, high), high[1])
+        return ((ExceptionalSlope(i, 0), line(k, i, mult * (k - n + 1))),
+                (ExceptionalSlope(i - 1, 1), line(k + 1, i - 1, mult * (k - n))))
     d = base.d
-    low = (ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * d))
-    high = (ExceptionalSlope(i, 1), line(k + 1, i, mult * d))
-    return TermRewrite((low, high), high[1])
+    return ((ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * d)),
+            (ExceptionalSlope(i, 1), line(k + 1, i, mult * d)))
 
 
 # --- refinement order -----------------------------------------------------------
@@ -367,8 +366,8 @@ class CoarsenedFamily(StabilityFamily):
     """The derived family of a validated slope-set partition.
 
     Semistable objects are those whose base HN slopes all lie in one
-    block; HN filtrations arise from the base filtration by grouping
-    consecutive quotients with equal blocks.
+    block.  A summand's HN quotients are its base quotients in their
+    blocks, or the whole summand when they all lie in one block.
     """
 
     def __init__(self, base: StabilityFamily, partition: SlopePartition):
@@ -392,28 +391,20 @@ class CoarsenedFamily(StabilityFamily):
         s = self.base.slope_of_term(term)
         return None if s is None else self.partition.block_of(s)
 
-    def term_filtration(self, term, mult: int) -> TermRewrite:
-        base_rw = self.base.term_filtration(term, mult)
-        grouped: list[tuple[object, object]] = []
-        for slope, obj in base_rw.quotients:
-            block = self.partition.block_of(slope)
-            if grouped and self.slope_key(grouped[-1][0]) == self.slope_key(block):
-                grouped[-1] = (grouped[-1][0], grouped[-1][1] + obj)
-            else:
-                grouped.append((block, obj))
-        mid = self.zero
-        for _, obj in grouped[1:]:
-            mid = mid + obj
-        return TermRewrite(tuple(grouped), mid)
+    def term_filtration(self, term, mult: int) -> tuple:
+        base = self.base.term_filtration(term, mult)
+        low, high = self.partition.block_of(base[0][0]), self.partition.block_of(base[-1][0])
+        if self.slope_key(low) == self.slope_key(high):  # the summand, not its base quotients' sum
+            return ((low, self.single_term_object(term, mult)),)
+        return ((low, base[0][1]), (high, base[-1][1]))
 
     def semistable_slope(self, x):
+        """The one block of x's base HN slopes, else None; those slopes are
+        the summands' base quotient slopes."""
         self._require(x)
-        if x.is_zero:
-            return None
-        blocks = {self.partition.block_of(s) for s in self.base.hn(x).slopes}
-        if len(blocks) == 1:
-            return blocks.pop()
-        return None
+        blocks = {self.partition.block_of(s) for term, mult in x.summands()
+                  for s, _ in self.base.term_filtration(term, mult)}
+        return blocks.pop() if len(blocks) == 1 else None
 
     def window_generators(self, window: Window):
         return self.base.window_generators(window)
@@ -429,7 +420,7 @@ class CoarsenedFamily(StabilityFamily):
         return {"block": str(s)}
 
     def slope_from_json(self, data: dict):
-        return int(data["block"])
+        return slope_int(data["block"], "block", text=True)
 
     def render_slope(self, s) -> str:
         return f"[{s}]"

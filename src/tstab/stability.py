@@ -19,15 +19,29 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidShuffleError, UnsupportedFamilyError
+from .errors import FiltrationFormatError, InvalidShuffleError, UnsupportedFamilyError
 from .p1 import DEFAULT_POINTS, Point, hom_profile
 from .slopes import ExtendedRational, K0Class, Ordering
 
 
 # --- slope identifiers ------------------------------------------------------
+
+INT_TEXT = re.compile(r"[+-]?[0-9]+\Z")  # the integer literals of specs and documents
+
+
+def slope_int(value, name: str, text: bool = False) -> int:
+    """An integer slope field of a document, not coerced: a JSON integer (not
+    a bool), or with `text` an INT_TEXT string; else FiltrationFormatError."""
+    ok = isinstance(value, str) and INT_TEXT.match(value) if text else type(value) is int
+    if not ok:
+        kind = "a decimal integer string" if text else "an integer"
+        raise FiltrationFormatError(f"slope field {name!r} must be {kind}, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class CoarseSlope:
@@ -175,32 +189,13 @@ class Window:
 # --- filtrations ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TermRewrite:
-    """HN data of a single shifted indecomposable: quotients plus mid-term.
-
-    `quotients` is ascending in slope; `mid` is the second filtration
-    term (the part above the lowest quotient), zero when the term is
-    already semistable.  The mid-term is genuine triangle data: it need
-    not be the direct sum of the higher quotients.
-    """
-
-    quotients: tuple[tuple[object, object], ...]
-    mid: object
-
-    def term_tower(self, whole, zero) -> tuple:
-        """The filtration terms of the summand itself: whole, [mid,] zero."""
-        if len(self.quotients) <= 1:
-            return (whole, zero)
-        return (whole, self.mid, zero)
-
-
-@dataclass(frozen=True)
 class HNFiltration:
     """Quotient list plus term objects of a t-filtration.
 
     terms[0] is the filtered object, terms[-1] is zero, and
     k0(terms[i]) = k0(terms[i+1]) + k0(quotients[i]) throughout.  The
-    empty filtration represents the zero object.
+    empty filtration represents the zero object.  A term need not be the
+    direct sum of the quotients below it (`StabilityFamily.summand_tower`).
 
     All terms are held eagerly.  `merge_towers` builds them in one pass
     over a running multiset of summands, so producing them costs about
@@ -242,8 +237,8 @@ class HNFiltration:
 
         Only correct when the filtered object really is the direct sum
         of the quotients (as in the standard and elliptic families, or
-        in synthetic test data); non-split towers must carry their true
-        mid-terms instead.
+        in synthetic test data); `hn` takes the terms of non-split
+        towers from the summands' own towers instead.
         """
         terms = [family.zero]
         for _, obj in reversed(list(quotients)):
@@ -327,10 +322,17 @@ class StabilityFamily:
         """Slope of a semistable generator term, or None if not a generator."""
         raise NotImplementedError
 
-    def term_filtration(self, term, mult: int) -> TermRewrite:
-        """HN data of `mult` copies of one atom; here every atom is semistable."""
-        return TermRewrite(((self.slope_of_term(term), self.single_term_object(term, mult)),),
-                           self.zero)
+    def term_filtration(self, term, mult: int) -> tuple[tuple[object, object], ...]:
+        """The HN quotients of `mult` copies of one atom, ascending in slope,
+        at most two; here every atom is semistable."""
+        return ((self.slope_of_term(term), self.single_term_object(term, mult)),)
+
+    def summand_tower(self, term, mult: int) -> tuple[tuple, tuple]:
+        """(quotients, terms) of the HN filtration of `mult` copies of one atom:
+        the terms are the whole, then the top quotient if there are two, then zero."""
+        quotients = self.term_filtration(term, mult)
+        top = tuple(obj for _, obj in quotients[1:])
+        return quotients, (self.single_term_object(term, mult), *top, self.zero)
 
     # -- assembled operations --
 
@@ -344,16 +346,9 @@ class StabilityFamily:
         return type(self.zero).from_pairs([(term, mult)])
 
     def hn(self, x) -> HNFiltration:
-        """The HN filtration: rewrite each summand, merge towers by slope."""
+        """The HN filtration: merge the summands' towers by slope (none for zero)."""
         self._require(x)
-        if x.is_zero:
-            return HNFiltration.empty(self)
-        sources = []
-        for term, mult in x.summands():
-            rewrite = self.term_filtration(term, mult)
-            whole = self.single_term_object(term, mult)
-            sources.append((rewrite.quotients, rewrite.term_tower(whole, self.zero)))
-        return merge_towers(self, sources)
+        return merge_towers(self, [self.summand_tower(term, mult) for term, mult in x.summands()])
 
     def semistable_slope(self, x):
         """The slope of x if all its summands are generators of one slope.
@@ -400,9 +395,9 @@ def merge_towers(family: StabilityFamily,
     an equal key, and records the slope of the first such source.  The
     merged term is one running multiset (atom -> multiplicity): a source
     stepping from terms[p] to terms[p+1] takes away the summands of
-    terms[p] and adds those of terms[p+1], so split towers and non-split
-    mid-terms are handled alike.  Each atom's sort
-    key is computed once per merge, and each emitted term and coalesced
+    terms[p] and adds those of terms[p+1], so a source's terms are read
+    as given whether or not its tower splits.  Each atom's sort key is
+    computed once per merge, and each emitted term and coalesced
     quotient takes one sort.
     """
     slope_key = family.slope_key
@@ -595,9 +590,7 @@ def split(flat: Sequence[tuple[object, object]],
             raise ValueError("blocks must be nonempty consecutive index groups")
         expected += len(idxs)
         inner = [flat[i] for i in idxs]
-        total = inner[0][1]
-        for _, obj in inner[1:]:
-            total = total + obj
+        total = type(inner[0][1]).from_pairs(p for _, obj in inner for p in obj.summands())
         out.append((total, inner))
     if expected != len(flat):
         raise ValueError("blocks must cover the whole quotient list")

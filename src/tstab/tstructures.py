@@ -236,28 +236,23 @@ def truncate(x: DerivedObject, cut: SlopeCut, family: StabilityFamily
              ) -> tuple[DerivedObject, DerivedObject]:
     """Truncation triangle data of x at the cut: (x_le0, x_ge1).
 
-    Summand by summand: a summand all of whose HN slopes lie in the
-    up-set goes to x_le0 entirely, one with no slope there goes to
-    x_ge1; a summand split by the cut contributes its mid-term to
-    x_le0 and its low quotient to x_ge1.
+    Summand by summand: with j of its HN quotients below the cut, the
+    summand's tower term j goes to x_le0; x_ge1 takes the whole summand
+    when j is all of them, else those j quotients.
     """
     require_valid_cut(cut, family)
     family._require(x)
-    le0, ge1 = family.zero, family.zero
+    le0, ge1 = [], []
     for term, mult in x.summands():
-        rewrite = family.term_filtration(term, mult)
-        statuses = [cut.in_plus(s) for s, _ in rewrite.quotients]
-        whole = family.single_term_object(term, mult)
-        if all(statuses):
-            le0 = le0 + whole
-        elif not any(statuses):
-            ge1 = ge1 + whole
+        quotients, terms = family.summand_tower(term, mult)
+        j = sum(not cut.in_plus(s) for s, _ in quotients)
+        if j == len(quotients):
+            ge1.append((term, mult))
         else:
-            le0 = le0 + rewrite.mid
-            for (s, obj), status in zip(rewrite.quotients, statuses):
-                if not status:
-                    ge1 = ge1 + obj
-    return le0, ge1
+            le0.extend(terms[j].summands())
+            ge1.extend(pair for _, obj in quotients[:j] for pair in obj.summands())
+    make = type(family.zero).from_pairs
+    return make(le0), make(ge1)
 
 
 # --- hearts -----------------------------------------------------------------------
@@ -324,12 +319,12 @@ def heart_slopes(cut: SlopeCut, family: StabilityFamily) -> HeartDescription:
 
 
 def heart_contains(x: DerivedObject, cut: SlopeCut, family: StabilityFamily) -> bool:
+    """Whether every HN slope of x (every slope of its summands' towers) lies in the heart."""
     require_valid_cut(cut, family)
     family._require(x)
-    if x.is_zero:
-        return True
     heart = HeartDescription(family, cut)
-    return all(heart.contains_slope(s) for s in family.hn(x).slopes)
+    return all(heart.contains_slope(s) for term, mult in x.summands()
+               for s, _ in family.term_filtration(term, mult))
 
 
 def is_bounded(cut: SlopeCut, family: StabilityFamily) -> bool:

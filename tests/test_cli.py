@@ -13,7 +13,8 @@ from tstab.cli import (build_parser, make_session, parse_cutspec, parse_famspec,
                        run)
 from tstab.elliptic import EllipticObject, EllipticStandard, stable
 from tstab.errors import (InvalidLengthError, NonCoprimeError, ObjectParseError)
-from tstab.families import INF, CoarseZ, ExceptionalP1, StandardP1, family_from_descriptor
+from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition, coarsen,
+                            family_from_descriptor)
 from tstab.p1 import Point, ZERO, line, torsion
 
 
@@ -517,10 +518,14 @@ def test_catalog_parameters_are_spec_fields():
     assert _run("catalog", "D", "--params", "P=y;z")[0] == 0
 
 
-def _check_hn_is_domain_error(doc, tmp_path):
+def _check_hn(doc, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    code, out = _run("check", "hn", "--input", str(path), "--format", "json")
+    return _run("check", "hn", "--input", str(path), "--format", "json")
+
+
+def _check_hn_is_domain_error(doc, tmp_path):
+    code, out = _check_hn(doc, tmp_path)
     assert code == 1 and set(json.loads(out)) == {"error"}, out
     return json.loads(out)["error"]
 
@@ -552,6 +557,43 @@ def test_check_hn_rejects_labels_outside_the_declared_order(tmp_path):
     doc["family"]["point_order"] = ["y"]
     assert _check_hn_is_domain_error(doc, tmp_path) == \
         "undeclared point label 'x' (at position 0)"
+
+
+def _hn_json(*argv):
+    return json.loads(_run("hn", *argv, "--format", "json")[1])
+
+
+_BY_SHIFT_DOC = json.loads(json.dumps(
+    coarsen(StandardP1(), by_shift_partition()).hn(line(3) + line(0, 1)).to_json()))
+
+
+@pytest.mark.parametrize("doc, path, value, message", [
+    (_hn_json("O(3)", "--stability", "coarse"), ("shift",), 0.7,
+     "slope field 'shift' must be an integer, got 0.7"),
+    (_hn_json("O(3)", "--stability", "coarse"), ("shift",), "0",
+     "slope field 'shift' must be an integer, got '0'"),
+    (_hn_json("O(3)", "--stability", "std"), ("level", "int"), 3.9,
+     "slope field 'level.int' must be an integer, got 3.9"),
+    (_hn_json("O(3)", "--stability", "exc"), ("col",), True,
+     "slope field 'col' must be an integer, got True"),
+    (_BY_SHIFT_DOC, ("block",), 0.5,
+     "slope field 'block' must be a decimal integer string, got 0.5"),
+    (_BY_SHIFT_DOC, ("block",), "x",
+     "slope field 'block' must be a decimal integer string, got 'x'"),
+    (_hn_json("S(1,0,x)", "--stability", "ell"), ("mu",), "5",
+     "slope field 'mu' is '5', but S(1,0,x) has slope '0'"),
+    (_hn_json("S(1,3,x)", "--stability", "ell"), ("class",), "S(1,\u0663,x)",
+     "bad stable class 'S(1,\u0663,x)'"),
+], ids=["coarse-float-shift", "coarse-string-shift", "std-float-int", "exc-bool-col",
+        "float-block", "text-block", "ell-mu", "ell-non-ascii-degree"])
+def test_slope_fields_are_not_coerced(doc, path, value, message, tmp_path):
+    assert _check_hn(doc, tmp_path)[0] == 0
+    doc = json.loads(json.dumps(doc))
+    slope = doc["quotients"][0]["slope"]
+    for key in path[:-1]:
+        slope = slope[key]
+    slope[path[-1]] = value
+    assert _check_hn_is_domain_error(doc, tmp_path) == message
 
 
 # --- fuzzing ---------------------------------------------------------------------

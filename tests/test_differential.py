@@ -8,7 +8,11 @@ character-by-character object parser, the Hom-vanishing check of
 `verify_hn` that builds one HomProfile per quotient pair, and the two
 per-curve Hom loops that the one `hom_profile` replaced, the
 hand-written slope comparators that each family's `slope_key` replaced,
-and the three label resolvers that `point_resolver` replaced.
+the three label resolvers that `point_resolver` replaced, and the
+per-summand data that `StabilityFamily.summand_tower` replaced: the
+exceptional rewrite with its stored mid-term, the `truncate` that read
+it, `heart_contains` read off a whole `hn`, and the coarsened
+`semistable_slope` read off the base family's `hn`.
 They are kept here only, as oracles, and every result must agree bit for
 bit.  The JSON round trip of filtrations is tested here too, over the
 same families and objects.
@@ -25,15 +29,17 @@ from tstab import cli
 from tstab.elliptic import (EllipticObject, EllipticStandard, ShiftedClass, StableClass,
                             hom_dim_stable, normalize_elliptic)
 from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
-from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
-                            coarsen, column_partition)
+from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, StandardP1,
+                            by_shift_partition, coarsen, column_partition)
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, hom_profile,
-                      normalize, point_resolver)
+                      ZERO, line, normalize, point_resolver)
 from tstab.slopes import K0Class, Ordering
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                              HNFiltration, IntLevel, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
                              verify_hn)
+from tstab.tstructures import (CoarseCut, ExceptionalCut, HeartDescription, StandardCut,
+                               cut_is_valid, heart_contains, truncate)
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -78,12 +84,7 @@ def oracle_merge_towers(family, sources):
 
 def summand_towers(family, x):
     """The per-summand (quotients, terms) sources that `hn` merges."""
-    sources = []
-    for term, mult in x.summands():
-        rewrite = family.term_filtration(term, mult)
-        whole = family.single_term_object(term, mult)
-        sources.append((rewrite.quotients, rewrite.term_tower(whole, family.zero)))
-    return sources
+    return [family.summand_tower(term, mult) for term, mult in x.summands()]
 
 
 def oracle_hn(family, x):
@@ -189,6 +190,84 @@ def oracle_hom_vanishing(filt, family):
         if not ok:
             break
     return CheckItem("hom_vanishing", ok, detail)
+
+
+def oracle_exceptional_rewrite(term, k, mult=1):
+    """(quotients, mid) of one atom over the pair (O(k), O(k+1)).
+
+    Generators stay put; any other line bundle and any torsion sheaf
+    splits into a column-0 and a column-1 quotient via its two-term
+    resolution, with the mid-term recording the intermediate object.
+    """
+    i = term.shift
+    base = term.base
+    if isinstance(base, Line):
+        n = base.n
+        if n == k:
+            return ((ExceptionalSlope(i, 0), line(k, i, mult)),), ZERO
+        if n == k + 1:
+            return ((ExceptionalSlope(i, 1), line(k + 1, i, mult)),), ZERO
+        if n > k + 1:
+            low = (ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * (n - k - 1)))
+            high = (ExceptionalSlope(i, 1), line(k + 1, i, mult * (n - k)))
+            return (low, high), high[1]
+        low = (ExceptionalSlope(i, 0), line(k, i, mult * (k - n + 1)))
+        high = (ExceptionalSlope(i - 1, 1), line(k + 1, i - 1, mult * (k - n)))
+        return (low, high), high[1]
+    d = base.d
+    low = (ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * d))
+    high = (ExceptionalSlope(i, 1), line(k + 1, i, mult * d))
+    return (low, high), high[1]
+
+
+def oracle_term_rewrite(family, term, mult):
+    """(quotients, mid) of one summand under a family a cut applies to."""
+    if isinstance(family, ExceptionalP1):
+        return oracle_exceptional_rewrite(term, family.k, mult)
+    return ((family.slope_of_term(term), family.single_term_object(term, mult)),), family.zero
+
+
+def oracle_truncate(x, cut, family):
+    """Truncation triangle data of x at the cut: (x_le0, x_ge1).
+
+    Summand by summand: a summand all of whose HN slopes lie in the
+    up-set goes to x_le0 entirely, one with no slope there goes to
+    x_ge1; a summand split by the cut contributes its mid-term to
+    x_le0 and its low quotient to x_ge1.
+    """
+    le0, ge1 = family.zero, family.zero
+    for term, mult in x.summands():
+        quotients, mid = oracle_term_rewrite(family, term, mult)
+        statuses = [cut.in_plus(s) for s, _ in quotients]
+        whole = family.single_term_object(term, mult)
+        if all(statuses):
+            le0 = le0 + whole
+        elif not any(statuses):
+            ge1 = ge1 + whole
+        else:
+            le0 = le0 + mid
+            for (s, obj), status in zip(quotients, statuses):
+                if not status:
+                    ge1 = ge1 + obj
+    return le0, ge1
+
+
+def oracle_heart_contains(x, cut, family):
+    """Whether every slope of the whole HN filtration of x lies in the heart."""
+    if x.is_zero:
+        return True
+    heart = HeartDescription(family, cut)
+    return all(heart.contains_slope(s) for s in family.hn(x).slopes)
+
+
+def oracle_coarsened_semistable_slope(family, x):
+    """The one block of the slopes of the base family's HN filtration of x."""
+    if x.is_zero:
+        return None
+    blocks = {family.partition.block_of(s) for s in family.base.hn(x).slopes}
+    if len(blocks) == 1:
+        return blocks.pop()
+    return None
 
 
 class OraclePointOrder:
@@ -482,6 +561,144 @@ def test_merge_of_unsorted_towers_matches_oracle(order, objects, data):
         filt = HNFiltration.from_quotients(family, quotients)
         sources.append((filt.quotients, filt.terms))
     _assert_same(merge_towers(family, sources), oracle_merge_towers(family, sources))
+
+
+# --- per-summand towers -------------------------------------------------------------
+
+@settings(max_examples=100)
+@given(family_and_object())
+def test_no_summand_has_more_than_two_quotients(case):
+    family, x = case
+    for term, mult in x.summands():
+        quotients, terms = family.summand_tower(term, mult)
+        assert quotients == family.term_filtration(term, mult)
+        assert 1 <= len(quotients) <= 2
+        assert len(terms) == len(quotients) + 1
+        assert terms[0] == family.single_term_object(term, mult) and terms[-1].is_zero
+
+
+@st.composite
+def family_object_cut(draw):
+    """A family a cut applies to, an object, and a valid cut of that family's kind."""
+    kind = draw(st.sampled_from(("coarse", "std", "exc")))
+    order = draw(st.sampled_from(ORDERS))
+    x = draw(p1_objects(order, max_size=draw(st.sampled_from((1, 3, 12)))))
+    m = draw(st.integers(-3, 3))
+    if kind == "coarse":
+        family, cut = CoarseZ(), CoarseCut(m)
+    elif kind == "std":
+        family = StandardP1(order)
+        K = draw(st.sampled_from((-INF, INF)) | st.integers(-6, 6))
+        P = draw(st.none() | st.integers(0, len(order)).map(lambda j: frozenset(order[j:])))
+        cut = StandardCut(m, K, P)
+    else:
+        family = draw(_exceptional())
+        p = family.p
+        if p == INF:
+            bounds = [(m, -INF), (INF, m), (-INF, -INF), (INF, -INF)]
+        else:
+            bounds = [(m, m - p - 2), (m, m - p - 1), (-INF, -INF), (INF, INF)]
+        cut = ExceptionalCut(*draw(st.sampled_from(bounds)))
+    assert cut_is_valid(cut, family)
+    return family, x, cut
+
+
+@settings(max_examples=200)
+@given(family_object_cut())
+def test_truncate_matches_mid_term_oracle(case):
+    family, x, cut = case
+    le0, ge1 = truncate(x, cut, family)
+    ref_le0, ref_ge1 = oracle_truncate(x, cut, family)
+    assert (le0.terms, ge1.terms) == (ref_le0.terms, ref_ge1.terms)
+    assert (le0.render(), ge1.render()) == (ref_le0.render(), ref_ge1.render())
+
+
+@settings(max_examples=200)
+@given(family_object_cut())
+def test_heart_contains_matches_hn_oracle(case):
+    family, x, cut = case
+    assert heart_contains(x, cut, family) == oracle_heart_contains(x, cut, family)
+
+
+def _cut_cases():
+    """(family, cut) pairs: every cut shape of every kind, at a few positions."""
+    cases = [(CoarseZ(), CoarseCut(m)) for m in (-1, 0, 1)]
+    for order in ORDERS[:2]:
+        std = StandardP1(order)
+        cases += [(std, StandardCut(m, K, P)) for m in (-1, 0) for K, P in
+                  ((-INF, None), (0, None), (3, None), (INF, None),
+                   (INF, frozenset(order[1:])), (INF, frozenset(order[2:])))]
+    for k in (-1, 0, 1):
+        for p in (0, 1, INF):
+            exc = ExceptionalP1(k, p)
+            bounds = [(-INF, -INF)]
+            for a in (-1, 0, 2):
+                bounds += [(a, -INF), (INF, a)] if p == INF else [(a, a - p - 2), (a, a - p - 1)]
+            bounds.append((INF, -INF) if p == INF else (INF, INF))
+            cases += [(exc, ExceptionalCut(a, b)) for a, b in bounds]
+    return cases
+
+
+def test_truncate_and_heart_match_oracles_on_every_window_atom():
+    """Every atom of a window, alone, against every cut shape: each way a cut
+    can fall across a summand's tower, the split one included."""
+    bases = [Line(n) for n in range(-5, 6)] + \
+        [Torsion(Point(lbl), d) for lbl in LABELS for d in (1, 2)]
+    atoms = [normalize([(ShiftedIndec(b, sh), 2)]) for b in bases for sh in range(-3, 4)]
+    splits = 0
+    for family, cut in _cut_cases():
+        assert cut_is_valid(cut, family)
+        for x in atoms:
+            ref = oracle_truncate(x, cut, family)
+            assert truncate(x, cut, family) == ref
+            splits += not (ref[0].is_zero or ref[1].is_zero)
+            assert heart_contains(x, cut, family) == oracle_heart_contains(x, cut, family)
+    assert splits > 0
+
+
+_ONE_BLOCK = SlopePartition("one", lambda s: 0, lambda b: b, lambda b, n=1: b)
+_ONE_BLOCK_FAMILIES = {("std", order): coarsen(StandardP1(order), _ONE_BLOCK) for order in ORDERS}
+_ONE_BLOCK_FAMILIES.update({("exc", k, p): coarsen(ExceptionalP1(k, p), _ONE_BLOCK)
+                            for k in (-1, 0, 1) for p in (0, 1, INF)})
+_ONE_BLOCK_FAMILIES["coarse"] = coarsen(CoarseZ(), _ONE_BLOCK)
+
+
+def _pair_lines(max_size=3):
+    """Sums of shifted O(-1) .. O(2): the generators of every twisting pair drawn here."""
+    summands = st.tuples(st.integers(-1, 2), st.integers(-3, 3), st.integers(1, 3))
+    return st.lists(summands, max_size=max_size).map(
+        lambda triples: normalize([(ShiftedIndec(Line(n), sh), m) for n, sh, m in triples]))
+
+
+@st.composite
+def coarsened_family_and_object(draw):
+    """A coarsened family, registered or one-block, with an object likely to be
+    semistable in it as often as not."""
+    family = draw(st.sampled_from(sorted(_COARSENED.values(), key=lambda f: f.kind)
+                                  + sorted(_ONE_BLOCK_FAMILIES.values(), key=lambda f: f.kind)))
+    order = family.point_labels or LABELS
+    x = draw(st.one_of(p1_objects(order, max_size=3), _pair_lines()))
+    return family, x
+
+
+@settings(max_examples=200)
+@given(coarsened_family_and_object())
+def test_coarsened_semistable_slope_matches_base_hn_oracle(case):
+    family, x = case
+    assert family.semistable_slope(x) == oracle_coarsened_semistable_slope(family, x)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(_ONE_BLOCK_FAMILIES.values(), key=lambda f: f.kind)),
+       p1_objects(max_size=6))
+def test_one_block_coarsening_leaves_every_object_whole(family, x):
+    """With a single block every object is semistable: its filtration is x itself."""
+    filt = family.hn(x)
+    if x.is_zero:
+        assert filt == HNFiltration.empty(family)
+    else:
+        assert (filt.quotients, filt.terms) == (((0, x),), (x, ZERO))
+    assert verify_hn(x, filt, family).ok
 
 
 # --- slope order ----------------------------------------------------------------------

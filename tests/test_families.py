@@ -126,37 +126,42 @@ def test_tau_preserves_order_and_raises():
 
 # --- exceptional rewrite -----------------------------------------------------------
 
+def _tower_mid(term, k):
+    """The summand's tower term above its lowest quotient (zero if semistable)."""
+    return ExceptionalP1(k, 0).summand_tower(term, 1)[1][1]
+
+
 def test_exceptional_rewrite_examples():
     rw = exceptional_rewrite(ShiftedIndec(Line(3)), 0)
-    assert rw.quotients == (
+    assert rw == (
         (ExceptionalSlope(1, 0), 2 * line(0, 1)),
         (ExceptionalSlope(0, 1), 3 * line(1)),
     )
-    assert rw.mid == 3 * line(1)
+    assert _tower_mid(ShiftedIndec(Line(3)), 0) == 3 * line(1)
 
     rw = exceptional_rewrite(ShiftedIndec(Line(-2)), 0)
-    assert rw.quotients == (
+    assert rw == (
         (ExceptionalSlope(0, 0), 3 * line(0)),
         (ExceptionalSlope(-1, 1), 2 * line(1, -1)),
     )
-    assert rw.mid == 2 * line(1, -1)
+    assert _tower_mid(ShiftedIndec(Line(-2)), 0) == 2 * line(1, -1)
 
     rw = exceptional_rewrite(ShiftedIndec(Torsion(Point("x"), 2)), 0)
-    assert rw.quotients == (
+    assert rw == (
         (ExceptionalSlope(1, 0), 2 * line(0, 1)),
         (ExceptionalSlope(0, 1), 2 * line(1)),
     )
-    assert rw.mid == 2 * line(1)
+    assert _tower_mid(ShiftedIndec(Torsion(Point("x"), 2)), 0) == 2 * line(1)
 
 
 def test_exceptional_rewrite_generators_stay_put():
     for k in (-2, 0, 3):
         for i in (-1, 0, 2):
             rw = exceptional_rewrite(ShiftedIndec(Line(k), i), k)
-            assert rw.quotients == ((ExceptionalSlope(i, 0), line(k, i)),)
-            assert rw.mid == ZERO
+            assert rw == ((ExceptionalSlope(i, 0), line(k, i)),)
+            assert _tower_mid(ShiftedIndec(Line(k), i), k) == ZERO
             rw = exceptional_rewrite(ShiftedIndec(Line(k + 1), i), k)
-            assert rw.quotients == ((ExceptionalSlope(i, 1), line(k + 1, i)),)
+            assert rw == ((ExceptionalSlope(i, 1), line(k + 1, i)),)
 
 
 def test_exceptional_rewrite_k0_additivity_and_mid_term():
@@ -167,12 +172,12 @@ def test_exceptional_rewrite_k0_additivity_and_mid_term():
                 continue
             term = ShiftedIndec(Line(n), 0)
             rw = exceptional_rewrite(term, k)
-            total = sum((obj.k0() for _, obj in rw.quotients), start=ZERO.k0())
+            total = sum((obj.k0() for _, obj in rw), start=ZERO.k0())
             assert total == term.k0()
             fam = fam_cache.setdefault(k, ExceptionalP1(k, 0))
             filt = fam.hn(line(n))
             assert verify_hn(line(n), filt, fam).ok
-            assert filt.terms[1] == rw.mid
+            assert filt.terms[1] == _tower_mid(term, k)
 
 
 def test_hn_exceptional_examples():
@@ -237,6 +242,14 @@ def test_coarsen_singleton_blocks_is_identity():
     for _ in range(30):
         x = std.random_object(rng, WINDOW)
         assert derived.hn(x).quotients == std.hn(x).quotients
+
+
+def test_one_block_coarsening_keeps_a_split_summand_whole():
+    one = SlopePartition("one", lambda s: 0, lambda b: b, lambda b, n=1: b)
+    fam = coarsen(ExceptionalP1(0, 0), one)
+    filt = fam.hn(line(3))
+    assert filt.quotients == ((0, line(3)),)
+    assert filt.terms == (line(3), ZERO)
 
 
 def test_coarsen_rejects_non_tau_stable_blocks():
