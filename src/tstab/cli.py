@@ -28,8 +28,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .elliptic import EllipticObject, ShiftedClass, StableClass, normalize_elliptic
 from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
@@ -42,6 +41,7 @@ from .stability import (INT_TEXT, HNFiltration, Report, StabilityFamily, Window,
 from .tstructures import (CATALOG_NAMES, CoarseCut, ExceptionalCut, SlopeCut, StandardCut,
                           catalog, catalog_entries, diagram, heart_contains, heart_slopes,
                           is_bounded, truncate, validate_cut)
+from .value import Value, assign
 
 
 # --- expression parser ---------------------------------------------------------
@@ -298,15 +298,14 @@ def _opt_shift(sc: _Scanner) -> int:
 
 # --- session configuration -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Value):
     """Resolved session settings: point order, family defaults, output mode."""
 
-    points: tuple[str, ...] = ()
-    k: int = 0
-    p: int | float = 0
-    fmt: str = "text"
-    seed: int = 0
+    __slots__ = ("points", "k", "p", "fmt", "seed")
+
+    def __init__(self, points: tuple[str, ...] = (), k: int = 0, p: int | float = 0,
+                 fmt: str = "text", seed: int = 0):
+        assign(self, locals())
 
 
 def _int_field(text: str, name: str, where: str, infinite: tuple[str, ...] = ()) -> int | float:
@@ -315,7 +314,7 @@ def _int_field(text: str, name: str, where: str, infinite: tuple[str, ...] = ())
     naming the field and where it was given."""
     if text in infinite:
         return -INF if text == "-inf" else INF
-    if not INT_TEXT.match(text):
+    if not re.match(INT_TEXT, text):
         allowed = " or ".join(("an integer", *infinite))
         raise TStabError(f"{name} must be {allowed}, got {text!r} in {where!r}")
     return int(text)

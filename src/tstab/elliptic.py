@@ -27,35 +27,43 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import FiltrationFormatError, QOutOfRangeError
 from .p1 import FormalSum, Point, hom_profile, point_resolver
 from .slopes import ExtendedRational, K0Class, PLUS_INFINITY
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int
+from .value import Value, set_field
 
 
-@dataclass(frozen=True)
-class StableClass:
+class StableClass(Value):
     """A stable sheaf class: rank r >= 0, degree d with gcd(r, d) = 1, point x.
 
     Rank 0 forces degree 1 (the skyscraper at x); positive rank allows
     any coprime degree.
     """
 
-    r: int
-    d: int
-    x: Point
+    __slots__ = ("r", "d", "x")
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __init__(self, r: int, d: int, x: Point):
+        if r < 0:
             raise ValueError("rank must be nonnegative")
-        if self.r == 0 and self.d != 1:
+        if r == 0 and d != 1:
             raise ValueError("rank-zero classes are skyscrapers: degree must be 1")
-        if math.gcd(self.r, self.d) != 1:
-            raise ValueError(f"rank and degree must be coprime, got ({self.r}, {self.d})")
+        if math.gcd(r, d) != 1:
+            raise ValueError(f"rank and degree must be coprime, got ({r}, {d})")
+        set_field(self, "r", r)
+        set_field(self, "d", d)
+        set_field(self, "x", x)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.r == other.r and self.d == other.d and self.x == other.x
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.d, self.x))
 
     @property
     def is_skyscraper(self) -> bool:
@@ -93,12 +101,22 @@ def hom_dim_stable(e: StableClass, f: StableClass, ext_degree: int) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ShiftedClass:
+class ShiftedClass(Value):
     """A stable class placed at a shift."""
 
-    cls: StableClass
-    shift: int = 0
+    __slots__ = ("cls", "shift")
+
+    def __init__(self, cls: StableClass, shift: int = 0):
+        set_field(self, "cls", cls)
+        set_field(self, "shift", shift)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.cls == other.cls and self.shift == other.shift
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.cls, self.shift))
 
     def shifted(self, n: int) -> "ShiftedClass":
         return ShiftedClass(self.cls, self.shift + n)
@@ -130,6 +148,8 @@ class ShiftedClass:
 class EllipticObject(FormalSum):
     """An object of the elliptic model: a formal sum of `ShiftedClass` atoms."""
 
+    __slots__ = ()
+
 
 ELLIPTIC_ZERO = EllipticObject()
 normalize_elliptic = EllipticObject.from_pairs
@@ -143,11 +163,11 @@ def stable(r: int, d: int, x: Point | str, shift: int = 0, mult: int = 1) -> Ell
 
 # --- the standard family ------------------------------------------------------
 
-_CLASS_RE = re.compile(r"S\((-?[0-9]+),(-?[0-9]+),([A-Za-z0-9]+)\)\Z")
+# Compiled on first use, through `re`'s own cache.
+_CLASS_RE = r"S\((-?[0-9]+),(-?[0-9]+),([A-Za-z0-9]+)\)\Z"
 
 
-@dataclass(frozen=True)
-class EllipticStandard(StabilityFamily):
+class EllipticStandard(StabilityFamily, Value):
     """The finest grading of the elliptic model: (shift, slope, class).
 
     Slopes order lexicographically by (shift, mu) and by the point
@@ -155,14 +175,14 @@ class EllipticStandard(StabilityFamily):
     own semistable subcategory.
     """
 
-    point_labels: tuple[str, ...] = ()
-
+    __slots__ = ("point_labels",)
     kind = "elliptic"
     zero = ELLIPTIC_ZERO
 
-    def __post_init__(self):
-        object.__setattr__(self, "point_labels", tuple(self.point_labels))
-        point_resolver(self.point_labels)  # checks the labels
+    def __init__(self, point_labels: tuple[str, ...] = ()):
+        point_labels = tuple(point_labels)
+        point_resolver(point_labels)  # checks the labels
+        set_field(self, "point_labels", point_labels)
 
     def slope_key(self, s: EllipticSlope) -> tuple:
         if not isinstance(s, EllipticSlope):
@@ -183,7 +203,7 @@ class EllipticStandard(StabilityFamily):
         return {"shift": s.i, "mu": mu, "class": s.cls.render()}
 
     def slope_from_json(self, data: dict) -> EllipticSlope:
-        match = _CLASS_RE.match(data["class"])
+        match = re.match(_CLASS_RE, data["class"])
         if not match:
             raise ValueError(f"bad stable class {data['class']!r}")
         r, d, label = int(match.group(1)), int(match.group(2)), match.group(3)

@@ -30,8 +30,7 @@ its sort key is (i-p-1, 0) for column 0 and (i, 1) for column 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
@@ -39,6 +38,7 @@ from .p1 import (DerivedObject, Line, ShiftedIndec, Torsion, ZERO, line, normali
                  point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel, Report,
                         StabilityFamily, StandardSlope, Window, slope_int)
+from .value import Value, assign, set_field
 
 INF = float("inf")
 
@@ -74,10 +74,10 @@ class P1Family(StabilityFamily):
 
 # --- coarse -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoarseZ(P1Family):
+class CoarseZ(P1Family, Value):
     """The shift grading: semistable subcategory at level i is Coh[i]."""
 
+    __slots__ = ()
     kind = "coarse"
 
     def slope_key(self, s: CoarseSlope) -> int:
@@ -103,8 +103,7 @@ class CoarseZ(P1Family):
 
 # --- standard -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StandardP1(P1Family):
+class StandardP1(P1Family, Value):
     """The finest grading by (shift, degree-or-point).
 
     Within one shift level all line-bundle slopes (ascending in degree)
@@ -115,13 +114,13 @@ class StandardP1(P1Family):
     carried by the points themselves.
     """
 
-    point_labels: tuple[str, ...] = ()
-
+    __slots__ = ("point_labels",)
     kind = "standard"
 
-    def __post_init__(self):
-        object.__setattr__(self, "point_labels", tuple(self.point_labels))
-        point_resolver(self.point_labels)  # checks the labels
+    def __init__(self, point_labels: tuple[str, ...] = ()):
+        point_labels = tuple(point_labels)
+        point_resolver(point_labels)  # checks the labels
+        set_field(self, "point_labels", point_labels)
 
     def slope_key(self, s: StandardSlope) -> tuple:
         if not isinstance(s, StandardSlope):
@@ -154,22 +153,19 @@ class StandardP1(P1Family):
 
 # --- exceptional ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExceptionalP1(P1Family):
+class ExceptionalP1(P1Family, Value):
     """Stability built on the twisting pair (O(k), O(k+1)) with interleaving p."""
 
-    k: int = 0
-    p: int | float = 0
-
+    __slots__ = ("k", "p")
     kind = "exceptional"
 
-    def __post_init__(self):
+    def __init__(self, k: int = 0, p: int | float = 0):
         # bool is an int subclass; True must not pass for 1
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ValueError(f"k must be an integer, got {self.k!r}")
-        if isinstance(self.p, bool) or \
-                (self.p != INF and (not isinstance(self.p, int) or self.p < 0)):
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        if isinstance(p, bool) or (p != INF and (not isinstance(p, int) or p < 0)):
             raise ValueError("p must be a nonnegative integer or inf")
+        assign(self, locals())
 
     def slope_key(self, s: ExceptionalSlope) -> tuple[int, int]:
         """The two-column order for interleaving parameter p (module docstring)."""
@@ -243,8 +239,7 @@ def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> tuple:
 
 # --- refinement order -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FinerVerdict:
+class FinerVerdict(Value):
     """Outcome of a window check of the refinement conditions.
 
     `condition` names the first failing condition ("coverage" when the
@@ -253,10 +248,11 @@ class FinerVerdict:
     semistability, when that is the failure.
     """
 
-    holds: bool
-    condition: str = ""
-    witness: str = ""
-    witnesses: tuple[str, ...] = ()
+    __slots__ = ("holds", "condition", "witness", "witnesses")
+
+    def __init__(self, holds: bool, condition: str = "", witness: str = "",
+                 witnesses: tuple[str, ...] = ()):
+        assign(self, locals())
 
     def __bool__(self):
         return self.holds
@@ -316,8 +312,7 @@ def is_finer(fine: StabilityFamily, weak: StabilityFamily, window: Window) -> Fi
 
 # --- coarsening -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlopePartition:
+class SlopePartition(Value):
     """Blocks of a slope set, described by predicates.
 
     `block_of` maps a slope to its block id, `block_key` maps a block id
@@ -327,10 +322,10 @@ class SlopePartition:
     window by `coarsen`.
     """
 
-    label: str
-    block_of: Callable
-    block_key: Callable
-    tau_block: Callable
+    __slots__ = ("label", "block_of", "block_key", "tau_block")
+
+    def __init__(self, label: str, block_of: Callable, block_key: Callable, tau_block: Callable):
+        assign(self, locals())
 
 
 def by_shift_partition() -> SlopePartition:

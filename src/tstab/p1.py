@@ -27,23 +27,19 @@ indecomposable length-d thickening (of degree d).
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Union
+from collections.abc import Callable, Iterable, Iterator
 
 from .errors import ObjectParseError
 from .slopes import K0Class
-
-_LABEL_RE = re.compile(r"[A-Za-z0-9]+\Z")
+from .value import Value, set_field
 
 
 # The point universe of windows, catalogs and cut checks when no order is declared.
 DEFAULT_POINTS = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     """A point of P1: an opaque label plus its position in the point order.
 
     Points sort by `key()`, (order_index, label), so leaving order_index at
@@ -51,12 +47,21 @@ class Point:
     declared order come from `point_resolver`.
     """
 
-    label: str
-    order_index: int = 0
+    __slots__ = ("label", "order_index")
 
-    def __post_init__(self):
-        if not isinstance(self.label, str) or not _LABEL_RE.match(self.label):
-            raise ValueError(f"point label must be letters/digits, got {self.label!r}")
+    def __init__(self, label: str, order_index: int = 0):
+        if not isinstance(label, str) or not (label.isascii() and label.isalnum()):
+            raise ValueError(f"point label must be letters/digits, got {label!r}")
+        set_field(self, "label", label)
+        set_field(self, "order_index", order_index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.label == other.label and self.order_index == other.order_index
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.label, self.order_index))
 
     def key(self):
         return (self.order_index, self.label)
@@ -92,34 +97,62 @@ def point_resolver(labels: tuple[str, ...] = ()) -> Callable[[str], Point]:
 
 # --- indecomposables --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Line:
+class Line(Value):
     """The line bundle O(n)."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
-@dataclass(frozen=True)
-class Torsion:
+class Torsion(Value):
     """The indecomposable torsion sheaf of length d >= 1 at a point."""
 
-    x: Point
-    d: int
+    __slots__ = ("x", "d")
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"torsion length must be >= 1, got {self.d}")
+    def __init__(self, x: Point, d: int):
+        if d < 1:
+            raise ValueError(f"torsion length must be >= 1, got {d}")
+        set_field(self, "x", x)
+        set_field(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.d == other.d
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.d))
 
 
-Indec = Union[Line, Torsion]
+Indec = Line | Torsion
 
 
-@dataclass(frozen=True)
-class ShiftedIndec:
+class ShiftedIndec(Value):
     """An indecomposable placed in homological degree -shift (i.e. base[shift])."""
 
-    base: Indec
-    shift: int = 0
+    __slots__ = ("base", "shift")
+
+    def __init__(self, base: Indec, shift: int = 0):
+        set_field(self, "base", base)
+        set_field(self, "shift", shift)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.base == other.base and self.shift == other.shift
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.shift))
 
     def shifted(self, n: int) -> "ShiftedIndec":
         return ShiftedIndec(self.base, self.shift + n)
@@ -159,8 +192,7 @@ class ShiftedIndec:
 
 # --- normal forms -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormalSum:
+class FormalSum(Value):
     """Normal form of a derived object: shifted atoms with multiplicities.
 
     The atoms are `ShiftedIndec` on the line and `ShiftedClass` on the
@@ -171,7 +203,18 @@ class FormalSum:
     never equal.
     """
 
-    terms: tuple[tuple[object, int], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[object, int], ...] = ()):
+        set_field(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, int]]):
@@ -234,6 +277,8 @@ class FormalSum:
 class DerivedObject(FormalSum):
     """A derived object on P1: a formal sum of `ShiftedIndec` atoms."""
 
+    __slots__ = ()
+
 
 ZERO = DerivedObject()
 normalize = DerivedObject.from_pairs
@@ -282,11 +327,22 @@ def hom_dim(a, b, q: int) -> int:
     return a.ext_dim(b, q + b.shift - a.shift)
 
 
-@dataclass(frozen=True)
-class HomProfile:
-    """The graded Hom dimensions between two objects, by degree."""
+class HomProfile(Value):
+    """The graded Hom dimensions between two objects, by degree: `entries`
+    is the sorted tuple of (degree, dim) with dim > 0."""
 
-    entries: tuple[tuple[int, int], ...] = ()  # sorted (degree, dim), dim > 0
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+        set_field(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "HomProfile":

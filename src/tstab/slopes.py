@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .errors import ArityMismatchError, NotPositiveError, ZeroClassError
+from .value import Value, assign, set_field
 
 
 class Ordering(enum.Enum):
@@ -39,18 +39,30 @@ class Ordering(enum.Enum):
         return Ordering.EQUAL
 
 
-@dataclass(frozen=True)
-class K0Class:
+class K0Class(Value):
     """A class in the free abelian K0 model: a fixed-length integer vector.
 
     For curve categories the arity is 2 and the components are
-    (rank, degree).
+    (rank, degree).  Components must be ints (not bools): anything else
+    raises TypeError rather than being truncated.
     """
 
-    components: tuple[int, ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(int(c) for c in self.components))
+    def __init__(self, components: Iterable[int]):
+        components = tuple(components)
+        for c in components:
+            if c.__class__ is not int:
+                raise TypeError(f"K0 components must be integers, got {c!r}")
+        set_field(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.components,))
 
     @property
     def arity(self) -> int:
@@ -90,8 +102,7 @@ def k0(*components: int) -> K0Class:
     return K0Class(tuple(components))
 
 
-@dataclass(frozen=True)
-class PositiveSystem:
+class PositiveSystem(Value):
     """A labelled system of additive functions with the positivity property.
 
     Positivity is not proven symbolically; `check_positive` verifies it on
@@ -99,8 +110,10 @@ class PositiveSystem:
     the zero vector only represents the zero object.
     """
 
-    labels: tuple[str, ...]
-    is_base: bool = False
+    __slots__ = ("labels", "is_base")
+
+    def __init__(self, labels: tuple[str, ...], is_base: bool = False):
+        assign(self, locals())
 
     @property
     def arity(self) -> int:
@@ -111,10 +124,11 @@ class PositiveSystem:
 RANK_DEGREE = PositiveSystem(labels=("rk", "deg"), is_base=True)
 
 
-@dataclass(frozen=True)
-class PositivityViolation:
-    cls: K0Class
-    reason: str
+class PositivityViolation(Value):
+    __slots__ = ("cls", "reason")
+
+    def __init__(self, cls: K0Class, reason: str):
+        assign(self, locals())
 
     def __str__(self):
         return f"{self.cls}: {self.reason}"
@@ -156,23 +170,26 @@ def check_positive(system: PositiveSystem, samples: Iterable[K0Class]) -> list[P
 
 # --- slope values -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class One:
+class One(Value):
     """The maximal slope component (the filler above every Nu value)."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "One"
 
 
-@dataclass(frozen=True)
-class Nu:
+class Nu(Value):
     """Slope component nu(q); ordering reverses the rational argument.
 
     Semantically nu(q) = arccot(q)/pi, which is strictly decreasing in q,
     so Nu(q1) < Nu(q2) iff q1 > q2, and Nu(q) < One for every q.
     """
 
-    q: Fraction
+    __slots__ = ("q",)
+
+    def __init__(self, q: Fraction):
+        assign(self, locals())
 
     def __repr__(self):
         return f"Nu({self.q})"
@@ -182,7 +199,7 @@ class Nu:
         return math.atan2(1.0, float(self.q)) / math.pi
 
 
-SlopeComponent = Union[One, Nu]
+SlopeComponent = One | Nu
 
 
 def _component_key(c: SlopeComponent):
@@ -192,11 +209,13 @@ def _component_key(c: SlopeComponent):
     return (0, -c.q)
 
 
-@dataclass(frozen=True)
-class SlopeValue:
+class SlopeValue(Value):
     """An exact slope vector of length r-1, ordered lexicographically."""
 
-    components: tuple[SlopeComponent, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[SlopeComponent, ...]):
+        assign(self, locals())
 
     def key(self):
         return tuple(_component_key(c) for c in self.components)
@@ -247,11 +266,21 @@ def gamma_slope(system: PositiveSystem, cls: K0Class) -> SlopeValue:
 
 # --- extended rationals -----------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtendedRational:
+class ExtendedRational(Value):
     """A rational number or +infinity, with +infinity maximal."""
 
-    value: Fraction | None = None  # None encodes +infinity
+    __slots__ = ("value",)
+
+    def __init__(self, value: Fraction | None = None):  # None encodes +infinity
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     @staticmethod
     def finite(q) -> "ExtendedRational":
@@ -301,8 +330,7 @@ def mu_bar(cls: K0Class) -> ExtendedRational:
 
 # --- seesaw -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SeesawResult:
+class SeesawResult(Value):
     """Outcome of a seesaw check on a subobject/quotient pair.
 
     `alternative` is one of "increasing", "decreasing", "equal" or
@@ -310,13 +338,11 @@ class SeesawResult:
     the three pairwise comparisons are inconsistent.
     """
 
-    a: K0Class
-    b: K0Class
-    c: K0Class
-    ab: Ordering
-    ac: Ordering
-    bc: Ordering
-    alternative: str
+    __slots__ = ("a", "b", "c", "ab", "ac", "bc", "alternative")
+
+    def __init__(self, a: K0Class, b: K0Class, c: K0Class,
+                 ab: Ordering, ac: Ordering, bc: Ordering, alternative: str):
+        assign(self, locals())
 
     @property
     def ok(self) -> bool:

@@ -20,59 +20,101 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import FiltrationFormatError, InvalidShuffleError, UnsupportedFamilyError
 from .p1 import DEFAULT_POINTS, Point, hom_profile
 from .slopes import ExtendedRational, K0Class, Ordering
+from .value import Value, assign, set_field
 
 
 # --- slope identifiers ------------------------------------------------------
 
-INT_TEXT = re.compile(r"[+-]?[0-9]+\Z")  # the integer literals of specs and documents
+# The integer literals of specs and documents.  Compiled on first use, through
+# `re`'s own cache, so commands that read none do not pay for it at import.
+INT_TEXT = r"[+-]?[0-9]+\Z"
 
 
 def slope_int(value, name: str, text: bool = False) -> int:
     """An integer slope field of a document, not coerced: a JSON integer (not
     a bool), or with `text` an INT_TEXT string; else FiltrationFormatError."""
-    ok = isinstance(value, str) and INT_TEXT.match(value) if text else type(value) is int
+    ok = isinstance(value, str) and re.match(INT_TEXT, value) if text else type(value) is int
     if not ok:
         kind = "a decimal integer string" if text else "an integer"
         raise FiltrationFormatError(f"slope field {name!r} must be {kind}, got {value!r}")
     return int(value)
 
 
-@dataclass(frozen=True)
-class CoarseSlope:
+class CoarseSlope(Value):
     """Slope in the coarse family: the shift level alone."""
 
-    i: int
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        set_field(self, "i", i)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.i == other.i
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i,))
 
     def __repr__(self):
         return f"({self.i})"
 
 
-@dataclass(frozen=True)
-class IntLevel:
+class IntLevel(Value):
     """Degree level of a line bundle inside one shift stratum."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.n == other.n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
 
-@dataclass(frozen=True)
-class PointLevel:
+class PointLevel(Value):
     """Point level of a torsion stratum inside one shift stratum."""
 
-    point: Point
+    __slots__ = ("point",)
+
+    def __init__(self, point: Point):
+        set_field(self, "point", point)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.point == other.point
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.point,))
 
 
-@dataclass(frozen=True)
-class StandardSlope:
+class StandardSlope(Value):
     """Slope (shift, level) with level a line degree or a point."""
 
-    i: int
-    level: IntLevel | PointLevel
+    __slots__ = ("i", "level")
+
+    def __init__(self, i: int, level: IntLevel | PointLevel):
+        set_field(self, "i", i)
+        set_field(self, "level", level)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.i == other.i and self.level == other.level
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.level))
 
     def key(self):
         if isinstance(self.level, IntLevel):
@@ -85,28 +127,46 @@ class StandardSlope:
         return f"({self.i}, {self.level.point.label})"
 
 
-@dataclass(frozen=True)
-class ExceptionalSlope:
+class ExceptionalSlope(Value):
     """Slope (shift, column): column 0 carries O(k), column 1 carries O(k+1)."""
 
-    i: int
-    col: int
+    __slots__ = ("i", "col")
 
-    def __post_init__(self):
-        if self.col not in (0, 1):
+    def __init__(self, i: int, col: int):
+        if col not in (0, 1):
             raise ValueError("column must be 0 or 1")
+        set_field(self, "i", i)
+        set_field(self, "col", col)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.i == other.i and self.col == other.col
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.col))
 
     def __repr__(self):
         return f"({self.i}, col {self.col})"
 
 
-@dataclass(frozen=True)
-class EllipticSlope:
+class EllipticSlope(Value):
     """Slope (shift, mu, stable class) on the elliptic model."""
 
-    i: int
-    mu: ExtendedRational
-    cls: object  # a StableClass; kept opaque to avoid an import cycle
+    __slots__ = ("i", "mu", "cls")
+
+    def __init__(self, i: int, mu: ExtendedRational, cls):  # cls: a StableClass
+        set_field(self, "i", i)
+        set_field(self, "mu", mu)
+        set_field(self, "cls", cls)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.i == other.i and self.mu == other.mu and self.cls == other.cls
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.mu, self.cls))
 
     def __repr__(self):
         return f"({self.i}, {self.mu}, {self.cls})"
@@ -114,11 +174,21 @@ class EllipticSlope:
 
 # --- reports ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckItem(Value):
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "ok", ok)
+        set_field(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.ok == other.ok and self.detail == other.detail
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.ok, self.detail))
 
     @staticmethod
     def over(name: str, cases: int, ok: bool, detail: str = "") -> "CheckItem":
@@ -135,9 +205,11 @@ class CheckItem:
         return f"{mark} {self.name}" + (f": {self.detail}" if self.detail and not self.ok else "")
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[CheckItem, ...] = ()
+class Report(Value):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[CheckItem, ...] = ()):
+        assign(self, locals())
 
     @property
     def ok(self) -> bool:
@@ -158,19 +230,17 @@ class Report:
 
 # --- window for finite checks -----------------------------------------------
 
-@dataclass(frozen=True)
-class Window:
+class Window(Value):
     """Finite bounds for axiom checks: shifts, degrees, lengths, points."""
 
-    max_degree: int = 8
-    max_shift: int = 2
-    max_length: int = 3
-    max_summands: int = 6
-    points: tuple[Point, ...] = tuple(map(Point, DEFAULT_POINTS))
-    samples: int = 50
-    seed: int = 0
+    __slots__ = ("max_degree", "max_shift", "max_length", "max_summands", "points", "samples",
+                 "seed")
 
-    def __post_init__(self):
+    def __init__(self, max_degree: int = 8, max_shift: int = 2, max_length: int = 3,
+                 max_summands: int = 6,
+                 points: tuple[Point, ...] = tuple(map(Point, DEFAULT_POINTS)),
+                 samples: int = 50, seed: int = 0):
+        assign(self, locals())
         for name, least in (("max_degree", 0), ("max_shift", 0), ("max_length", 1),
                             ("max_summands", 1), ("samples", 0)):
             if getattr(self, name) < least:
@@ -188,8 +258,7 @@ class Window:
 
 # --- filtrations ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HNFiltration:
+class HNFiltration(Value):
     """Quotient list plus term objects of a t-filtration.
 
     terms[0] is the filtered object, terms[-1] is zero, and
@@ -203,13 +272,14 @@ class HNFiltration:
     every term anyway.
     """
 
-    family: "StabilityFamily" = field(compare=False)
-    quotients: tuple[tuple[object, object], ...] = ()
-    terms: tuple[object, ...] = ()
+    __slots__ = ("family", "quotients", "terms")
+    _compare = ("quotients", "terms")  # filtrations of equal data are equal in any family
 
-    def __post_init__(self):
-        if len(self.terms) != len(self.quotients) + 1:
+    def __init__(self, family: StabilityFamily,
+                 quotients: tuple[tuple[object, object], ...] = (), terms: tuple[object, ...] = ()):
+        if len(terms) != len(quotients) + 1:
             raise ValueError("terms must be one longer than quotients")
+        assign(self, locals())
 
     @property
     def object(self):

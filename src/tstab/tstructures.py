@@ -25,8 +25,7 @@ bounded cut onto one of A..F(p) by a twist and a shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (BadParamsError, HomViolationError, InvalidCutError,
                      NotSlopeDescribableError, UnboundedError)
@@ -35,6 +34,7 @@ from .p1 import (DEFAULT_POINTS, DerivedObject, Indec, Line, Point, Torsion, hom
                  point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel,
                         Report, StabilityFamily, StandardSlope)
+from .value import Value, assign
 
 
 def _fmt_bound(v) -> str:
@@ -47,8 +47,7 @@ def _fmt_bound(v) -> str:
 
 # --- cuts ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StandardCut:
+class StandardCut(Value):
     """Two-value threshold cut of the standard slope set.
 
     Canonicalised at construction: P is dropped when K < +inf (the
@@ -56,21 +55,16 @@ class StandardCut:
     K = +inf collapses to the constant threshold m+1.
     """
 
-    m: int
-    K: int | float = -INF
-    P: frozenset[str] | None = None
+    __slots__ = ("m", "K", "P")
 
-    def __post_init__(self):
-        K, P = self.K, self.P
+    def __init__(self, m: int, K: int | float = -INF, P: frozenset[str] | None = None):
         if P is not None:
             P = frozenset(P)
         if K != INF:
             P = None
         elif P is not None and not P:
-            object.__setattr__(self, "m", self.m + 1)
-            K, P = -INF, None
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "P", P)
+            m, K, P = m + 1, -INF, None
+        assign(self, locals())
 
     def line_threshold(self, n: int) -> int:
         return self.m + 1 if n < self.K else self.m
@@ -90,12 +84,13 @@ class StandardCut:
         return f"std:m={self.m},K={_fmt_bound(self.K)},P={pts}"
 
 
-@dataclass(frozen=True)
-class ExceptionalCut:
+class ExceptionalCut(Value):
     """Columnwise cut of an exceptional slope set: thresholds a and b."""
 
-    a: int | float
-    b: int | float
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int | float, b: int | float):
+        assign(self, locals())
 
     def in_plus(self, s: ExceptionalSlope) -> bool:
         return s.i >= (self.a if s.col == 0 else self.b)
@@ -104,11 +99,13 @@ class ExceptionalCut:
         return f"exc:a={_fmt_bound(self.a)},b={_fmt_bound(self.b)}"
 
 
-@dataclass(frozen=True)
-class CoarseCut:
+class CoarseCut(Value):
     """Cut of the coarse slope set at shift m."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        assign(self, locals())
 
     def in_plus(self, s: CoarseSlope) -> bool:
         return s.i >= self.m
@@ -261,8 +258,7 @@ def _render_line_gen(n: int, i: int) -> str:
     return (f"O[{i}]" if n == 0 else f"O({n})[{i}]")
 
 
-@dataclass(frozen=True)
-class HeartDescription:
+class HeartDescription(Value):
     """The heart of the t-structure induced by a cut.
 
     A slope belongs to the heart iff it lies in the up-set and its
@@ -270,8 +266,11 @@ class HeartDescription:
     HN slopes do.
     """
 
-    family: StabilityFamily = field(compare=False)
-    cut: SlopeCut = None
+    __slots__ = ("family", "cut")
+    _compare = ("cut",)
+
+    def __init__(self, family: StabilityFamily, cut: SlopeCut = None):
+        assign(self, locals())
 
     def contains_slope(self, s) -> bool:
         return self.cut.in_plus(s) and not self.cut.in_plus(self.family.tau(s, -1))
@@ -341,8 +340,7 @@ def is_bounded(cut: SlopeCut, family: StabilityFamily) -> bool:
 
 # --- torsion pairs ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TorsionPair:
+class TorsionPair(Value):
     """A shift-0 torsion pair described by level sets.
 
     The first part contains the line bundles of degree >= line_threshold
@@ -352,12 +350,12 @@ class TorsionPair:
     a window.
     """
 
-    line_threshold: int | float
-    torsion_points: frozenset[str] | None = None
+    __slots__ = ("line_threshold", "torsion_points")
 
-    def __post_init__(self):
-        if self.torsion_points is not None:
-            object.__setattr__(self, "torsion_points", frozenset(self.torsion_points))
+    def __init__(self, line_threshold: int | float, torsion_points: frozenset[str] | None = None):
+        if torsion_points is not None:
+            torsion_points = frozenset(torsion_points)
+        assign(self, locals())
 
     def in_first(self, base: Indec) -> bool:
         if isinstance(base, Line):
@@ -432,17 +430,16 @@ EXCEPTIONAL_NAMES = ("E", "F", "G", "H", "I")
 CATALOG_NAMES = STANDARD_NAMES + EXCEPTIONAL_NAMES
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Value):
     """A named t-structure: family, cut, heart, and associated data."""
 
-    name: str
-    params: tuple[tuple[str, object], ...]
-    family: StabilityFamily = field(compare=False)
-    cut: SlopeCut = None
-    bounded: bool = True
-    torsion_pair: TorsionPair | None = None
-    quiver_heart: bool = False
+    __slots__ = ("name", "params", "family", "cut", "bounded", "torsion_pair", "quiver_heart")
+    _compare = ("name", "params", "cut", "bounded", "torsion_pair", "quiver_heart")
+
+    def __init__(self, name: str, params: tuple[tuple[str, object], ...], family: StabilityFamily,
+                 cut: SlopeCut = None, bounded: bool = True,
+                 torsion_pair: TorsionPair | None = None, quiver_heart: bool = False):
+        assign(self, locals())
 
     @property
     def heart(self) -> HeartDescription:
@@ -532,14 +529,13 @@ def catalog_entries(points: Sequence[str] = DEFAULT_POINTS, p: int = 0) -> list[
 
 # --- classification -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Value):
     """Catalog name plus the twist/shift normalising the input cut onto it."""
 
-    name: str
-    params: tuple[tuple[str, object], ...]
-    twist: int
-    shift: int
+    __slots__ = ("name", "params", "twist", "shift")
+
+    def __init__(self, name: str, params: tuple[tuple[str, object], ...], twist: int, shift: int):
+        assign(self, locals())
 
     def params_dict(self) -> dict:
         return dict(self.params)

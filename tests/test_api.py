@@ -1,15 +1,35 @@
-"""The names the benchmark harness imports from tstab must keep resolving.
+"""The library's import surface.
 
-The benchmark under `perfbench/` imports library names directly, and its
+The names the benchmark harness imports from tstab must keep resolving:
+the benchmark under `perfbench/` imports library names directly, and its
 own smoke test is not part of this suite, so a rename in the library
 would otherwise break the benchmark without failing a test here.
+
+Importing the CLI must also stay cheap: every `tstab` command pays for it.
 """
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# Modules whose import alone costs milliseconds at start-up: dataclasses, with
+# the code generation it runs per class, inspect and the modules inspect pulls
+# in, and typing.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_cli_import_pulls_in_no_heavy_module():
+    # -S: no site hooks, which may import any of these on their own.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tstab.cli; "
+            f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def _trees():

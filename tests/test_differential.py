@@ -12,20 +12,27 @@ the three label resolvers that `point_resolver` replaced, and the
 per-summand data that `StabilityFamily.summand_tower` replaced: the
 exceptional rewrite with its stored mid-term, the `truncate` that read
 it, `heart_contains` read off a whole `hn`, and the coarsened
-`semistable_slope` read off the base family's `hn`.
+`semistable_slope` read off the base family's `hn`, and the frozen
+dataclasses that the hand-written value types replaced.
 They are kept here only, as oracles, and every result must agree bit for
 bit.  The JSON round trip of filtrations is tested here too, over the
 same families and objects.
 """
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
+import re
+from collections import namedtuple
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tstab import cli
+from tstab import cli, elliptic, p1, slopes, stability
 from tstab.elliptic import (EllipticObject, EllipticStandard, ShiftedClass, StableClass,
                             hom_dim_stable, normalize_elliptic)
 from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
@@ -38,8 +45,8 @@ from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalS
                              HNFiltration, IntLevel, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
                              verify_hn)
-from tstab.tstructures import (CoarseCut, ExceptionalCut, HeartDescription, StandardCut,
-                               cut_is_valid, heart_contains, truncate)
+from tstab.tstructures import (CatalogEntry, CoarseCut, ExceptionalCut, HeartDescription,
+                               StandardCut, catalog, cut_is_valid, heart_contains, truncate)
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -1030,3 +1037,320 @@ def test_filtration_json_round_trip_all_families(case, data):
     x3, filt3 = cli.filtration_from_json(respelled)
     assert x3 == x and filt3 == filt
     assert filt3.to_json() == doc
+
+
+# --- value types ----------------------------------------------------------------------------
+
+def _dataclass_oracles():
+    """The frozen dataclasses that the hand-written value types replaced.
+
+    Each keeps its fields, defaults, `field(compare=False)`, `__post_init__`
+    and `__repr__` as they were; the other methods do not bear on `==`,
+    `hash`, `repr`, construction or refused assignment and are left out.
+    The classes get their library names, which the dataclass `repr` prints.
+    """
+    @dataclass(frozen=True)
+    class Point:
+        label: str
+        order_index: int = 0
+
+        def __post_init__(self):
+            if not isinstance(self.label, str) or not re.match(r"[A-Za-z0-9]+\Z", self.label):
+                raise ValueError(f"point label must be letters/digits, got {self.label!r}")
+
+        def __repr__(self):
+            return self.label
+
+    @dataclass(frozen=True)
+    class Line:
+        n: int
+
+    @dataclass(frozen=True)
+    class Torsion:
+        x: Point
+        d: int
+
+        def __post_init__(self):
+            if self.d < 1:
+                raise ValueError(f"torsion length must be >= 1, got {self.d}")
+
+    @dataclass(frozen=True)
+    class ShiftedIndec:
+        base: object
+        shift: int = 0
+
+        def render(self) -> str:
+            if isinstance(self.base, Line):
+                s = f"O({self.base.n})"
+            else:
+                s = f"T({self.base.x.label},{self.base.d})"
+            if self.shift != 0:
+                s += f"[{self.shift}]"
+            return s
+
+        def __repr__(self):
+            return self.render()
+
+    @dataclass(frozen=True)
+    class FormalSum:
+        terms: tuple = ()
+
+        def render(self) -> str:
+            if not self.terms:
+                return "0"
+            return " + ".join(t.render() if m == 1 else f"{m}*{t.render()}"
+                              for t, m in self.terms)
+
+        def __repr__(self):
+            return self.render()
+
+    class DerivedObject(FormalSum):
+        pass
+
+    class EllipticObject(FormalSum):
+        pass
+
+    @dataclass(frozen=True)
+    class StableClass:
+        r: int
+        d: int
+        x: Point
+
+        def __post_init__(self):
+            if self.r < 0:
+                raise ValueError("rank must be nonnegative")
+            if self.r == 0 and self.d != 1:
+                raise ValueError("rank-zero classes are skyscrapers: degree must be 1")
+            if math.gcd(self.r, self.d) != 1:
+                raise ValueError(f"rank and degree must be coprime, got ({self.r}, {self.d})")
+
+        def render(self) -> str:
+            return f"S({self.r},{self.d},{self.x.label})"
+
+        def __repr__(self):
+            return self.render()
+
+    @dataclass(frozen=True)
+    class ShiftedClass:
+        cls: StableClass
+        shift: int = 0
+
+        def render(self) -> str:
+            s = self.cls.render()
+            if self.shift != 0:
+                s += f"[{self.shift}]"
+            return s
+
+        def __repr__(self):
+            return self.render()
+
+    @dataclass(frozen=True)
+    class K0Class:
+        components: tuple
+
+        def __post_init__(self):
+            object.__setattr__(self, "components", tuple(int(c) for c in self.components))
+
+        def __repr__(self):
+            return f"K0{self.components}"
+
+    @dataclass(frozen=True)
+    class HomProfile:
+        entries: tuple = ()
+
+        def __repr__(self):
+            return "{" + ", ".join(f"{q}: {n}" for q, n in self.entries) + "}"
+
+    @dataclass(frozen=True)
+    class ExtendedRational:
+        value: object = None
+
+        def __repr__(self):
+            return "+inf" if self.value is None else str(self.value)
+
+    @dataclass(frozen=True)
+    class CoarseSlope:
+        i: int
+
+        def __repr__(self):
+            return f"({self.i})"
+
+    @dataclass(frozen=True)
+    class IntLevel:
+        n: int
+
+    @dataclass(frozen=True)
+    class PointLevel:
+        point: Point
+
+    @dataclass(frozen=True)
+    class StandardSlope:
+        i: int
+        level: object
+
+        def __repr__(self):
+            if isinstance(self.level, IntLevel):
+                return f"({self.i}, {self.level.n})"
+            return f"({self.i}, {self.level.point.label})"
+
+    @dataclass(frozen=True)
+    class ExceptionalSlope:
+        i: int
+        col: int
+
+        def __post_init__(self):
+            if self.col not in (0, 1):
+                raise ValueError("column must be 0 or 1")
+
+        def __repr__(self):
+            return f"({self.i}, col {self.col})"
+
+    @dataclass(frozen=True)
+    class EllipticSlope:
+        i: int
+        mu: ExtendedRational
+        cls: object
+
+        def __repr__(self):
+            return f"({self.i}, {self.mu}, {self.cls})"
+
+    @dataclass(frozen=True)
+    class CheckItem:
+        name: str
+        ok: bool
+        detail: str = ""
+
+    @dataclass(frozen=True)
+    class HNFiltration:
+        family: object = field(compare=False)
+        quotients: tuple = ()
+        terms: tuple = ()
+
+        def __post_init__(self):
+            if len(self.terms) != len(self.quotients) + 1:
+                raise ValueError("terms must be one longer than quotients")
+
+    oracles = {name: cls for name, cls in locals().items() if isinstance(cls, type)}
+    for name, cls in oracles.items():
+        cls.__qualname__ = name
+    return oracles
+
+
+ORACLE_TYPES = _dataclass_oracles()
+VALUE_TYPES = {name: getattr(module, name) for module in (p1, elliptic, slopes, stability)
+               for name in ORACLE_TYPES if hasattr(module, name)}
+
+# A recipe names a value type and its arguments, which may be recipes; `_build`
+# makes it from the library's types or from the oracles.
+Make = namedtuple("Make", "name args")
+
+
+def _build(recipe, types):
+    if isinstance(recipe, Make):
+        return types[recipe.name](*(_build(a, types) for a in recipe.args))
+    if isinstance(recipe, tuple):
+        return tuple(_build(a, types) for a in recipe)
+    return recipe
+
+
+def _make(name, *args):
+    return st.tuples(*args).map(lambda built: Make(name, built))
+
+
+_INTS = st.integers(-3, 3)
+_LABEL_TEXT = st.sampled_from(["x", "y", "z", "P1", "", "a\n", "é", "x y", 7])
+_POINT = _make("Point", _LABEL_TEXT, _INTS)
+_INDEC = st.one_of(_make("Line", _INTS), _make("Torsion", _POINT, st.integers(-1, 3)))
+_SHIFTED_INDEC = _make("ShiftedIndec", _INDEC, _INTS)
+_STABLE = _make("StableClass", st.integers(-1, 3), st.integers(-2, 3), _POINT)
+_SHIFTED_CLASS = _make("ShiftedClass", _STABLE, _INTS)
+_EXTENDED = _make("ExtendedRational",
+                  st.one_of(st.none(), st.fractions(max_denominator=4), _INTS))
+_LEVEL = st.one_of(_make("IntLevel", _INTS), _make("PointLevel", _POINT))
+_SLOPE = st.one_of(_make("CoarseSlope", _INTS), _make("StandardSlope", _INTS, _LEVEL),
+                   _make("ExceptionalSlope", _INTS, st.integers(-1, 2)),
+                   _make("EllipticSlope", _INTS, _EXTENDED, _STABLE))
+_SUMMANDS = st.one_of(st.lists(st.tuples(_SHIFTED_INDEC, st.integers(1, 3)), max_size=3),
+                      st.lists(st.tuples(_SHIFTED_CLASS, st.integers(1, 3)), max_size=3))
+_SUM = st.tuples(st.sampled_from(["DerivedObject", "EllipticObject"]),
+                 _SUMMANDS.map(tuple)).map(lambda nt: Make(nt[0], (nt[1],)))
+_FAMILIES = (CoarseZ(), StandardP1(("y", "x")), ExceptionalP1(0, INF), EllipticStandard())
+_FILTRATION = _make("HNFiltration", st.sampled_from(_FAMILIES),
+                    st.lists(st.tuples(_SLOPE, _SUM), max_size=2).map(tuple),
+                    st.lists(_SUM, min_size=1, max_size=3).map(tuple))
+_VALUE = st.one_of(
+    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_CLASS, _EXTENDED, _LEVEL, _SLOPE, _SUM,
+    _make("K0Class", st.lists(_INTS, max_size=3).map(tuple)),
+    _make("HomProfile", st.lists(st.tuples(_INTS, st.integers(1, 3)), max_size=3).map(tuple)),
+    _make("CheckItem", st.sampled_from(["a", "b"]), st.booleans(), st.sampled_from(["", "d"])),
+    _FILTRATION)
+
+
+def _value_outcome(recipe, types):
+    """The value a recipe builds, or the (type name, message) of what building
+    or printing it raises."""
+    try:
+        value = _build(recipe, types)
+        repr(value)
+    except Exception as exc:  # both sides must raise alike
+        return None, (type(exc).__name__, str(exc))
+    return value, None
+
+
+def _refusals(obj, name):
+    """What assigning and deleting field `name` of obj raise."""
+    out = []
+    for action in (lambda: setattr(obj, name, 0), lambda: delattr(obj, name)):
+        with pytest.raises(AttributeError) as info:
+            action()
+        out.append(str(info.value))
+    return out
+
+
+@settings(max_examples=400)
+@given(_VALUE, _VALUE)
+def test_value_types_match_dataclass_oracles(a, b):
+    new_a, err_a = _value_outcome(a, VALUE_TYPES)
+    old_a, old_err_a = _value_outcome(a, ORACLE_TYPES)
+    assert err_a == old_err_a
+    if err_a:
+        return
+    assert type(new_a).__name__ == type(old_a).__name__
+    assert repr(new_a) == repr(old_a)
+    assert hash(new_a) == hash(old_a)
+    assert new_a != old_a and old_a != new_a  # a value type never equals another class
+    assert type(new_a)._fields == tuple(f.name for f in dataclasses.fields(old_a))
+    for name in type(new_a)._fields:
+        assert _refusals(new_a, name) == _refusals(old_a, name)
+    for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        again = round_trip(new_a)
+        assert type(again) is type(new_a)
+        assert again == new_a and hash(again) == hash(new_a) and repr(again) == repr(new_a)
+
+    # The same arguments under every other type name, and the second drawn value.
+    others = [Make(name, a.args) for name in VALUE_TYPES if name != a.name] + [b]
+    for other in others:
+        new_b, err_b = _value_outcome(other, VALUE_TYPES)
+        old_b, old_err_b = _value_outcome(other, ORACLE_TYPES)
+        if err_b or old_err_b:
+            continue
+        assert (new_a == new_b) == (old_a == old_b)
+        assert (new_a != new_b) == (old_a != old_b)
+        # Equal hashes of equal fields: sets iterate in the same order.
+        assert [repr(v) for v in {new_a, new_b}] == [repr(v) for v in {old_a, old_b}]
+
+
+def test_every_oracle_has_a_value_type():
+    assert VALUE_TYPES.keys() == ORACLE_TYPES.keys()
+
+
+def test_compare_false_fields_take_no_part_in_equality():
+    std, other = StandardP1(("y", "x")), StandardP1(("x", "y"))
+    x = line(2) + line(3, 1)
+    filt = std.hn(x)
+    moved = HNFiltration(other, filt.quotients, filt.terms)
+    assert moved == filt and hash(moved) == hash(filt) and repr(moved) != repr(filt)
+    assert HeartDescription(std, CoarseCut(0)) == HeartDescription(CoarseZ(), CoarseCut(0))
+    entry = catalog("A")
+    assert CatalogEntry(entry.name, entry.params, other, entry.cut) == \
+        CatalogEntry(entry.name, entry.params, entry.family, entry.cut)

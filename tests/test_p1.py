@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,27 @@ def test_point_default_order_is_lexicographic():
         point_resolver(("a", "a"))
     with pytest.raises(ObjectParseError):
         resolve("q")
+
+
+def _label_accepted(label) -> bool:
+    try:
+        Point(label)
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.one_of(st.text(max_size=4),
+                 st.sampled_from(["", "a\n", "x\n", "\n", "é", "xé", "ß", "Ⅻ", "١", "²",
+                                  "x y", "x_1", "P1", "abcXYZ09"])))
+def test_point_labels_are_the_former_pattern(label):
+    """ASCII letters and digits, one or more: what `[A-Za-z0-9]+\\Z` matched."""
+    assert _label_accepted(label) == bool(re.match(r"[A-Za-z0-9]+\Z", label))
+
+
+def test_point_label_must_be_text():
+    with pytest.raises(ValueError, match="letters/digits"):
+        Point(7)
 
 
 # --- K0 ------------------------------------------------------------------------

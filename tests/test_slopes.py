@@ -37,6 +37,18 @@ def test_check_positive_arity_mismatch():
         check_positive(RANK_DEGREE, [K0Class((1, 2, 3))])
 
 
+@pytest.mark.parametrize("components", [(1.7, 2), (True, 2), (1, 2.0), ("1", 2)])
+def test_k0_class_refuses_components_that_are_not_ints(components):
+    """Neither truncated (1.7 -> 1) nor coerced (True -> 1)."""
+    with pytest.raises(TypeError, match="K0 components must be integers"):
+        K0Class(components)
+
+
+def test_k0_class_takes_any_iterable_of_ints():
+    assert K0Class([1, 2]) == K0Class(iter((1, 2))) == k0(1, 2)
+    assert K0Class([1, 2]).components == (1, 2)
+
+
 def test_gamma_slope_positive_rank():
     assert gamma_slope(RANK_DEGREE, k0(1, 2)) == SlopeValue((Nu(Fraction(-2)),))
 
