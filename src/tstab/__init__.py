@@ -5,11 +5,11 @@ from .slopes import (ExtendedRational, K0Class, Nu, One, Ordering, PLUS_INFINITY
                      compare_slopes, gamma_slope, mu_bar, seesaw_check)
 from .p1 import (DEFAULT_POINTS, DerivedObject, FormalSum, HomProfile, Indec, Line, Point,
                  ShiftedIndec, Torsion, ZERO, direct_sum, euler_form, hom_dim, hom_profile,
-                 line, normalize, point_resolver, torsion)
+                 line, normalize, point_resolver, point_universe, torsion)
 from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
-                        HNFiltration, IntLevel, PointLevel, Report, StabilityFamily,
-                        StandardSlope, Window, glue, is_semistable, merge_towers,
-                        shuffle_merge, split, validate_stability, verify_hn)
+                        HNFiltration, Report, StabilityFamily, StandardSlope, Window, glue,
+                        is_semistable, merge_towers, shuffle_merge, split, validate_stability,
+                        verify_hn)
 from .families import (INF, CoarseZ, CoarsenedFamily, ExceptionalP1, FinerVerdict,
                        SlopePartition, StandardP1, by_shift_partition, coarsen,
                        column_partition, exceptional_rewrite,

@@ -35,7 +35,7 @@ from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
                      ObjectParseError, TStabError)
 from .families import INF, family_from_descriptor, is_finer
 from .p1 import (DEFAULT_POINTS, DerivedObject, Line, Point, ShiftedIndec, Torsion,
-                 hom_profile, normalize, point_resolver)
+                 hom_profile, normalize, point_resolver, point_universe)
 from .stability import (INT_TEXT, HNFiltration, Report, StabilityFamily, Window,
                         validate_stability, verify_hn)
 from .tstructures import (CATALOG_NAMES, CoarseCut, ExceptionalCut, SlopeCut, StandardCut,
@@ -607,7 +607,7 @@ def _nonnegative(args, name: str) -> int:
 def _window_from_args(args, session) -> Window:
     samples = _nonnegative(args, "samples") if hasattr(args, "samples") else 30
     return Window(max_degree=_nonnegative(args, "window"), max_shift=2, max_length=3,
-                  samples=samples, seed=session.seed)
+                  points=point_universe(session.points), samples=samples, seed=session.seed)
 
 
 def _report_exit(report: Report, session, out) -> int:
@@ -738,10 +738,7 @@ def run(argv: Sequence[str], out=None) -> int:
     except UsageError as exc:
         _emit({"error": str(exc)}, f"error: {exc}", session, out)
         return 2
-    except TStabError as exc:
-        _emit({"error": str(exc)}, f"error: {exc}", session, out)
-        return 1
-    except ValueError as exc:
+    except (TStabError, ValueError) as exc:
         _emit({"error": str(exc)}, f"error: {exc}", session, out)
         return 1
 

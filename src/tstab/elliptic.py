@@ -190,10 +190,10 @@ class EllipticStandard(StabilityFamily, Value):
         return (s.i, *s.cls.key())
 
     def tau(self, s: EllipticSlope, n: int = 1) -> EllipticSlope:
-        return EllipticSlope(s.i + n, s.mu, s.cls)
+        return EllipticSlope(s.i + n, s.cls)
 
     def slope_of_term(self, term: ShiftedClass) -> EllipticSlope:
-        return EllipticSlope(term.shift, term.cls.mu(), term.cls)
+        return EllipticSlope(term.shift, term.cls)
 
     def descriptor(self) -> dict:
         return {"family": "elliptic", "point_order": list(self.point_labels)}
@@ -208,7 +208,7 @@ class EllipticStandard(StabilityFamily, Value):
             raise ValueError(f"bad stable class {data['class']!r}")
         r, d, label = int(match.group(1)), int(match.group(2)), match.group(3)
         cls = StableClass(r, d, point_resolver(self.point_labels)(label))
-        slope = EllipticSlope(slope_int(data["shift"], "shift"), cls.mu(), cls)
+        slope = EllipticSlope(slope_int(data["shift"], "shift"), cls)
         mu = self.slope_json(slope)["mu"]
         if data["mu"] != mu:
             raise FiltrationFormatError(f"slope field 'mu' is {data['mu']!r}, "

@@ -34,10 +34,10 @@ from collections.abc import Callable
 
 from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
-from .p1 import (DerivedObject, Line, ShiftedIndec, Torsion, ZERO, line, normalize,
+from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
                  point_resolver, torsion)
-from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel, Report,
-                        StabilityFamily, StandardSlope, Window, slope_int)
+from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
+                        StandardSlope, Window, slope_int)
 from .value import Value, assign, set_field
 
 INF = float("inf")
@@ -132,23 +132,22 @@ class StandardP1(P1Family, Value):
 
     def slope_of_term(self, term: ShiftedIndec) -> StandardSlope:
         if isinstance(term.base, Line):
-            return StandardSlope(term.shift, IntLevel(term.base.n))
-        return StandardSlope(term.shift, PointLevel(term.base.x))
+            return StandardSlope(term.shift, term.base.n)
+        return StandardSlope(term.shift, term.base.x)
 
     def descriptor(self) -> dict:
         return {"family": "standard", "point_order": list(self.point_labels)}
 
     def slope_json(self, s: StandardSlope) -> dict:
-        if isinstance(s.level, IntLevel):
-            return {"shift": s.i, "level": {"int": s.level.n}}
-        return {"shift": s.i, "level": {"point": s.level.point.label}}
+        if isinstance(s.level, Point):
+            return {"shift": s.i, "level": {"point": s.level.label}}
+        return {"shift": s.i, "level": {"int": s.level}}
 
     def slope_from_json(self, data: dict) -> StandardSlope:
         shift, level = slope_int(data["shift"], "shift"), data["level"]
         if "int" in level:
-            return StandardSlope(shift, IntLevel(slope_int(level["int"], "level.int")))
-        pt = point_resolver(self.point_labels)(level["point"])
-        return StandardSlope(shift, PointLevel(pt))
+            return StandardSlope(shift, slope_int(level["int"], "level.int"))
+        return StandardSlope(shift, point_resolver(self.point_labels)(level["point"]))
 
 
 # --- exceptional ----------------------------------------------------------------
@@ -381,10 +380,6 @@ class CoarsenedFamily(StabilityFamily):
 
     def tau(self, s, n: int = 1):
         return self.partition.tau_block(s, n)
-
-    def slope_of_term(self, term):
-        s = self.base.slope_of_term(term)
-        return None if s is None else self.partition.block_of(s)
 
     def term_filtration(self, term, mult: int) -> tuple:
         base = self.base.term_filtration(term, mult)

@@ -95,6 +95,12 @@ def point_resolver(labels: tuple[str, ...] = ()) -> Callable[[str], Point]:
     return resolve
 
 
+def point_universe(labels: tuple[str, ...] = ()) -> tuple[Point, ...]:
+    """The points of a declared order, in that order; with none declared,
+    the lexicographic points of DEFAULT_POINTS."""
+    return tuple(map(point_resolver(labels), labels or DEFAULT_POINTS))
+
+
 # --- indecomposables --------------------------------------------------------
 
 class Line(Value):
@@ -230,12 +236,6 @@ class FormalSum(Value):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def multiplicity(self, t) -> int:
-        for s, m in self.terms:
-            if s == t:
-                return m
-        return 0
 
     def summands(self) -> Iterator[tuple[object, int]]:
         return iter(self.terms)

@@ -23,7 +23,7 @@ import re
 from collections.abc import Sequence
 
 from .errors import FiltrationFormatError, InvalidShuffleError, UnsupportedFamilyError
-from .p1 import DEFAULT_POINTS, Point, hom_profile
+from .p1 import Point, hom_profile, point_universe
 from .slopes import ExtendedRational, K0Class, Ordering
 from .value import Value, assign, set_field
 
@@ -65,46 +65,12 @@ class CoarseSlope(Value):
         return f"({self.i})"
 
 
-class IntLevel(Value):
-    """Degree level of a line bundle inside one shift stratum."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        set_field(self, "n", n)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n,))
-
-
-class PointLevel(Value):
-    """Point level of a torsion stratum inside one shift stratum."""
-
-    __slots__ = ("point",)
-
-    def __init__(self, point: Point):
-        set_field(self, "point", point)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.point == other.point
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.point,))
-
-
 class StandardSlope(Value):
-    """Slope (shift, level) with level a line degree or a point."""
+    """Slope (shift, level) with level a line degree (an int) or a Point."""
 
     __slots__ = ("i", "level")
 
-    def __init__(self, i: int, level: IntLevel | PointLevel):
+    def __init__(self, i: int, level: int | Point):
         set_field(self, "i", i)
         set_field(self, "level", level)
 
@@ -117,14 +83,12 @@ class StandardSlope(Value):
         return hash((self.i, self.level))
 
     def key(self):
-        if isinstance(self.level, IntLevel):
-            return (self.i, 0, (self.level.n, ""))
-        return (self.i, 1, self.level.point.key())
+        if isinstance(self.level, Point):
+            return (self.i, 1, self.level.key())
+        return (self.i, 0, self.level)
 
     def __repr__(self):
-        if isinstance(self.level, IntLevel):
-            return f"({self.i}, {self.level.n})"
-        return f"({self.i}, {self.level.point.label})"
+        return f"({self.i}, {self.level})"
 
 
 class ExceptionalSlope(Value):
@@ -151,22 +115,25 @@ class ExceptionalSlope(Value):
 
 
 class EllipticSlope(Value):
-    """Slope (shift, mu, stable class) on the elliptic model."""
+    """Slope (shift, stable class) on the elliptic model; mu is the class's."""
 
-    __slots__ = ("i", "mu", "cls")
+    __slots__ = ("i", "cls")
 
-    def __init__(self, i: int, mu: ExtendedRational, cls):  # cls: a StableClass
+    def __init__(self, i: int, cls):  # cls: a StableClass
         set_field(self, "i", i)
-        set_field(self, "mu", mu)
         set_field(self, "cls", cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.i == other.i and self.mu == other.mu and self.cls == other.cls
+            return self.i == other.i and self.cls == other.cls
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.i, self.mu, self.cls))
+        return hash((self.i, self.cls))
+
+    @property
+    def mu(self) -> ExtendedRational:
+        return self.cls.mu()
 
     def __repr__(self):
         return f"({self.i}, {self.mu}, {self.cls})"
@@ -238,7 +205,7 @@ class Window(Value):
 
     def __init__(self, max_degree: int = 8, max_shift: int = 2, max_length: int = 3,
                  max_summands: int = 6,
-                 points: tuple[Point, ...] = tuple(map(Point, DEFAULT_POINTS)),
+                 points: tuple[Point, ...] = point_universe(),
                  samples: int = 50, seed: int = 0):
         assign(self, locals())
         for name, least in (("max_degree", 0), ("max_shift", 0), ("max_length", 1),
@@ -292,9 +259,6 @@ class HNFiltration(Value):
     @property
     def quotient_objects(self) -> tuple:
         return tuple(o for _, o in self.quotients)
-
-    def is_semistable(self) -> bool:
-        return len(self.quotients) == 1
 
     @staticmethod
     def empty(family: "StabilityFamily") -> "HNFiltration":

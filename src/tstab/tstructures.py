@@ -31,9 +31,9 @@ from .errors import (BadParamsError, HomViolationError, InvalidCutError,
                      NotSlopeDescribableError, UnboundedError)
 from .families import INF, CoarseZ, ExceptionalP1, StandardP1
 from .p1 import (DEFAULT_POINTS, DerivedObject, Indec, Line, Point, Torsion, hom_profile, line,
-                 point_resolver, torsion)
-from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, IntLevel, PointLevel,
-                        Report, StabilityFamily, StandardSlope)
+                 point_universe, torsion)
+from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
+                        StandardSlope)
 from .value import Value, assign
 
 
@@ -75,9 +75,9 @@ class StandardCut(Value):
         return self.m + 1
 
     def in_plus(self, s: StandardSlope) -> bool:
-        if isinstance(s.level, IntLevel):
-            return s.i >= self.line_threshold(s.level.n)
-        return s.i >= self.point_threshold(s.level.point.label)
+        if isinstance(s.level, Point):
+            return s.i >= self.point_threshold(s.level.label)
+        return s.i >= self.line_threshold(s.level)
 
     def spec(self) -> str:
         pts = "all" if self.P is None else ";".join(sorted(self.P))
@@ -166,25 +166,14 @@ def cut_is_valid(cut: SlopeCut, family: StabilityFamily) -> bool:
     return _cut_validity_reason(cut, family) is None
 
 
-def _universe(family: StandardP1) -> tuple[Point, ...]:
-    """The family's declared points in their order, else the default universe."""
-    labels = family.point_labels
-    return tuple(map(point_resolver(labels), labels or DEFAULT_POINTS))
-
-
 def _window_slopes(cut: SlopeCut, family: StabilityFamily, radius: int) -> list:
     if isinstance(cut, StandardCut):
         center = cut.m
         degrees = range(-radius, radius + 1) if cut.K in (INF, -INF) else \
             range(int(cut.K) - radius, int(cut.K) + radius + 1)
-        points = _universe(family)
-        slopes = []
-        for i in range(center - radius, center + radius + 2):
-            for n in degrees:
-                slopes.append(StandardSlope(i, IntLevel(n)))
-            for pt in points:
-                slopes.append(StandardSlope(i, PointLevel(pt)))
-        return slopes
+        levels = (*degrees, *point_universe(family.point_labels))
+        return [StandardSlope(i, level)
+                for i in range(center - radius, center + radius + 2) for level in levels]
     if isinstance(cut, ExceptionalCut):
         finite = [v for v in (cut.a, cut.b) if v not in (INF, -INF)]
         center = int(finite[0]) if finite else 0
@@ -408,7 +397,7 @@ def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),
     first, second = [], []
     for n in degrees:
         (first if pair.in_first(Line(n)) else second).append(line(n))
-    for pt in _universe(family):
+    for pt in point_universe(family.point_labels):
         for d in (1, 2):
             (first if pair.in_first(Torsion(pt, d)) else second).append(torsion(pt, d))
     for a in first:
@@ -598,9 +587,9 @@ def classify_bounded_cut(cut: SlopeCut, family: StabilityFamily) -> Classificati
 
 def _slope_token(family: StabilityFamily, s) -> str:
     if isinstance(s, StandardSlope):
-        if isinstance(s.level, IntLevel):
-            return _render_line_gen(s.level.n, s.i)
-        return f"O_{s.level.point.label}[{s.i}]"
+        if isinstance(s.level, Point):
+            return f"O_{s.level.label}[{s.i}]"
+        return _render_line_gen(s.level, s.i)
     if isinstance(s, ExceptionalSlope):
         n = family.k + s.col
         return _render_line_gen(n, s.i)

@@ -19,8 +19,8 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, coarsen,
                             column_partition, exceptional_rewrite, finest_check, is_finer)
 from tstab.p1 import (Line, Point, ShiftedIndec, Torsion, ZERO, euler_form, hom_profile,
                       line, point_resolver)
-from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
-                             StandardSlope, Window, validate_stability, verify_hn)
+from tstab.stability import (ExceptionalSlope, HNFiltration, StandardSlope, Window,
+                             validate_stability, verify_hn)
 from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, apply_twist_shift,
                                canonical_cut, catalog, classify_bounded_cut, cut_is_valid,
                                is_bounded, truncate)
@@ -156,9 +156,9 @@ def test_criterion_4_hom_euler_equivalence():
 
 class _TorsionBelowLines(StandardP1):
     def slope_key(self, s):
-        if isinstance(s.level, IntLevel):
-            return (s.i, 1, (s.level.n, ""))
-        return (s.i, 0, s.level.point.key())
+        if isinstance(s.level, int):
+            return (s.i, 1, (s.level, ""))
+        return (s.i, 0, s.level.key())
 
 
 def test_criterion_5_axiom_windows():
@@ -186,9 +186,9 @@ def _golden_heart_predicates(points):
 
     def std_pred(lines_rule, points_rule):
         def pred(s):
-            if isinstance(s.level, IntLevel):
-                return lines_rule(s.i, s.level.n)
-            return points_rule(s.i, s.level.point.label)
+            if isinstance(s.level, int):
+                return lines_rule(s.i, s.level)
+            return points_rule(s.i, s.level.label)
         return pred
 
     return {
@@ -233,10 +233,9 @@ def test_criterion_6_catalog_golden():
         ok = ok and entry.bounded == bounded_golden[name]
         heart = entry.heart
         if name in "ABCD":
-            slopes = [StandardSlope(i, IntLevel(n)) for i in range(-2, 4)
-                      for n in range(-6, 7)]
+            slopes = [StandardSlope(i, n) for i in range(-2, 4) for n in range(-6, 7)]
             resolve = point_resolver(entry.family.point_labels)
-            slopes += [StandardSlope(i, PointLevel(resolve(lbl)))
+            slopes += [StandardSlope(i, resolve(lbl))
                        for i in range(-2, 4) for lbl in points]
             for s in slopes:
                 ok = ok and heart.contains_slope(s) == preds[name](s)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as js_validate
 
+from tstab import cli
 from tstab.cli import (build_parser, make_session, parse_cutspec, parse_famspec, parse_object,
                        run)
 from tstab.elliptic import EllipticObject, EllipticStandard, stable
@@ -397,6 +398,69 @@ def test_compare_command():
     data = json.loads(out)
     assert data["finer"] is False
     assert "O(3)" in data["witnesses"]
+
+
+def test_window_checks_use_the_declared_point_order():
+    code, out = _run("compare", "--fine", "std", "--weak", "exc:k=0,p=0", "--points", "b,a",
+                     "--window", "1", "--format", "json")
+    assert code == 0
+    torsion_labels = {w[2] for w in json.loads(out)["witnesses"] if w.startswith("T(")}
+    assert torsion_labels == {"a", "b"}
+    for family in ("std", "coarse", "ell"):
+        code, out = _run("check", "stability", "--stability", family, "--points", "b,a",
+                         "--window", "2", "--samples", "10")
+        assert code == 0 and "FAIL" not in out, family
+    session = _session("--points", "b,a")
+    args = build_parser().parse_args(["check", "stability"])
+    assert cli._window_from_args(args, session).points == (Point("b", 0), Point("a", 1))
+    assert cli._window_from_args(args, _session()).points == (Point("x"), Point("y"), Point("z"))
+
+
+def _assert_error(argv, message):
+    """The text and the JSON form of a domain error (exit 1)."""
+    assert _run(*argv) == (1, f"error: {message}\n"), argv
+    code, out = _run(*argv, "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": message}), argv
+
+
+def test_standard_cut_point_sets():
+    code, out = _run("truncate", "T(x,1) + T(y,1) + T(z,1)", "--cut", "std:m=0,K=inf,P=y;z",
+                     "--points", "x,y,z", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"le0": "T(y,1) + T(z,1)", "ge1": "T(x,1)"})
+    code, out = _run("heart", "--cut", "std:m=0,K=inf,P=y;z", "--points", "x,y,z",
+                     "--format", "json")
+    assert code == 0
+    assert json.loads(out)["generators"] == [
+        "O_x[0] (x in {y,z})", "O(n)[1] (n in Z)", "O_x[1] (x not in {y,z})"]
+    code, out = _run("check", "cut", "--cut", "std:m=0,K=inf,P=x;z", "--points", "x,y,z")
+    assert code == 1 and "FAIL cut_constraints: P must be up-closed in the point order" in out
+    # the empty point set is the constant threshold m + 1
+    code, out = _run("truncate", "T(x,1) + O(3)", "--cut", "std:m=0,K=inf,P=none",
+                     "--format", "json")
+    assert (code, json.loads(out)) == (0, {"le0": "0", "ge1": "O(3) + T(x,1)"})
+    assert _run("check", "cut", "--cut", "std:m=0,K=inf,P=none")[0] == 0
+    assert _run("heart", "--cut", "std:m=0,K=inf,P=none") == \
+        _run("heart", "--cut", "std:m=1,K=-inf,P=all")
+
+
+def test_bad_cut_specs_are_domain_errors():
+    for spec in ("exc:a=1", "exc:b=1", "exc:"):
+        _assert_error(("heart", "--cut", spec, "--p", "0"), "an exceptional cut needs a and b")
+    _assert_error(("heart", "--cut", "foo:m=1"),
+                  "unknown cut kind 'foo' (use std:, exc: or coarse:)")
+    _assert_error(("check", "cut"), "check cut needs --cut")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("points x,y", "{path}:2: expected 'key = value'"),
+    ("format = yaml", "{path}:2: format must be text or json"),
+    ("colour = red", "{path}:2: unknown key 'colour'"),
+    ("seed = x", "seed must be an integer, got 'x' in '{path}:2'"),
+], ids=["no-equals", "format", "unknown-key", "seed"])
+def test_bad_config_lines_are_domain_errors(line, message, tmp_path):
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text(f"# session\n{line}\n")
+    _assert_error(("normalize", "O(1)", "--config", str(cfg)), message.format(path=cfg))
 
 
 def test_config_file_sets_point_order(tmp_path):

@@ -12,8 +12,9 @@ the three label resolvers that `point_resolver` replaced, and the
 per-summand data that `StabilityFamily.summand_tower` replaced: the
 exceptional rewrite with its stored mid-term, the `truncate` that read
 it, `heart_contains` read off a whole `hn`, and the coarsened
-`semistable_slope` read off the base family's `hn`, and the frozen
-dataclasses that the hand-written value types replaced.
+`semistable_slope` read off the base family's `hn`, the frozen
+dataclasses that the hand-written value types replaced, and the standard
+slopes whose levels were wrapped in `IntLevel`/`PointLevel`.
 They are kept here only, as oracles, and every result must agree bit for
 bit.  The JSON round trip of filtrations is tested here too, over the
 same families and objects.
@@ -27,6 +28,7 @@ import random
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
@@ -42,7 +44,7 @@ from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, h
                       ZERO, line, normalize, point_resolver)
 from tstab.slopes import K0Class, Ordering
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
-                             HNFiltration, IntLevel, StandardSlope, Window,
+                             HNFiltration, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
                              verify_hn)
 from tstab.tstructures import (CatalogEntry, CoarseCut, ExceptionalCut, HeartDescription,
@@ -712,7 +714,7 @@ def test_one_block_coarsening_leaves_every_object_whole(family, x):
 
 def _order_cases():
     """(family, oracle comparator, a foreign slope) for every family kind."""
-    foreign = StandardSlope(0, IntLevel(0))
+    foreign = StandardSlope(0, 0)
     cases = [pytest.param(CoarseZ(), oracle_compare_coarse, foreign, id="coarse"),
              pytest.param(EllipticStandard(), oracle_compare_elliptic, CoarseSlope(0), id="ell")]
     cases += [pytest.param(StandardP1(order), oracle_compare_standard, CoarseSlope(0),
@@ -753,6 +755,65 @@ def test_slope_key_order_matches_comparator_oracle(family, oracle, foreign):
     for a, b in ((slopes[0], foreign), (foreign, slopes[0])):
         with pytest.raises(TypeError):
             family.compare(a, b)
+
+
+@dataclass(frozen=True)
+class OracleIntLevel:
+    n: int
+
+
+@dataclass(frozen=True)
+class OraclePointLevel:
+    point: Point
+
+
+@dataclass(frozen=True)
+class OracleStandardSlope:
+    """A standard slope as it was held before its level became a plain int or
+    Point: (shift, IntLevel(n)) or (shift, PointLevel(point))."""
+
+    i: int
+    level: object
+
+    def key(self):
+        if isinstance(self.level, OracleIntLevel):
+            return (self.i, 0, (self.level.n, ""))
+        return (self.i, 1, self.level.point.key())
+
+    def to_json(self):
+        if isinstance(self.level, OracleIntLevel):
+            return {"shift": self.i, "level": {"int": self.level.n}}
+        return {"shift": self.i, "level": {"point": self.level.point.label}}
+
+    def __repr__(self):
+        if isinstance(self.level, OracleIntLevel):
+            return f"({self.i}, {self.level.n})"
+        return f"({self.i}, {self.level.point.label})"
+
+
+@pytest.mark.parametrize("order", [(), *ORDERS], ids=lambda o: "".join(o) or "lex")
+def test_standard_slopes_match_the_wrapped_level_oracle(order):
+    """Every window slope reads, serialises and sorts as the wrapped one did."""
+    family = StandardP1(order)
+    new, old = [], []
+    for g in family.window_generators(Window(points=p1.point_universe(order))):
+        ((term, _),) = g.summands()
+        base = term.base
+        level = OracleIntLevel(base.n) if isinstance(base, Line) else OraclePointLevel(base.x)
+        new.append(family.semistable_slope(g))
+        old.append(OracleStandardSlope(term.shift, level))
+    for s, o in zip(new, old):
+        assert repr(s) == repr(o)
+        assert family.slope_json(s) == o.to_json()
+        assert family.slope_from_json(o.to_json()) == s
+    for a, oa in zip(new, old):
+        for b, ob in zip(new, old):
+            assert Ordering.of(family.slope_key(a), family.slope_key(b)) == \
+                Ordering.of(oa.key(), ob.key())
+    positions = list(range(len(new)))
+    random.Random(7).shuffle(positions)
+    assert sorted(positions, key=lambda j: family.slope_key(new[j])) == \
+        sorted(positions, key=lambda j: old[j].key())
 
 
 # --- Hom rule -------------------------------------------------------------------------
@@ -1048,6 +1109,8 @@ def _dataclass_oracles():
     and `__repr__` as they were; the other methods do not bear on `==`,
     `hash`, `repr`, construction or refused assignment and are left out.
     The classes get their library names, which the dataclass `repr` prints.
+    The two slope records have their present fields: a `StandardSlope` level
+    is a degree or a Point, and an `EllipticSlope` reads mu off its class.
     """
     @dataclass(frozen=True)
     class Point:
@@ -1176,22 +1239,13 @@ def _dataclass_oracles():
             return f"({self.i})"
 
     @dataclass(frozen=True)
-    class IntLevel:
-        n: int
-
-    @dataclass(frozen=True)
-    class PointLevel:
-        point: Point
-
-    @dataclass(frozen=True)
     class StandardSlope:
         i: int
-        level: object
+        level: object  # a line degree (int) or a Point
 
         def __repr__(self):
-            if isinstance(self.level, IntLevel):
-                return f"({self.i}, {self.level.n})"
-            return f"({self.i}, {self.level.point.label})"
+            level = self.level if isinstance(self.level, int) else self.level.label
+            return f"({self.i}, {level})"
 
     @dataclass(frozen=True)
     class ExceptionalSlope:
@@ -1208,11 +1262,11 @@ def _dataclass_oracles():
     @dataclass(frozen=True)
     class EllipticSlope:
         i: int
-        mu: ExtendedRational
-        cls: object
+        cls: StableClass
 
         def __repr__(self):
-            return f"({self.i}, {self.mu}, {self.cls})"
+            mu = "+inf" if self.cls.r == 0 else Fraction(self.cls.d, self.cls.r)
+            return f"({self.i}, {mu}, {self.cls})"
 
     @dataclass(frozen=True)
     class CheckItem:
@@ -1266,10 +1320,10 @@ _STABLE = _make("StableClass", st.integers(-1, 3), st.integers(-2, 3), _POINT)
 _SHIFTED_CLASS = _make("ShiftedClass", _STABLE, _INTS)
 _EXTENDED = _make("ExtendedRational",
                   st.one_of(st.none(), st.fractions(max_denominator=4), _INTS))
-_LEVEL = st.one_of(_make("IntLevel", _INTS), _make("PointLevel", _POINT))
-_SLOPE = st.one_of(_make("CoarseSlope", _INTS), _make("StandardSlope", _INTS, _LEVEL),
+_SLOPE = st.one_of(_make("CoarseSlope", _INTS),
+                   _make("StandardSlope", _INTS, st.one_of(_INTS, _POINT)),
                    _make("ExceptionalSlope", _INTS, st.integers(-1, 2)),
-                   _make("EllipticSlope", _INTS, _EXTENDED, _STABLE))
+                   _make("EllipticSlope", _INTS, _STABLE))
 _SUMMANDS = st.one_of(st.lists(st.tuples(_SHIFTED_INDEC, st.integers(1, 3)), max_size=3),
                       st.lists(st.tuples(_SHIFTED_CLASS, st.integers(1, 3)), max_size=3))
 _SUM = st.tuples(st.sampled_from(["DerivedObject", "EllipticObject"]),
@@ -1279,7 +1333,7 @@ _FILTRATION = _make("HNFiltration", st.sampled_from(_FAMILIES),
                     st.lists(st.tuples(_SLOPE, _SUM), max_size=2).map(tuple),
                     st.lists(_SUM, min_size=1, max_size=3).map(tuple))
 _VALUE = st.one_of(
-    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_CLASS, _EXTENDED, _LEVEL, _SLOPE, _SUM,
+    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_CLASS, _EXTENDED, _SLOPE, _SUM,
     _make("K0Class", st.lists(_INTS, max_size=3).map(tuple)),
     _make("HomProfile", st.lists(st.tuples(_INTS, st.integers(1, 3)), max_size=3).map(tuple)),
     _make("CheckItem", st.sampled_from(["a", "b"]), st.booleans(), st.sampled_from(["", "d"])),

@@ -13,7 +13,8 @@ from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, Shi
 from tstab.errors import QOutOfRangeError
 from tstab.p1 import Point, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
-from tstab.stability import Window, validate_stability, verify_hn
+from tstab.stability import EllipticSlope, Window, validate_stability, verify_hn
+from tstab.value import FrozenInstanceError
 
 L, M, N = Point("l"), Point("m"), Point("n")
 FAMILY = EllipticStandard()
@@ -88,6 +89,17 @@ def test_hn_elliptic_grouping():
     filt = EllipticStandard().hn(stable(0, 1, L) + stable(1, 5, M))
     assert [s.cls.is_skyscraper for s in filt.slopes] == [False, True]
     assert len(EllipticStandard().hn(4 * stable(2, 1, N)).quotients) == 1
+
+
+def test_elliptic_slope_reads_mu_off_its_class():
+    assert EllipticSlope._fields == ("i", "cls")
+    for cls in (StableClass(0, 1, L), StableClass(2, -1, M), StableClass(1, 3, N)):
+        s = EllipticSlope(3, cls)
+        assert s.mu == cls.mu() == FAMILY.tau(s, -2).mu
+        assert repr(s) == f"(3, {cls.mu()}, {cls.render()})"
+        assert FAMILY.slope_from_json(FAMILY.slope_json(s)) == s
+        with pytest.raises(FrozenInstanceError):
+            s.mu = PLUS_INFINITY
 
 
 def test_hn_elliptic_orders_by_shift_mu_then_point():

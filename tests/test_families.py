@@ -15,9 +15,8 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, Standar
 from tstab.p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line,
                       point_resolver, torsion)
 from tstab.slopes import Ordering
-from tstab.stability import (ExceptionalSlope, IntLevel, PointLevel, StandardSlope,
-                             merge_towers,
-                             Window, validate_stability, verify_hn)
+from tstab.stability import (ExceptionalSlope, StandardSlope, Window, merge_towers,
+                             validate_stability, verify_hn)
 
 WINDOW = Window(max_degree=6, max_shift=2, max_length=3, samples=30)
 
@@ -26,29 +25,26 @@ WINDOW = Window(max_degree=6, max_shift=2, max_length=3, samples=30)
 
 def test_standard_slope_examples():
     slope_of_term = StandardP1().slope_of_term
-    assert slope_of_term(ShiftedIndec(Line(3), 2)) == StandardSlope(2, IntLevel(3))
+    assert slope_of_term(ShiftedIndec(Line(3), 2)) == StandardSlope(2, 3)
     pt = Point("x")
-    assert slope_of_term(ShiftedIndec(Torsion(pt, 5), 0)) == StandardSlope(0, PointLevel(pt))
-    assert slope_of_term(ShiftedIndec(Line(-1), -1)) == StandardSlope(-1, IntLevel(-1))
+    assert slope_of_term(ShiftedIndec(Torsion(pt, 5), 0)) == StandardSlope(0, pt)
+    assert slope_of_term(ShiftedIndec(Line(-1), -1)) == StandardSlope(-1, -1)
 
 
 def test_standard_order_rules():
     std = StandardP1()
     x = Point("x")
     # higher shift dominates
-    assert std.compare(StandardSlope(1, IntLevel(-99)), StandardSlope(0, PointLevel(x))) \
-        == Ordering.GREATER
+    assert std.compare(StandardSlope(1, -99), StandardSlope(0, x)) == Ordering.GREATER
     # within a level, degree ascends
-    assert std.compare(StandardSlope(0, IntLevel(2)), StandardSlope(0, IntLevel(-2))) \
-        == Ordering.GREATER
+    assert std.compare(StandardSlope(0, 2), StandardSlope(0, -2)) == Ordering.GREATER
     # points sit above all degrees of the same shift
-    assert std.compare(StandardSlope(0, PointLevel(x)), StandardSlope(0, IntLevel(10 ** 6))) \
-        == Ordering.GREATER
+    assert std.compare(StandardSlope(0, x), StandardSlope(0, 10 ** 6)) == Ordering.GREATER
 
 
 def test_hn_standard_grouping():
     filt = StandardP1().hn(line(3) + line(-1) + torsion(Point("x"), 1))
-    assert [s.level for s in filt.slopes] == [IntLevel(-1), IntLevel(3), PointLevel(Point("x"))]
+    assert [s.level for s in filt.slopes] == [-1, 3, Point("x")]
     filt = StandardP1().hn(line(0, 1) + line(0))
     assert [s.i for s in filt.slopes] == [0, 1]
     filt = StandardP1().hn(torsion(Point("y"), 2))
@@ -57,11 +53,11 @@ def test_hn_standard_grouping():
 
 def test_point_order_configuration_changes_torsion_order():
     default = StandardP1().hn(torsion(Point("b"), 1) + torsion(Point("a"), 1))
-    assert [s.level.point.label for s in default.slopes] == ["a", "b"]
+    assert [s.level.label for s in default.slopes] == ["a", "b"]
     fam = StandardP1(("b", "a"))
     resolve = point_resolver(fam.point_labels)
     swapped = fam.hn(torsion(resolve("b"), 1) + torsion(resolve("a"), 1))
-    assert [s.level.point.label for s in swapped.slopes] == ["b", "a"]
+    assert [s.level.label for s in swapped.slopes] == ["b", "a"]
 
 
 # --- exceptional order -----------------------------------------------------------
@@ -112,7 +108,7 @@ def test_exceptional_rejects_bool_and_non_integer_parameters():
 def test_tau_preserves_order_and_raises():
     std, exc = StandardP1(), ExceptionalP1(0, 1)
     std_slopes = [StandardSlope(i, lvl) for i in (-2, 0, 1)
-                  for lvl in (IntLevel(-1), IntLevel(4), PointLevel(Point("x")))]
+                  for lvl in (-1, 4, Point("x"))]
     for a in std_slopes:
         assert std.compare(std.tau(a), a) == Ordering.GREATER
         for b in std_slopes:

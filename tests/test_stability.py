@@ -12,9 +12,9 @@ from tstab.elliptic import EllipticStandard, stable
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
 from tstab.p1 import Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize, torsion
-from tstab.stability import (ExceptionalSlope, HNFiltration, IntLevel, PointLevel,
-                             StandardSlope, Window, glue, is_semistable, shuffle_merge,
-                             split, validate_stability, verify_hn)
+from tstab.stability import (ExceptionalSlope, HNFiltration, StandardSlope, Window, glue,
+                             is_semistable, shuffle_merge, split, validate_stability,
+                             verify_hn)
 
 STD = StandardP1()
 EXC0 = ExceptionalP1(0, 0)
@@ -30,7 +30,7 @@ def _random_objects(count, seed=0, window=WINDOW):
 
 def test_hn_standard_semistable_generator():
     filt = STD.hn(line(5))
-    assert filt.quotients == ((StandardSlope(0, IntLevel(5)), line(5)),)
+    assert filt.quotients == ((StandardSlope(0, 5), line(5)),)
     assert filt.terms == (line(5), ZERO)
 
 
@@ -94,8 +94,8 @@ def test_verify_rejects_wrong_endpoints():
 def test_verify_hom_vanishing_detects_bad_pairing():
     # Hom^0(O(0), O(1)) != 0, so listing O(1) below O(0) must fail (c)
     filt = HNFiltration.from_quotients(STD, (
-        (StandardSlope(0, IntLevel(1)), line(1)),
-        (StandardSlope(0, IntLevel(0)), line(0)),
+        (StandardSlope(0, 1), line(1)),
+        (StandardSlope(0, 0), line(0)),
     ))
     report = verify_hn(line(0) + line(1), filt, STD)
     assert not report.ok
@@ -106,10 +106,10 @@ def test_verify_hom_vanishing_detects_bad_pairing():
 # --- is_semistable ------------------------------------------------------------------
 
 def test_is_semistable_examples():
-    assert is_semistable(3 * line(2, 1), STD) == StandardSlope(1, IntLevel(2))
+    assert is_semistable(3 * line(2, 1), STD) == StandardSlope(1, 2)
     assert is_semistable(line(5), ExceptionalP1(0, 2)) is None
     pt = Point("x")
-    assert is_semistable(torsion(pt, 4), STD) == StandardSlope(0, PointLevel(pt))
+    assert is_semistable(torsion(pt, 4), STD) == StandardSlope(0, pt)
 
 
 def test_is_semistable_matches_structural_check():
@@ -179,8 +179,8 @@ def test_glue_split_round_trip_random():
 def test_merge_by_slope_standard():
     merged = shuffle_merge(STD.hn(line(-1)), STD.hn(line(3)))
     assert merged.quotients == (
-        (StandardSlope(0, IntLevel(-1)), line(-1)),
-        (StandardSlope(0, IntLevel(3)), line(3)),
+        (StandardSlope(0, -1), line(-1)),
+        (StandardSlope(0, 3), line(3)),
     )
 
 
@@ -210,7 +210,7 @@ def test_merge_with_empty_is_identity():
 
 def test_merge_coalesces_equal_slopes():
     merged = shuffle_merge(STD.hn(line(2)), STD.hn(2 * line(2)))
-    assert merged.quotients == ((StandardSlope(0, IntLevel(2)), 3 * line(2)),)
+    assert merged.quotients == ((StandardSlope(0, 2), 3 * line(2)),)
 
 
 def test_explicit_shuffle_preserves_sources():
@@ -319,9 +319,9 @@ class _TorsionBelowLines(StandardP1):
     """Deliberately wrong order: point strata below line strata."""
 
     def slope_key(self, s):
-        if isinstance(s.level, IntLevel):
-            return (s.i, 1, (s.level.n, ""))
-        return (s.i, 0, s.level.point.key())
+        if isinstance(s.level, int):
+            return (s.i, 1, (s.level, ""))
+        return (s.i, 0, s.level.key())
 
 
 def test_validate_rejects_inverted_torsion_order():
@@ -330,6 +330,55 @@ def test_validate_rejects_inverted_torsion_order():
     failing = [c for c in report.failures() if c.name == "hom_vanishing"]
     assert failing
     assert "O(" in failing[0].detail  # a line bundle mapping onto torsion witnesses it
+
+
+class _TorsionNotSemistable(StandardP1):
+    """Deliberately wrong: torsion atoms have no slope."""
+
+    def slope_of_term(self, term):
+        return None if isinstance(term.base, Torsion) else super().slope_of_term(term)
+
+
+class _TauSkipsAShift(StandardP1):
+    """Deliberately wrong: tau moves a slope up two shifts."""
+
+    def tau(self, s, n=1):
+        return StandardSlope(s.i + 2 * n, s.level)
+
+
+class _ShiftsDescend(StandardP1):
+    """Deliberately wrong order: a higher shift sorts lower, so tau(s) < s."""
+
+    def slope_key(self, s):
+        i, *rest = s.key()
+        return (-i, *rest)
+
+
+class _TauIgnoresSign(StandardP1):
+    """Deliberately wrong: tau^n moves up |n| shifts, so tau^-1 does not undo tau."""
+
+    def tau(self, s, n=1):
+        return StandardSlope(s.i + abs(n), s.level)
+
+
+SMALL_WINDOW = Window(max_degree=1, max_shift=1, max_length=1, samples=2)
+
+
+def test_validate_rejects_a_window_generator_that_is_not_semistable():
+    report = validate_stability(_TorsionNotSemistable(), SMALL_WINDOW)
+    assert report.summary() == \
+        "FAIL generators_semistable: window generator T(x,1)[-1] is not semistable"
+
+
+@pytest.mark.parametrize("family, detail", [
+    (_TauSkipsAShift(), "slope of O(-1)[-1][1] is not tau(slope)"),
+    (_ShiftsDescend(), "tau((-1, -1)) < (-1, -1)"),
+    (_TauIgnoresSign(), "tau_inv(tau) != id at (-1, -1)"),
+], ids=["shift", "descending", "inverse"])
+def test_validate_rejects_a_tau_that_is_not_the_shift(family, detail):
+    report = validate_stability(family, SMALL_WINDOW)
+    (item,) = [c for c in report.checks if c.name == "tau_equivariance"]
+    assert (item.ok, item.detail) == (False, detail)
 
 
 # --- serialization -------------------------------------------------------------------

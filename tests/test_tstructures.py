@@ -96,10 +96,9 @@ def test_exceptional_validity_matches_brute_force_up_closure():
 
 
 def test_standard_validity_matches_brute_force_up_closure():
-    from tstab.stability import IntLevel, PointLevel, StandardSlope
-    slopes = [StandardSlope(i, IntLevel(n)) for i in range(-2, 4) for n in range(-6, 7)]
-    slopes += [StandardSlope(i, PointLevel(pt))
-               for i in range(-2, 4) for pt in STD3_POINTS]
+    from tstab.stability import StandardSlope
+    slopes = [StandardSlope(i, n) for i in range(-2, 4) for n in range(-6, 7)]
+    slopes += [StandardSlope(i, pt) for i in range(-2, 4) for pt in STD3_POINTS]
     subsets = [frozenset(s) for r in range(4)
                for s in itertools.combinations(STD3.point_labels, r)]
     for m in (-1, 0, 1):
