@@ -8,6 +8,9 @@ Object expressions follow the grammar
 
 with arbitrary whitespace.  O/T atoms build objects on the projective
 line, S atoms build elliptic objects; the two kinds cannot be mixed.
+One left-to-right pass reads each summand once: the `_SUMMAND` regex
+takes every summand it matches, `_Scanner` the rest (zeros such as
+``0[1]``, non-ASCII digits, malformed text, whose error it raises).
 
 Cut specifications: ``std:m=M,K=<int|inf|-inf>,P=<lbl;lbl|all|none>``,
 ``exc:a=<int|inf|-inf>,b=<int|inf|-inf>`` and ``coarse:m=M``.  Family
@@ -47,6 +50,9 @@ from .value import Value, assign
 # --- expression parser ---------------------------------------------------------
 
 class _Scanner:
+    """Reads a text one character at a time: the summands `_SUMMAND` does
+    not match, and the error of malformed text."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -98,15 +104,56 @@ class _Scanner:
             raise ObjectParseError("expected a point label", start)
         return self.text[start:self.pos]
 
+    def shift(self) -> int:
+        if self.peek() != "[":
+            return 0
+        self.take("[")
+        n = self.integer()
+        self.take("]")
+        return n
 
-# One summand with the scanner's whitespace rules: optional multiplicity,
-# an atom, an optional shift, then "+" or the end.  ASCII digits and
-# labels only, so every match is also accepted by `_Scanner`.  A shifted
-# zero atom is left to the scanner, which reads (and range-checks) its shift.
-# Compiled on first use, through `re`'s own cache, so commands that parse no
-# expression do not pay for it at import.
+    def summand(self, pos: int, resolve_point) -> tuple[int, tuple | None, bool, int]:
+        """Read the summand at `pos` and the "+" after it: (multiplicity, memo
+        entry or None for a zero atom, whether a "+" followed, the end)."""
+        self.pos, mult, head = pos, 1, ""
+        if self.peek().isdigit():
+            mult = self.nat()
+            if self.peek() == "*":
+                self.take("*")
+            elif mult == 0 and self.peek() in ("", "+", "["):
+                head = "0"  # the digits were the zero atom
+            else:
+                raise ObjectParseError("expected '*' after a multiplicity", self.pos)
+        pos, entry = self.pos, None
+        if not head:
+            head = self.peek()
+            if head not in ("0", "O", "T", "S"):
+                raise ObjectParseError("expected an atom O(...), T(...), S(...) or 0", self.pos)
+            self.take(head)
+        if head == "0":
+            self.shift()
+        else:
+            reads = {"O": (self.integer,), "T": (self.label, self.nat),
+                     "S": (self.integer, self.integer, self.label)}[head]
+            args = []
+            for sep, read in zip("(,,", reads):  # the arguments in grammar order
+                self.take(sep)
+                args.append(read())
+            self.take(")")
+            entry = _atom(head, args, pos, resolve_point, self.shift)
+        more = not self.at_end()
+        if more:
+            self.take("+")
+        return mult, entry, more, self.pos
+
+
+# One summand with the scanner's whitespace rules, then "+" or the end.
+# ASCII digits and labels only, so the scanner accepts every match; it is
+# left the shifted zero and whitespace after "*", so that the atom group
+# starts at the scanner's atom position.  Compiled on first use, through
+# `re`'s own cache, so commands that parse no expression do not pay for it.
 _SUMMAND = r"""
-    \s*(?:(?P<mult>[0-9]+)\s*\*\s*)?
+    \s*(?:(?P<mult>[0-9]+)\s*\*)?
     (?P<atom>
         O\s*\(\s*(?P<n>[+-]?[0-9]+)\s*\)
       | T\s*\(\s*(?P<tx>[A-Za-z0-9]+)\s*,\s*(?P<td>[0-9]+)\s*\)
@@ -135,43 +182,49 @@ def _parse_object(text: str, category: str, resolve_point, atoms: dict
                   ) -> DerivedObject | EllipticObject:
     """`parse_object` with `atoms`, a memo from atom text to (side, atom, key).
 
-    Well-formed text is read a summand at a time by `_SUMMAND`.  Text
-    it does not match, or whose values fail a check, goes to `_scan_object`,
-    which raises the parse error.  The memo may be shared by calls with the
-    same category and resolver.
+    One pass, left to right, reads each summand once.  `_SUMMAND` reads
+    every summand it matches, an atom it has seen through the memo; the
+    scanner reads the others (the zeros it leaves out, whitespace after
+    "*", non-ASCII digits, malformed text) and raises their errors.
+    Errors come in text order, and the curve checks, which need every
+    summand, come last.  The memo may be shared by calls with the same
+    category and resolver.
     """
-    if not isinstance(text, str):
-        return _scan_object(text, category, resolve_point)
-    match = re.compile(_SUMMAND, re.VERBOSE).match
-    side, pairs = None, []
+    # The scanner reads a non-string, and raises its error.
+    match = (re.compile(_SUMMAND, re.VERBOSE).match if isinstance(text, str)
+             else lambda *_: None)
+    side, mixed, pairs = None, False, []
     pos, more, last, ascending = 0, True, None, True
     while more:
         m = match(text, pos)
         if m is None:
-            return _scan_object(text, category, resolve_point)
-        pos = m.end()
-        mult, atom_text, shift_text, more = m.group("mult", "atom", "shift", "more")
-        mult = 1 if mult is None else int(mult)
-        if atom_text == "0":
-            continue  # the zero object contributes nothing
-        entry = atoms.get((atom_text, shift_text))
-        if entry is None:
-            entry = _memo_atom(m, resolve_point)
+            mult, entry, more, pos = _Scanner(text).summand(pos, resolve_point)
             if entry is None:
-                return _scan_object(text, category, resolve_point)
-            atoms[atom_text, shift_text] = entry
+                continue  # the zero object contributes nothing
+        else:
+            pos = m.end()
+            mult, atom_text, shift_text, more = m.group("mult", "atom", "shift", "more")
+            mult = 1 if mult is None else int(mult)
+            if atom_text == "0":
+                continue
+            entry = atoms.get((atom_text, shift_text))
+            if entry is None:
+                entry = atoms[atom_text, shift_text] = _matched_entry(m, resolve_point)
         atom_side, atom, key = entry
         if side is None:
             side = atom_side
         elif atom_side != side:
-            return _scan_object(text, category, resolve_point)
+            mixed, ascending = True, False  # keys of the two curves do not compare
         ascending = ascending and mult > 0 and (last is None or last < key)
         last = key
         pairs.append((atom, mult))
+    if mixed:
+        raise ObjectParseError("cannot mix O/T atoms with S atoms", 0)
     if side is None:
         side = "elliptic" if category == "elliptic" else "p1"
     elif category in ("p1", "elliptic") and category != side:
-        return _scan_object(text, category, resolve_point)
+        raise ObjectParseError("an object on the line was expected" if category == "p1"
+                               else "an elliptic object was expected", 0)
     # Summands in strictly ascending key order with positive multiplicities
     # (as `render` writes them) are already a normal form.
     if side == "elliptic":
@@ -179,121 +232,34 @@ def _parse_object(text: str, category: str, resolve_point, atoms: dict
     return DerivedObject(tuple(pairs)) if ascending else normalize(pairs)
 
 
-def _memo_atom(m: re.Match, resolve_point) -> tuple[str, object, tuple] | None:
-    """(side, shifted atom, sort key) of a matched summand; None if a value
-    check fails.  Values are read in the scanner's order, so a conversion
-    or resolver error is the one the scanner would raise."""
-    if m.group("n") is not None:
-        base = Line(int(m.group("n")))
-        atom = ShiftedIndec(base, int(m.group("shift") or 0))
-        return "p1", atom, atom.key()
-    if m.group("td") is not None:
-        d = int(m.group("td"))
+def _matched_entry(m: re.Match, resolve_point) -> tuple[str, object, tuple]:
+    """The memo entry of a summand `_SUMMAND` matched, its values read in the
+    scanner's order, so that an error is the one the scanner would raise."""
+    _, _, n, tx, td, r, d, sx, shift, _ = m.groups()  # in pattern order
+    head, args = (("O", (int(n),)) if n is not None else ("T", (tx, int(td))) if td is not None
+                  else ("S", (int(r), int(d), sx)))
+    return _atom(head, args, m.start("atom"), resolve_point, lambda: int(shift or 0))
+
+
+def _atom(head: str, args, pos: int, resolve_point, read_shift) -> tuple[str, object, tuple]:
+    """The memo entry (side, shifted atom, sort key) of atom `head` with its
+    arguments in grammar order.  They must first pass the checks the grammar
+    cannot state, which raise at `pos`; only then is the shift read."""
+    if head == "O":
+        atom = ShiftedIndec(Line(*args), read_shift())
+    elif head == "T":
+        label, d = args
         if d == 0:
-            return None
-        base = Torsion(resolve_point(m.group("tx")), d)
-        atom = ShiftedIndec(base, int(m.group("shift") or 0))
-        return "p1", atom, atom.key()
-    r, d = int(m.group("r")), int(m.group("d"))
-    if r < 0 or math.gcd(r, d) != 1:
-        return None
-    cls = StableClass(r, d, resolve_point(m.group("sx")))
-    atom = ShiftedClass(cls, int(m.group("shift") or 0))
-    return "elliptic", atom, atom.key()
-
-
-def _scan_object(text: str, category: str, resolve_point
-                 ) -> DerivedObject | EllipticObject:
-    """Parse character by character, raising the error of malformed text."""
-    sc = _Scanner(text)
-    p1_terms: list[tuple[ShiftedIndec, int]] = []
-    ell_terms: list[tuple[ShiftedClass, int]] = []
-
-    while True:
-        sc.skip_ws()
-        mult = 1
-        if sc.peek().isdigit():
-            pos = sc.pos
-            mult = sc.nat()
-            if sc.peek() == "*":
-                sc.take("*")
-            elif mult == 0 and sc.peek() in ("", "+", "["):
-                # a bare 0 atom (possibly shifted): the zero object
-                if sc.peek() == "[":
-                    sc.take("[")
-                    sc.integer()
-                    sc.take("]")
-                mult = None  # marker: contributed nothing
-            else:
-                raise ObjectParseError("expected '*' after a multiplicity", sc.pos)
-        if mult is None:
-            pass
-        else:
-            atom_pos = sc.pos
-            head = sc.peek()
-            if head == "0":
-                sc.take("0")
-                _opt_shift(sc)  # the zero object contributes nothing
-            elif head == "O":
-                sc.take("O")
-                sc.take("(")
-                n = sc.integer()
-                sc.take(")")
-                base = Line(n)
-                shift = _opt_shift(sc)
-                p1_terms.append((ShiftedIndec(base, shift), mult))
-            elif head == "T":
-                sc.take("T")
-                sc.take("(")
-                lbl = sc.label()
-                sc.take(",")
-                d = sc.nat()
-                sc.take(")")
-                if d == 0:
-                    raise InvalidLengthError("torsion length must be >= 1", atom_pos)
-                base = Torsion(resolve_point(lbl), d)
-                shift = _opt_shift(sc)
-                p1_terms.append((ShiftedIndec(base, shift), mult))
-            elif head == "S":
-                sc.take("S")
-                sc.take("(")
-                r = sc.integer()
-                sc.take(",")
-                d = sc.integer()
-                sc.take(",")
-                lbl = sc.label()
-                sc.take(")")
-                if r < 0 or math.gcd(r, d) != 1:
-                    raise NonCoprimeError(
-                        f"stable classes need coprime rank >= 0 and degree, got ({r},{d})",
-                        atom_pos)
-                cls = StableClass(r, d, resolve_point(lbl))
-                shift = _opt_shift(sc)
-                ell_terms.append((ShiftedClass(cls, shift), mult))
-            else:
-                raise ObjectParseError("expected an atom O(...), T(...), S(...) or 0", sc.pos)
-        if sc.at_end():
-            break
-        sc.take("+")
-
-    if p1_terms and ell_terms:
-        raise ObjectParseError("cannot mix O/T atoms with S atoms", 0)
-    if category == "p1" and ell_terms:
-        raise ObjectParseError("an object on the line was expected", 0)
-    if category == "elliptic" and p1_terms:
-        raise ObjectParseError("an elliptic object was expected", 0)
-    if ell_terms or category == "elliptic":
-        return normalize_elliptic(ell_terms)
-    return normalize(p1_terms)
-
-
-def _opt_shift(sc: _Scanner) -> int:
-    if sc.peek() == "[":
-        sc.take("[")
-        n = sc.integer()
-        sc.take("]")
-        return n
-    return 0
+            raise InvalidLengthError("torsion length must be >= 1", pos)
+        atom = ShiftedIndec(Torsion(resolve_point(label), d), read_shift())
+    else:
+        r, d, label = args
+        if r < 0 or math.gcd(r, d) != 1:
+            raise NonCoprimeError(
+                f"stable classes need coprime rank >= 0 and degree, got ({r},{d})", pos)
+        atom = ShiftedClass(StableClass(r, d, resolve_point(label)), read_shift())
+        return "elliptic", atom, atom.key()
+    return "p1", atom, atom.key()
 
 
 # --- session configuration -------------------------------------------------------
@@ -327,9 +293,18 @@ def _parse_p(text: str, where: str) -> int | float:
     return value
 
 
+def _open(path: str):
+    """Open a file named on the command line; an OSError (missing file,
+    directory, no permission) is a TStabError naming the path."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise TStabError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+
+
 def load_config(path: str) -> dict:
     settings: dict = {}
-    with open(path, encoding="utf-8") as handle:
+    with _open(path) as handle:
         for lineno, raw in enumerate(handle, 1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
@@ -511,7 +486,7 @@ def _cmd_hom(args, session, out) -> int:
     resolver = point_resolver(session.points)
     x = parse_object(args.x, "auto", resolver)
     y = parse_object(args.y, "auto", resolver)
-    if type(x) is not type(y):
+    if type(x) is not type(y) and x.terms and y.terms:  # a zero lives on either curve
         raise TStabError("both objects must live on the same curve")
     profile = hom_profile(x, y)
     if args.degree is not None:
@@ -562,6 +537,8 @@ def _cmd_heart(args, session, out) -> int:
 def _cmd_catalog(args, session, out) -> int:
     points = session.points or DEFAULT_POINTS
     if not args.name:
+        if args.params or args.diagram:
+            raise UsageError(f"{'--params' if args.params else '--diagram'} needs a catalog NAME")
         entries = catalog_entries(points=points, p=0)
         payload = {"entries": [e.to_json() for e in entries]}
         text = "\n".join(f"{e.name:<2} bounded={str(e.bounded).lower():<5} "
@@ -629,7 +606,7 @@ def _cmd_check(args, session, out) -> int:
     if args.what == "hn":
         try:
             if args.input and args.input != "-":
-                with open(args.input, encoding="utf-8") as handle:
+                with _open(args.input) as handle:
                     data = json.load(handle)
             else:
                 data = json.load(sys.stdin)

@@ -139,6 +139,16 @@ def test_hom_command():
     assert code == 1
 
 
+def test_hom_takes_a_bare_zero_on_the_other_curve():
+    for argv in (("0", "S(1,0,x)"), ("S(1,0,x)", "0")):
+        assert _run("hom", *argv) == (0, "0\n"), argv
+        assert _run("hom", *argv, "--degree", "1") == (0, "0\n"), argv
+        code, out = _run("hom", *argv, "--format", "json")
+        assert (code, json.loads(out)) == (0, {"profile": {}}), argv
+    _assert_error(("hom", "O(1)", "S(1,0,x)"), "both objects must live on the same curve")
+    _assert_error(("hom", "S(1,0,x)", "O(1)"), "both objects must live on the same curve")
+
+
 FILTRATION_SCHEMA = {
     "type": "object",
     "required": ["object", "family", "quotients", "terms"],
@@ -461,6 +471,24 @@ def test_bad_config_lines_are_domain_errors(line, message, tmp_path):
     cfg = tmp_path / "session.cfg"
     cfg.write_text(f"# session\n{line}\n")
     _assert_error(("normalize", "O(1)", "--config", str(cfg)), message.format(path=cfg))
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["--input", "--config"])
+def test_unreadable_files_are_domain_errors(flag, kind, tmp_path):
+    path = str(tmp_path / "absent") if kind == "missing" else str(tmp_path)
+    reason = "No such file or directory" if kind == "missing" else "Is a directory"
+    argv = (("check", "hn", "--input", path) if flag == "--input"
+            else ("normalize", "O(1)", "--config", path))
+    _assert_error(argv, f"cannot read {path!r}: {reason}")
+
+
+@pytest.mark.parametrize("flag", [("--params", "p=1"), ("--diagram",)], ids=["params", "diagram"])
+def test_catalog_flags_need_a_name(flag):
+    message = f"{flag[0]} needs a catalog NAME"
+    assert _run("catalog", *flag) == (2, f"error: {message}\n")
+    code, out = _run("catalog", *flag, "--format", "json")
+    assert (code, json.loads(out)) == (2, {"error": message})
 
 
 def test_config_file_sets_point_order(tmp_path):

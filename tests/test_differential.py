@@ -956,6 +956,31 @@ def test_parser_matches_scanner_oracle_on_non_strings():
     _assert_parses_like_oracle([5, None, ["O(3)"], ["  "], [], ("0",)], "p1", "default")
 
 
+# Error orderings and spellings that hypothesis seldom draws.
+_FIXED_EXPRESSIONS = {
+    "syntax-error-before-length-error": "T(x,0",
+    "atom-position-right-after-star": " 2*  T(x,0)",
+    "atom-position-in-a-later-summand": "O(1) + 3 *T(x,0)",
+    "value-check-before-shift-int": "S(0,0,x)[" + "9" * 5000 + "]",
+    "later-syntax-error-before-mix-error": "O(1) + S(1,0,x) + O(",
+    "mixed-keys-not-compared": "S(1,0,x) + O(1)",
+    "shifted-zero": "0[1] + O(2)",
+    "double-zero": "00",
+    "multiplied-shifted-zero": "2*0[1]",
+    "arabic-indic-digit": "O(٣)",
+    "superscript-digit": "3²*O(1)",
+    "non-ascii-label": "T(é,1)",
+    "skyscraper-of-degree-minus-one": "S(0,-1,x)",
+}
+
+
+@pytest.mark.parametrize("text", list(_FIXED_EXPRESSIONS.values()), ids=list(_FIXED_EXPRESSIONS))
+def test_parser_matches_scanner_oracle_on_fixed_orderings(text):
+    for category in ("auto", "p1", "elliptic"):
+        for resolver in sorted(_RESOLVERS):
+            _assert_parses_like_oracle([text], category, resolver)
+
+
 # --- point order ------------------------------------------------------------------------
 
 _ORDER_LABELS = st.sampled_from(["x", "y", "z", "a", "b1", "7"])
