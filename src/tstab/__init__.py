@@ -14,14 +14,13 @@ from .families import (INF, CoarseZ, CoarsenedFamily, ExceptionalP1, FinerVerdic
                        SlopePartition, StandardP1, by_shift_partition, coarsen,
                        column_partition, exceptional_rewrite,
                        family_from_descriptor, finest_check, is_finer)
-from .tstructures import (CatalogEntry, Classification, CoarseCut, ExceptionalCut,
+from .tstructures import (CatalogEntry, Classification, CoarseCut, EllipticCut, ExceptionalCut,
                           HeartDescription, SlopeCut, StandardCut, TorsionPair,
                           apply_twist_shift, catalog, catalog_entries, classify_bounded_cut,
                           diagram, heart_contains, heart_slopes, is_bounded,
                           torsion_pair_cut, truncate, validate_cut)
 from .elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, ShiftedClass,
-                       StableClass, a_qp_split, elliptic_heart_contains, hom_dim_stable,
-                       stable)
+                       StableClass, hom_dim_stable, stable)
 from .cli import parse_object, run
 
 __version__ = "0.1.0"

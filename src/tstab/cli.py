@@ -293,40 +293,42 @@ def _parse_p(text: str, where: str) -> int | float:
     return value
 
 
-def _open(path: str):
-    """Open a file named on the command line; an OSError (missing file,
-    directory, no permission) is a TStabError naming the path."""
+def _read(path: str) -> str:
+    """The text of a file named on the command line; an OSError (missing
+    file, directory, no permission) or text that is not UTF-8 is a
+    TStabError naming the path."""
     try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        raise TStabError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise TStabError(f"cannot read {path!r}: {reason}") from None
 
 
 def load_config(path: str) -> dict:
     settings: dict = {}
-    with _open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            stripped = raw.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise TStabError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "points":
-                settings["points"] = tuple(part.strip() for part in value.split(",") if part.strip())
-            elif key == "k":
-                settings["k"] = _int_field(value, "k", f"{path}:{lineno}")
-            elif key == "p":
-                settings["p"] = _parse_p(value, f"{path}:{lineno}")
-            elif key == "format":
-                if value not in ("text", "json"):
-                    raise TStabError(f"{path}:{lineno}: format must be text or json")
-                settings["fmt"] = value
-            elif key == "seed":
-                settings["seed"] = _int_field(value, "seed", f"{path}:{lineno}")
-            else:
-                raise TStabError(f"{path}:{lineno}: unknown key {key!r}")
+    for lineno, raw in enumerate(_read(path).split("\n"), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise TStabError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "points":
+            settings["points"] = tuple(part.strip() for part in value.split(",") if part.strip())
+        elif key == "k":
+            settings["k"] = _int_field(value, "k", f"{path}:{lineno}")
+        elif key == "p":
+            settings["p"] = _parse_p(value, f"{path}:{lineno}")
+        elif key == "format":
+            if value not in ("text", "json"):
+                raise TStabError(f"{path}:{lineno}: format must be text or json")
+            settings["fmt"] = value
+        elif key == "seed":
+            settings["seed"] = _int_field(value, "seed", f"{path}:{lineno}")
+        else:
+            raise TStabError(f"{path}:{lineno}: unknown key {key!r}")
     return settings
 
 
@@ -606,8 +608,7 @@ def _cmd_check(args, session, out) -> int:
     if args.what == "hn":
         try:
             if args.input and args.input != "-":
-                with _open(args.input) as handle:
-                    data = json.load(handle)
+                data = json.loads(_read(args.input))
             else:
                 data = json.load(sys.stdin)
             obj, filt = filtration_from_json(data)

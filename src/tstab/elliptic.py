@@ -28,10 +28,9 @@ import math
 import random
 import re
 from fractions import Fraction
-from collections.abc import Iterable
 
-from .errors import FiltrationFormatError, QOutOfRangeError
-from .p1 import FormalSum, Point, hom_profile, point_resolver
+from .errors import FiltrationFormatError
+from .p1 import FormalSum, Point, point_resolver
 from .slopes import ExtendedRational, K0Class, PLUS_INFINITY
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int
 from .value import Value, set_field
@@ -240,69 +239,3 @@ class EllipticStandard(StabilityFamily, Value):
             pairs.append((ShiftedClass(cls, sh), rng.randint(1, 3)))
         return normalize_elliptic(pairs)
 
-
-# --- tilting torsion pairs ------------------------------------------------------
-
-def _check_q(q: ExtendedRational) -> None:
-    if q.is_infinite:
-        return
-    if not (0 <= q.value < 1):
-        raise QOutOfRangeError(f"tilting slope must lie in [0, 1) or be inf, got {q!r}")
-
-
-def _in_second_part(cls: StableClass, q: ExtendedRational, P: frozenset[str]) -> bool:
-    """Whether a class falls in the quotient part: mu < q, or mu = q with x in P."""
-    mu = cls.mu()
-    if mu < q:
-        return True
-    return mu == q and cls.x.label in P
-
-
-def a_qp_split(x: EllipticObject, q: ExtendedRational | Fraction | str,
-               P: Iterable[str] = ()) -> tuple[EllipticObject, EllipticObject]:
-    """Split a shift-0 object along the tilting pair at slope q and point set P.
-
-    The second part collects the summands of slope < q (or slope q with
-    point in P); the first part is the rest.  Vanishing of degree-0 maps
-    from the first part to the second is re-checked on the output.
-    """
-    q = _as_extended(q)
-    _check_q(q)
-    pset = frozenset(P)
-    if any(t.shift != 0 for t, _ in x.summands()):
-        raise ValueError("the tilting split applies to shift-0 objects")
-    first, second = [], []
-    for t, m in x.summands():
-        (second if _in_second_part(t.cls, q, pset) else first).append((t, m))
-    first, second = normalize_elliptic(first), normalize_elliptic(second)
-    profile = hom_profile(first, second)
-    if profile[0] != 0:
-        raise AssertionError(f"torsion pair violated: Hom^0 = {profile[0]}")
-    return first, second
-
-
-def _as_extended(q) -> ExtendedRational:
-    if isinstance(q, ExtendedRational):
-        return q
-    if isinstance(q, str):
-        if q == "inf":
-            return PLUS_INFINITY
-        return ExtendedRational.finite(Fraction(q))
-    return ExtendedRational.finite(Fraction(q))
-
-
-def elliptic_heart_contains(x: EllipticObject, q, P: Iterable[str] = ()) -> bool:
-    """Membership in the tilted heart: first part at shift 0, second at shift 1."""
-    q = _as_extended(q)
-    _check_q(q)
-    pset = frozenset(P)
-    for t, _ in x.summands():
-        if t.shift == 0:
-            if _in_second_part(t.cls, q, pset):
-                return False
-        elif t.shift == 1:
-            if not _in_second_part(t.cls, q, pset):
-                return False
-        else:
-            return False
-    return True

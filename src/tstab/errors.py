@@ -49,10 +49,6 @@ class HomViolationError(TStabError):
     """A claimed torsion pair has a nonzero Hom from its first to its second part."""
 
 
-class QOutOfRangeError(TStabError):
-    """A tilting slope parameter lies outside [0, 1) and is not infinity."""
-
-
 class FiltrationFormatError(TStabError):
     """A serialised filtration lacks a field or holds one of the wrong type."""
 

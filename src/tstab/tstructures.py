@@ -16,6 +16,12 @@ lies in the down-set.  Cuts are finite descriptions, not raw sets:
   parameter p, up-closure pins b to a-p-2 or a-p-1 when both are
   finite; at p = inf a finite a forces b = -inf.
 * `CoarseCut(m)`: the up-set is everything at shift >= m.
+* `EllipticCut(m, q, P)` over the elliptic family: the tilt of the
+  heart at slope q (in [0, 1), or inf) and point set P, placed at
+  shift m.  A slope (i, S(r,d,x)) is in the up-set iff i > m, or
+  i = m and mu > q, or mu = q with x not in P.  Up-closure forces P to
+  be down-closed in the point order.  The catalog, the classifier,
+  twists, diagrams and heart generators cover the P1 cuts only.
 
 `catalog` returns the nine named bounded/unbounded t-structures
 (A, B, C, D(P) on the standard side; E(p), F(p), G, H, I on the
@@ -27,13 +33,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+from .elliptic import EllipticStandard, StableClass
 from .errors import (BadParamsError, HomViolationError, InvalidCutError,
-                     NotSlopeDescribableError, UnboundedError)
+                     NotSlopeDescribableError, UnboundedError, UnsupportedFamilyError)
 from .families import INF, CoarseZ, ExceptionalP1, StandardP1
 from .p1 import (DEFAULT_POINTS, DerivedObject, Indec, Line, Point, Torsion, hom_profile, line,
                  point_universe, torsion)
-from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
-                        StandardSlope)
+from .slopes import ExtendedRational
+from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope, Report,
+                        StabilityFamily, StandardSlope, Window)
 from .value import Value, assign
 
 
@@ -114,7 +122,30 @@ class CoarseCut(Value):
         return f"coarse:m={self.m}"
 
 
-SlopeCut = StandardCut | ExceptionalCut | CoarseCut
+class EllipticCut(Value):
+    """Tilt of the elliptic heart at slope q and point set P, at shift m; q is
+    an `ExtendedRational` (`PLUS_INFINITY` for inf), or an int or Fraction."""
+
+    __slots__ = ("m", "q", "P")
+
+    def __init__(self, m: int, q, P: Iterable[str] = ()):
+        if not isinstance(q, ExtendedRational):
+            q = ExtendedRational.finite(q)
+        P = frozenset(P)
+        assign(self, locals())
+
+    def in_plus(self, s: EllipticSlope) -> bool:
+        if s.i != self.m:
+            return s.i > self.m
+        return s.mu > self.q or (s.mu == self.q and s.cls.x.label not in self.P)
+
+
+SlopeCut = StandardCut | ExceptionalCut | CoarseCut | EllipticCut
+
+
+def _p1_only(cut: SlopeCut, what: str) -> None:
+    if isinstance(cut, EllipticCut):
+        raise UnsupportedFamilyError(f"{what} covers the P1 cuts only, not an elliptic cut")
 
 
 def _check_cut_family(cut: SlopeCut, family: StabilityFamily) -> str | None:
@@ -124,6 +155,24 @@ def _check_cut_family(cut: SlopeCut, family: StabilityFamily) -> str | None:
         return "an exceptional cut needs an exceptional family"
     if isinstance(cut, CoarseCut) and not isinstance(family, CoarseZ):
         return "a coarse cut needs the coarse family"
+    if isinstance(cut, EllipticCut) and not isinstance(family, EllipticStandard):
+        return "an elliptic cut needs the elliptic family"
+    return None
+
+
+def _point_set_reason(P: frozenset[str], labels: tuple[str, ...], up: bool) -> str | None:
+    """None if the point set is empty, or declared and up-closed (up) or
+    down-closed in the point order; else the reason it is not."""
+    if not P:
+        return None
+    if not labels:
+        return "a proper point set needs a declared point universe on the family"
+    unknown = P - set(labels)
+    if unknown:
+        return f"undeclared point labels in P: {sorted(unknown)}"
+    member = [lbl in P for lbl in labels]
+    if any((a, b) == (up, not up) for a, b in zip(member, member[1:])):
+        return f"P must be {'up' if up else 'down'}-closed in the point order"
     return None
 
 
@@ -135,19 +184,12 @@ def _cut_validity_reason(cut: SlopeCut, family: StabilityFamily) -> str | None:
     if isinstance(cut, CoarseCut):
         return None
     if isinstance(cut, StandardCut):
-        if cut.P is None:
-            return None
-        labels = family.point_labels
-        if not labels:
-            return "a proper point set needs a declared point universe on the family"
-        unknown = set(cut.P) - set(labels)
-        if unknown:
-            return f"undeclared point labels in P: {sorted(unknown)}"
-        # up-closure among point slopes: P must be a suffix of the point order
-        member = [lbl in cut.P for lbl in labels]
-        if any(a and not b for a, b in zip(member, member[1:])):
-            return "P must be up-closed in the point order"
-        return None
+        return None if cut.P is None else _point_set_reason(cut.P, family.point_labels, up=True)
+    if isinstance(cut, EllipticCut):
+        q = cut.q
+        if not q.is_infinite and not 0 <= q.value < 1:
+            return f"tilting slope must lie in [0, 1) or be inf, got {q!r}"
+        return _point_set_reason(cut.P, family.point_labels, up=False)
     a, b, p = cut.a, cut.b, family.p
     if a == -INF:
         return None if b == -INF else "a = -inf forces b = -inf"
@@ -179,6 +221,14 @@ def _window_slopes(cut: SlopeCut, family: StabilityFamily, radius: int) -> list:
         center = int(finite[0]) if finite else 0
         return [ExceptionalSlope(i, c)
                 for i in range(center - radius - 3, center + radius + 4) for c in (0, 1)]
+    if isinstance(cut, EllipticCut):
+        # ranks up to 2 near the cut, and every point's class of slope q (at inf, skyscrapers)
+        points, q = point_universe(family.point_labels), cut.q.value
+        classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
+        if q is not None:
+            classes += [StableClass(q.denominator, q.numerator, pt) for pt in points]
+        return [EllipticSlope(i, cls) for i in range(cut.m - 1, cut.m + 2)
+                for cls in dict.fromkeys(classes)]
     return [CoarseSlope(i) for i in range(cut.m - radius, cut.m + radius + 2)]
 
 
@@ -265,6 +315,7 @@ class HeartDescription(Value):
         return self.cut.in_plus(s) and not self.cut.in_plus(self.family.tau(s, -1))
 
     def generators(self) -> list[str]:
+        _p1_only(self.cut, "heart generators")
         cut, family = self.cut, self.family
         if isinstance(cut, CoarseCut):
             return [f"Coh[{cut.m}]"]
@@ -290,6 +341,7 @@ class HeartDescription(Value):
 
     def generator_objects(self) -> list[DerivedObject]:
         """Concrete generators; only exceptional hearts have finitely many."""
+        _p1_only(self.cut, "heart generators")
         cut, family = self.cut, self.family
         if isinstance(cut, ExceptionalCut):
             gens = []
@@ -318,7 +370,7 @@ def heart_contains(x: DerivedObject, cut: SlopeCut, family: StabilityFamily) -> 
 def is_bounded(cut: SlopeCut, family: StabilityFamily) -> bool:
     """Whether the induced t-structure is bounded.
 
-    Standard and coarse cuts always are (their thresholds are finite);
+    Standard, coarse and elliptic cuts always are (their thresholds are finite);
     an exceptional cut is bounded iff both column thresholds are.
     """
     require_valid_cut(cut, family)
@@ -537,6 +589,7 @@ class Classification(Value):
 
 def apply_twist_shift(cut: SlopeCut, twist: int, shift: int) -> SlopeCut:
     """The image of a cut under tensoring by O(twist) and shifting by [shift]."""
+    _p1_only(cut, "apply_twist_shift")
     if isinstance(cut, StandardCut):
         K = cut.K if cut.K in (INF, -INF) else cut.K + twist
         return StandardCut(cut.m + shift, K, cut.P)
@@ -563,6 +616,7 @@ def classify_bounded_cut(cut: SlopeCut, family: StabilityFamily) -> Classificati
     cut reproduces the input cut (and the twist maps the catalog family
     onto the input family on the exceptional side).
     """
+    _p1_only(cut, "classify_bounded_cut")
     require_valid_cut(cut, family)
     if not is_bounded(cut, family):
         raise UnboundedError("only bounded cuts are classified")
@@ -599,6 +653,7 @@ def _slope_token(family: StabilityFamily, s) -> str:
 def diagram(cut: SlopeCut, family: StabilityFamily, radius: int = 2) -> str:
     """ASCII slope line: generators in ascending order, the cut marked by
     "][", and "^" under the heart slopes."""
+    _p1_only(cut, "diagram")
     require_valid_cut(cut, family)
     slopes = sorted(_window_slopes(cut, family, radius), key=family.slope_key)
     heart = HeartDescription(family, cut)

@@ -12,18 +12,18 @@ import re
 from fractions import Fraction
 
 from tstab.elliptic import (ELLIPTIC_ZERO, EllipticStandard, ShiftedClass, StableClass,
-                            a_qp_split, elliptic_heart_contains, hom_dim_stable,
-                            normalize_elliptic)
+                            hom_dim_stable, normalize_elliptic)
 from tstab.errors import InvalidPartitionError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, coarsen,
                             column_partition, exceptional_rewrite, finest_check, is_finer)
 from tstab.p1 import (Line, Point, ShiftedIndec, Torsion, ZERO, euler_form, hom_profile,
                       line, point_resolver)
+from tstab.slopes import PLUS_INFINITY
 from tstab.stability import (ExceptionalSlope, HNFiltration, StandardSlope, Window,
                              validate_stability, verify_hn)
-from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, apply_twist_shift,
-                               canonical_cut, catalog, classify_bounded_cut, cut_is_valid,
-                               is_bounded, truncate)
+from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, StandardCut,
+                               apply_twist_shift, canonical_cut, catalog, classify_bounded_cut,
+                               cut_is_valid, heart_contains, is_bounded, truncate)
 
 WINDOW = Window(max_degree=8, max_shift=3, max_length=4, max_summands=6)
 EXC_PARAMS = [(k, p) for k in (-1, 0, 1) for p in (0, 1, 2, INF)]
@@ -395,6 +395,11 @@ def test_criterion_10_elliptic_suite():
     rng = random.Random(99)
     qs = [Fraction(0), Fraction(1, 2), "inf"]
     point_sets = [frozenset(), frozenset({"l"}), frozenset({"l", "n"})]
+    fam = EllipticStandard(("l", "n", "m"))  # each point set is down-closed in this order
+
+    def tilt(q, P):
+        return EllipticCut(0, PLUS_INFINITY if q == "inf" else q, P)
+
     for q in qs:
         for P in point_sets:
             for _ in range(60):
@@ -402,7 +407,7 @@ def test_criterion_10_elliptic_suite():
                 x = ELLIPTIC_ZERO
                 for cls in picks:
                     x = x + normalize_elliptic([(ShiftedClass(cls, 0), rng.randint(1, 2))])
-                first, second = a_qp_split(x, q, P)
+                first, second = truncate(x, tilt(q, P), fam)
                 ok = ok and (first + second == x)
                 ok = ok and hom_profile(first, second)[0] == 0
 
@@ -414,7 +419,6 @@ def test_criterion_10_elliptic_suite():
         mu = Fraction(cls.d, cls.r)
         return mu < q or (mu == q and cls.x.label in P)
 
-    fam = EllipticStandard()
     window = Window(points=points, max_degree=5, max_shift=2, max_summands=4)
     checked = 0
     for q in qs:
@@ -425,7 +429,7 @@ def test_criterion_10_elliptic_suite():
                     (t.shift == 0 and not rule_second(t.cls, q, P))
                     or (t.shift == 1 and rule_second(t.cls, q, P))
                     for t, _ in x.summands())
-                ok = ok and elliptic_heart_contains(x, q, P) == expected
+                ok = ok and heart_contains(x, tilt(q, P), fam) == expected
                 checked += 1
     _report(10, ok, f"elliptic Euler/Serre identities, tilting Hom-vanishing, and "
                     f"{checked} heart membership checks")

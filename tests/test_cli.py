@@ -483,6 +483,16 @@ def test_unreadable_files_are_domain_errors(flag, kind, tmp_path):
     _assert_error(argv, f"cannot read {path!r}: {reason}")
 
 
+@pytest.mark.parametrize("flag", ["--input", "--config"])
+def test_files_that_are_not_utf8_are_domain_errors(flag, tmp_path):
+    path = tmp_path / "latin1"
+    path.write_bytes(b"\xffpoints = x\n")
+    argv = (("check", "hn", "--input", str(path)) if flag == "--input"
+            else ("normalize", "O(1)", "--config", str(path)))
+    _assert_error(argv, f"cannot read {str(path)!r}: 'utf-8' codec can't decode byte 0xff "
+                        "in position 0: invalid start byte")
+
+
 @pytest.mark.parametrize("flag", [("--params", "p=1"), ("--diagram",)], ids=["params", "diagram"])
 def test_catalog_flags_need_a_name(flag):
     message = f"{flag[0]} needs a catalog NAME"

@@ -12,7 +12,8 @@ the three label resolvers that `point_resolver` replaced, and the
 per-summand data that `StabilityFamily.summand_tower` replaced: the
 exceptional rewrite with its stored mid-term, the `truncate` that read
 it, `heart_contains` read off a whole `hn`, and the coarsened
-`semistable_slope` read off the base family's `hn`, the frozen
+`semistable_slope` read off the base family's `hn`, the elliptic tilt
+split and heart test that `EllipticCut` replaced, the frozen
 dataclasses that the hand-written value types replaced, and the standard
 slopes whose levels were wrapped in `IntLevel`/`PointLevel`.
 They are kept here only, as oracles, and every result must agree bit for
@@ -22,11 +23,13 @@ same families and objects.
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -42,13 +45,14 @@ from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, Standar
                             by_shift_partition, coarsen, column_partition)
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, hom_profile,
                       ZERO, line, normalize, point_resolver)
-from tstab.slopes import K0Class, Ordering
+from tstab.slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                              HNFiltration, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
                              verify_hn)
-from tstab.tstructures import (CatalogEntry, CoarseCut, ExceptionalCut, HeartDescription,
-                               StandardCut, catalog, cut_is_valid, heart_contains, truncate)
+from tstab.tstructures import (CatalogEntry, CoarseCut, EllipticCut, ExceptionalCut,
+                               HeartDescription, StandardCut, catalog, cut_is_valid,
+                               heart_contains, truncate, validate_cut)
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -277,6 +281,73 @@ def oracle_coarsened_semistable_slope(family, x):
     if len(blocks) == 1:
         return blocks.pop()
     return None
+
+
+# The elliptic tilt as it stood before `EllipticCut`, helpers renamed; a bad q
+# raises ValueError, as the deleted QOutOfRangeError is gone.
+def _oracle_check_q(q: ExtendedRational) -> None:
+    if q.is_infinite:
+        return
+    if not (0 <= q.value < 1):
+        raise ValueError(f"tilting slope must lie in [0, 1) or be inf, got {q!r}")
+
+
+def _oracle_in_second_part(cls: StableClass, q: ExtendedRational, P: frozenset[str]) -> bool:
+    """Whether a class falls in the quotient part: mu < q, or mu = q with x in P."""
+    mu = cls.mu()
+    if mu < q:
+        return True
+    return mu == q and cls.x.label in P
+
+
+def oracle_a_qp_split(x: EllipticObject, q: ExtendedRational | Fraction | str,
+                      P: Iterable[str] = ()) -> tuple[EllipticObject, EllipticObject]:
+    """Split a shift-0 object along the tilting pair at slope q and point set P.
+
+    The second part collects the summands of slope < q (or slope q with
+    point in P); the first part is the rest.  Vanishing of degree-0 maps
+    from the first part to the second is re-checked on the output.
+    """
+    q = _oracle_as_extended(q)
+    _oracle_check_q(q)
+    pset = frozenset(P)
+    if any(t.shift != 0 for t, _ in x.summands()):
+        raise ValueError("the tilting split applies to shift-0 objects")
+    first, second = [], []
+    for t, m in x.summands():
+        (second if _oracle_in_second_part(t.cls, q, pset) else first).append((t, m))
+    first, second = normalize_elliptic(first), normalize_elliptic(second)
+    profile = hom_profile(first, second)
+    if profile[0] != 0:
+        raise AssertionError(f"torsion pair violated: Hom^0 = {profile[0]}")
+    return first, second
+
+
+def _oracle_as_extended(q) -> ExtendedRational:
+    if isinstance(q, ExtendedRational):
+        return q
+    if isinstance(q, str):
+        if q == "inf":
+            return PLUS_INFINITY
+        return ExtendedRational.finite(Fraction(q))
+    return ExtendedRational.finite(Fraction(q))
+
+
+def oracle_elliptic_heart_contains(x: EllipticObject, q, P: Iterable[str] = ()) -> bool:
+    """Membership in the tilted heart: first part at shift 0, second at shift 1."""
+    q = _oracle_as_extended(q)
+    _oracle_check_q(q)
+    pset = frozenset(P)
+    for t, _ in x.summands():
+        if t.shift == 0:
+            if _oracle_in_second_part(t.cls, q, pset):
+                return False
+        elif t.shift == 1:
+            if not _oracle_in_second_part(t.cls, q, pset):
+                return False
+        else:
+            return False
+    return True
 
 
 class OraclePointOrder:
@@ -663,6 +734,35 @@ def test_truncate_and_heart_match_oracles_on_every_window_atom():
             splits += not (ref[0].is_zero or ref[1].is_zero)
             assert heart_contains(x, cut, family) == oracle_heart_contains(x, cut, family)
     assert splits > 0
+
+
+_TILT_QS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), PLUS_INFINITY)
+_LABEL_SETS = [frozenset(c) for r in range(len(LABELS) + 1)
+               for c in itertools.combinations(LABELS, r)]
+
+
+def _tilts():
+    """Every (q, S) with the family whose point order lists S first."""
+    for q in _TILT_QS:
+        for S in _LABEL_SETS:
+            order = tuple(sorted(S)) + tuple(lbl for lbl in LABELS if lbl not in S)
+            yield q, S, EllipticStandard(order)
+
+
+def test_every_tilt_is_a_valid_elliptic_cut():
+    for q, S, family in _tilts():
+        report = validate_cut(EllipticCut(0, q, S), family)
+        assert report.ok, (q, S, report.summary())
+
+
+@settings(max_examples=150)
+@given(elliptic_objects())
+def test_elliptic_cut_matches_the_tilt_oracles(x):
+    shift0 = normalize_elliptic([pair for pair in x.summands() if pair[0].shift == 0])
+    for q, S, family in _tilts():
+        cut = EllipticCut(0, q, S)
+        assert truncate(shift0, cut, family) == oracle_a_qp_split(shift0, q, S)
+        assert heart_contains(x, cut, family) == oracle_elliptic_heart_contains(x, q, S)
 
 
 _ONE_BLOCK = SlopePartition("one", lambda s: 0, lambda b: b, lambda b, n=1: b)

@@ -3,21 +3,25 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, ShiftedClass,
-                            StableClass, a_qp_split, elliptic_heart_contains, hom_dim_stable,
-                            stable)
-from tstab.errors import QOutOfRangeError
+                            StableClass, hom_dim_stable, stable)
+from tstab.errors import InvalidCutError
 from tstab.p1 import Point, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
-from tstab.stability import EllipticSlope, Window, validate_stability, verify_hn
+from tstab.families import StandardP1
+from tstab.stability import CheckItem, EllipticSlope, Window, validate_stability, verify_hn
+from tstab.tstructures import (EllipticCut, _window_slopes, heart_contains, truncate,
+                               validate_cut)
 from tstab.value import FrozenInstanceError
 
 L, M, N = Point("l"), Point("m"), Point("n")
 FAMILY = EllipticStandard()
+ORDERED = EllipticStandard(("l", "m", "n"))
 WINDOW = Window(max_degree=4, max_shift=2, points=(L, M, N), samples=25)
 
 
@@ -133,64 +137,130 @@ def test_validate_elliptic_stability():
 
 def test_a_qp_split_standard_pair():
     x = stable(1, -1, L) + stable(1, 0, L) + stable(1, 1, M) + stable(0, 1, N)
-    first, second = a_qp_split(x, 0)
+    first, second = truncate(x, EllipticCut(0, 0), FAMILY)
     assert second == stable(1, -1, L)
     assert first == stable(1, 0, L) + stable(1, 1, M) + stable(0, 1, N)
 
 
 def test_a_qp_split_point_set_matters():
     x = stable(1, 0, L) + stable(1, 0, M)
-    first, second = a_qp_split(x, 0, P={"l"})
+    first, second = truncate(x, EllipticCut(0, 0, P={"l"}), ORDERED)
     assert second == stable(1, 0, L)
     assert first == stable(1, 0, M)
 
 
 def test_a_qp_split_skyscraper_stays_high():
     for q in (0, Fraction(1, 2)):
-        first, second = a_qp_split(stable(0, 1, L), q)
+        first, second = truncate(stable(0, 1, L), EllipticCut(0, q), FAMILY)
         assert second.is_zero and first == stable(0, 1, L)
-    first, second = a_qp_split(stable(0, 1, L), "inf")
+    first, second = truncate(stable(0, 1, L), EllipticCut(0, PLUS_INFINITY), FAMILY)
     assert second.is_zero  # mu = q = inf but l not in P
-    first, second = a_qp_split(stable(0, 1, L), "inf", P={"l"})
+    first, second = truncate(stable(0, 1, L), EllipticCut(0, PLUS_INFINITY, P={"l"}), ORDERED)
     assert first.is_zero and second == stable(0, 1, L)
 
 
 def test_a_qp_split_rejects_bad_q_and_shifts():
-    with pytest.raises(QOutOfRangeError):
-        a_qp_split(stable(1, 0, L), 1)
-    with pytest.raises(QOutOfRangeError):
-        a_qp_split(stable(1, 0, L), Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        a_qp_split(stable(1, 0, L, shift=1), 0)
+    with pytest.raises(InvalidCutError):
+        truncate(stable(1, 0, L), EllipticCut(0, 1), FAMILY)
+    with pytest.raises(InvalidCutError):
+        truncate(stable(1, 0, L), EllipticCut(0, Fraction(-1, 2)), FAMILY)
 
 
 def test_a_qp_split_hom_vanishing_random():
     rng = random.Random(77)
     classes = _window_classes(max_rank=3, max_degree=5)
-    for q in (0, Fraction(1, 2), "inf"):
+    for q in (0, Fraction(1, 2), PLUS_INFINITY):
         for P in (frozenset(), frozenset({"l"})):
             for _ in range(40):
                 picks = [rng.choice(classes) for _ in range(rng.randint(1, 5))]
                 x = ELLIPTIC_ZERO
                 for cls in picks:
                     x = x + stable(cls.r, cls.d, cls.x)
-                first, second = a_qp_split(x, q, P)
+                first, second = truncate(x, EllipticCut(0, q, P), ORDERED)
                 assert first + second == x
                 assert hom_profile(first, second)[0] == 0
 
 
 def test_elliptic_heart_contains_examples():
-    assert elliptic_heart_contains(stable(1, 1, L), 0)
-    assert elliptic_heart_contains(stable(1, -1, L, shift=1), 0)
-    assert not elliptic_heart_contains(stable(1, -1, L), 0)
-    assert not elliptic_heart_contains(stable(1, 1, L, shift=2), 0)
-    assert elliptic_heart_contains(ELLIPTIC_ZERO, 0)
+    cut = EllipticCut(0, 0)
+    assert heart_contains(stable(1, 1, L), cut, FAMILY)
+    assert heart_contains(stable(1, -1, L, shift=1), cut, FAMILY)
+    assert not heart_contains(stable(1, -1, L), cut, FAMILY)
+    assert not heart_contains(stable(1, 1, L, shift=2), cut, FAMILY)
+    assert heart_contains(ELLIPTIC_ZERO, cut, FAMILY)
     # mu = q membership splits along P
-    assert elliptic_heart_contains(stable(1, 0, L, shift=1), 0, P={"l"})
-    assert not elliptic_heart_contains(stable(1, 0, L, shift=1), 0)
+    assert heart_contains(stable(1, 0, L, shift=1), EllipticCut(0, 0, P={"l"}), ORDERED)
+    assert not heart_contains(stable(1, 0, L, shift=1), cut, FAMILY)
 
 
 def test_heart_of_standard_pair_is_shifted_sheaves():
     # q = 0, P = empty: mu >= 0 lives at shift 0, mu < 0 at shift 1
-    assert elliptic_heart_contains(stable(2, 1, L) + stable(1, -2, M, shift=1), 0)
-    assert not elliptic_heart_contains(stable(2, 1, L, shift=1), 0)
+    cut = EllipticCut(0, 0)
+    assert heart_contains(stable(2, 1, L) + stable(1, -2, M, shift=1), cut, FAMILY)
+    assert not heart_contains(stable(2, 1, L, shift=1), cut, FAMILY)
+
+
+def test_truncate_of_a_shifted_object():
+    # every shift, not only 0: shift 1 lies above the tilt at m = 0, shift -1 below
+    x = stable(1, 0, L, shift=1) + stable(1, 1, M, shift=-1)
+    assert truncate(x, EllipticCut(0, 0), FAMILY) == (stable(1, 0, L, shift=1),
+                                                      stable(1, 1, M, shift=-1))
+    assert truncate(x, EllipticCut(1, 0), FAMILY) == (stable(1, 0, L, shift=1),
+                                                      stable(1, 1, M, shift=-1))
+    assert truncate(x, EllipticCut(2, 0), FAMILY) == (ELLIPTIC_ZERO, x)
+
+
+@pytest.mark.parametrize("family, P, reason, window_ok", [
+    (ORDERED, {"l", "n"}, "P must be down-closed in the point order", False),
+    (ORDERED, {"m"}, "P must be down-closed in the point order", False),
+    # the window holds slopes at the declared points only, so it cannot see z
+    (ORDERED, {"z"}, "undeclared point labels in P: ['z']", True),
+    (FAMILY, {"y"}, "a proper point set needs a declared point universe on the family", False),
+], ids=["gap", "not-a-prefix", "undeclared", "no-order"])
+def test_elliptic_cut_point_set_must_be_declared_and_down_closed(family, P, reason, window_ok):
+    cut = EllipticCut(0, 0, P)
+    report = validate_cut(cut, family)
+    assert [(c.name, c.ok) for c in report.checks] == [("cut_constraints", False),
+                                                       ("window_up_closure", window_ok)]
+    assert report.checks[0].detail == reason
+    with pytest.raises(InvalidCutError, match=re.escape(reason)):
+        truncate(stable(1, 0, L), cut, family)
+    with pytest.raises(InvalidCutError, match=re.escape(reason)):
+        heart_contains(stable(1, 0, L), cut, family)
+
+
+def test_elliptic_cut_window_names_the_first_gap():
+    report = validate_cut(EllipticCut(0, 0, {"l", "n"}), ORDERED)
+    assert report.checks[1].detail == ("up-closure fails: (0, 0, S(1,0,m)) is in the up-set "
+                                       "but (0, 0, S(1,0,n)) above it is not")
+
+
+@pytest.mark.parametrize("q", [1, Fraction(-1, 2), Fraction(3, 2)])
+def test_elliptic_cut_slope_out_of_range(q):
+    cut = EllipticCut(0, q)
+    reason = f"tilting slope must lie in [0, 1) or be inf, got {ExtendedRational.finite(q)!r}"
+    assert validate_cut(cut, FAMILY).checks[0] == CheckItem("cut_constraints", False, reason)
+    for operation in (truncate, heart_contains):
+        with pytest.raises(InvalidCutError, match=re.escape(reason)):
+            operation(stable(1, 0, L), cut, FAMILY)
+
+
+@pytest.mark.parametrize("q", [0, Fraction(1, 3), Fraction(5, 7), Fraction(49, 50),
+                               PLUS_INFINITY])
+def test_valid_elliptic_cuts_pass_validate_cut(q):
+    for family, P in ((FAMILY, ()), (ORDERED, ()), (ORDERED, {"l"}), (ORDERED, {"l", "m"}),
+                      (ORDERED, {"l", "m", "n"})):
+        report = validate_cut(EllipticCut(-1, q, P), family)
+        assert report.ok, report.summary()
+    # the window holds the q stratum, and the cut falls inside it
+    slopes = _window_slopes(EllipticCut(0, q, {"l"}), ORDERED, 4)
+    stratum = [s for s in slopes if s.i == 0 and s.mu == EllipticCut(0, q).q]
+    assert [s.cls.x.label for s in stratum] == ["l", "m", "n"]
+
+
+def test_elliptic_cut_needs_the_elliptic_family():
+    report = validate_cut(EllipticCut(0, 0), StandardP1())
+    assert report.checks == (CheckItem("cut_constraints", False,
+                                       "an elliptic cut needs the elliptic family"),)
+    with pytest.raises(InvalidCutError):
+        truncate(stable(1, 0, L), EllipticCut(0, 0), StandardP1())

@@ -311,6 +311,20 @@ def test_is_finer_over_no_generators_does_not_hold():
     assert verdict.witness == "no cases examined"
 
 
+def test_is_finer_names_a_slope_map_that_is_not_well_defined():
+    # one coarse slope (shift -1) holds lines of several standard slopes
+    verdict = is_finer(CoarseZ(), StandardP1(), Window(max_degree=3, max_shift=1))
+    assert (verdict.holds, verdict.condition) == (False, "well_defined")
+    assert verdict.witness == "slope (-1) maps to two weak slopes"
+
+
+def test_is_finer_names_a_slope_map_that_does_not_commute_with_tau():
+    from test_stability import _TauSkipsAShift
+    verdict = is_finer(StandardP1(), _TauSkipsAShift(), Window(max_degree=3, max_shift=1))
+    assert (verdict.holds, verdict.condition) == (False, "tau")
+    assert verdict.witness == "induced map does not commute with tau at (-1, -3)"
+
+
 def test_finest_check_fails_for_coarse():
     report = finest_check(CoarseZ(), WINDOW)
     assert not report.ok

@@ -5,17 +5,18 @@ import random
 
 import pytest
 
+from tstab.elliptic import EllipticStandard
 from tstab.errors import (BadParamsError, HomViolationError, InvalidCutError,
-                          NotSlopeDescribableError, UnboundedError)
+                          NotSlopeDescribableError, UnboundedError, UnsupportedFamilyError)
 from tstab.families import INF, CoarseZ, ExceptionalP1, StandardP1
 from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, point_resolver, torsion
 from tstab.slopes import Ordering
 from tstab.stability import Window
-from tstab.tstructures import (CoarseCut, ExceptionalCut, StandardCut, TorsionPair,
-                               apply_twist_shift, canonical_cut, catalog, catalog_entries,
-                               classify_bounded_cut, cut_is_valid, diagram, heart_contains,
-                               heart_slopes, is_bounded, torsion_pair_cut, truncate,
-                               validate_cut)
+from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, HeartDescription,
+                               StandardCut, TorsionPair, apply_twist_shift, canonical_cut,
+                               catalog, catalog_entries, classify_bounded_cut, cut_is_valid,
+                               diagram, heart_contains, heart_slopes, is_bounded,
+                               torsion_pair_cut, truncate, validate_cut)
 
 STD3 = StandardP1(("x", "y", "z"))
 STD3_POINTS = tuple(map(point_resolver(STD3.point_labels), STD3.point_labels))
@@ -352,6 +353,30 @@ def test_classify_examples():
     assert (cl.name, cl.twist, cl.shift) == ("A", 0, 3)
     cl = classify_bounded_cut(ExceptionalCut(2, -2), ExceptionalP1(0, 2))
     assert (cl.name, cl.params_dict(), cl.shift) == ("E", {"p": 2}, 0)
+
+
+def test_classification_to_json():
+    cl = classify_bounded_cut(StandardCut(2, INF, {"z", "y"}), STD3)
+    assert cl.to_json() == {"name": "D", "params": {"P": ["y", "z"]}, "twist": 0, "shift": 2}
+    cl = classify_bounded_cut(ExceptionalCut(3, 0), ExceptionalP1(1, 1))
+    assert cl.to_json() == {"name": "E", "params": {"p": 1}, "twist": 1, "shift": 2}
+
+
+_ELL_CUT, _ELL = EllipticCut(0, 0), EllipticStandard()
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: classify_bounded_cut(_ELL_CUT, _ELL),
+    lambda: apply_twist_shift(_ELL_CUT, 1, 1),
+    lambda: diagram(_ELL_CUT, _ELL),
+    lambda: HeartDescription(_ELL, _ELL_CUT).generators(),
+    lambda: HeartDescription(_ELL, _ELL_CUT).generator_objects(),
+], ids=["classify_bounded_cut", "apply_twist_shift", "diagram", "generators",
+        "generator_objects"])
+def test_p1_only_functions_refuse_an_elliptic_cut(operation):
+    assert validate_cut(_ELL_CUT, _ELL).ok and is_bounded(_ELL_CUT, _ELL)
+    with pytest.raises(UnsupportedFamilyError, match="P1 cuts only"):
+        operation()
 
 
 def test_classify_rejects_unbounded_and_invalid():
