@@ -34,8 +34,8 @@ from collections.abc import Callable
 
 from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
-from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
-                 point_resolver, torsion)
+from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, hom_dim, line,
+                 normalize, point_resolver, torsion)
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
                         StandardSlope, Window, slope_int)
 from .value import Value, assign, set_field
@@ -457,7 +457,10 @@ def coarsen(family: StabilityFamily, partition: SlopePartition,
 
 def finest_check(family: StabilityFamily, window: Window) -> Report:
     """Check the finest criterion on a window: within each slope, all pairs
-    of semistable objects admit nonzero maps in both directions."""
+    of semistable objects admit nonzero maps in both directions.
+
+    Only Hom^0 is tested: multiplicities are positive, so Hom^0(a, b) != 0
+    exactly when some summand pair (ta, tb) has hom_dim(ta, tb, 0) != 0."""
     groups: dict = {}
     for g in family.window_generators(window):
         s = family.semistable_slope(g)
@@ -470,7 +473,7 @@ def finest_check(family: StabilityFamily, window: Window) -> Report:
         for a in samples:
             for b in samples:
                 pairs_checked += 1
-                if family.hom_profile(a, b)[0] == 0:
+                if not any(hom_dim(ta, tb, 0) for ta, _ in a.summands() for tb, _ in b.summands()):
                     ok = False
                     detail = (f"Hom^0({a.render()}, {b.render()}) = 0 within slope "
                               f"{family.render_slope(s)}")

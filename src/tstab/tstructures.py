@@ -236,7 +236,10 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
     """Check that the cut decomposes the slope set into down-set < up-set.
 
     Combines the analytic validity conditions with an exhaustive
-    up-closure check on a window of slopes around the cut.
+    up-closure check on a window of slopes around the cut.  Up-closure
+    fails exactly when an up slope lies below the highest down slope, so
+    one pass finds that key; the detail names the first such up slope in
+    window order, and the first down slope above it.
     """
     checks = []
     reason = _cut_validity_reason(cut, family)
@@ -244,18 +247,15 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
     if _check_cut_family(cut, family) is None:
         slopes = _window_slopes(cut, family, radius)
         keyed = [(s, family.slope_key(s), cut.in_plus(s)) for s in slopes]
-        ok, detail = True, ""
-        for s1, key1, up1 in keyed:
-            if not up1:
-                continue
-            for s2, key2, up2 in keyed:
-                if key2 > key1 and not up2:
-                    ok = False
-                    detail = (f"up-closure fails: {family.render_slope(s1)} is in the up-set "
-                              f"but {family.render_slope(s2)} above it is not")
-                    break
-            if not ok:
-                break
+        top_down = max((key for _, key, up in keyed if not up), default=None)
+        low = next(((s, key) for s, key, up in keyed
+                    if up and top_down is not None and key < top_down), None)
+        ok, detail = low is None, ""
+        if low is not None:
+            s1, key1 = low
+            s2 = next(s for s, key, up in keyed if not up and key > key1)
+            detail = (f"up-closure fails: {family.render_slope(s1)} is in the up-set "
+                      f"but {family.render_slope(s2)} above it is not")
         checks.append(CheckItem("window_up_closure", ok, detail))
     return Report(tuple(checks))
 

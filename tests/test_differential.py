@@ -15,9 +15,12 @@ it, `heart_contains` read off a whole `hn`, and the coarsened
 `semistable_slope` read off the base family's `hn`, the elliptic tilt
 split and heart test that `EllipticCut` replaced, the frozen
 dataclasses that the hand-written value types replaced, and the standard
-slopes whose levels were wrapped in `IntLevel`/`PointLevel`.
-They are kept here only, as oracles, and every result must agree bit for
-bit.  The JSON round trip of filtrations is tested here too, over the
+slopes whose levels were wrapped in `IntLevel`/`PointLevel`, and the
+pairwise window checks that sorted sweeps replaced: the generator-pair
+Hom check of `validate_stability`, the slope-pair up-closure check of
+`validate_cut` and the `finest_check` loop that read Hom^0 off a whole
+HomProfile.  They are kept here only, as oracles, and every result must
+agree bit for bit.  The JSON round trip of filtrations is tested here too, over the
 same families and objects.
 """
 
@@ -28,6 +31,7 @@ import math
 import pickle
 import random
 import re
+import zlib
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -37,22 +41,25 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tstab import cli, elliptic, p1, slopes, stability
+from tstab import cli, elliptic, p1, slopes, stability, tstructures
 from tstab.elliptic import (EllipticObject, EllipticStandard, ShiftedClass, StableClass,
                             hom_dim_stable, normalize_elliptic)
 from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, StandardP1,
-                            by_shift_partition, coarsen, column_partition)
+                            by_shift_partition, coarsen, column_partition, finest_check)
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim, hom_profile,
-                      ZERO, line, normalize, point_resolver)
+                      ZERO, line, normalize, point_resolver, point_universe)
 from tstab.slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
-                             HNFiltration, StandardSlope, Window,
+                             HNFiltration, Report, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
-                             verify_hn)
+                             validate_stability, verify_hn)
 from tstab.tstructures import (CatalogEntry, CoarseCut, EllipticCut, ExceptionalCut,
                                HeartDescription, StandardCut, catalog, cut_is_valid,
                                heart_contains, truncate, validate_cut)
+from tstab.value import set_field
+
+from test_stability import _ShiftsDescend, _TorsionBelowLines
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -203,6 +210,75 @@ def oracle_hom_vanishing(filt, family):
         if not ok:
             break
     return CheckItem("hom_vanishing", ok, detail)
+
+
+def oracle_window_hom_vanishing(family, window):
+    """`validate_stability`'s Hom check one generator pair at a time: the
+    item and the pair count it hands to `CheckItem.over`."""
+    gens = family.window_generators(window)
+    keys = [family.slope_key(family.semistable_slope(g)) for g in gens]
+    ok, detail, pairs = True, "", 0
+    for g1, k1 in zip(gens, keys):
+        for g2, k2 in zip(gens, keys):
+            if k1 > k2:
+                pairs += 1
+                if not hom_vanishes_at_and_below_zero(g1, g2):
+                    profile = family.hom_profile(g1, g2)
+                    ok = False
+                    detail = (f"Hom^(<=0)({g1.render()}, {g2.render()}) != 0 "
+                              f"against the order: profile {profile!r}")
+                    break
+        if not ok:
+            break
+    return CheckItem.over("hom_vanishing", pairs, ok, detail), pairs
+
+
+def oracle_window_up_closure(cut, family, radius=4):
+    """`validate_cut`'s up-closure check over every pair of window slopes."""
+    slopes = tstructures._window_slopes(cut, family, radius)
+    keyed = [(s, family.slope_key(s), cut.in_plus(s)) for s in slopes]
+    ok, detail = True, ""
+    for s1, key1, up1 in keyed:
+        if not up1:
+            continue
+        for s2, key2, up2 in keyed:
+            if key2 > key1 and not up2:
+                ok = False
+                detail = (f"up-closure fails: {family.render_slope(s1)} is in the up-set "
+                          f"but {family.render_slope(s2)} above it is not")
+                break
+        if not ok:
+            break
+    return CheckItem("window_up_closure", ok, detail)
+
+
+def oracle_finest_check(family, window):
+    """`finest_check` reading Hom^0 off a whole HomProfile per pair: the
+    report and the pair count."""
+    groups: dict = {}
+    for g in family.window_generators(window):
+        s = family.semistable_slope(g)
+        if s is not None:
+            groups.setdefault(s, []).append(g)
+    ok, detail = True, ""
+    pairs_checked = 0
+    for s, gens in groups.items():
+        samples = list(gens) + [2 * gens[0]]
+        for a in samples:
+            for b in samples:
+                pairs_checked += 1
+                if family.hom_profile(a, b)[0] == 0:
+                    ok = False
+                    detail = (f"Hom^0({a.render()}, {b.render()}) = 0 within slope "
+                              f"{family.render_slope(s)}")
+                    break
+            if not ok:
+                break
+        if not ok:
+            break
+    item = CheckItem.over("mutual_hom_nonzero", pairs_checked, ok,
+                          detail if not ok else f"{pairs_checked} pairs checked")
+    return Report((item,)), pairs_checked
 
 
 def oracle_exceptional_rewrite(term, k, mult=1):
@@ -1533,3 +1609,128 @@ def test_compare_false_fields_take_no_part_in_equality():
     entry = catalog("A")
     assert CatalogEntry(entry.name, entry.params, other, entry.cut) == \
         CatalogEntry(entry.name, entry.params, entry.family, entry.cut)
+
+
+# --- window checks ------------------------------------------------------------------
+
+
+class _ScrambledOrder(StandardP1):
+    """Deliberately wrong: slopes ordered by a checksum of the true key, so the
+    first failing generator pair can lie anywhere in the window."""
+
+    def __init__(self, order=(), salt=0):
+        super().__init__(order)
+        set_field(self, "salt", salt)
+
+    def slope_key(self, s):
+        key = super().slope_key(s)
+        return (zlib.crc32(repr((self.salt, key)).encode()), key)
+
+
+_BROKEN_FAMILIES = (_TorsionBelowLines(), _ShiftsDescend(),
+                    *(_ScrambledOrder(ORDERS[salt % 4], salt) for salt in range(4)))
+_WINDOW_FAMILIES = (
+    CoarseZ(), StandardP1(), *(StandardP1(order) for order in ORDERS),
+    *(ExceptionalP1(k, p) for k in (-1, 0, 1) for p in (0, 1, INF)),
+    EllipticStandard(), *(EllipticStandard(order) for order in ORDERS),
+    *_COARSENED.values(), _ONE_BLOCK_FAMILIES["coarse"], _ONE_BLOCK_FAMILIES["std", ORDERS[1]],
+    *_BROKEN_FAMILIES)
+
+
+@st.composite
+def family_and_window(draw):
+    """A family, broken ones included, and a small window: a prefix of the
+    family's points, in its order or reversed, and any seed.  Random
+    objects need a point, so a window without points samples none."""
+    family = draw(st.sampled_from(_WINDOW_FAMILIES))
+    points = point_universe(family.point_labels)[:draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        points = points[::-1]
+    samples = draw(st.integers(0, 2)) if points else 0
+    return family, Window(max_degree=draw(st.integers(0, 4)), max_shift=draw(st.integers(0, 2)),
+                          max_length=draw(st.integers(1, 3)), points=points,
+                          samples=samples, seed=draw(st.integers(0, 1 << 16)))
+
+
+def _over_counts(check, *args):
+    """The check's report, and the case count of each item built by `CheckItem.over`."""
+    counts = {}
+    over = CheckItem.over
+
+    def counting(name, cases, ok, detail=""):
+        counts[name] = cases
+        return over(name, cases, ok, detail)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CheckItem, "over", staticmethod(counting))
+        report = check(*args)
+    return report, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_and_window())
+def test_validate_stability_hom_sweep_matches_pairwise_oracle(case):
+    family, window = case
+    report, counts = _over_counts(validate_stability, family, window)
+    item, pairs = oracle_window_hom_vanishing(family, window)
+    assert [c for c in report.checks if c.name == "hom_vanishing"] == [item]
+    assert counts["hom_vanishing"] == pairs
+
+
+def test_validate_stability_hom_sweep_on_broken_orders():
+    """Every broken family fails the Hom check, each with the oracle's first pair."""
+    window = Window(max_degree=3, max_shift=1, max_length=2, samples=0)
+    for family in _BROKEN_FAMILIES:
+        report, counts = _over_counts(validate_stability, family, window)
+        item, pairs = oracle_window_hom_vanishing(family, window)
+        assert not item.ok and item.detail
+        assert report.checks[2] == item and counts["hom_vanishing"] == pairs
+
+
+def _window_cut_cases():
+    """Every cut shape of `_cut_cases`, valid or not, on its family and on a
+    scrambled one, plus valid and invalid elliptic point sets."""
+    cases = list(_cut_cases())
+    for order in ORDERS[:2]:
+        cases += [(StandardP1(order), StandardCut(0, INF, frozenset(P)))
+                  for P in (order[:1], order[:2], order[::2], ("q",))]
+        cases += [(_ScrambledOrder(order, salt), StandardCut(m, K, None))
+                  for salt, (m, K) in enumerate(((0, 0), (1, INF), (-1, -INF)))]
+    cases += [(ExceptionalP1(0, p), ExceptionalCut(a, b))
+              for p in (0, 1) for a, b in ((0, 0), (0, -5), (INF, 0), (-INF, 0))]
+    ordered = EllipticStandard(("l", "m", "n"))
+    cases += [(ordered, EllipticCut(0, 0, P)) for P in ({"l", "n"}, {"m"}, {"z"}, {"l"})]
+    cases += [(EllipticStandard(), EllipticCut(0, 0, {"y"})),
+              (EllipticStandard(), EllipticCut(1, 0))]
+    cases += [(family, EllipticCut(0, q, S)) for q, S, family in _tilts()][::7]
+    return cases
+
+
+def test_validate_cut_matches_pairwise_up_closure_oracle():
+    outcomes = set()
+    for radius in (0, 1, 3):
+        for family, cut in _window_cut_cases():
+            report = validate_cut(cut, family, radius)
+            assert report.checks[1] == oracle_window_up_closure(cut, family, radius)
+            outcomes.add((report.checks[0].ok, report.checks[1].ok))
+    assert outcomes == {(True, True), (True, False), (False, False), (False, True)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(family_and_window())
+def test_finest_check_hom0_matches_profile_oracle(case):
+    family, window = case
+    report, counts = _over_counts(finest_check, family, window)
+    expected, pairs = oracle_finest_check(family, window)
+    assert report == expected and counts["mutual_hom_nonzero"] == pairs
+
+
+def test_finest_check_oracle_cases():
+    """Passing families, failing ones, and a window with no pairs."""
+    window = Window(max_degree=2, max_shift=1, max_length=2)
+    cases = [(family, window) for family in (StandardP1(ORDERS[1]), ExceptionalP1(1, INF),
+                                             EllipticStandard(ORDERS[2]), EllipticStandard(),
+                                             CoarseZ(), _COARSENED["exc", 0])]
+    for family, w in cases + [(EllipticStandard(), Window(points=()))]:
+        assert finest_check(family, w) == oracle_finest_check(family, w)[0]
+    assert not finest_check(CoarseZ(), window).ok
