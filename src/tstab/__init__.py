@@ -19,8 +19,8 @@ from .tstructures import (CatalogEntry, Classification, CoarseCut, EllipticCut, 
                           apply_twist_shift, catalog, catalog_entries, classify_bounded_cut,
                           diagram, heart_contains, heart_slopes, is_bounded,
                           torsion_pair_cut, truncate, validate_cut)
-from .elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, ShiftedClass,
-                       StableClass, hom_dim_stable, stable)
+from .elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, StableClass,
+                       hom_dim_stable, stable)
 from .cli import parse_object, run
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .elliptic import EllipticObject, ShiftedClass, StableClass, normalize_elliptic
+from .elliptic import EllipticObject, StableClass, normalize_elliptic
 from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
                      ObjectParseError, TStabError)
 from .families import INF, family_from_descriptor, is_finer
@@ -246,20 +246,20 @@ def _atom(head: str, args, pos: int, resolve_point, read_shift) -> tuple[str, ob
     arguments in grammar order.  They must first pass the checks the grammar
     cannot state, which raise at `pos`; only then is the shift read."""
     if head == "O":
-        atom = ShiftedIndec(Line(*args), read_shift())
+        side, base = "p1", Line(*args)
     elif head == "T":
         label, d = args
         if d == 0:
             raise InvalidLengthError("torsion length must be >= 1", pos)
-        atom = ShiftedIndec(Torsion(resolve_point(label), d), read_shift())
+        side, base = "p1", Torsion(resolve_point(label), d)
     else:
         r, d, label = args
         if r < 0 or math.gcd(r, d) != 1:
             raise NonCoprimeError(
                 f"stable classes need coprime rank >= 0 and degree, got ({r},{d})", pos)
-        atom = ShiftedClass(StableClass(r, d, resolve_point(label)), read_shift())
-        return "elliptic", atom, atom.key()
-    return "p1", atom, atom.key()
+        side, base = "elliptic", StableClass(r, d, resolve_point(label))
+    atom = ShiftedIndec(base, read_shift())
+    return side, atom, atom.key()
 
 
 # --- session configuration -------------------------------------------------------

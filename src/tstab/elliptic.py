@@ -5,8 +5,10 @@ and degree plus a point of the curve (the moduli of stable bundles of
 each slope is a copy of the curve; skyscrapers are the slope-infinity
 classes).  Derived objects are finite formal sums of shifted classes,
 the normal form being justified by homological dimension one: the same
-`FormalSum` as on the line, with `ShiftedClass` as its atom type
-(`EllipticObject`), and the same `hom_profile` over the atoms' `ext_dim`.
+`FormalSum` (`EllipticObject`) and the same atom `ShiftedIndec` as on
+the line, here over a `StableClass`, and the same `hom_profile` over
+the atoms' `ext_dim`.  A stable class gives the atom its `key`,
+`rank_degree`, `ext_dim` (the slope rule table below) and `render`.
 
 Hom dimensions between stable classes are determined by their slopes:
 
@@ -30,8 +32,8 @@ import re
 from fractions import Fraction
 
 from .errors import FiltrationFormatError
-from .p1 import FormalSum, Point, point_resolver
-from .slopes import ExtendedRational, K0Class, PLUS_INFINITY
+from .p1 import FormalSum, Point, ShiftedIndec, point_resolver
+from .slopes import ExtendedRational, PLUS_INFINITY
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int
 from .value import Value, set_field
 
@@ -77,6 +79,12 @@ class StableClass(Value):
         mu_key = (1, Fraction(0)) if self.r == 0 else (0, Fraction(self.d, self.r))
         return (*mu_key, *self.x.key())
 
+    def rank_degree(self) -> tuple[int, int]:
+        return self.r, self.d
+
+    def ext_dim(self, other: "StableClass", i: int) -> int:
+        return hom_dim_stable(self, other, i)
+
     def render(self) -> str:
         return f"S({self.r},{self.d},{self.x.label})"
 
@@ -100,52 +108,8 @@ def hom_dim_stable(e: StableClass, f: StableClass, ext_degree: int) -> int:
     return 0
 
 
-class ShiftedClass(Value):
-    """A stable class placed at a shift."""
-
-    __slots__ = ("cls", "shift")
-
-    def __init__(self, cls: StableClass, shift: int = 0):
-        set_field(self, "cls", cls)
-        set_field(self, "shift", shift)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.cls == other.cls and self.shift == other.shift
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.cls, self.shift))
-
-    def shifted(self, n: int) -> "ShiftedClass":
-        return ShiftedClass(self.cls, self.shift + n)
-
-    def key(self):
-        return (self.shift, *self.cls.key())
-
-    def rank_degree(self) -> tuple[int, int]:
-        sign = -1 if self.shift % 2 else 1
-        return sign * self.cls.r, sign * self.cls.d
-
-    def k0(self) -> K0Class:
-        return K0Class(self.rank_degree())
-
-    def ext_dim(self, other: "ShiftedClass", i: int) -> int:
-        """dim Ext^i between the two stable classes, shifts ignored."""
-        return hom_dim_stable(self.cls, other.cls, i)
-
-    def render(self) -> str:
-        s = self.cls.render()
-        if self.shift != 0:
-            s += f"[{self.shift}]"
-        return s
-
-    def __repr__(self):
-        return self.render()
-
-
 class EllipticObject(FormalSum):
-    """An object of the elliptic model: a formal sum of `ShiftedClass` atoms."""
+    """An object of the elliptic model: a formal sum of shifted stable classes."""
 
     __slots__ = ()
 
@@ -157,7 +121,7 @@ normalize_elliptic = EllipticObject.from_pairs
 def stable(r: int, d: int, x: Point | str, shift: int = 0, mult: int = 1) -> EllipticObject:
     """Convenience constructor: mult * S(r,d,x)[shift]."""
     pt = x if isinstance(x, Point) else Point(x)
-    return normalize_elliptic([(ShiftedClass(StableClass(r, d, pt), shift), mult)])
+    return normalize_elliptic([(ShiftedIndec(StableClass(r, d, pt), shift), mult)])
 
 
 # --- the standard family ------------------------------------------------------
@@ -191,8 +155,8 @@ class EllipticStandard(StabilityFamily, Value):
     def tau(self, s: EllipticSlope, n: int = 1) -> EllipticSlope:
         return EllipticSlope(s.i + n, s.cls)
 
-    def slope_of_term(self, term: ShiftedClass) -> EllipticSlope:
-        return EllipticSlope(term.shift, term.cls)
+    def slope_of_term(self, term: ShiftedIndec) -> EllipticSlope:
+        return EllipticSlope(term.shift, term.base)
 
     def descriptor(self) -> dict:
         return {"family": "elliptic", "point_order": list(self.point_labels)}
@@ -225,7 +189,7 @@ class EllipticStandard(StabilityFamily, Value):
         return classes
 
     def window_generators(self, window: Window) -> list[EllipticObject]:
-        return [normalize_elliptic([(ShiftedClass(cls, i), 1)])
+        return [normalize_elliptic([(ShiftedIndec(cls, i), 1)])
                 for i in window.shifts()
                 for cls in self.window_classes(window, max_rank=2)]
 
@@ -236,6 +200,6 @@ class EllipticStandard(StabilityFamily, Value):
         for _ in range(count):
             cls = rng.choice(classes)
             sh = rng.randint(-window.max_shift, window.max_shift)
-            pairs.append((ShiftedClass(cls, sh), rng.randint(1, 3)))
+            pairs.append((ShiftedIndec(cls, sh), rng.randint(1, 3)))
         return normalize_elliptic(pairs)
 

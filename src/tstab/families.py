@@ -64,7 +64,7 @@ class P1Family(StabilityFamily):
         for _ in range(count):
             sh = rng.randint(-window.max_shift, window.max_shift)
             mult = rng.randint(1, 3)
-            if rng.random() < 0.7:
+            if rng.random() < 0.7 or not window.points:
                 base = Line(rng.randint(-window.max_degree, window.max_degree))
             else:
                 base = Torsion(rng.choice(window.points), rng.randint(1, window.max_length))

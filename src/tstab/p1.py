@@ -3,12 +3,12 @@
 Coherent sheaves on the projective line split into line bundles O(n) and
 indecomposable torsion sheaves T(x, d) of length d at a point x; because
 the category has homological dimension 1, every derived object is a
-finite direct sum of shifted indecomposables.  `FormalSum` is that
-normal form: a multiset of shifted atoms with multiplicities.  It is the
-one normal form of the package, over two atom types: `ShiftedIndec`
-here, whose sums are `DerivedObject`s, and the elliptic model's
-`ShiftedClass`, whose sums are `EllipticObject`s.  `hom_profile` serves
-both through the atoms' `ext_dim`.
+finite direct sum of shifted indecomposables, as is every object of the
+elliptic model.  `ShiftedIndec` is the one shifted atom of both curves,
+over a `Line`, a `Torsion` or an elliptic `StableClass`, each of which
+gives its `key`, `rank_degree`, `ext_dim` and `render`.  `FormalSum` is
+the one normal form, a multiset of atoms with multiplicities:
+`DerivedObject` here, `EllipticObject` on the elliptic curve.
 
 The Hom rule table is classical:
 
@@ -119,6 +119,18 @@ class Line(Value):
     def __hash__(self):
         return hash((self.n,))
 
+    def key(self):
+        return (0, (self.n,))  # lines before torsion, then by degree
+
+    def rank_degree(self) -> tuple[int, int]:
+        return 1, self.n
+
+    def ext_dim(self, other: Indec, i: int) -> int:
+        return ext_dim(self, other, i)
+
+    def render(self) -> str:
+        return f"O({self.n})"
+
 
 class Torsion(Value):
     """The indecomposable torsion sheaf of length d >= 1 at a point."""
@@ -139,16 +151,30 @@ class Torsion(Value):
     def __hash__(self):
         return hash((self.x, self.d))
 
+    def key(self):
+        return (1, (*self.x.key(), self.d))  # by point order, then length
+
+    def rank_degree(self) -> tuple[int, int]:
+        return 0, self.d
+
+    def ext_dim(self, other: Indec, i: int) -> int:
+        return ext_dim(self, other, i)
+
+    def render(self) -> str:
+        return f"T({self.x.label},{self.d})"
+
 
 Indec = Line | Torsion
 
 
 class ShiftedIndec(Value):
-    """An indecomposable placed in homological degree -shift (i.e. base[shift])."""
+    """A sheaf placed in homological degree -shift (i.e. base[shift]): a
+    `Line` or a `Torsion` on the line, a `StableClass` on the elliptic curve.
+    """
 
     __slots__ = ("base", "shift")
 
-    def __init__(self, base: Indec, shift: int = 0):
+    def __init__(self, base: Line | Torsion | StableClass, shift: int = 0):
         set_field(self, "base", base)
         set_field(self, "shift", shift)
 
@@ -164,33 +190,22 @@ class ShiftedIndec(Value):
         return ShiftedIndec(self.base, self.shift + n)
 
     def key(self):
-        # canonical sort: shift, then lines before torsion, then degree
-        # resp. (point order, length)
-        if isinstance(self.base, Line):
-            return (self.shift, 0, (self.base.n,))
-        return (self.shift, 1, (*self.base.x.key(), self.base.d))
+        return (self.shift, *self.base.key())
 
     def rank_degree(self) -> tuple[int, int]:
-        sign = -1 if self.shift % 2 else 1
-        if isinstance(self.base, Line):
-            return sign, sign * self.base.n
-        return 0, sign * self.base.d
+        r, d = self.base.rank_degree()
+        return (-r, -d) if self.shift % 2 else (r, d)
 
     def k0(self) -> K0Class:
         return K0Class(self.rank_degree())
 
     def ext_dim(self, other: "ShiftedIndec", i: int) -> int:
         """dim Ext^i between the two sheaves, shifts ignored."""
-        return ext_dim(self.base, other.base, i)
+        return self.base.ext_dim(other.base, i)
 
     def render(self) -> str:
-        if isinstance(self.base, Line):
-            s = f"O({self.base.n})"
-        else:
-            s = f"T({self.base.x.label},{self.base.d})"
-        if self.shift != 0:
-            s += f"[{self.shift}]"
-        return s
+        s = self.base.render()
+        return f"{s}[{self.shift}]" if self.shift else s
 
     def __repr__(self):
         return self.render()
@@ -201,12 +216,11 @@ class ShiftedIndec(Value):
 class FormalSum(Value):
     """Normal form of a derived object: shifted atoms with multiplicities.
 
-    The atoms are `ShiftedIndec` on the line and `ShiftedClass` on the
-    elliptic curve; both provide `key`, `rank_degree`, `render`,
-    `shifted` and `ext_dim`.  The term list is sorted by atom key and
-    free of zero multiplicities; the zero object is the empty sum.  Each
-    curve has its own subclass, and sums of different subclasses are
-    never equal.
+    The atoms are `ShiftedIndec`s, over a `Line` or a `Torsion` on the
+    line and over a `StableClass` on the elliptic curve.  The term list
+    is sorted by atom key and free of zero multiplicities; the zero
+    object is the empty sum.  Each curve has its own subclass, and sums
+    of different subclasses are never equal.
     """
 
     __slots__ = ("terms",)
@@ -253,8 +267,8 @@ class FormalSum(Value):
         return type(self)(tuple((t, m * k) for t, k in self.terms))
 
     def shift(self, n: int):
-        return type(self)(tuple(sorted(((t.shifted(n), m) for t, m in self.terms),
-                                       key=lambda tm: tm[0].key())))
+        # Every atom key starts with the shift, so the order is kept.
+        return type(self)(tuple((t.shifted(n), m) for t, m in self.terms))
 
     def k0(self) -> K0Class:
         rank = degree = 0
@@ -275,7 +289,7 @@ class FormalSum(Value):
 
 
 class DerivedObject(FormalSum):
-    """A derived object on P1: a formal sum of `ShiftedIndec` atoms."""
+    """A derived object on P1: a formal sum of shifted lines and torsion sheaves."""
 
     __slots__ = ()
 
@@ -380,12 +394,12 @@ def hom_profile(x: FormalSum, y: FormalSum) -> HomProfile:
     for t, m in x.summands():
         for s, k in y.summands():
             # Ext lives in degrees 0 and 1, so Hom^q is supported at
-            # q = shift gap and shift gap + 1; hom_dim(t, s, q), inlined.
+            # q = shift gap + i for i = 0, 1; hom_dim(t, s, q), inlined.
             gap = t.shift - s.shift
-            for q in (gap, gap + 1):
-                n = t.ext_dim(s, q - gap)
+            for i in (0, 1):
+                n = t.base.ext_dim(s.base, i)
                 if n:
-                    acc[q] = acc.get(q, 0) + m * k * n
+                    acc[gap + i] = acc.get(gap + i, 0) + m * k * n
     return HomProfile.from_dict(acc)
 
 

@@ -501,7 +501,7 @@ def _maps_at_or_below_zero(t, s) -> bool:
     shift(s); a gap >= 1 leaves nothing in degrees <= 0.
     """
     gap = t.shift - s.shift
-    return gap <= 0 and bool(t.ext_dim(s, 0) or (gap < 0 and t.ext_dim(s, 1)))
+    return gap <= 0 and bool(t.base.ext_dim(s.base, 0) or (gap < 0 and t.base.ext_dim(s.base, 1)))
 
 
 def hom_vanishes_at_and_below_zero(x, y) -> bool:
@@ -679,18 +679,17 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
     vanish exactly when all their generator pairs do.  Only on a
     violation are the generator pairs scanned, in generator order, to
     name the first failing pair and count the pairs up to it.
+
+    The report ends at a failing `generators_semistable`: at a generator
+    that is not semistable, or at a window with no generators.
     """
-    checks = []
     gens = family.window_generators(window)
-    slopes = []
-    for g in gens:
-        s = family.semistable_slope(g)
-        if s is None:
-            checks.append(CheckItem("generators_semistable", False,
-                                    f"window generator {g.render()} is not semistable"))
-            return Report(tuple(checks))
-        slopes.append(s)
-    checks.append(CheckItem.over("generators_semistable", len(gens), True))
+    slopes = [family.semistable_slope(g) for g in gens]
+    detail = next((f"window generator {g.render()} is not semistable"
+                   for g, s in zip(gens, slopes) if s is None), "")
+    checks = [CheckItem.over("generators_semistable", len(gens), not detail, detail)]
+    if not checks[0].ok:
+        return Report(tuple(checks))
 
     ok, detail = True, ""
     for g, s in zip(gens, slopes):

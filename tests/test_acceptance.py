@@ -11,8 +11,8 @@ import random
 import re
 from fractions import Fraction
 
-from tstab.elliptic import (ELLIPTIC_ZERO, EllipticStandard, ShiftedClass, StableClass,
-                            hom_dim_stable, normalize_elliptic)
+from tstab.elliptic import (ELLIPTIC_ZERO, EllipticStandard, StableClass, hom_dim_stable,
+                            normalize_elliptic)
 from tstab.errors import InvalidPartitionError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, coarsen,
                             column_partition, exceptional_rewrite, finest_check, is_finer)
@@ -406,7 +406,7 @@ def test_criterion_10_elliptic_suite():
                 picks = [rng.choice(classes) for _ in range(rng.randint(1, 5))]
                 x = ELLIPTIC_ZERO
                 for cls in picks:
-                    x = x + normalize_elliptic([(ShiftedClass(cls, 0), rng.randint(1, 2))])
+                    x = x + normalize_elliptic([(ShiftedIndec(cls, 0), rng.randint(1, 2))])
                 first, second = truncate(x, tilt(q, P), fam)
                 ok = ok and (first + second == x)
                 ok = ok and hom_profile(first, second)[0] == 0
@@ -426,8 +426,8 @@ def test_criterion_10_elliptic_suite():
             for _ in range(170):
                 x = fam.random_object(rng, window)
                 expected = all(
-                    (t.shift == 0 and not rule_second(t.cls, q, P))
-                    or (t.shift == 1 and rule_second(t.cls, q, P))
+                    (t.shift == 0 and not rule_second(t.base, q, P))
+                    or (t.shift == 1 and rule_second(t.base, q, P))
                     for t, _ in x.summands())
                 ok = ok and heart_contains(x, tilt(q, P), fam) == expected
                 checked += 1

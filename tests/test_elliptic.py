@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, ShiftedClass,
-                            StableClass, hom_dim_stable, stable)
+from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, StableClass,
+                            hom_dim_stable, stable)
 from tstab.errors import InvalidCutError
-from tstab.p1 import Point, hom_profile
+from tstab.p1 import Point, ShiftedIndec, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
 from tstab.families import StandardP1
 from tstab.stability import CheckItem, EllipticSlope, Window, validate_stability, verify_hn
@@ -118,7 +118,7 @@ def test_hn_elliptic_orders_by_shift_mu_then_point():
 def test_single_class_objects_are_semistable():
     for cls in _window_classes(max_rank=3, max_degree=4, points=(L,))[:40]:
         for shift in (-1, 0, 2):
-            obj = 2 * EllipticObject(((ShiftedClass(cls, shift), 1),))
+            obj = 2 * EllipticObject(((ShiftedIndec(cls, shift), 1),))
             assert FAMILY.semistable_slope(obj) is not None
 
 

@@ -298,6 +298,7 @@ def test_property_hn_is_additive_under_direct_sum(fam, x, y):
 
 @given(families, objects, st.integers(-2, 2))
 def test_property_hn_commutes_with_shift(fam, x, n):
+    assert x.shift(n) == normalize([(t.shifted(n), m) for t, m in x.summands()])
     assert fam.hn(x.shift(n)) == fam.hn(x).shifted(n)
 
 
@@ -368,6 +369,18 @@ def test_validate_rejects_a_window_generator_that_is_not_semistable():
     report = validate_stability(_TorsionNotSemistable(), SMALL_WINDOW)
     assert report.summary() == \
         "FAIL generators_semistable: window generator T(x,1)[-1] is not semistable"
+
+
+def test_validate_stability_on_a_window_without_points():
+    # Random objects of a P1 window without points are sums of lines; an
+    # elliptic window without points has no generators, so nothing is examined.
+    window = Window(points=(), samples=5)
+    for family in (STD, CoarseZ()):
+        report = validate_stability(family, window)
+        assert [c.name for c in report.checks if c.ok] == \
+            ["generators_semistable", "tau_equivariance", "hom_vanishing", "hn_random_objects"]
+    assert validate_stability(EllipticStandard(), window).summary() == \
+        "FAIL generators_semistable: no cases examined"
 
 
 @pytest.mark.parametrize("family, detail", [
