@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -267,10 +268,10 @@ def _atom(head: str, args, pos: int, resolve_point, read_shift) -> tuple[str, ob
 class SessionConfig(Value):
     """Resolved session settings: point order, family defaults, output mode."""
 
-    __slots__ = ("points", "k", "p", "fmt", "seed")
+    __slots__ = ("points", "k", "p", "format", "seed")
 
     def __init__(self, points: tuple[str, ...] = (), k: int = 0, p: int | float = 0,
-                 fmt: str = "text", seed: int = 0):
+                 format: str = "text", seed: int = 0):
         assign(self, locals())
 
 
@@ -293,6 +294,21 @@ def _parse_p(text: str, where: str) -> int | float:
     return value
 
 
+def _format(text: str, where: str) -> str:
+    if text not in ("text", "json"):
+        raise TStabError(f"{where}: format must be text or json")
+    return text
+
+
+_SETTINGS = {  # each session setting and its reader (text, where) -> value
+    "points": lambda text, where: tuple(part.strip() for part in text.split(",") if part.strip()),
+    "k": lambda text, where: _int_field(text, "k", where),
+    "p": _parse_p,
+    "format": _format,
+    "seed": lambda text, where: _int_field(text, "seed", where),
+}
+
+
 def _read(path: str) -> str:
     """The text of a file named on the command line; an OSError (missing
     file, directory, no permission) or text that is not UTF-8 is a
@@ -308,54 +324,42 @@ def _read(path: str) -> str:
 def load_config(path: str) -> dict:
     settings: dict = {}
     for lineno, raw in enumerate(_read(path).split("\n"), 1):
-        stripped = raw.strip()
+        stripped, where = raw.strip(), f"{path}:{lineno}"
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise TStabError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "points":
-            settings["points"] = tuple(part.strip() for part in value.split(",") if part.strip())
-        elif key == "k":
-            settings["k"] = _int_field(value, "k", f"{path}:{lineno}")
-        elif key == "p":
-            settings["p"] = _parse_p(value, f"{path}:{lineno}")
-        elif key == "format":
-            if value not in ("text", "json"):
-                raise TStabError(f"{path}:{lineno}: format must be text or json")
-            settings["fmt"] = value
-        elif key == "seed":
-            settings["seed"] = _int_field(value, "seed", f"{path}:{lineno}")
-        else:
-            raise TStabError(f"{path}:{lineno}: unknown key {key!r}")
+        key, eq, value = (part.strip() for part in stripped.partition("="))
+        if not eq:
+            raise TStabError(f"{where}: expected 'key = value'")
+        if key not in _SETTINGS:
+            raise TStabError(f"{where}: unknown key {key!r}")
+        settings[key] = _SETTINGS[key](value, where)
     return settings
 
 
 def make_session(args: argparse.Namespace) -> SessionConfig:
-    settings: dict = {}
-    if getattr(args, "config", None):
-        settings.update(load_config(args.config))
-    if getattr(args, "points", None):
-        settings["points"] = tuple(part.strip() for part in args.points.split(",") if part.strip())
-    if getattr(args, "k", None) is not None:
-        settings["k"] = args.k
-    if getattr(args, "p", None) is not None:
-        settings["p"] = _parse_p(args.p, "--p")
-    if getattr(args, "format", None):
-        settings["fmt"] = args.format
-    if getattr(args, "seed", None) is not None:
-        settings["seed"] = args.seed
+    """The config file's settings, overridden by each setting flag given."""
+    settings = load_config(args.config) if getattr(args, "config", None) else {}
+    for key, read in _SETTINGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            settings[key] = read(text, f"--{key}")
     return SessionConfig(**settings)
 
 
 # --- cut and family specifications -------------------------------------------------
 
-# The fields each kind of spec takes; any other field is an error.
-_CUT_FIELDS = {"std": ("m", "K", "P"), "exc": ("a", "b"), "coarse": ("m",)}
-_FAMILY_FIELDS = {"std": (), "coarse": (), "exc": ("k", "p"), "ell": ()}
-_CATALOG_FIELDS = {**dict.fromkeys(CATALOG_NAMES, ()), "D": ("P",), "E": ("p",), "F": ("p",)}
+# Each family spec kind and the README descriptor it names.
+_FAMILIES = {"std": "standard", "coarse": "coarse", "exc": "exceptional", "ell": "elliptic"}
 _BOUND = ("inf", "-inf")
+# Each cut kind: its class and its fields in reading order, as (name, default,
+# infinite spellings); a field without a default is required, P is a point set.
+_CUTS = {"std": (StandardCut, (("m", "0", ()), ("K", "-inf", _BOUND), ("P", "all", ()))),
+         "exc": (ExceptionalCut, (("a", None, _BOUND), ("b", None, _BOUND))),
+         "coarse": (CoarseCut, (("m", "0", ()),))}
+# The fields each kind of spec takes; any other field is an error.
+_FAMILY_FIELDS = {kind: ("k", "p") if kind == "exc" else () for kind in _FAMILIES}
+_CUT_FIELDS = {kind: tuple(name for name, _, _ in fields) for kind, (_, fields) in _CUTS.items()}
+_CATALOG_FIELDS = {**dict.fromkeys(CATALOG_NAMES, ()), "D": ("P",), "E": ("p",), "F": ("p",)}
 
 
 def _spec_fields(spec: str, what: str, allowed: dict) -> tuple[str, dict]:
@@ -379,30 +383,25 @@ def _spec_fields(spec: str, what: str, allowed: dict) -> tuple[str, dict]:
     return kind, fields
 
 
+def _point_set(text: str) -> frozenset[str] | None:
+    """The point set of a ``P=`` field: `all` is None, `none` the empty set."""
+    labels = () if text == "none" else text.split(";")
+    return None if text == "all" else frozenset(lbl for lbl in labels if lbl)
+
+
 def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, StabilityFamily]:
     """Parse a cut specification and build the matching family."""
     kind, fields = _spec_fields(spec, "cut", _CUT_FIELDS)
-    if kind == "std":
-        m = _int_field(fields.get("m", "0"), "m", spec)
-        K = _int_field(fields.get("K", "-inf"), "K", spec, _BOUND)
-        p_field = fields.get("P", "all")
-        if p_field == "all":
-            P = None
-        elif p_field == "none":
-            P = frozenset()
-        else:
-            P = frozenset(lbl for lbl in p_field.split(";") if lbl)
-        cut = StandardCut(m, K, P)
-    elif kind == "exc":
-        if "a" not in fields or "b" not in fields:
-            raise TStabError("an exceptional cut needs a and b")
-        cut = ExceptionalCut(_int_field(fields["a"], "a", spec, _BOUND),
-                             _int_field(fields["b"], "b", spec, _BOUND))
-    elif kind == "coarse":
-        cut = CoarseCut(_int_field(fields.get("m", "0"), "m", spec))
-    else:
+    if kind not in _CUTS:
         raise TStabError(f"unknown cut kind {kind!r} (use std:, exc: or coarse:)")
-    return cut, parse_famspec(kind, session)
+    cls, table = _CUTS[kind]
+    required = [name for name, default, _ in table if default is None]
+    if any(name not in fields for name in required):
+        raise TStabError(f"an {_FAMILIES[kind]} cut needs {' and '.join(required)}")
+    values = [_point_set(fields.get(name, default)) if name == "P"
+              else _int_field(fields.get(name, default), name, spec, infinite)
+              for name, default, infinite in table]
+    return cls(*values), parse_famspec(kind, session)
 
 
 def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
@@ -411,25 +410,18 @@ def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
     `exc` takes k and p from the spec's fields, else from the session.
     """
     kind, fields = _spec_fields(spec, "family", _FAMILY_FIELDS)
-    if kind == "std":
-        desc = {"family": "standard", "point_order": list(session.points)}
-    elif kind == "coarse":
-        desc = {"family": "coarse"}
-    elif kind == "exc":
-        k = _int_field(fields["k"], "k", spec) if "k" in fields else session.k
-        p = _parse_p(fields["p"], spec) if "p" in fields else session.p
-        desc = {"family": "exceptional", "k": k, "p": "inf" if p == INF else p}
-    elif kind == "ell":
-        desc = {"family": "elliptic", "point_order": list(session.points)}
-    else:
+    if kind not in _FAMILIES:
         raise TStabError(f"unknown family {spec!r} (use std, coarse, exc:k=..,p=.. or ell)")
-    return family_from_descriptor(desc)
+    k = _int_field(fields["k"], "k", spec) if "k" in fields else session.k
+    p = _parse_p(fields["p"], spec) if "p" in fields else session.p
+    return family_from_descriptor({"family": _FAMILIES[kind], "point_order": list(session.points),
+                                   "k": k, "p": "inf" if p == INF else p})
 
 
 # --- output helpers -----------------------------------------------------------------
 
 def _emit(payload: dict, text: str, session: SessionConfig, out) -> None:
-    if session.fmt == "json":
+    if session.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
         print(text, file=out)
@@ -635,13 +627,20 @@ def _cmd_compare(args, session, out) -> int:
 
 # --- argument parsing -------------------------------------------------------------
 
+def _int_arg(text: str) -> int:
+    """The argparse type of a subcommand's integer option: INT_TEXT only."""
+    if not re.match(INT_TEXT, text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=None)
     common.add_argument("--config", default=None, help="session config file")
     common.add_argument("--points", default=None, help="comma-separated point order")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--k", type=int, default=None, help="twist of the exceptional pair")
+    common.add_argument("--seed", default=None)
+    common.add_argument("--k", default=None, help="twist of the exceptional pair")
     common.add_argument("--p", default=None, help="interleaving parameter (nat or inf)")
 
     parser = argparse.ArgumentParser(prog="tstab",
@@ -655,12 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hom", parents=[common], help="graded Hom dimensions")
     sp.add_argument("x")
     sp.add_argument("y")
-    sp.add_argument("--degree", type=int, default=None)
+    sp.add_argument("--degree", type=_int_arg, default=None)
     sp.set_defaults(func=_cmd_hom)
 
     sp = sub.add_parser("hn", parents=[common], help="Harder-Narasimhan filtration")
     sp.add_argument("expr")
-    sp.add_argument("--stability", required=True, choices=("std", "exc", "coarse", "ell"))
+    sp.add_argument("--stability", required=True, choices=tuple(_FAMILIES))
     sp.set_defaults(func=_cmd_hn)
 
     sp = sub.add_parser("truncate", parents=[common], help="truncation at a cut")
@@ -681,17 +680,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", parents=[common], help="axiom and contract checks")
     sp.add_argument("what", choices=("stability", "cut", "hn"))
-    sp.add_argument("--stability", default="std", choices=("std", "exc", "coarse", "ell"))
+    sp.add_argument("--stability", default="std", choices=tuple(_FAMILIES))
     sp.add_argument("--cut", default=None)
-    sp.add_argument("--window", type=int, default=6)
-    sp.add_argument("--samples", type=int, default=30)
+    sp.add_argument("--window", type=_int_arg, default=6)
+    sp.add_argument("--samples", type=_int_arg, default=30)
     sp.add_argument("--input", default=None, help="filtration JSON (default: stdin)")
     sp.set_defaults(func=_cmd_check)
 
     sp = sub.add_parser("compare", parents=[common], help="refinement order of families")
     sp.add_argument("--fine", required=True)
     sp.add_argument("--weak", required=True)
-    sp.add_argument("--window", type=int, default=6)
+    sp.add_argument("--window", type=_int_arg, default=6)
     sp.set_defaults(func=_cmd_compare)
 
     return parser
@@ -722,7 +721,13 @@ def run(argv: Sequence[str], out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader is gone: keep the flush at exit quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -228,14 +228,6 @@ class FormalSum(Value):
     def __init__(self, terms: tuple[tuple[object, int], ...] = ()):
         set_field(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, int]]):
         """Merge, sort and drop zeros; the normal form of a formal sum."""
@@ -349,14 +341,6 @@ class HomProfile(Value):
 
     def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
         set_field(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries,))
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "HomProfile":

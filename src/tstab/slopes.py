@@ -56,14 +56,6 @@ class K0Class(Value):
                 raise TypeError(f"K0 components must be integers, got {c!r}")
         set_field(self, "components", components)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.components == other.components
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.components,))
-
     @property
     def arity(self) -> int:
         return len(self.components)
@@ -273,14 +265,6 @@ class ExtendedRational(Value):
 
     def __init__(self, value: Fraction | None = None):  # None encodes +infinity
         set_field(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
 
     @staticmethod
     def finite(q) -> "ExtendedRational":

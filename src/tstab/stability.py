@@ -149,14 +149,6 @@ class CheckItem(Value):
         set_field(self, "ok", ok)
         set_field(self, "detail", detail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.ok == other.ok and self.detail == other.detail
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.ok, self.detail))
-
     @staticmethod
     def over(name: str, cases: int, ok: bool, detail: str = "") -> "CheckItem":
         """The item of a check that examined `cases` cases.

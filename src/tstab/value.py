@@ -7,10 +7,12 @@ and pickle/copy support, and, for types that do not write their own,
 `==` and `hash` over the field tuple.  No methods are generated, so
 defining a type costs no more than a plain class.
 
-The types that the HN engine builds and hashes in bulk (atoms, slopes,
-K0 classes, formal sums) write `__init__`, `__eq__` and `__hash__` out
-by hand; the rest build themselves with `assign(self, locals())`.  The
-rules are the same for both:
+Nine types that the HN engine and the window checks hash and compare in
+bulk write `__eq__` and `__hash__` out by hand, as the generic methods,
+which build the field tuple through `getattr`, cost them measurable time:
+`Point`, `Line`, `Torsion`, `StableClass`, `ShiftedIndec` and the four
+slope types.  Every other type, formal sums and K0 classes included, takes
+`Value`'s methods, which a profile shows cold.  The rules are the same:
 
 * `a == b` compares the field tuples when `a` and `b` are of the very
   same class, and is NotImplemented (so False, unless reflected)

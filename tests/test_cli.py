@@ -1,17 +1,21 @@
 """Tests for the expression parser and the command-line interface."""
 
+import argparse
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import validate as js_validate
 
 from tstab import cli
-from tstab.cli import (build_parser, make_session, parse_cutspec, parse_famspec, parse_object,
-                       run)
+from tstab.cli import (build_parser, load_config, make_session, parse_cutspec, parse_famspec,
+                       parse_object, run)
 from tstab.elliptic import EllipticObject, EllipticStandard, stable
 from tstab.errors import (InvalidLengthError, NonCoprimeError, ObjectParseError)
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition, coarsen,
@@ -533,6 +537,84 @@ def test_seed_determinism():
     a = _run("check", "stability", "--stability", "std", "--window", "4", "--seed", "9")
     b = _run("check", "stability", "--stability", "std", "--window", "4", "--seed", "9")
     assert a == b
+
+
+# --- one reader per setting ------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (("hn", "O(3)", "--stability", "exc", "--k", "1_0"),
+     "k must be an integer, got '1_0' in '--k'"),
+    (("hn", "O(3)", "--stability", "exc", "--k", " \u0663"),
+     "k must be an integer, got ' \u0663' in '--k'"),
+    (("hn", "O(3)", "--stability", "exc", "--k", "x"), "k must be an integer, got 'x' in '--k'"),
+    (("check", "stability", "--seed", "0_7"), "seed must be an integer, got '0_7' in '--seed'"),
+    (("check", "stability", "--seed", "x"), "seed must be an integer, got 'x' in '--seed'"),
+], ids=["k-underscore", "k-non-ascii", "k-text", "seed-underscore", "seed-text"])
+def test_setting_flags_are_read_like_config_lines(argv, message):
+    _assert_error(argv, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "stability", "--window", "1_0", "--samples", "0_1"),
+    ("check", "stability", "--samples", " 3"),
+    ("compare", "--fine", "std", "--weak", "coarse", "--window", "\u0663"),
+    ("hom", "O(0)", "O(2)", "--degree", " 0_0"),
+], ids=["window-samples", "samples-space", "compare-window", "degree"])
+def test_subcommand_integers_take_plain_integers_only(argv, capsys):
+    for fmt in ((), ("--format", "json")):
+        assert _run(*argv, *fmt) == (2, ""), fmt
+        assert "invalid int value" in capsys.readouterr().err
+
+
+def test_an_empty_points_flag_declares_no_order(tmp_path):
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("points = b,a\n")
+    assert _session("--config", str(cfg)).points == ("b", "a")
+    assert _session("--config", str(cfg), "--points", "").points == ()
+    code, out = _run("hn", "T(a,1) + T(b,1)", "--stability", "std", "--config", str(cfg),
+                     "--points", "", "--format", "json")
+    assert code == 0
+    assert [q["slope"]["level"]["point"] for q in json.loads(out)["quotients"]] == ["a", "b"]
+
+
+_SETTING_TEXTS = {
+    "points": ("b,a", "x, y ,,z", "", ","),
+    "k": ("3", "-2", "+0", "x", "1_0", "1.5", "inf", "\u0663", "3 4"),
+    "p": ("0", "7", "inf", "-1", "-inf", "x", "0_1", "2.0"),
+    "format": ("text", "json", "yaml", "JSON"),
+    "seed": ("7", "-7", "0_7", "x", "inf"),
+}
+
+
+def _setting_outcome(read, where):
+    try:
+        return "ok", read()
+    except Exception as exc:  # the outcome is compared, so any error class counts
+        return type(exc), str(exc).replace(where, "<where>")
+
+
+@pytest.mark.parametrize("key, text", [(key, text) for key, texts in _SETTING_TEXTS.items()
+                                       for text in texts])
+def test_a_setting_reads_the_same_as_a_config_line_and_as_a_flag(key, text, tmp_path):
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    line = _setting_outcome(lambda: load_config(str(cfg))[key], f"{cfg}:1")
+    flag = _setting_outcome(lambda: getattr(make_session(argparse.Namespace(**{key: text})), key),
+                            f"--{key}")
+    assert line == flag
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    paths = (str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # stdout's reader is gone before the command writes
+    try:
+        done = subprocess.run([sys.executable, "-m", "tstab", "catalog", "--format", "json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 # --- family registry ------------------------------------------------------------------

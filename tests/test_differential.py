@@ -19,10 +19,11 @@ slopes whose levels were wrapped in `IntLevel`/`PointLevel`, and the
 pairwise window checks that sorted sweeps replaced: the generator-pair
 Hom check of `validate_stability`, the slope-pair up-closure check of
 `validate_cut` and the `finest_check` loop that read Hom^0 off a whole
-HomProfile, and the two per-curve atom classes that the one `ShiftedIndec`
-replaced.  They are kept here only, as oracles, and every result must
-agree bit for bit.  The JSON round trip of filtrations is tested here too, over the
-same families and objects.
+HomProfile, the two per-curve atom classes that the one `ShiftedIndec`
+replaced, and the CLI readers with one `if` per config key or spec kind
+that the settings, cut and family tables replaced.  They are kept here
+only, as oracles, and every result must agree bit for bit.  The JSON round
+trip of filtrations is tested here too, over the same families and objects.
 """
 
 import copy
@@ -40,14 +41,15 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tstab import cli, elliptic, p1, slopes, stability, tstructures
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic)
-from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError
+from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError, TStabError
 from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, StandardP1,
-                            by_shift_partition, coarsen, column_partition, finest_check)
+                            by_shift_partition, coarsen, column_partition, family_from_descriptor,
+                            finest_check)
 from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim,
                       hom_profile, ZERO, line, normalize, point_resolver, point_universe)
 from tstab.slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
@@ -1820,3 +1822,145 @@ def test_finest_check_oracle_cases():
     for family, w in cases + [(EllipticStandard(), Window(points=()))]:
         assert finest_check(family, w) == oracle_finest_check(family, w)[0]
     assert not finest_check(CoarseZ(), window).ok
+
+
+# --- CLI settings and specs --------------------------------------------------------
+
+_ORACLE_CUT_FIELDS = {"std": ("m", "K", "P"), "exc": ("a", "b"), "coarse": ("m",)}
+_ORACLE_FAMILY_FIELDS = {"std": (), "coarse": (), "exc": ("k", "p"), "ell": ()}
+
+
+def oracle_load_config(path: str) -> dict:
+    """The config reader with one `if` per key; it names the format `fmt`."""
+    settings: dict = {}
+    for lineno, raw in enumerate(cli._read(path).split("\n"), 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise TStabError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key, value = key.strip(), value.strip()
+        if key == "points":
+            settings["points"] = tuple(part.strip() for part in value.split(",") if part.strip())
+        elif key == "k":
+            settings["k"] = cli._int_field(value, "k", f"{path}:{lineno}")
+        elif key == "p":
+            settings["p"] = cli._parse_p(value, f"{path}:{lineno}")
+        elif key == "format":
+            if value not in ("text", "json"):
+                raise TStabError(f"{path}:{lineno}: format must be text or json")
+            settings["fmt"] = value
+        elif key == "seed":
+            settings["seed"] = cli._int_field(value, "seed", f"{path}:{lineno}")
+        else:
+            raise TStabError(f"{path}:{lineno}: unknown key {key!r}")
+    return settings
+
+
+def oracle_parse_cutspec(spec, session):
+    """The cut spec reader with one `if` block per kind."""
+    kind, fields = cli._spec_fields(spec, "cut", _ORACLE_CUT_FIELDS)
+    bound = ("inf", "-inf")
+    if kind == "std":
+        m = cli._int_field(fields.get("m", "0"), "m", spec)
+        K = cli._int_field(fields.get("K", "-inf"), "K", spec, bound)
+        p_field = fields.get("P", "all")
+        if p_field == "all":
+            P = None
+        elif p_field == "none":
+            P = frozenset()
+        else:
+            P = frozenset(lbl for lbl in p_field.split(";") if lbl)
+        cut = StandardCut(m, K, P)
+    elif kind == "exc":
+        if "a" not in fields or "b" not in fields:
+            raise TStabError("an exceptional cut needs a and b")
+        cut = ExceptionalCut(cli._int_field(fields["a"], "a", spec, bound),
+                             cli._int_field(fields["b"], "b", spec, bound))
+    elif kind == "coarse":
+        cut = CoarseCut(cli._int_field(fields.get("m", "0"), "m", spec))
+    else:
+        raise TStabError(f"unknown cut kind {kind!r} (use std:, exc: or coarse:)")
+    return cut, oracle_parse_famspec(kind, session)
+
+
+def oracle_parse_famspec(spec, session):
+    """The family spec reader with one descriptor per kind."""
+    kind, fields = cli._spec_fields(spec, "family", _ORACLE_FAMILY_FIELDS)
+    if kind == "std":
+        desc = {"family": "standard", "point_order": list(session.points)}
+    elif kind == "coarse":
+        desc = {"family": "coarse"}
+    elif kind == "exc":
+        k = cli._int_field(fields["k"], "k", spec) if "k" in fields else session.k
+        p = cli._parse_p(fields["p"], spec) if "p" in fields else session.p
+        desc = {"family": "exceptional", "k": k, "p": "inf" if p == INF else p}
+    elif kind == "ell":
+        desc = {"family": "elliptic", "point_order": list(session.points)}
+    else:
+        raise TStabError(f"unknown family {spec!r} (use std, coarse, exc:k=..,p=.. or ell)")
+    return family_from_descriptor(desc)
+
+
+def _cli_outcome(read, *args):
+    try:
+        return "ok", read(*args)
+    except Exception as exc:  # the outcome is compared, so any error class counts
+        return type(exc), str(exc)
+
+
+_SPEC_VALUES = st.sampled_from(["0", "3", "-2", "+1", "inf", "-inf", "1_0", "1.5", " 3", "x", "",
+                                "all", "none", "a;b", "x;y", ";", "\u0663"])
+# The fields a spec of each kind draws most: its own, or those of the other
+# reader (an exc cut takes a and b, an exc family k and p).
+_SPEC_KEYS = {"std": ["mKP"], "exc": ["ab", "kp", "abkp"], "coarse": ["m"], "ell": [""],
+              "foo": ["mkp"], "": ["m"]}
+
+
+@st.composite
+def specs(draw):
+    """A cut or family spec: a known or unknown kind and any fields."""
+    kind = draw(st.sampled_from(list(_SPEC_KEYS)))
+    keys = draw(st.sampled_from(_SPEC_KEYS[kind]))
+    own = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    fields = [f"{key}={draw(_SPEC_VALUES)}" for key in own]
+    if draw(st.integers(0, 3)) == 0:  # one odd field: foreign, repeated, spaced or without "="
+        odd = st.sampled_from(["q=1", "m", "", " P = x;z ", *(f"{key}=0" for key in keys)])
+        fields.insert(draw(st.integers(0, len(fields))), draw(odd))
+    return kind + (":" + ",".join(fields) if fields or draw(st.booleans()) else "")
+
+
+_SESSIONS = st.builds(cli.SessionConfig, st.sampled_from([(), ("z", "x", "y"), ("b", "a")]),
+                      st.sampled_from([-1, 0, 2]), st.sampled_from([0, 3, INF]))
+
+
+@settings(max_examples=400)
+@given(specs(), _SESSIONS)
+@example("std:m=0,K=inf,P=none", cli.SessionConfig())
+@example("std:K=inf,P=b;;a,m=-1", cli.SessionConfig(points=("b", "a")))
+@example("exc:b=-inf,a=1", cli.SessionConfig(k=1, p=INF))
+@example("exc:k=2,p=-1", cli.SessionConfig())
+def test_cut_and_family_specs_match_per_kind_oracles(spec, session):
+    assert _cli_outcome(cli.parse_cutspec, spec, session) == \
+        _cli_outcome(oracle_parse_cutspec, spec, session)
+    assert _cli_outcome(cli.parse_famspec, spec, session) == \
+        _cli_outcome(oracle_parse_famspec, spec, session)
+
+
+_CONFIG_LINE = st.one_of(
+    st.sampled_from(["", "   ", "# a comment", "#k = x", "points x,y", "= 3", "colour = red"]),
+    st.builds("{} = {}".format, st.sampled_from(["points", "k", "p", "format", "seed", " k"]),
+              st.sampled_from(["b,a", "x, y,,z", "", "3", "-1", "inf", "1_0", "0_7", "1.5",
+                               "٣", "text", "json", "yaml", "a = b"])))
+
+
+@settings(max_examples=300)
+@given(st.lists(_CONFIG_LINE, max_size=6))
+def test_config_files_match_per_key_oracle(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "differential-session.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    expected = _cli_outcome(oracle_load_config, str(path))
+    if expected[0] == "ok" and "fmt" in expected[1]:
+        expected[1]["format"] = expected[1].pop("fmt")
+    assert _cli_outcome(cli.load_config, str(path)) == expected
