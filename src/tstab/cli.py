@@ -8,9 +8,11 @@ Object expressions follow the grammar
 
 with arbitrary whitespace.  O/T atoms build objects on the projective
 line, S atoms build elliptic objects; the two kinds cannot be mixed.
-One left-to-right pass reads each summand once: the `_SUMMAND` regex
-takes every summand it matches, `_Scanner` the rest (zeros such as
-``0[1]``, non-ASCII digits, malformed text, whose error it raises).
+One left-to-right pass reads each summand once: a summand text seen
+before, cut at `render`'s ``" + "``, is one memo lookup (a filtration
+document shares one memo over all its objects); the `_SUMMAND` regex
+takes every other summand it matches, `_Scanner` the rest (zeros such
+as ``0[1]``, non-ASCII digits, malformed text, whose error it raises).
 
 Cut specifications: ``std:m=M,K=<int|inf|-inf>,P=<lbl;lbl|all|none>``,
 ``exc:a=<int|inf|-inf>,b=<int|inf|-inf>`` and ``coarse:m=M``.  Family
@@ -113,9 +115,9 @@ class _Scanner:
         self.take("]")
         return n
 
-    def summand(self, pos: int, resolve_point) -> tuple[int, tuple | None, bool, int]:
-        """Read the summand at `pos` and the "+" after it: (multiplicity, memo
-        entry or None for a zero atom, whether a "+" followed, the end)."""
+    def summand(self, pos: int, resolve_point) -> tuple[tuple, bool, int]:
+        """Read the summand at `pos` and the "+" after it: (memo entry, empty
+        for a zero atom; whether a "+" followed; the end)."""
         self.pos, mult, head = pos, 1, ""
         if self.peek().isdigit():
             mult = self.nat()
@@ -125,7 +127,7 @@ class _Scanner:
                 head = "0"  # the digits were the zero atom
             else:
                 raise ObjectParseError("expected '*' after a multiplicity", self.pos)
-        pos, entry = self.pos, None
+        pos, entry = self.pos, ()
         if not head:
             head = self.peek()
             if head not in ("0", "O", "T", "S"):
@@ -141,11 +143,11 @@ class _Scanner:
                 self.take(sep)
                 args.append(read())
             self.take(")")
-            entry = _atom(head, args, pos, resolve_point, self.shift)
+            entry = _atom(head, args, mult, pos, resolve_point, self.shift)
         more = not self.at_end()
         if more:
             self.take("+")
-        return mult, entry, more, self.pos
+        return entry, more, self.pos
 
 
 # One summand with the scanner's whitespace rules, then "+" or the end.
@@ -179,46 +181,55 @@ def parse_object(text: str, category: str = "auto", resolve_point=None
     return _parse_object(text, category, resolve_point or Point, {})
 
 
-def _parse_object(text: str, category: str, resolve_point, atoms: dict
+def _parse_object(text: str, category: str, resolve_point, memo: dict
                   ) -> DerivedObject | EllipticObject:
-    """`parse_object` with `atoms`, a memo from atom text to (side, atom, key).
+    """`parse_object` with `memo`, from summand text to (side, (atom, mult), key).
 
-    One pass, left to right, reads each summand once.  `_SUMMAND` reads
-    every summand it matches, an atom it has seen through the memo; the
-    scanner reads the others (the zeros it leaves out, whitespace after
-    "*", non-ASCII digits, malformed text) and raises their errors.
-    Errors come in text order, and the curve checks, which need every
-    summand, come last.  The memo may be shared by calls with the same
-    category and resolver.
+    One pass, left to right, reads each summand once.  A summand that is a
+    whole piece of the text cut at `render`'s ``" + "`` is first looked up
+    in the memo.  Otherwise `_SUMMAND` reads it, and the memo stores it if
+    the match ends at that separator; the scanner reads what the pattern
+    does not match (zeros such as ``0[1]``, whitespace after "*", non-ASCII
+    digits, malformed text) and raises its errors.  Errors come in text
+    order, and the curve checks, which need every summand, come last.  The
+    memo may be shared by calls with the same category and resolver.
     """
-    # The scanner reads a non-string, and raises its error.
-    match = (re.compile(_SUMMAND, re.VERBOSE).match if isinstance(text, str)
-             else lambda *_: None)
+    if not isinstance(text, str):  # the scanner reads a non-string, and raises its error
+        _Scanner(text).summand(0, resolve_point)
+    match, lookup = re.compile(_SUMMAND, re.VERBOSE).match, memo.get
+    pieces = text.split(" + ")
     side, mixed, pairs = None, False, []
-    pos, more, last, ascending = 0, True, None, True
+    j = start = pos = 0  # pieces[j] starts at `start`; the next summand at `pos`
+    more, last, ascending = True, (), True
     while more:
-        m = match(text, pos)
-        if m is None:
-            mult, entry, more, pos = _Scanner(text).summand(pos, resolve_point)
-            if entry is None:
-                continue  # the zero object contributes nothing
+        piece, final = pieces[j], j + 1 == len(pieces)
+        # Where a summand read as the whole piece ends: after the separator's "+".
+        end = len(text) if final else start + len(piece) + 2
+        aligned = pos == start
+        summand = lookup(piece) if aligned else None
+        if summand is not None:
+            more, pos = not final, end
+        elif (m := match(text, pos)) is None:
+            summand, more, pos = _Scanner(text).summand(pos, resolve_point)
         else:
+            atom_text, more = m.group("atom", "more")
+            summand = () if atom_text == "0" else _matched_summand(m, resolve_point)
             pos = m.end()
-            mult, atom_text, shift_text, more = m.group("mult", "atom", "shift", "more")
-            mult = 1 if mult is None else int(mult)
-            if atom_text == "0":
-                continue
-            entry = atoms.get((atom_text, shift_text))
-            if entry is None:
-                entry = atoms[atom_text, shift_text] = _matched_entry(m, resolve_point)
-        atom_side, atom, key = entry
-        if side is None:
-            side = atom_side
-        elif atom_side != side:
-            mixed, ascending = True, False  # keys of the two curves do not compare
-        ascending = ascending and mult > 0 and (last is None or last < key)
+            if aligned and pos == end and not (final and more):
+                memo[piece] = summand
+        if more and pos == end and not final:  # the separator is read: on to the next piece
+            j, start = j + 1, end + 1
+            pos = start
+        if not summand:
+            continue  # the zero object contributes nothing
+        atom_side, pair, key = summand
+        if atom_side != side:
+            if side is not None:
+                mixed, ascending = True, False  # keys of the two curves do not compare
+            side = side or atom_side
+        ascending = ascending and pair[1] > 0 and last < key
         last = key
-        pairs.append((atom, mult))
+        pairs.append(pair)
     if mixed:
         raise ObjectParseError("cannot mix O/T atoms with S atoms", 0)
     if side is None:
@@ -233,19 +244,22 @@ def _parse_object(text: str, category: str, resolve_point, atoms: dict
     return DerivedObject(tuple(pairs)) if ascending else normalize(pairs)
 
 
-def _matched_entry(m: re.Match, resolve_point) -> tuple[str, object, tuple]:
+def _matched_summand(m: re.Match, resolve_point) -> tuple[str, tuple, tuple]:
     """The memo entry of a summand `_SUMMAND` matched, its values read in the
     scanner's order, so that an error is the one the scanner would raise."""
-    _, _, n, tx, td, r, d, sx, shift, _ = m.groups()  # in pattern order
+    mult, _, n, tx, td, r, d, sx, shift, _ = m.groups()  # in pattern order
     head, args = (("O", (int(n),)) if n is not None else ("T", (tx, int(td))) if td is not None
                   else ("S", (int(r), int(d), sx)))
-    return _atom(head, args, m.start("atom"), resolve_point, lambda: int(shift or 0))
+    return _atom(head, args, 1 if mult is None else int(mult), m.start("atom"), resolve_point,
+                 lambda: int(shift or 0))
 
 
-def _atom(head: str, args, pos: int, resolve_point, read_shift) -> tuple[str, object, tuple]:
-    """The memo entry (side, shifted atom, sort key) of atom `head` with its
-    arguments in grammar order.  They must first pass the checks the grammar
-    cannot state, which raise at `pos`; only then is the shift read."""
+def _atom(head: str, args, mult: int, pos: int, resolve_point, read_shift
+          ) -> tuple[str, tuple, tuple]:
+    """The memo entry (side, (shifted atom, mult), sort key) of `mult` copies of
+    atom `head` with its arguments in grammar order.  They must first pass the
+    checks the grammar cannot state, which raise at `pos`; only then is the
+    shift read."""
     if head == "O":
         side, base = "p1", Line(*args)
     elif head == "T":
@@ -260,7 +274,7 @@ def _atom(head: str, args, pos: int, resolve_point, read_shift) -> tuple[str, ob
                 f"stable classes need coprime rank >= 0 and degree, got ({r},{d})", pos)
         side, base = "elliptic", StableClass(r, d, resolve_point(label))
     atom = ShiftedIndec(base, read_shift())
-    return side, atom, atom.key()
+    return side, (atom, mult), atom.key()
 
 
 # --- session configuration -------------------------------------------------------
@@ -321,8 +335,9 @@ def _read(path: str) -> str:
         raise TStabError(f"cannot read {path!r}: {reason}") from None
 
 
-def load_config(path: str) -> dict:
-    settings: dict = {}
+def load_config(path: str, settings: dict | None = None) -> dict:
+    """The settings of a config file, read line by line into `settings`."""
+    settings = {} if settings is None else settings
     for lineno, raw in enumerate(_read(path).split("\n"), 1):
         stripped, where = raw.strip(), f"{path}:{lineno}"
         if not stripped or stripped.startswith("#"):
@@ -336,9 +351,12 @@ def load_config(path: str) -> dict:
     return settings
 
 
-def make_session(args: argparse.Namespace) -> SessionConfig:
-    """The config file's settings, overridden by each setting flag given."""
-    settings = load_config(args.config) if getattr(args, "config", None) else {}
+def make_session(args: argparse.Namespace, settings: dict | None = None) -> SessionConfig:
+    """The config file's settings, overridden by each setting flag given;
+    `settings` receives each setting as it is read."""
+    settings = {} if settings is None else settings
+    if getattr(args, "config", None):
+        load_config(args.config, settings)
     for key, read in _SETTINGS.items():
         text = getattr(args, key, None)
         if text is not None:
@@ -447,10 +465,10 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
         family = family_from_descriptor(data["family"])
         category = _category(family)
         resolver = point_resolver(family.point_labels)
-        atoms: dict = {}  # terms are suffix sums: most of their atoms repeat
+        memo: dict = {}  # terms are suffix sums: most of their summands repeat
 
         def parse(text):
-            return _parse_object(text, category, resolver, atoms)
+            return _parse_object(text, category, resolver, memo)
 
         obj = parse(data["object"])
         quotients = tuple((family.slope_from_json(q["slope"]), parse(q["object"]))
@@ -699,25 +717,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str], out=None) -> int:
     """Execute one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    settings: dict = {}  # as read so far: an error is shown in the format they name
     try:
-        session = make_session(args)
-    except (TStabError, ValueError) as exc:
-        print(json.dumps({"error": str(exc)}) if getattr(args, "format", None) == "json"
-              else f"error: {exc}", file=out)
-        return 1
-    try:
-        return args.func(args, session, out)
-    except UsageError as exc:
+        return args.func(args, make_session(args, settings), out)
+    except (UsageError, TStabError, ValueError) as exc:
+        session = SessionConfig(format=args.format or settings.get("format", "text"))
         _emit({"error": str(exc)}, f"error: {exc}", session, out)
-        return 2
-    except (TStabError, ValueError) as exc:
-        _emit({"error": str(exc)}, f"error: {exc}", session, out)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def main() -> None:

@@ -21,6 +21,8 @@ import heapq
 import random
 import re
 from collections.abc import Sequence
+from itertools import compress
+from operator import methodcaller
 
 from .errors import FiltrationFormatError, InvalidShuffleError, UnsupportedFamilyError
 from .p1 import Point, hom_profile, point_universe
@@ -226,7 +228,7 @@ class HNFiltration(Value):
     direct sum of the quotients below it (`StabilityFamily.summand_tower`).
 
     All terms are held eagerly.  `merge_towers` builds them in one pass
-    over a running multiset of summands, so producing them costs about
+    over a running list of multiplicities, so producing them costs about
     as much as reading them, and serialisation and `verify_hn` read
     every term anyway.
     """
@@ -383,18 +385,8 @@ class StabilityFamily:
         `hn`, used to verify quotients of candidate filtrations.
         """
         self._require(x)
-        if x.is_zero:
-            return None
-        slope = None
-        for term, _ in x.summands():
-            s = self.slope_of_term(term)
-            if s is None:
-                return None
-            if slope is None:
-                slope = s
-            elif s != slope:
-                return None
-        return slope
+        slopes = {self.slope_of_term(term) for term, _ in x.summands()}  # None for a non-generator
+        return slopes.pop() if len(slopes) == 1 else None
 
     # -- finite windows --
 
@@ -411,67 +403,70 @@ def merge_towers(family: StabilityFamily,
                  ) -> HNFiltration:
     """Merge filtration towers by ascending slope, coalescing equal slopes.
 
-    Each source is (quotients, terms) with strictly ascending slopes and
-    len(terms) == len(quotients) + 1.  The merged term after each step
-    is the direct sum of every source's current term, which realises
-    the filtration of the direct sum of the source objects.
+    Each source is (quotients, terms) of normal forms, with strictly
+    ascending slopes and len(terms) == len(quotients) + 1.  The merged
+    term after each step is the direct sum of every source's current
+    term, which realises the filtration of the direct sum of the source
+    objects.
 
     The sources' next quotients wait in a heap of (slope key, source
-    index); each step takes the lowest key together with every head of
-    an equal key, and records the slope of the first such source.  The
-    merged term is one running multiset (atom -> multiplicity): a source
-    stepping from terms[p] to terms[p+1] takes away the summands of
-    terms[p] and adds those of terms[p+1], so a source's terms are read
-    as given whether or not its tower splits.  Each atom's sort key is
-    computed once per merge, and each emitted term and coalesced
-    quotient takes one sort.
+    index); each step takes the lowest key with every head of an equal
+    key, and records the slope of the first such source.  The atoms of
+    all sources are sorted by key once; the merged term is a running
+    list of multiplicities by atom index, from which a source stepping
+    from terms[p] to terms[p+1] takes terms[p] and gains terms[p+1],
+    split tower or not.  A term is emitted in one pass over that list,
+    and a step of one source hands on its own quotient.
     """
     slope_key = family.slope_key
     make = type(family.zero)
-    atom_keys: dict = {}
-    counts: dict = {}
+    atoms = sorted({atom for quotients, terms in sources
+                    for obj in (*terms, *(q for _, q in quotients)) for atom, _ in obj.terms},
+                   key=methodcaller("key"))
+    index = {atom: i for i, atom in enumerate(atoms)}
+    mults = [0] * len(atoms)
+    pairs = [(atom, 0) for atom in atoms]  # (atom, multiplicity), as the terms hold them
 
-    def add(into: dict, obj, sign: int) -> None:
-        for atom, m in obj.summands():
-            if atom not in atom_keys:
-                atom_keys[atom] = atom.key()
-            m = into.get(atom, 0) + sign * m
-            if m:
-                into[atom] = m
-            else:
-                into.pop(atom, None)
-
-    def emit(multiset: dict):
-        return make(tuple(sorted(multiset.items(), key=lambda tm: atom_keys[tm[0]])))
+    def add(obj, sign: int) -> None:
+        for atom, m in obj.terms:
+            i = index[atom]
+            mults[i] += sign * m
+            pairs[i] = (atom, mults[i])
 
     heap = []
     for idx, (quotients, terms) in enumerate(sources):
-        add(counts, terms[0], 1)
+        add(terms[0], 1)
         if quotients:
             heap.append((slope_key(quotients[0][0]), idx))
     heapq.heapify(heap)
     pointers = [0] * len(sources)
 
     merged: list[tuple[object, object]] = []
-    merged_terms = [emit(counts)]
+    merged_terms = [make(tuple(compress(pairs, mults)))]
     while heap:
         key, first = heapq.heappop(heap)
-        best = sources[first][0][pointers[first]][0]
         group = [first]
         while heap and heap[0][0] == key:
             group.append(heapq.heappop(heap)[1])
-        parts: dict = {}
+        heads = [sources[idx][0][pointers[idx]] for idx in group]
+        best, quotient = heads[0]
+        if len(heads) > 1:
+            parts: dict = {}
+            for _, obj in heads:
+                for atom, m in obj.terms:
+                    i = index[atom]
+                    parts[i] = parts.get(i, 0) + m
+            quotient = make(tuple((atoms[i], m) for i, m in sorted(parts.items())))
         for idx in group:
             quotients, terms = sources[idx]
             p = pointers[idx]
-            add(parts, quotients[p][1], 1)
-            add(counts, terms[p], -1)
-            add(counts, terms[p + 1], 1)
+            add(terms[p], -1)
+            add(terms[p + 1], 1)
             pointers[idx] = p + 1
             if p + 1 < len(quotients):
                 heapq.heappush(heap, (slope_key(quotients[p + 1][0]), idx))
-        merged.append((best, emit(parts)))
-        merged_terms.append(emit(counts))
+        merged.append((best, quotient))
+        merged_terms.append(make(tuple(compress(pairs, mults))))
     return HNFiltration(family, tuple(merged), tuple(merged_terms))
 
 
@@ -479,10 +474,8 @@ def merge_towers(family: StabilityFamily,
 
 def is_semistable(x, family: StabilityFamily):
     """The slope if the HN filtration of x has exactly one quotient, else None."""
-    filt = family.hn(x)
-    if len(filt.quotients) == 1:
-        return filt.quotients[0][0]
-    return None
+    quotients = family.hn(x).quotients
+    return quotients[0][0] if len(quotients) == 1 else None
 
 
 def _maps_at_or_below_zero(t, s) -> bool:

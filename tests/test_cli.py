@@ -477,6 +477,25 @@ def test_bad_config_lines_are_domain_errors(line, message, tmp_path):
     _assert_error(("normalize", "O(1)", "--config", str(cfg)), message.format(path=cfg))
 
 
+def test_setting_errors_print_in_the_format_read_so_far(tmp_path):
+    """A bad setting prints like any other error: as indented JSON under --format json,
+    or under a config's `format = json` read before the bad setting."""
+    def as_json(message):
+        return json.dumps({"error": message}, indent=2, sort_keys=True) + "\n"
+
+    flag_error = "k must be an integer, got 'x' in '--k'"
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("format = json\n")
+    assert _run("normalize", "O(1)", "--config", str(cfg), "--k", "x") == (1, as_json(flag_error))
+    assert _run("normalize", "O(1)", "--format", "json", "--k", "x") == (1, as_json(flag_error))
+    cfg.write_text("format = json\nk = x\n")
+    assert _run("normalize", "O(1)", "--config", str(cfg)) == \
+        (1, as_json(f"k must be an integer, got 'x' in '{cfg}:2'"))
+    cfg.write_text("k = x\nformat = json\n")  # the format line is never read
+    assert _run("normalize", "O(1)", "--config", str(cfg)) == \
+        (1, f"error: k must be an integer, got 'x' in '{cfg}:1'\n")
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory"])
 @pytest.mark.parametrize("flag", ["--input", "--config"])
 def test_unreadable_files_are_domain_errors(flag, kind, tmp_path):

@@ -20,8 +20,9 @@ pairwise window checks that sorted sweeps replaced: the generator-pair
 Hom check of `validate_stability`, the slope-pair up-closure check of
 `validate_cut` and the `finest_check` loop that read Hom^0 off a whole
 HomProfile, the two per-curve atom classes that the one `ShiftedIndec`
-replaced, and the CLI readers with one `if` per config key or spec kind
-that the settings, cut and family tables replaced.  They are kept here
+replaced, the CLI readers with one `if` per config key or spec kind
+that the settings, cut and family tables replaced, and the summand loop
+of `semistable_slope` that one set of slopes replaced.  They are kept here
 only, as oracles, and every result must agree bit for bit.  The JSON round
 trip of filtrations is tested here too, over the same families and objects.
 """
@@ -34,7 +35,7 @@ import pickle
 import random
 import re
 import zlib
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,11 +48,12 @@ from tstab import cli, elliptic, p1, slopes, stability, tstructures
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic)
 from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError, TStabError
-from tstab.families import (INF, CoarseZ, ExceptionalP1, SlopePartition, StandardP1,
-                            by_shift_partition, coarsen, column_partition, family_from_descriptor,
-                            finest_check)
+from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopePartition,
+                            StandardP1, by_shift_partition, coarsen, column_partition,
+                            family_from_descriptor, finest_check)
 from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim,
-                      hom_profile, ZERO, line, normalize, point_resolver, point_universe)
+                      hom_profile, ZERO, line, normalize, point_resolver, point_universe,
+                      torsion)
 from tstab.slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                              HNFiltration, Report, StandardSlope, Window,
@@ -421,6 +423,22 @@ def oracle_coarsened_semistable_slope(family, x):
     return None
 
 
+def oracle_semistable_slope(family, x):
+    """The one slope of x's summands, all generators, read with early exits."""
+    if x.is_zero:
+        return None
+    slope = None
+    for term, _ in x.summands():
+        s = family.slope_of_term(term)
+        if s is None:
+            return None
+        if slope is None:
+            slope = s
+        elif s != slope:
+            return None
+    return slope
+
+
 # The elliptic tilt as it stood before `EllipticCut`, helpers renamed; a bad q
 # raises ValueError, as the deleted QOutOfRangeError is gone.
 def _oracle_check_q(q: ExtendedRational) -> None:
@@ -755,6 +773,16 @@ def test_hn_matches_oracle_merge(case):
 
 
 @settings(max_examples=150)
+@given(family_and_object())
+def test_semistable_slope_matches_summand_loop_oracle(case):
+    """On objects and on their HN quotients, which are semistable."""
+    family, x = case
+    for y in (x, *family.hn(x).quotient_objects):
+        if not isinstance(family, CoarsenedFamily):  # which reads the base family's hn
+            assert family.semistable_slope(y) == oracle_semistable_slope(family, y)
+
+
+@settings(max_examples=150)
 @given(family_and_object(), st.data())
 def test_shuffle_merge_by_slope_matches_oracle(case, data):
     family, x = case
@@ -779,6 +807,43 @@ def test_merge_of_unsorted_towers_matches_oracle(order, objects, data):
         filt = HNFiltration.from_quotients(family, quotients)
         sources.append((filt.quotients, filt.terms))
     _assert_same(merge_towers(family, sources), oracle_merge_towers(family, sources))
+
+
+def _shared_atom_cases():
+    """Named merges whose sources share atoms: (family, sources)."""
+    exc, std, coarse = ExceptionalP1(0, 0), StandardP1(), CoarseZ()
+    # Each exceptional tower of a line or a point leaves multiples of O(0)[1] and O(1).
+    lines = line(3) + line(4) + 2 * line(5, 1) + torsion("x")
+    one_block = [_ONE_BLOCK_FAMILIES["exc", 0, 0].hn(x) for x in (lines, line(3) + line(-2))]
+    fa = std.hn(line(1) + torsion("x") + line(2, 1))
+    fb = std.hn(line(1) + torsion("x", 2) + line(-3))
+    return {
+        "exceptional-towers-leaving-one-line": (exc, summand_towers(exc, lines)),
+        "one-block-coarsening": (one_block[0].family, [(f.quotients, f.terms) for f in one_block]),
+        "shuffle-of-common-summands": (std, [(fa.quotients, fa.terms), (fb.quotients, fb.terms)]),
+        "single-source-groups": (std, summand_towers(std, line(-1) + line(0, 1) + torsion("y"))),
+        "many-source-group": (coarse, summand_towers(coarse, line(-1) + line(2) + torsion("z", 3))),
+    }
+
+
+@pytest.mark.parametrize("name", ["exceptional-towers-leaving-one-line", "one-block-coarsening",
+                                  "shuffle-of-common-summands", "single-source-groups",
+                                  "many-source-group"])
+def test_merge_of_towers_sharing_atoms_matches_oracle(name):
+    family, sources = _shared_atom_cases()[name]
+    merged = merge_towers(family, sources)
+    _assert_same(merged, oracle_merge_towers(family, sources))
+    group_sizes = Counter(family.slope_key(s) for quotients, _ in sources for s, _ in quotients)
+    own = [obj for quotients, _ in sources for _, obj in quotients]
+    if name == "single-source-groups":  # each step hands on the source's own quotient
+        assert set(group_sizes.values()) == {1}
+        assert all(any(q is obj for obj in own) for _, q in merged.quotients)
+    elif name == "many-source-group":
+        assert list(group_sizes.values()) == [len(sources)] and len(merged.quotients) == 1
+    else:  # the sources share atoms, and some step coalesces several of them
+        atoms = Counter(atom for _, terms in sources
+                        for atom in {a for t in terms for a, _ in t.terms})
+        assert max(atoms.values()) > 1 and max(group_sizes.values()) > 1
 
 
 # --- per-summand towers -------------------------------------------------------------
@@ -1217,6 +1282,62 @@ def test_parser_matches_scanner_oracle_on_fixed_orderings(text):
     for category in ("auto", "p1", "elliptic"):
         for resolver in sorted(_RESOLVERS):
             _assert_parses_like_oracle([text], category, resolver)
+
+
+# A warmed memo holds the pieces of this text; each text below hits some of
+# them and then holds a piece the memo must not take, or a bad one.
+_MEMO_WARMUP = "O(1) + O(2) + 2*O(1) + 0 + T(x,1)"
+_MEMO_EXPRESSIONS = {
+    "double-space-before-separator": "O(1)  + O(2)",
+    "plus-without-spaces": "O(1)+O(2) + O(1)",
+    "empty-summand": "O(1) + + O(2)",
+    "trailing-separator": "O(1) + ",
+    "trailing-plus": "O(1) +",
+    "zeros-around": "0 + O(1) + 0[1]",
+    "star-with-spaces": "2*O(1) + 2 * O(1)",
+    "repeat-then-bad-length": "O(1) + O(1) + T(x,0)",
+    "repeat-then-unclosed": "O(1) + 2*O(1) + O(",
+    "atom-position-in-a-later-summand": "O(1) + 3 *T(x,0)",
+}
+
+
+@pytest.mark.parametrize("text", list(_MEMO_EXPRESSIONS.values()), ids=list(_MEMO_EXPRESSIONS))
+def test_parser_memo_hits_then_misses_like_the_scanner_oracle(text):
+    for category in ("auto", "p1", "elliptic"):
+        for resolver in _RESOLVERS.values():
+            memo: dict = {}
+            _outcome(cli._parse_object, _MEMO_WARMUP, category, resolver or Point, memo)
+            assert {"O(1)", "O(2)", "2*O(1)", "0", "T(x,1)"} <= memo.keys()
+            expected = _outcome(oracle_parse_object, text, category, resolver)
+            for _ in range(2):  # the second read may hit what the first one stored
+                assert _outcome(cli._parse_object, text, category, resolver or Point, memo) \
+                    == expected, text
+
+
+def test_a_text_read_again_takes_every_summand_from_the_memo(monkeypatch):
+    text = "O(1) + 2*O(2)[1] + T(x,1) + S(1,0,x)"
+    memo: dict = {}
+    with pytest.raises(ObjectParseError):  # the mix error comes after every summand is read
+        cli._parse_object(text, "auto", Point, memo)
+    monkeypatch.setattr(cli, "_matched_summand", None)  # a miss would call one of these
+    monkeypatch.setattr(cli, "_Scanner", None)
+    with pytest.raises(ObjectParseError, match="cannot mix"):
+        cli._parse_object(text, "auto", Point, memo)
+    assert cli._parse_object(text.rpartition(" + ")[0], "p1", Point, memo) == \
+        oracle_parse_object(text.rpartition(" + ")[0])
+
+
+def test_filtration_document_error_is_at_its_own_terms_position():
+    """The memo is shared over a document: a term that repeats earlier pieces and
+    then holds a bad one raises at the bad piece's position in that term."""
+    doc = StandardP1().hn(line(1) + line(2)).to_json()
+    bad = "O(1) + O(2) + O(2) + T(x,0)"
+    doc["terms"][1] = bad
+    with pytest.raises(InvalidLengthError) as err:
+        cli.filtration_from_json(doc)
+    assert _outcome(oracle_parse_object, bad, "p1", point_resolver(())) \
+        == (InvalidLengthError, str(err.value), bad.index("T(x,0)"))
+    assert err.value.position == bad.index("T(x,0)")
 
 
 # --- point order ------------------------------------------------------------------------

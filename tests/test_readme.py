@@ -8,6 +8,7 @@ commands they document print.
 
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -59,3 +60,15 @@ def test_readme_json_example_is_the_output(argv, marker):
     code, out = _run(shlex.split(argv))
     assert code == 0
     assert json.loads(out) == json.loads(example)
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The session-config example is a file `load_config` reads as the README says."""
+    section = README.split("### Session configuration", 1)[1]
+    example = re.search(r"^```\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    path = tmp_path / "session.cfg"
+    path.write_text(example, encoding="utf-8")
+    assert cli.load_config(str(path)) == {"points": ("x", "y", "z"), "k": 0, "p": math.inf,
+                                          "format": "json", "seed": 7}
+    assert _run(["normalize", "T(z,1) + T(x,1)", "--config", str(path)]) == \
+        (0, '{\n  "object": "T(x,1) + T(z,1)"\n}\n')
