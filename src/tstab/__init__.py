@@ -1,26 +1,46 @@
-"""Stability data, HN filtrations and t-structures on derived categories of curves."""
+"""Stability data, HN filtrations and t-structures on derived categories of curves.
 
-from .slopes import (ExtendedRational, K0Class, Nu, One, Ordering, PLUS_INFINITY,
-                     PositiveSystem, RANK_DEGREE, SlopeValue, check_positive,
-                     compare_slopes, gamma_slope, mu_bar, seesaw_check)
-from .p1 import (DEFAULT_POINTS, DerivedObject, FormalSum, HomProfile, Indec, Line, Point,
-                 ShiftedIndec, Torsion, ZERO, direct_sum, euler_form, hom_dim, hom_profile,
-                 line, normalize, point_resolver, point_universe, torsion)
-from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
-                        HNFiltration, Report, StabilityFamily, StandardSlope, Window, glue,
-                        is_semistable, merge_towers, shuffle_merge, split, validate_stability,
-                        verify_hn)
-from .families import (INF, CoarseZ, CoarsenedFamily, ExceptionalP1, FinerVerdict,
-                       SlopePartition, StandardP1, by_shift_partition, coarsen,
-                       column_partition, exceptional_rewrite,
-                       family_from_descriptor, finest_check, is_finer)
-from .tstructures import (CatalogEntry, Classification, CoarseCut, EllipticCut, ExceptionalCut,
-                          HeartDescription, SlopeCut, StandardCut, TorsionPair,
-                          apply_twist_shift, catalog, catalog_entries, classify_bounded_cut,
-                          diagram, heart_contains, heart_slopes, is_bounded,
-                          torsion_pair_cut, truncate, validate_cut)
-from .elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, StableClass,
-                       hom_dim_stable, stable)
-from .cli import parse_object, run
+The package imports no module of its own until a name is read: each
+export below is looked up in its module on first access (PEP 562), so a
+`tstab` command compiles only the modules it uses.
+"""
 
 __version__ = "0.1.0"
+
+_EXPORTS = {  # each module and the names the package exports from it
+    "slopes": "ExtendedRational INF K0Class Nu One Ordering PLUS_INFINITY PositiveSystem "
+              "RANK_DEGREE SlopeValue check_positive compare_slopes gamma_slope mu_bar "
+              "seesaw_check",
+    "p1": "DEFAULT_POINTS DerivedObject FormalSum HomProfile Indec Line Point ShiftedIndec "
+          "Torsion ZERO direct_sum euler_form hom_dim hom_profile line normalize "
+          "point_resolver point_universe torsion",
+    "stability": "CheckItem CoarseSlope EllipticSlope ExceptionalSlope HNFiltration Report "
+                 "StabilityFamily StandardSlope Window glue is_semistable merge_towers "
+                 "shuffle_merge split validate_stability verify_hn",
+    "families": "CoarseZ CoarsenedFamily ExceptionalP1 FinerVerdict SlopePartition StandardP1 "
+                "by_shift_partition coarsen column_partition exceptional_rewrite "
+                "family_from_descriptor finest_check is_finer",
+    "tstructures": "CatalogEntry Classification CoarseCut EllipticCut ExceptionalCut "
+                   "HeartDescription SlopeCut StandardCut TorsionPair apply_twist_shift catalog "
+                   "catalog_entries classify_bounded_cut diagram heart_contains heart_slopes "
+                   "is_bounded torsion_pair_cut truncate validate_cut",
+    "elliptic": "ELLIPTIC_ZERO EllipticObject EllipticStandard StableClass hom_dim_stable stable",
+    "cli": "parse_object run",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = (*_EXPORTS, "errors", "value")
+__all__ = [*_MODULE_OF, *_SUBMODULES]  # so `from tstab import *` loads them all
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)  # the import binds it here too
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -36,18 +36,16 @@ import re
 import sys
 from collections.abc import Sequence
 
-from .elliptic import EllipticObject, StableClass, normalize_elliptic
 from .errors import (FiltrationFormatError, InvalidLengthError, NonCoprimeError,
                      ObjectParseError, TStabError)
-from .families import INF, family_from_descriptor, is_finer
 from .p1 import (DEFAULT_POINTS, DerivedObject, Line, Point, ShiftedIndec, Torsion,
-                 hom_profile, normalize, point_resolver, point_universe)
-from .stability import (INT_TEXT, HNFiltration, Report, StabilityFamily, Window,
-                        validate_stability, verify_hn)
-from .tstructures import (CATALOG_NAMES, CoarseCut, ExceptionalCut, SlopeCut, StandardCut,
-                          catalog, catalog_entries, diagram, heart_contains, heart_slopes,
-                          is_bounded, truncate, validate_cut)
-from .value import Value, assign
+                 hom_profile, point_resolver, point_universe)
+from .slopes import INF
+from .value import INT_TEXT, Value, assign
+
+# `stability`, `families`, `tstructures` and `elliptic` are imported where
+# they are used, so that each command compiles only the modules it needs;
+# annotations name their types without importing them.
 
 
 # --- expression parser ---------------------------------------------------------
@@ -183,7 +181,7 @@ def parse_object(text: str, category: str = "auto", resolve_point=None
 
 def _parse_object(text: str, category: str, resolve_point, memo: dict
                   ) -> DerivedObject | EllipticObject:
-    """`parse_object` with `memo`, from summand text to (side, (atom, mult), key).
+    """`parse_object` with `memo`, from summand text to (curve, (atom, mult), key).
 
     One pass, left to right, reads each summand once.  A summand that is a
     whole piece of the text cut at `render`'s ``" + "`` is first looked up
@@ -198,7 +196,7 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
         _Scanner(text).summand(0, resolve_point)
     match, lookup = re.compile(_SUMMAND, re.VERBOSE).match, memo.get
     pieces = text.split(" + ")
-    side, mixed, pairs = None, False, []
+    curve, mixed, pairs = None, False, []
     j = start = pos = 0  # pieces[j] starts at `start`; the next summand at `pos`
     more, last, ascending = True, (), True
     while more:
@@ -222,29 +220,29 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
             pos = start
         if not summand:
             continue  # the zero object contributes nothing
-        atom_side, pair, key = summand
-        if atom_side != side:
-            if side is not None:
+        atom_curve, pair, key = summand
+        if atom_curve is not curve:
+            if curve is not None:
                 mixed, ascending = True, False  # keys of the two curves do not compare
-            side = side or atom_side
+            curve = curve or atom_curve
         ascending = ascending and pair[1] > 0 and last < key
         last = key
         pairs.append(pair)
     if mixed:
         raise ObjectParseError("cannot mix O/T atoms with S atoms", 0)
-    if side is None:
-        side = "elliptic" if category == "elliptic" else "p1"
-    elif category in ("p1", "elliptic") and category != side:
+    if curve is None:  # zeros only: the zero object of the curve asked for
+        curve = DerivedObject
+        if category == "elliptic":
+            from .elliptic import EllipticObject as curve
+    elif category in ("p1", "elliptic") and (category == "p1") != (curve is DerivedObject):
         raise ObjectParseError("an object on the line was expected" if category == "p1"
                                else "an elliptic object was expected", 0)
     # Summands in strictly ascending key order with positive multiplicities
     # (as `render` writes them) are already a normal form.
-    if side == "elliptic":
-        return EllipticObject(tuple(pairs)) if ascending else normalize_elliptic(pairs)
-    return DerivedObject(tuple(pairs)) if ascending else normalize(pairs)
+    return curve(tuple(pairs)) if ascending else curve.from_pairs(pairs)
 
 
-def _matched_summand(m: re.Match, resolve_point) -> tuple[str, tuple, tuple]:
+def _matched_summand(m: re.Match, resolve_point) -> tuple[type, tuple, tuple]:
     """The memo entry of a summand `_SUMMAND` matched, its values read in the
     scanner's order, so that an error is the one the scanner would raise."""
     mult, _, n, tx, td, r, d, sx, shift, _ = m.groups()  # in pattern order
@@ -255,26 +253,27 @@ def _matched_summand(m: re.Match, resolve_point) -> tuple[str, tuple, tuple]:
 
 
 def _atom(head: str, args, mult: int, pos: int, resolve_point, read_shift
-          ) -> tuple[str, tuple, tuple]:
-    """The memo entry (side, (shifted atom, mult), sort key) of `mult` copies of
-    atom `head` with its arguments in grammar order.  They must first pass the
-    checks the grammar cannot state, which raise at `pos`; only then is the
-    shift read."""
+          ) -> tuple[type, tuple, tuple]:
+    """The memo entry (curve, (shifted atom, mult), sort key) of `mult` copies of
+    atom `head` with its arguments in grammar order, where curve is the object
+    type of the atom's curve.  The arguments must first pass the checks the
+    grammar cannot state, which raise at `pos`; only then is the shift read."""
     if head == "O":
-        side, base = "p1", Line(*args)
+        curve, base = DerivedObject, Line(*args)
     elif head == "T":
         label, d = args
         if d == 0:
             raise InvalidLengthError("torsion length must be >= 1", pos)
-        side, base = "p1", Torsion(resolve_point(label), d)
+        curve, base = DerivedObject, Torsion(resolve_point(label), d)
     else:
         r, d, label = args
         if r < 0 or math.gcd(r, d) != 1:
             raise NonCoprimeError(
                 f"stable classes need coprime rank >= 0 and degree, got ({r},{d})", pos)
-        side, base = "elliptic", StableClass(r, d, resolve_point(label))
+        from .elliptic import EllipticObject, StableClass
+        curve, base = EllipticObject, StableClass(r, d, resolve_point(label))
     atom = ShiftedIndec(base, read_shift())
-    return side, (atom, mult), atom.key()
+    return curve, (atom, mult), atom.key()
 
 
 # --- session configuration -------------------------------------------------------
@@ -369,14 +368,16 @@ def make_session(args: argparse.Namespace, settings: dict | None = None) -> Sess
 # Each family spec kind and the README descriptor it names.
 _FAMILIES = {"std": "standard", "coarse": "coarse", "exc": "exceptional", "ell": "elliptic"}
 _BOUND = ("inf", "-inf")
-# Each cut kind: its class and its fields in reading order, as (name, default,
-# infinite spellings); a field without a default is required, P is a point set.
-_CUTS = {"std": (StandardCut, (("m", "0", ()), ("K", "-inf", _BOUND), ("P", "all", ()))),
-         "exc": (ExceptionalCut, (("a", None, _BOUND), ("b", None, _BOUND))),
-         "coarse": (CoarseCut, (("m", "0", ()),))}
+# Each cut kind: its `tstructures` class and its fields in reading order, as (name,
+# default, infinite spellings); a field without a default is required, P is a point set.
+_CUTS = {"std": ("StandardCut", (("m", "0", ()), ("K", "-inf", _BOUND), ("P", "all", ()))),
+         "exc": ("ExceptionalCut", (("a", None, _BOUND), ("b", None, _BOUND))),
+         "coarse": ("CoarseCut", (("m", "0", ()),))}
 # The fields each kind of spec takes; any other field is an error.
 _FAMILY_FIELDS = {kind: ("k", "p") if kind == "exc" else () for kind in _FAMILIES}
 _CUT_FIELDS = {kind: tuple(name for name, _, _ in fields) for kind, (_, fields) in _CUTS.items()}
+# The names `tstructures.catalog` knows, and the parameters each takes.
+CATALOG_NAMES = ("A", "B", "C", "D", "E", "F", "G", "H", "I")
 _CATALOG_FIELDS = {**dict.fromkeys(CATALOG_NAMES, ()), "D": ("P",), "E": ("p",), "F": ("p",)}
 
 
@@ -409,17 +410,18 @@ def _point_set(text: str) -> frozenset[str] | None:
 
 def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, StabilityFamily]:
     """Parse a cut specification and build the matching family."""
+    from . import tstructures
     kind, fields = _spec_fields(spec, "cut", _CUT_FIELDS)
     if kind not in _CUTS:
         raise TStabError(f"unknown cut kind {kind!r} (use std:, exc: or coarse:)")
-    cls, table = _CUTS[kind]
+    cls_name, table = _CUTS[kind]
     required = [name for name, default, _ in table if default is None]
     if any(name not in fields for name in required):
         raise TStabError(f"an {_FAMILIES[kind]} cut needs {' and '.join(required)}")
     values = [_point_set(fields.get(name, default)) if name == "P"
               else _int_field(fields.get(name, default), name, spec, infinite)
               for name, default, infinite in table]
-    return cls(*values), parse_famspec(kind, session)
+    return getattr(tstructures, cls_name)(*values), parse_famspec(kind, session)
 
 
 def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
@@ -427,6 +429,7 @@ def parse_famspec(spec: str, session: SessionConfig) -> StabilityFamily:
 
     `exc` takes k and p from the spec's fields, else from the session.
     """
+    from .families import family_from_descriptor
     kind, fields = _spec_fields(spec, "family", _FAMILY_FIELDS)
     if kind not in _FAMILIES:
         raise TStabError(f"unknown family {spec!r} (use std, coarse, exc:k=..,p=.. or ell)")
@@ -461,6 +464,8 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
     The document comes from outside: a missing field or one of the wrong
     type raises FiltrationFormatError naming it.
     """
+    from .families import family_from_descriptor
+    from .stability import HNFiltration
     try:
         family = family_from_descriptor(data["family"])
         category = _category(family)
@@ -483,7 +488,7 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
 
 def _category(family: StabilityFamily) -> str:
     """The `parse_object` category of the family's objects."""
-    return "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
+    return "p1" if isinstance(family.zero, DerivedObject) else "elliptic"
 
 
 # --- subcommand handlers --------------------------------------------------------------
@@ -520,6 +525,7 @@ def _cmd_hn(args, session, out) -> int:
 
 
 def _cmd_truncate(args, session, out) -> int:
+    from .tstructures import truncate
     cut, family = parse_cutspec(args.cut, session)
     obj = parse_object(args.expr, "p1", point_resolver(session.points))
     le0, ge1 = truncate(obj, cut, family)
@@ -529,6 +535,7 @@ def _cmd_truncate(args, session, out) -> int:
 
 
 def _cmd_heart(args, session, out) -> int:
+    from .tstructures import heart_contains, heart_slopes, is_bounded
     cut, family = parse_cutspec(args.cut, session)
     gens = heart_slopes(cut, family).generators()
     bounded = is_bounded(cut, family)
@@ -547,6 +554,7 @@ def _cmd_heart(args, session, out) -> int:
 
 
 def _cmd_catalog(args, session, out) -> int:
+    from .tstructures import catalog, catalog_entries, diagram
     points = session.points or DEFAULT_POINTS
     if not args.name:
         if args.params or args.diagram:
@@ -583,7 +591,7 @@ def _fmt_params(params: dict) -> str:
 
 
 class UsageError(Exception):
-    """A command-line value is out of range (exit code 2)."""
+    """A command line that does not parse, or a value out of range (exit code 2)."""
 
 
 def _nonnegative(args, name: str) -> int:
@@ -594,6 +602,7 @@ def _nonnegative(args, name: str) -> int:
 
 
 def _window_from_args(args, session) -> Window:
+    from .stability import Window
     samples = _nonnegative(args, "samples") if hasattr(args, "samples") else 30
     return Window(max_degree=_nonnegative(args, "window"), max_shift=2, max_length=3,
                   points=point_universe(session.points), samples=samples, seed=session.seed)
@@ -606,16 +615,19 @@ def _report_exit(report: Report, session, out) -> int:
 
 def _cmd_check(args, session, out) -> int:
     if args.what == "stability":
+        from .stability import validate_stability
         family = parse_famspec(args.stability, session)
         window = _window_from_args(args, session)
         return _report_exit(validate_stability(family, window), session, out)
     if args.what == "cut":
         if not args.cut:
             raise TStabError("check cut needs --cut")
+        from .tstructures import validate_cut
         cut, family = parse_cutspec(args.cut, session)
         radius = _nonnegative(args, "window")
         return _report_exit(validate_cut(cut, family, radius=radius), session, out)
     if args.what == "hn":
+        from .stability import verify_hn
         try:
             if args.input and args.input != "-":
                 data = json.loads(_read(args.input))
@@ -629,6 +641,7 @@ def _cmd_check(args, session, out) -> int:
 
 
 def _cmd_compare(args, session, out) -> int:
+    from .families import is_finer
     fine = parse_famspec(args.fine, session)
     weak = parse_famspec(args.weak, session)
     window = _window_from_args(args, session)
@@ -652,8 +665,27 @@ def _int_arg(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (and, through `add_subparsers`, subparser) whose
+    errors raise UsageError, which `run` prints like any other error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _flag_format(argv: Sequence[str]) -> str | None:
+    """The format a `--format` flag in `argv` names, read apart from the
+    rest of the command line, which may not parse."""
+    flag = _Parser(add_help=False)
+    flag.add_argument("--format", choices=("text", "json"))
+    try:
+        return flag.parse_known_args(list(argv))[0].format
+    except UsageError:
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=None)
     common.add_argument("--config", default=None, help="session config file")
     common.add_argument("--points", default=None, help="comma-separated point order")
@@ -661,8 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", default=None, help="twist of the exceptional pair")
     common.add_argument("--p", default=None, help="interleaving parameter (nat or inf)")
 
-    parser = argparse.ArgumentParser(prog="tstab",
-                                     description="stability data and t-structures on curves")
+    parser = _Parser(prog="tstab", description="stability data and t-structures on curves")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("normalize", parents=[common], help="normal form of an object")
@@ -717,15 +748,16 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str], out=None) -> int:
     """Execute one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
-    try:
-        args = build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = None
     settings: dict = {}  # as read so far: an error is shown in the format they name
     try:
+        args = build_parser().parse_args(list(argv))
         return args.func(args, make_session(args, settings), out)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (UsageError, TStabError, ValueError) as exc:
-        session = SessionConfig(format=args.format or settings.get("format", "text"))
+        fmt = args.format if args is not None else _flag_format(argv)
+        session = SessionConfig(format=fmt or settings.get("format", "text"))
         _emit({"error": str(exc)}, f"error: {exc}", session, out)
         return 2 if isinstance(exc, UsageError) else 1
 

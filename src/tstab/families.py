@@ -32,15 +32,13 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 
-from .elliptic import EllipticStandard
 from .errors import InvalidPartitionError
 from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, hom_dim, line,
                  normalize, point_resolver, torsion)
+from .slopes import INF
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
                         StandardSlope, Window, slope_int)
 from .value import Value, assign, set_field
-
-INF = float("inf")
 
 
 class P1Family(StabilityFamily):
@@ -499,7 +497,10 @@ def family_from_descriptor(desc: dict) -> StabilityFamily:
         order = desc.get("point_order", [])
         if not isinstance(order, list):
             raise ValueError(f"point_order must be a list of point labels, got {order!r}")
-        return (StandardP1 if kind == "standard" else EllipticStandard)(tuple(order))
+        if kind == "standard":
+            return StandardP1(tuple(order))
+        from .elliptic import EllipticStandard  # only an elliptic family loads the model
+        return EllipticStandard(tuple(order))
     if kind == "exceptional":
         p = desc.get("p", 0)
         return ExceptionalP1(desc.get("k", 0), INF if p == "inf" else p)

@@ -295,6 +295,9 @@ class ExtendedRational(Value):
 
 PLUS_INFINITY = ExtendedRational(None)
 
+# The infinite bounds of cuts and the parameter p = inf, as plain floats.
+INF = float("inf")
+
 
 def mu_bar(cls: K0Class) -> ExtendedRational:
     """deg/rk for positive rank, +infinity for torsion classes.

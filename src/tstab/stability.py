@@ -27,15 +27,10 @@ from operator import methodcaller
 from .errors import FiltrationFormatError, InvalidShuffleError, UnsupportedFamilyError
 from .p1 import Point, hom_profile, point_universe
 from .slopes import ExtendedRational, K0Class, Ordering
-from .value import Value, assign, set_field
+from .value import INT_TEXT, Value, assign, set_field
 
 
 # --- slope identifiers ------------------------------------------------------
-
-# The integer literals of specs and documents.  Compiled on first use, through
-# `re`'s own cache, so commands that read none do not pay for it at import.
-INT_TEXT = r"[+-]?[0-9]+\Z"
-
 
 def slope_int(value, name: str, text: bool = False) -> int:
     """An integer slope field of a document, not coerced: a JSON integer (not
@@ -642,11 +637,9 @@ def shuffle_merge(fa: HNFiltration, fb: HNFiltration,
         if pick == "a":
             quotients.append(fa.quotients[ia])
             ia += 1
-        elif pick == "b":
+        else:  # the counts above leave only "b"
             quotients.append(fb.quotients[ib])
             ib += 1
-        else:
-            raise InvalidShuffleError(f"unknown shuffle tag {pick!r}")
         terms.append(fa.terms[ia] + fb.terms[ib])
     return HNFiltration(family, tuple(quotients), tuple(terms))
 

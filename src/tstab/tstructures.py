@@ -36,10 +36,10 @@ from collections.abc import Iterable, Sequence
 from .elliptic import EllipticStandard, StableClass
 from .errors import (BadParamsError, HomViolationError, InvalidCutError,
                      NotSlopeDescribableError, UnboundedError, UnsupportedFamilyError)
-from .families import INF, CoarseZ, ExceptionalP1, StandardP1
+from .families import CoarseZ, ExceptionalP1, StandardP1
 from .p1 import (DEFAULT_POINTS, DerivedObject, Indec, Line, Point, Torsion, hom_profile, line,
                  point_universe, torsion)
-from .slopes import ExtendedRational
+from .slopes import INF, ExtendedRational
 from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope, Report,
                         StabilityFamily, StandardSlope, Window)
 from .value import Value, assign
@@ -465,11 +465,6 @@ def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),
 
 
 # --- catalog ------------------------------------------------------------------------
-
-STANDARD_NAMES = ("A", "B", "C", "D")
-EXCEPTIONAL_NAMES = ("E", "F", "G", "H", "I")
-CATALOG_NAMES = STANDARD_NAMES + EXCEPTIONAL_NAMES
-
 
 class CatalogEntry(Value):
     """A named t-structure: family, cut, heart, and associated data."""

@@ -24,11 +24,17 @@ slope types.  Every other type, formal sums and K0 classes included, takes
 Pickle and copy rebuild a value by calling its class on its fields, so
 every `__init__` takes the fields in declaration order, and a value it
 has normalised comes back as it was.
+
+`INT_TEXT` is the one integer literal of specs, flags and documents.
 """
 
 from __future__ import annotations
 
 set_field = object.__setattr__  # how an __init__ sets a field past Value.__setattr__
+
+# ASCII digits with an optional sign.  Compiled on first use, through `re`'s
+# own cache, so commands that read none do not pay for it at import.
+INT_TEXT = r"[+-]?[0-9]+\Z"
 
 
 class FrozenInstanceError(AttributeError):

@@ -5,14 +5,18 @@ the benchmark under `perfbench/` imports library names directly, and its
 own smoke test is not part of this suite, so a rename in the library
 would otherwise break the benchmark without failing a test here.
 
-Importing the CLI must also stay cheap: every `tstab` command pays for it.
+Importing the CLI must also stay cheap: every `tstab` command pays for it,
+and each command loads only the modules it uses.
 """
 
 import ast
 import importlib
+import io
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -23,13 +27,65 @@ PERFBENCH = ROOT / "perfbench"
 HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 
 
-def test_cli_import_pulls_in_no_heavy_module():
-    # -S: no site hooks, which may import any of these on their own.
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tstab.cli; "
-            f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+SRC = ROOT / "src"
+SUBMODULES = sorted(path.stem for path in (SRC / "tstab").glob("*.py")
+                    if not path.stem.startswith("__"))
+
+
+def _in_fresh_process(code: str, *args: str, stdin_text: str = "") -> str:
+    """Run `code` with `src` first on sys.path; its stdout.  -S: no site
+    hooks, which may import any module on their own."""
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), *args], input=stdin_text,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_import_pulls_in_no_heavy_module():
+    # Every submodule, as the package and the CLI import them only on demand.
+    imports = "; ".join(f"import tstab.{name}" for name in SUBMODULES)
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); {imports}; "
+            f"print(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)))")
+    assert {"cli", "elliptic", "tstructures"} <= set(SUBMODULES)
+    assert _in_fresh_process(code).strip() == "[]"
+
+
+_BASE = ["cli", "errors", "p1", "slopes", "value"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["normalize", "O(1) + T(x,2)"], _BASE),
+    (["hom", "O(1)", "T(x,2)"], _BASE),
+    (["hn", "O(3) + T(x,2)", "--stability", "std"], [*_BASE, "families", "stability"]),
+    (["hn", "S(1,0,x)", "--stability", "ell"], [*_BASE, "elliptic", "families", "stability"]),
+    (["check", "hn"], [*_BASE, "families", "stability"]),
+], ids=["normalize", "hom", "hn-std", "hn-ell", "check-hn"])
+def test_each_command_loads_only_the_modules_it_uses(argv, loaded):
+    from tstab import cli
+    document = io.StringIO()
+    assert cli.run(["hn", "O(3)", "--stability", "exc", "--format", "json"], document) == 0
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import tstab.cli; "
+            "out = io.StringIO(); exit_code = tstab.cli.run(sys.argv[2:], out); "
+            "print(exit_code, sorted(m[6:] for m in sys.modules if m.startswith('tstab.')))")
+    exit_code, modules = _in_fresh_process(code, *argv, stdin_text=document.getvalue()).split(" ", 1)
+    assert exit_code == "0"
+    assert modules.strip() == repr(sorted(loaded))
+
+
+def test_package_names_resolve_on_first_access():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tstab; "
+            "print(sorted(m for m in sys.modules if m.startswith('tstab')))")
+    assert _in_fresh_process(code).strip() == "['tstab']"  # the package imports nothing itself
+    tstab = importlib.import_module("tstab")
+    public = [name for name in dir(tstab) if not name.startswith("_")]
+    assert set(SUBMODULES) <= set(public)
+    for name in public:
+        getattr(tstab, name)
+    for name in SUBMODULES:
+        assert getattr(tstab, name) is importlib.import_module(f"tstab.{name}")
+    assert tstab.INF is importlib.import_module("tstab.families").INF
+    assert set(tstab.__all__) == set(public)
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        tstab.nothing
 
 
 def _trees():

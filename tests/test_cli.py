@@ -437,6 +437,15 @@ def _assert_error(argv, message):
     assert (code, json.loads(out)) == (1, {"error": message}), argv
 
 
+def test_check_cut_at_p_inf_needs_b_minus_inf_below_a_finite_a():
+    code, out = _run("check", "cut", "--cut", "exc:a=0,b=0", "--k", "0", "--p", "inf",
+                     "--format", "json")
+    assert code == 1
+    assert json.loads(out)["checks"][0] == {
+        "name": "cut_constraints", "ok": False,
+        "detail": "at p = inf a non-maximal column-0 threshold forces b = -inf"}
+
+
 def test_standard_cut_point_sets():
     code, out = _run("truncate", "T(x,1) + T(y,1) + T(z,1)", "--cut", "std:m=0,K=inf,P=y;z",
                      "--points", "x,y,z", "--format", "json")
@@ -580,9 +589,31 @@ def test_setting_flags_are_read_like_config_lines(argv, message):
     ("hom", "O(0)", "O(2)", "--degree", " 0_0"),
 ], ids=["window-samples", "samples-space", "compare-window", "degree"])
 def test_subcommand_integers_take_plain_integers_only(argv, capsys):
-    for fmt in ((), ("--format", "json")):
-        assert _run(*argv, *fmt) == (2, ""), fmt
-        assert "invalid int value" in capsys.readouterr().err
+    code, out = _run(*argv)
+    assert code == 2 and out.startswith("error: argument --") and "invalid int value" in out
+    code, out = _run(*argv, "--format", "json")
+    assert code == 2 and "invalid int value" in json.loads(out)["error"]
+    assert capsys.readouterr().err == ""
+
+
+def test_argparse_usage_errors_print_in_the_documented_shape(capsys):
+    message = "argument --window: invalid int value: '1_0'"
+    argv = ("check", "stability", "--window", "1_0")
+    assert _run(*argv, "--format", "json") == (2, json.dumps({"error": message}, indent=2) + "\n")
+    assert _run(*argv, "--format=json") == (2, json.dumps({"error": message}, indent=2) + "\n")
+    assert _run(*argv) == (2, f"error: {message}\n")
+    assert _run("check", "stability", "--format", "yaml") == \
+        (2, "error: argument --format: invalid choice: 'yaml' (choose from 'text', 'json')\n")
+    code, out = _run("frobnicate", "--format", "json")
+    assert code == 2 and "invalid choice: 'frobnicate'" in json.loads(out)["error"]
+    code, out = _run("hn", "O(1)", "--format", "json")
+    assert (code, json.loads(out)) == (2, {"error": "the following arguments are required: "
+                                                    "--stability"})
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:  # --help prints argparse's help and exits 0
+        build_parser().parse_args(["hn", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: tstab hn")
+    assert _run("hn", "--help") == (0, "")
 
 
 def test_an_empty_points_flag_declares_no_order(tmp_path):
@@ -871,7 +902,7 @@ def _assert_clean_exit(argv, stdin_text=None):
     finally:
         sys.stdin = saved
     assert code in (0, 1, 2), (argv, stdin_text, out)
-    if "--format" in argv and code != 2:
+    if "--format" in argv:
         payload = json.loads(out)
         if code == 0:
             assert payload.get("ok", True) is True

@@ -227,6 +227,13 @@ def test_explicit_shuffle_preserves_sources():
         shuffle_merge(fa, EXC0.hn(line(0)))
 
 
+def test_a_shuffle_with_a_tag_other_than_a_or_b_is_refused():
+    fa, fb = STD.hn(line(0)), STD.hn(line(1))
+    for mode in (["c"], ["a", "c"], ["a", "b", "c"], ["a", "b", "b"]):
+        with pytest.raises(InvalidShuffleError, match="exactly once, in order"):
+            shuffle_merge(fa, fb, mode)
+
+
 def test_hn_of_sum_equals_merge():
     rng = random.Random(21)
     for fam in (STD, EXC0, ExceptionalP1(-1, 2), CoarseZ()):

@@ -11,7 +11,7 @@ from tstab.errors import (BadParamsError, HomViolationError, InvalidCutError,
 from tstab.families import INF, CoarseZ, ExceptionalP1, StandardP1
 from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, point_resolver, torsion
 from tstab.slopes import Ordering
-from tstab.stability import Window
+from tstab.stability import CheckItem, Window
 from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, HeartDescription,
                                StandardCut, TorsionPair, apply_twist_shift, canonical_cut,
                                catalog, catalog_entries, classify_bounded_cut, cut_is_valid,
@@ -68,6 +68,13 @@ def test_cut_family_mismatch():
     assert not validate_cut(StandardCut(0, 0, None), ExceptionalP1(0, 0)).ok
     with pytest.raises(InvalidCutError):
         truncate(line(0), ExceptionalCut(0, -2), STD3)
+
+
+def test_a_coarse_cut_needs_the_coarse_family():
+    report = validate_cut(CoarseCut(0), StandardP1())
+    assert not report.ok
+    assert report.checks[0] == CheckItem("cut_constraints", False,
+                                         "a coarse cut needs the coarse family")
 
 
 def test_standard_cut_canonicalisation():
