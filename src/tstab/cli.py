@@ -14,9 +14,10 @@ document shares one memo over all its objects); the `_SUMMAND` regex
 takes every other summand it matches, `_Scanner` the rest (zeros such
 as ``0[1]``, non-ASCII digits, malformed text, whose error it raises).
 
-Cut specifications: ``std:m=M,K=<int|inf|-inf>,P=<lbl;lbl|all|none>``,
-``exc:a=<int|inf|-inf>,b=<int|inf|-inf>`` and ``coarse:m=M``.  Family
-specifications: ``std``, ``coarse``, ``exc:k=K,p=<nat|inf>``, ``ell``.
+Cut specifications: ``std:m=M,K=<int|inf|-inf>,P=<lbl;lbl|all|none>``
+(a P other than ``all`` needs ``K=inf``), ``exc:a=<int|inf|-inf>,b=<int|inf|-inf>``
+and ``coarse:m=M``.  Family specifications: ``std``, ``coarse``,
+``exc:k=K,p=<nat|inf>``, ``ell``.
 
 Session configuration is a plain ``key = value`` file (``points = x,y,z``
 fixes the point order; ``k``, ``p``, ``format``, ``seed`` supply
@@ -421,6 +422,8 @@ def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, Stabilit
     values = [_point_set(fields.get(name, default)) if name == "P"
               else _int_field(fields.get(name, default), name, spec, infinite)
               for name, default, infinite in table]
+    if kind == "std" and values[1] != INF and fields.get("P", "all") != "all":
+        raise TStabError(f"P must be all unless K = inf, got {fields['P']!r} in {spec!r}")
     return getattr(tstructures, cls_name)(*values), parse_famspec(kind, session)
 
 

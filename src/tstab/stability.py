@@ -291,11 +291,22 @@ class HNFiltration(Value):
 class StabilityFamily:
     """Interface shared by the concrete stability families.
 
-    Subclasses fix the slope order (`slope_key`, `tau`), the object
-    model (`zero`, whose type is the family's `FormalSum` subclass) and
-    the per-atom slopes (`slope_of_term`); a family whose atoms are not
-    all semistable also overrides `term_filtration`.  The generic engine
-    assembles full filtrations from those.
+    Subclasses fix the slope order, the object model (`zero`, whose type
+    is the family's `FormalSum` subclass) and the per-atom slopes; a
+    family whose atoms are not all semistable also overrides
+    `term_filtration`.  The generic engine assembles full filtrations
+    from those.  Each subclass gives:
+
+    * `slope_key(s)`: an exact key (ints, tuples, Fractions) whose natural
+      order is the slope order; a slope of another family raises TypeError;
+    * `tau(s, n=1)`: tau^n, for any integer n;
+    * `slope_json(s)`, `slope_from_json(data)` and `descriptor()`: a slope
+      as a JSON dict and back, and the family as one;
+    * `slope_of_term(term)`: the slope of a semistable generator term, or
+      None if it is not a generator;
+    * `window_generators(window)`: single-generator objects spanning the
+      window's slopes;
+    * `random_object(rng, window)`: a random object of the window.
     """
 
     kind = "abstract"
@@ -304,17 +315,8 @@ class StabilityFamily:
 
     # -- slope order --
 
-    def slope_key(self, s):
-        """An exact key (ints, tuples, Fractions) whose natural order is the
-        slope order; a slope of another family raises TypeError."""
-        raise NotImplementedError
-
     def compare(self, a, b) -> Ordering:
         return Ordering.of(self.slope_key(a), self.slope_key(b))
-
-    def tau(self, s, n: int = 1):
-        """tau^n, for any integer n."""
-        raise NotImplementedError
 
     # -- object model --
 
@@ -330,20 +332,7 @@ class StabilityFamily:
     def render_slope(self, s) -> str:
         return repr(s)
 
-    def slope_json(self, s) -> dict:
-        raise NotImplementedError
-
-    def slope_from_json(self, data: dict):
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        raise NotImplementedError
-
     # -- per-term HN data --
-
-    def slope_of_term(self, term):
-        """Slope of a semistable generator term, or None if not a generator."""
-        raise NotImplementedError
 
     def term_filtration(self, term, mult: int) -> tuple[tuple[object, object], ...]:
         """The HN quotients of `mult` copies of one atom, ascending in slope,
@@ -382,15 +371,6 @@ class StabilityFamily:
         self._require(x)
         slopes = {self.slope_of_term(term) for term, _ in x.summands()}  # None for a non-generator
         return slopes.pop() if len(slopes) == 1 else None
-
-    # -- finite windows --
-
-    def window_generators(self, window: Window) -> list:
-        """Single-generator objects spanning the window's slopes."""
-        raise NotImplementedError
-
-    def random_object(self, rng: random.Random, window: Window):
-        raise NotImplementedError
 
 
 def merge_towers(family: StabilityFamily,

@@ -4,24 +4,9 @@ A cut splits a family's slope set into a down-set and an up-set
 (every slope of the first below every slope of the second); the up-set
 spans the aisle T^{<=0}, the shifted down-set spans T^{>=0}, and the
 heart is spanned by the slopes lying in the up-set whose tau-preimage
-lies in the down-set.  Cuts are finite descriptions, not raw sets:
-
-* `StandardCut(m, K, P)` over the standard family: a line bundle slope
-  (i, n) is in the up-set iff i >= m+1 when n < K, iff i >= m
-  otherwise; a point slope (i, x) iff i >= m when K < +inf or x is in
-  P, iff i >= m+1 otherwise (P = None means all points).  Up-closure
-  forces exactly this two-value threshold shape.
-* `ExceptionalCut(a, b)` over the pair (O(k), O(k+1)): column 0 enters
-  the up-set at shift a, column 1 at shift b.  For interleaving
-  parameter p, up-closure pins b to a-p-2 or a-p-1 when both are
-  finite; at p = inf a finite a forces b = -inf.
-* `CoarseCut(m)`: the up-set is everything at shift >= m.
-* `EllipticCut(m, q, P)` over the elliptic family: the tilt of the
-  heart at slope q (in [0, 1), or inf) and point set P, placed at
-  shift m.  A slope (i, S(r,d,x)) is in the up-set iff i > m, or
-  i = m and mu > q, or mu = q with x not in P.  Up-closure forces P to
-  be down-closed in the point order.  The catalog, the classifier,
-  twists, diagrams and heart generators cover the P1 cuts only.
+lies in the down-set.  Cuts are finite descriptions, not raw sets: each
+kind is a `SlopeCut` class that owns its rules, and the module functions
+below are thin calls into the cut.
 
 `catalog` returns the nine named bounded/unbounded t-structures
 (A, B, C, D(P) on the standard side; E(p), F(p), G, H, I on the
@@ -53,17 +38,85 @@ def _fmt_bound(v) -> str:
     return str(int(v))
 
 
+def _degrees_around(K: int | float, radius: int) -> range:
+    """Line degrees within radius of a threshold K, of 0 when K is infinite."""
+    center = 0 if K in (INF, -INF) else int(K)
+    return range(center - radius, center + radius + 1)
+
+
+def _render_line_gen(n: int, i: int) -> str:
+    return (f"O[{i}]" if n == 0 else f"O({n})[{i}]")
+
+
 # --- cuts ---------------------------------------------------------------------
 
-class StandardCut(Value):
+class SlopeCut(Value):
+    """A cut of one kind of family's slope set; each kind owns its rules.
+
+    A kind names the family it cuts (`family_type`, and the `mismatch`
+    reason for any other) and gives its up-set (`in_plus`), analytic
+    constraints (`constraint_reason`), window of slopes around the cut
+    (`window`), image under a twist and a shift (`twisted`), heart
+    generators (`heart_generators`), catalog class (`catalog_class`) and
+    the diagram token of a slope (`token`).  The family check, the
+    defaults and the order of the checks in `classify` and `diagram`
+    are shared here.
+    """
+
+    __slots__ = ()
+    family_type: type  # the family whose slope set the cut splits
+    mismatch: str      # the validity reason over any other family
+
+    def validity_reason(self, family: StabilityFamily) -> str | None:
+        """None if valid, else the reason the cut is not an up-closed decomposition."""
+        if not isinstance(family, self.family_type):
+            return self.mismatch
+        return self.constraint_reason(family)
+
+    def constraint_reason(self, family: StabilityFamily) -> str | None:
+        """The analytic constraints over a family of `family_type`; none by default."""
+        return None
+
+    def bounded(self) -> bool:
+        """Whether the induced t-structure is bounded; finite thresholds always are."""
+        return True
+
+    def generator_objects(self, family: StabilityFamily) -> list[DerivedObject]:
+        raise NotSlopeDescribableError("only exceptional hearts have finitely many generators")
+
+    def classify(self, family: StabilityFamily) -> Classification:
+        """The catalog class of a valid bounded cut (see `classify_bounded_cut`)."""
+        if not is_bounded(self, family):
+            raise UnboundedError("only bounded cuts are classified")
+        return self.catalog_class(family)
+
+    def diagram(self, family: StabilityFamily, radius: int) -> str:
+        """The slope line of `diagram`."""
+        require_valid_cut(self, family)
+        slopes = sorted(self.window(family, radius), key=family.slope_key)
+        heart = HeartDescription(family, self)
+        cells = [(self.token(family, s), "^" if heart.contains_slope(s) else " ") for s in slopes]
+        top = next((j for j, s in enumerate(slopes) if self.in_plus(s)), len(slopes))
+        cells.insert(top, ("][", " "))  # the cut, before the lowest up slope
+        line1 = "  ".join(["...", *(token for token, _ in cells), "..."])
+        line2 = "  ".join(["   ", *(mark.ljust(len(token)) for token, mark in cells)])
+        return line1.rstrip() + "\n" + line2.rstrip()
+
+
+class StandardCut(SlopeCut):
     """Two-value threshold cut of the standard slope set.
 
-    Canonicalised at construction: P is dropped when K < +inf (the
-    point threshold is then forced to m), and the empty point set at
-    K = +inf collapses to the constant threshold m+1.
+    A line bundle slope (i, n) is in the up-set iff i >= m+1 when n < K,
+    iff i >= m otherwise; a point slope (i, x) iff i >= m when K < +inf or
+    x is in P, iff i >= m+1 otherwise (P = None means all points).
+    Up-closure forces exactly this shape, and P to be up-closed in the
+    point order.  Canonicalised at construction: P is dropped when
+    K < +inf (the point threshold is then forced to m), and the empty
+    point set at K = +inf collapses to the constant threshold m+1.
     """
 
     __slots__ = ("m", "K", "P")
+    family_type, mismatch = StandardP1, "a standard cut needs the standard family"
 
     def __init__(self, m: int, K: int | float = -INF, P: frozenset[str] | None = None):
         if P is not None:
@@ -91,11 +144,58 @@ class StandardCut(Value):
         pts = "all" if self.P is None else ";".join(sorted(self.P))
         return f"std:m={self.m},K={_fmt_bound(self.K)},P={pts}"
 
+    def constraint_reason(self, family: StandardP1) -> str | None:
+        return None if self.P is None else _point_set_reason(self.P, family.point_labels, up=True)
 
-class ExceptionalCut(Value):
-    """Columnwise cut of an exceptional slope set: thresholds a and b."""
+    def window(self, family: StandardP1, radius: int) -> list[StandardSlope]:
+        levels = (*_degrees_around(self.K, radius), *point_universe(family.point_labels))
+        return [StandardSlope(i, level)
+                for i in range(self.m - radius, self.m + radius + 2) for level in levels]
+
+    def twisted(self, twist: int, shift: int) -> StandardCut:
+        return StandardCut(self.m + shift, self.K + twist, self.P)
+
+    def heart_generators(self, family: StandardP1) -> list[str]:
+        m, K, P = self.m, self.K, self.P
+        if K == -INF:
+            return [f"O(n)[{m}] (n in Z)", f"O_x[{m}] (x in P1)"]
+        if K == INF:
+            if P is None:
+                return [f"O_x[{m}] (x in P1)", f"O(n)[{m + 1}] (n in Z)"]
+            inside = ",".join(lbl for lbl in family.point_labels if lbl in P)
+            return [f"O_x[{m}] (x in {{{inside}}})",
+                    f"O(n)[{m + 1}] (n in Z)",
+                    f"O_x[{m + 1}] (x not in {{{inside}}})"]
+        return [f"O(n)[{m}] (n >= {int(K)})", f"O_x[{m}] (x in P1)",
+                f"O(n)[{m + 1}] (n < {int(K)})"]
+
+    def catalog_class(self, family: StandardP1) -> Classification:
+        m, K, P = self.m, self.K, self.P
+        if K == -INF:
+            return Classification("A", (), 0, m)
+        if K == INF:
+            # a point set covering the whole declared universe is P = all
+            if P is None or (family.point_labels and P >= set(family.point_labels)):
+                return Classification("C", (), 0, m)
+            return Classification("D", (("P", P),), 0, m)
+        return Classification("B", (), int(K), m)
+
+    def token(self, family: StandardP1, s: StandardSlope) -> str:
+        if isinstance(s.level, Point):
+            return f"O_{s.level.label}[{s.i}]"
+        return _render_line_gen(s.level, s.i)
+
+
+class ExceptionalCut(SlopeCut):
+    """Columnwise cut of the exceptional slope set of the pair (O(k), O(k+1)).
+
+    Column 0 enters the up-set at shift a, column 1 at shift b.  For
+    interleaving parameter p, up-closure pins b to a-p-2 or a-p-1 when
+    both are finite; at p = inf a finite a forces b = -inf.
+    """
 
     __slots__ = ("a", "b")
+    family_type, mismatch = ExceptionalP1, "an exceptional cut needs an exceptional family"
 
     def __init__(self, a: int | float, b: int | float):
         assign(self, locals())
@@ -106,11 +206,59 @@ class ExceptionalCut(Value):
     def spec(self) -> str:
         return f"exc:a={_fmt_bound(self.a)},b={_fmt_bound(self.b)}"
 
+    def constraint_reason(self, family: ExceptionalP1) -> str | None:
+        a, b, p = self.a, self.b, family.p
+        if a == -INF:
+            return None if b == -INF else "a = -inf forces b = -inf"
+        if p == INF:
+            if a == INF or b == -INF:
+                return None
+            return "at p = inf a non-maximal column-0 threshold forces b = -inf"
+        if a == INF:
+            return None if b == INF else "at finite p, a = inf forces b = inf"
+        if b in (a - p - 2, a - p - 1):
+            return None
+        return (f"at p = {p}, b must be {_fmt_bound(a - p - 2)} or {_fmt_bound(a - p - 1)}, "
+                f"got {_fmt_bound(b)}")
 
-class CoarseCut(Value):
-    """Cut of the coarse slope set at shift m."""
+    def window(self, family: ExceptionalP1, radius: int) -> list[ExceptionalSlope]:
+        finite = [v for v in (self.a, self.b) if v not in (INF, -INF)]
+        center = int(finite[0]) if finite else 0
+        return [ExceptionalSlope(i, c)
+                for i in range(center - radius - 3, center + radius + 4) for c in (0, 1)]
+
+    def bounded(self) -> bool:
+        return self.a not in (INF, -INF) and self.b not in (INF, -INF)
+
+    def twisted(self, twist: int, shift: int) -> ExceptionalCut:
+        return ExceptionalCut(self.a + shift, self.b + shift)
+
+    def _heart_lines(self, family: ExceptionalP1) -> list[tuple[int, int]]:
+        """(degree, shift) of the heart's line bundle in each column of finite threshold."""
+        return [(family.k + col, int(v)) for col, v in enumerate((self.a, self.b))
+                if v not in (INF, -INF)]
+
+    def heart_generators(self, family: ExceptionalP1) -> list[str]:
+        return [_render_line_gen(n, i) for n, i in self._heart_lines(family)]
+
+    def generator_objects(self, family: ExceptionalP1) -> list[DerivedObject]:
+        return [line(n, i) for n, i in self._heart_lines(family)]
+
+    def catalog_class(self, family: ExceptionalP1) -> Classification:
+        b, p = int(self.b), family.p
+        if b == int(self.a) - p - 2:
+            return Classification("E", (("p", p),), family.k, b + 2)
+        return Classification("F", (("p", p),), family.k, b + 1)
+
+    def token(self, family: ExceptionalP1, s: ExceptionalSlope) -> str:
+        return _render_line_gen(family.k + s.col, s.i)
+
+
+class CoarseCut(SlopeCut):
+    """Cut of the coarse slope set: the up-set is everything at shift >= m."""
 
     __slots__ = ("m",)
+    family_type, mismatch = CoarseZ, "a coarse cut needs the coarse family"
 
     def __init__(self, m: int):
         assign(self, locals())
@@ -121,12 +269,41 @@ class CoarseCut(Value):
     def spec(self) -> str:
         return f"coarse:m={self.m}"
 
+    def window(self, family: CoarseZ, radius: int) -> list[CoarseSlope]:
+        return [CoarseSlope(i) for i in range(self.m - radius, self.m + radius + 2)]
 
-class EllipticCut(Value):
-    """Tilt of the elliptic heart at slope q and point set P, at shift m; q is
-    an `ExtendedRational` (`PLUS_INFINITY` for inf), or an int or Fraction."""
+    def twisted(self, twist: int, shift: int) -> CoarseCut:
+        return CoarseCut(self.m + shift)
+
+    def heart_generators(self, family: CoarseZ) -> list[str]:
+        return [f"Coh[{self.m}]"]
+
+    def catalog_class(self, family: CoarseZ) -> Classification:
+        return Classification("A", (), 0, self.m)
+
+    def token(self, family: CoarseZ, s: CoarseSlope) -> str:
+        return f"Coh[{s.i}]"
+
+
+def _p1_notion(what: str):
+    """A method refusing an elliptic cut: `what` covers the P1 cuts only."""
+    def refuse(self, *args):
+        raise UnsupportedFamilyError(f"{what} covers the P1 cuts only, not an elliptic cut")
+    return refuse
+
+
+class EllipticCut(SlopeCut):
+    """Tilt of the elliptic heart at slope q and point set P, at shift m.
+
+    q is an `ExtendedRational` (`PLUS_INFINITY` for inf), or an int or a
+    Fraction, in [0, 1) or inf.  A slope (i, S(r,d,x)) is in the up-set iff
+    i > m, or i = m and mu > q, or mu = q with x not in P; up-closure forces
+    P to be down-closed in the point order.  The catalog, the classifier,
+    twists, diagrams and heart generators are P1 notions, which it refuses.
+    """
 
     __slots__ = ("m", "q", "P")
+    family_type, mismatch = EllipticStandard, "an elliptic cut needs the elliptic family"
 
     def __init__(self, m: int, q, P: Iterable[str] = ()):
         if not isinstance(q, ExtendedRational):
@@ -139,25 +316,25 @@ class EllipticCut(Value):
             return s.i > self.m
         return s.mu > self.q or (s.mu == self.q and s.cls.x.label not in self.P)
 
+    def constraint_reason(self, family: EllipticStandard) -> str | None:
+        q = self.q
+        if not q.is_infinite and not 0 <= q.value < 1:
+            return f"tilting slope must lie in [0, 1) or be inf, got {q!r}"
+        return _point_set_reason(self.P, family.point_labels, up=False)
 
-SlopeCut = StandardCut | ExceptionalCut | CoarseCut | EllipticCut
+    def window(self, family: EllipticStandard, radius: int) -> list[EllipticSlope]:
+        # ranks up to 2 near the cut, and every point's class of slope q (at inf, skyscrapers)
+        points, q = point_universe(family.point_labels), self.q.value
+        classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
+        if q is not None:
+            classes += [StableClass(q.denominator, q.numerator, pt) for pt in points]
+        return [EllipticSlope(i, cls) for i in range(self.m - 1, self.m + 2)
+                for cls in dict.fromkeys(classes)]
 
-
-def _p1_only(cut: SlopeCut, what: str) -> None:
-    if isinstance(cut, EllipticCut):
-        raise UnsupportedFamilyError(f"{what} covers the P1 cuts only, not an elliptic cut")
-
-
-def _check_cut_family(cut: SlopeCut, family: StabilityFamily) -> str | None:
-    if isinstance(cut, StandardCut) and not isinstance(family, StandardP1):
-        return "a standard cut needs the standard family"
-    if isinstance(cut, ExceptionalCut) and not isinstance(family, ExceptionalP1):
-        return "an exceptional cut needs an exceptional family"
-    if isinstance(cut, CoarseCut) and not isinstance(family, CoarseZ):
-        return "a coarse cut needs the coarse family"
-    if isinstance(cut, EllipticCut) and not isinstance(family, EllipticStandard):
-        return "an elliptic cut needs the elliptic family"
-    return None
+    twisted = _p1_notion("apply_twist_shift")
+    classify = _p1_notion("classify_bounded_cut")
+    diagram = _p1_notion("diagram")
+    heart_generators = generator_objects = _p1_notion("heart generators")
 
 
 def _point_set_reason(P: frozenset[str], labels: tuple[str, ...], up: bool) -> str | None:
@@ -176,60 +353,8 @@ def _point_set_reason(P: frozenset[str], labels: tuple[str, ...], up: bool) -> s
     return None
 
 
-def _cut_validity_reason(cut: SlopeCut, family: StabilityFamily) -> str | None:
-    """None if valid, else the reason the cut is not an up-closed decomposition."""
-    mismatch = _check_cut_family(cut, family)
-    if mismatch:
-        return mismatch
-    if isinstance(cut, CoarseCut):
-        return None
-    if isinstance(cut, StandardCut):
-        return None if cut.P is None else _point_set_reason(cut.P, family.point_labels, up=True)
-    if isinstance(cut, EllipticCut):
-        q = cut.q
-        if not q.is_infinite and not 0 <= q.value < 1:
-            return f"tilting slope must lie in [0, 1) or be inf, got {q!r}"
-        return _point_set_reason(cut.P, family.point_labels, up=False)
-    a, b, p = cut.a, cut.b, family.p
-    if a == -INF:
-        return None if b == -INF else "a = -inf forces b = -inf"
-    if p == INF:
-        if a == INF or b == -INF:
-            return None
-        return "at p = inf a non-maximal column-0 threshold forces b = -inf"
-    if a == INF:
-        return None if b == INF else "at finite p, a = inf forces b = inf"
-    if b in (a - p - 2, a - p - 1):
-        return None
-    return f"at p = {p}, b must be {_fmt_bound(a - p - 2)} or {_fmt_bound(a - p - 1)}, got {_fmt_bound(b)}"
-
-
 def cut_is_valid(cut: SlopeCut, family: StabilityFamily) -> bool:
-    return _cut_validity_reason(cut, family) is None
-
-
-def _window_slopes(cut: SlopeCut, family: StabilityFamily, radius: int) -> list:
-    if isinstance(cut, StandardCut):
-        center = cut.m
-        degrees = range(-radius, radius + 1) if cut.K in (INF, -INF) else \
-            range(int(cut.K) - radius, int(cut.K) + radius + 1)
-        levels = (*degrees, *point_universe(family.point_labels))
-        return [StandardSlope(i, level)
-                for i in range(center - radius, center + radius + 2) for level in levels]
-    if isinstance(cut, ExceptionalCut):
-        finite = [v for v in (cut.a, cut.b) if v not in (INF, -INF)]
-        center = int(finite[0]) if finite else 0
-        return [ExceptionalSlope(i, c)
-                for i in range(center - radius - 3, center + radius + 4) for c in (0, 1)]
-    if isinstance(cut, EllipticCut):
-        # ranks up to 2 near the cut, and every point's class of slope q (at inf, skyscrapers)
-        points, q = point_universe(family.point_labels), cut.q.value
-        classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
-        if q is not None:
-            classes += [StableClass(q.denominator, q.numerator, pt) for pt in points]
-        return [EllipticSlope(i, cls) for i in range(cut.m - 1, cut.m + 2)
-                for cls in dict.fromkeys(classes)]
-    return [CoarseSlope(i) for i in range(cut.m - radius, cut.m + radius + 2)]
+    return cut.validity_reason(family) is None
 
 
 def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Report:
@@ -241,11 +366,10 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
     one pass finds that key; the detail names the first such up slope in
     window order, and the first down slope above it.
     """
-    checks = []
-    reason = _cut_validity_reason(cut, family)
-    checks.append(CheckItem("cut_constraints", reason is None, reason or ""))
-    if _check_cut_family(cut, family) is None:
-        slopes = _window_slopes(cut, family, radius)
+    reason = cut.validity_reason(family)
+    checks = [CheckItem("cut_constraints", reason is None, reason or "")]
+    if isinstance(family, cut.family_type):
+        slopes = cut.window(family, radius)
         keyed = [(s, family.slope_key(s), cut.in_plus(s)) for s in slopes]
         top_down = max((key for _, key, up in keyed if not up), default=None)
         low = next(((s, key) for s, key, up in keyed
@@ -261,7 +385,7 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
 
 
 def require_valid_cut(cut: SlopeCut, family: StabilityFamily) -> None:
-    reason = _cut_validity_reason(cut, family)
+    reason = cut.validity_reason(family)
     if reason is not None:
         raise InvalidCutError(reason)
 
@@ -293,10 +417,6 @@ def truncate(x: DerivedObject, cut: SlopeCut, family: StabilityFamily
 
 # --- hearts -----------------------------------------------------------------------
 
-def _render_line_gen(n: int, i: int) -> str:
-    return (f"O[{i}]" if n == 0 else f"O({n})[{i}]")
-
-
 class HeartDescription(Value):
     """The heart of the t-structure induced by a cut.
 
@@ -315,42 +435,11 @@ class HeartDescription(Value):
         return self.cut.in_plus(s) and not self.cut.in_plus(self.family.tau(s, -1))
 
     def generators(self) -> list[str]:
-        _p1_only(self.cut, "heart generators")
-        cut, family = self.cut, self.family
-        if isinstance(cut, CoarseCut):
-            return [f"Coh[{cut.m}]"]
-        if isinstance(cut, ExceptionalCut):
-            gens = []
-            if cut.a not in (INF, -INF):
-                gens.append(_render_line_gen(family.k, int(cut.a)))
-            if cut.b not in (INF, -INF):
-                gens.append(_render_line_gen(family.k + 1, int(cut.b)))
-            return gens
-        m, K, P = cut.m, cut.K, cut.P
-        if K == -INF:
-            return [f"O(n)[{m}] (n in Z)", f"O_x[{m}] (x in P1)"]
-        if K == INF:
-            if P is None:
-                return [f"O_x[{m}] (x in P1)", f"O(n)[{m + 1}] (n in Z)"]
-            inside = ",".join(lbl for lbl in self.family.point_labels if lbl in P)
-            return [f"O_x[{m}] (x in {{{inside}}})",
-                    f"O(n)[{m + 1}] (n in Z)",
-                    f"O_x[{m + 1}] (x not in {{{inside}}})"]
-        return [f"O(n)[{m}] (n >= {int(K)})", f"O_x[{m}] (x in P1)",
-                f"O(n)[{m + 1}] (n < {int(K)})"]
+        return self.cut.heart_generators(self.family)
 
     def generator_objects(self) -> list[DerivedObject]:
         """Concrete generators; only exceptional hearts have finitely many."""
-        _p1_only(self.cut, "heart generators")
-        cut, family = self.cut, self.family
-        if isinstance(cut, ExceptionalCut):
-            gens = []
-            if cut.a not in (INF, -INF):
-                gens.append(line(family.k, int(cut.a)))
-            if cut.b not in (INF, -INF):
-                gens.append(line(family.k + 1, int(cut.b)))
-            return gens
-        raise NotSlopeDescribableError("only exceptional hearts have finitely many generators")
+        return self.cut.generator_objects(self.family)
 
 
 def heart_slopes(cut: SlopeCut, family: StabilityFamily) -> HeartDescription:
@@ -368,15 +457,9 @@ def heart_contains(x: DerivedObject, cut: SlopeCut, family: StabilityFamily) -> 
 
 
 def is_bounded(cut: SlopeCut, family: StabilityFamily) -> bool:
-    """Whether the induced t-structure is bounded.
-
-    Standard, coarse and elliptic cuts always are (their thresholds are finite);
-    an exceptional cut is bounded iff both column thresholds are.
-    """
+    """Whether the induced t-structure is bounded (see the cut kind's `bounded`)."""
     require_valid_cut(cut, family)
-    if isinstance(cut, ExceptionalCut):
-        return cut.a not in (INF, -INF) and cut.b not in (INF, -INF)
-    return True
+    return cut.bounded()
 
 
 # --- torsion pairs ----------------------------------------------------------------
@@ -444,10 +527,8 @@ def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),
     HomViolationError, and a pair whose cut would not be up-closed in
     the session's point order raises NotSlopeDescribableError.
     """
-    degrees = range(-radius, radius + 1) if pair.line_threshold in (INF, -INF) else \
-        range(int(pair.line_threshold) - radius, int(pair.line_threshold) + radius + 1)
     first, second = [], []
-    for n in degrees:
+    for n in _degrees_around(pair.line_threshold, radius):
         (first if pair.in_first(Line(n)) else second).append(line(n))
     for pt in point_universe(family.point_labels):
         for d in (1, 2):
@@ -458,7 +539,7 @@ def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),
                 raise HomViolationError(
                     f"Hom^0({a.render()}, {b.render()}) != 0 across the claimed pair")
     cut = StandardCut(0, pair.line_threshold, pair.torsion_points)
-    reason = _cut_validity_reason(cut, family)
+    reason = cut.validity_reason(family)
     if reason is not None:
         raise NotSlopeDescribableError(reason)
     return cut
@@ -531,7 +612,7 @@ def catalog(name: str, p: int | None = None, P: Iterable[str] | None = None,
         if not pset or pset >= set(points):
             raise BadParamsError("D needs a nonempty proper subset of the point universe")
         cut = StandardCut(0, INF, pset)
-        reason = _cut_validity_reason(cut, std)
+        reason = cut.validity_reason(std)
         if reason is not None:
             raise BadParamsError(reason)
         return CatalogEntry("D", (("P", pset),), std, cut,
@@ -563,7 +644,7 @@ def catalog_entries(points: Sequence[str] = DEFAULT_POINTS, p: int = 0) -> list[
             catalog("G"), catalog("H"), catalog("I")]
 
 
-# --- classification -----------------------------------------------------------------
+# --- classification and diagrams ----------------------------------------------------
 
 class Classification(Value):
     """Catalog name plus the twist/shift normalising the input cut onto it."""
@@ -584,23 +665,7 @@ class Classification(Value):
 
 def apply_twist_shift(cut: SlopeCut, twist: int, shift: int) -> SlopeCut:
     """The image of a cut under tensoring by O(twist) and shifting by [shift]."""
-    _p1_only(cut, "apply_twist_shift")
-    if isinstance(cut, StandardCut):
-        K = cut.K if cut.K in (INF, -INF) else cut.K + twist
-        return StandardCut(cut.m + shift, K, cut.P)
-    if isinstance(cut, ExceptionalCut):
-        def move(v):
-            return v if v in (INF, -INF) else v + shift
-        return ExceptionalCut(move(cut.a), move(cut.b))
-    return CoarseCut(cut.m + shift)
-
-
-def canonical_cut(cut: SlopeCut, family: StabilityFamily) -> SlopeCut:
-    """Cut with a point set covering the whole universe rewritten to P = all."""
-    if isinstance(cut, StandardCut) and cut.P is not None and family.point_labels \
-            and set(cut.P) >= set(family.point_labels):
-        return StandardCut(cut.m, cut.K, None)
-    return cut
+    return cut.twisted(twist, shift)
 
 
 def classify_bounded_cut(cut: SlopeCut, family: StabilityFamily) -> Classification:
@@ -609,62 +674,13 @@ def classify_bounded_cut(cut: SlopeCut, family: StabilityFamily) -> Classificati
     Returns the catalog name with parameters and the witnessing
     autoequivalence data: applying the twist and shift to the catalog
     cut reproduces the input cut (and the twist maps the catalog family
-    onto the input family on the exceptional side).
+    onto the input family on the exceptional side).  A standard point
+    set covering the whole declared universe classifies as P = all.
     """
-    _p1_only(cut, "classify_bounded_cut")
-    require_valid_cut(cut, family)
-    if not is_bounded(cut, family):
-        raise UnboundedError("only bounded cuts are classified")
-    if isinstance(cut, CoarseCut):
-        return Classification("A", (), 0, cut.m)
-    if isinstance(cut, StandardCut):
-        cut = canonical_cut(cut, family)
-        if cut.K == -INF:
-            return Classification("A", (), 0, cut.m)
-        if cut.K == INF:
-            if cut.P is None:
-                return Classification("C", (), 0, cut.m)
-            return Classification("D", (("P", cut.P),), 0, cut.m)
-        return Classification("B", (), int(cut.K), cut.m)
-    a, b, p = int(cut.a), int(cut.b), family.p
-    if b == a - p - 2:
-        return Classification("E", (("p", p),), family.k, b + 2)
-    return Classification("F", (("p", p),), family.k, b + 1)
-
-
-# --- diagrams ------------------------------------------------------------------------
-
-def _slope_token(family: StabilityFamily, s) -> str:
-    if isinstance(s, StandardSlope):
-        if isinstance(s.level, Point):
-            return f"O_{s.level.label}[{s.i}]"
-        return _render_line_gen(s.level, s.i)
-    if isinstance(s, ExceptionalSlope):
-        n = family.k + s.col
-        return _render_line_gen(n, s.i)
-    return f"Coh[{s.i}]"
+    return cut.classify(family)
 
 
 def diagram(cut: SlopeCut, family: StabilityFamily, radius: int = 2) -> str:
     """ASCII slope line: generators in ascending order, the cut marked by
     "][", and "^" under the heart slopes."""
-    _p1_only(cut, "diagram")
-    require_valid_cut(cut, family)
-    slopes = sorted(_window_slopes(cut, family, radius), key=family.slope_key)
-    heart = HeartDescription(family, cut)
-    line1 = ["..."]
-    line2 = ["   "]
-    boundary_done = False
-    for s in slopes:
-        if not boundary_done and cut.in_plus(s):
-            line1.append("][")
-            line2.append("  ")
-            boundary_done = True
-        token = _slope_token(family, s)
-        line1.append(token)
-        line2.append(("^" if heart.contains_slope(s) else " ") + " " * (len(token) - 1))
-    if not boundary_done:
-        line1.append("][")
-        line2.append("  ")
-    line1.append("...")
-    return "  ".join(line1).rstrip() + "\n" + "  ".join(line2).rstrip()
+    return cut.diagram(family, radius)

@@ -712,6 +712,10 @@ def test_spec_fields_are_never_silently_ignored():
          "unknown cut field 'k' in 'exc:a=1,b=-1,k=2'"),
         (("heart", "--cut", "std:m=1,m=2"), "repeated cut field 'm' in 'std:m=1,m=2'"),
         (("heart", "--cut", "std:m"), "bad cut field 'm' in 'std:m'"),
+        (("heart", "--cut", "std:m=0,K=3,P=x"),
+         "P must be all unless K = inf, got 'x' in 'std:m=0,K=3,P=x'"),
+        (("truncate", "O(1)", "--cut", "std:m=0,P=none"),
+         "P must be all unless K = inf, got 'none' in 'std:m=0,P=none'"),
         (("compare", "--fine", "exc:k=1,q=2", "--weak", "std"),
          "unknown family field 'q' in 'exc:k=1,q=2'"),
         (("compare", "--fine", "std", "--weak", "exc:k"), "bad family field 'k' in 'exc:k'"),

@@ -19,7 +19,8 @@ slopes whose levels were wrapped in `IntLevel`/`PointLevel`, and the
 pairwise window checks that sorted sweeps replaced: the generator-pair
 Hom check of `validate_stability`, the slope-pair up-closure check of
 `validate_cut` and the `finest_check` loop that read Hom^0 off a whole
-HomProfile, the two per-curve atom classes that the one `ShiftedIndec`
+HomProfile, the cut dispatchers that branched on the cut's class where
+each cut kind now owns its rules, the two per-curve atom classes that the one `ShiftedIndec`
 replaced, the CLI readers with one `if` per config key or spec kind
 that the settings, cut and family tables replaced, and the summand loop
 of `semistable_slope` that one set of slopes replaced.  They are kept here
@@ -44,10 +45,12 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tstab import cli, elliptic, p1, slopes, stability, tstructures
+from tstab import cli, elliptic, p1, slopes, stability
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic)
-from tstab.errors import InvalidLengthError, NonCoprimeError, ObjectParseError, TStabError
+from tstab.errors import (InvalidCutError, InvalidLengthError, NonCoprimeError,
+                          NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
+                          UnsupportedFamilyError)
 from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopePartition,
                             StandardP1, by_shift_partition, coarsen, column_partition,
                             family_from_descriptor, finest_check)
@@ -59,9 +62,11 @@ from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalS
                              HNFiltration, Report, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
                              validate_stability, verify_hn)
-from tstab.tstructures import (CatalogEntry, CoarseCut, EllipticCut, ExceptionalCut,
-                               HeartDescription, StandardCut, catalog, cut_is_valid,
-                               heart_contains, truncate, validate_cut)
+from tstab.tstructures import (CatalogEntry, Classification, CoarseCut, EllipticCut,
+                               ExceptionalCut, HeartDescription, StandardCut, _fmt_bound,
+                               _point_set_reason, _render_line_gen, apply_twist_shift, catalog,
+                               classify_bounded_cut, cut_is_valid, diagram, heart_contains,
+                               is_bounded, truncate, validate_cut)
 from tstab.value import set_field
 
 from test_stability import _ShiftsDescend, _TorsionBelowLines
@@ -299,7 +304,7 @@ def oracle_window_hom_vanishing(family, window):
 
 def oracle_window_up_closure(cut, family, radius=4):
     """`validate_cut`'s up-closure check over every pair of window slopes."""
-    slopes = tstructures._window_slopes(cut, family, radius)
+    slopes = oracle_window_slopes(cut, family, radius)
     keyed = [(s, family.slope_key(s), cut.in_plus(s)) for s in slopes]
     ok, detail = True, ""
     for s1, key1, up1 in keyed:
@@ -314,6 +319,210 @@ def oracle_window_up_closure(cut, family, radius=4):
         if not ok:
             break
     return CheckItem("window_up_closure", ok, detail)
+
+
+# The cut dispatchers that the cut kinds' own methods replaced: one module
+# function per rule, each branching on the cut's class.
+
+def oracle_p1_only(cut, what):
+    if isinstance(cut, EllipticCut):
+        raise UnsupportedFamilyError(f"{what} covers the P1 cuts only, not an elliptic cut")
+
+
+def oracle_check_cut_family(cut, family):
+    if isinstance(cut, StandardCut) and not isinstance(family, StandardP1):
+        return "a standard cut needs the standard family"
+    if isinstance(cut, ExceptionalCut) and not isinstance(family, ExceptionalP1):
+        return "an exceptional cut needs an exceptional family"
+    if isinstance(cut, CoarseCut) and not isinstance(family, CoarseZ):
+        return "a coarse cut needs the coarse family"
+    if isinstance(cut, EllipticCut) and not isinstance(family, EllipticStandard):
+        return "an elliptic cut needs the elliptic family"
+    return None
+
+
+def oracle_cut_validity_reason(cut, family):
+    mismatch = oracle_check_cut_family(cut, family)
+    if mismatch:
+        return mismatch
+    if isinstance(cut, CoarseCut):
+        return None
+    if isinstance(cut, StandardCut):
+        return None if cut.P is None else _point_set_reason(cut.P, family.point_labels, up=True)
+    if isinstance(cut, EllipticCut):
+        q = cut.q
+        if not q.is_infinite and not 0 <= q.value < 1:
+            return f"tilting slope must lie in [0, 1) or be inf, got {q!r}"
+        return _point_set_reason(cut.P, family.point_labels, up=False)
+    a, b, p = cut.a, cut.b, family.p
+    if a == -INF:
+        return None if b == -INF else "a = -inf forces b = -inf"
+    if p == INF:
+        if a == INF or b == -INF:
+            return None
+        return "at p = inf a non-maximal column-0 threshold forces b = -inf"
+    if a == INF:
+        return None if b == INF else "at finite p, a = inf forces b = inf"
+    if b in (a - p - 2, a - p - 1):
+        return None
+    return f"at p = {p}, b must be {_fmt_bound(a - p - 2)} or {_fmt_bound(a - p - 1)}, got {_fmt_bound(b)}"
+
+
+def oracle_require_valid_cut(cut, family):
+    reason = oracle_cut_validity_reason(cut, family)
+    if reason is not None:
+        raise InvalidCutError(reason)
+
+
+def oracle_window_slopes(cut, family, radius):
+    if isinstance(cut, StandardCut):
+        center = cut.m
+        degrees = range(-radius, radius + 1) if cut.K in (INF, -INF) else \
+            range(int(cut.K) - radius, int(cut.K) + radius + 1)
+        levels = (*degrees, *point_universe(family.point_labels))
+        return [StandardSlope(i, level)
+                for i in range(center - radius, center + radius + 2) for level in levels]
+    if isinstance(cut, ExceptionalCut):
+        finite = [v for v in (cut.a, cut.b) if v not in (INF, -INF)]
+        center = int(finite[0]) if finite else 0
+        return [ExceptionalSlope(i, c)
+                for i in range(center - radius - 3, center + radius + 4) for c in (0, 1)]
+    if isinstance(cut, EllipticCut):
+        points, q = point_universe(family.point_labels), cut.q.value
+        classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
+        if q is not None:
+            classes += [StableClass(q.denominator, q.numerator, pt) for pt in points]
+        return [EllipticSlope(i, cls) for i in range(cut.m - 1, cut.m + 2)
+                for cls in dict.fromkeys(classes)]
+    return [CoarseSlope(i) for i in range(cut.m - radius, cut.m + radius + 2)]
+
+
+def oracle_validate_cut(cut, family, radius=4):
+    """`validate_cut` from the dispatchers, with the pairwise up-closure check."""
+    reason = oracle_cut_validity_reason(cut, family)
+    checks = [CheckItem("cut_constraints", reason is None, reason or "")]
+    if oracle_check_cut_family(cut, family) is None:
+        checks.append(oracle_window_up_closure(cut, family, radius))
+    return Report(tuple(checks))
+
+
+def oracle_heart_generators(cut, family):
+    oracle_p1_only(cut, "heart generators")
+    if isinstance(cut, CoarseCut):
+        return [f"Coh[{cut.m}]"]
+    if isinstance(cut, ExceptionalCut):
+        gens = []
+        if cut.a not in (INF, -INF):
+            gens.append(_render_line_gen(family.k, int(cut.a)))
+        if cut.b not in (INF, -INF):
+            gens.append(_render_line_gen(family.k + 1, int(cut.b)))
+        return gens
+    m, K, P = cut.m, cut.K, cut.P
+    if K == -INF:
+        return [f"O(n)[{m}] (n in Z)", f"O_x[{m}] (x in P1)"]
+    if K == INF:
+        if P is None:
+            return [f"O_x[{m}] (x in P1)", f"O(n)[{m + 1}] (n in Z)"]
+        inside = ",".join(lbl for lbl in family.point_labels if lbl in P)
+        return [f"O_x[{m}] (x in {{{inside}}})",
+                f"O(n)[{m + 1}] (n in Z)",
+                f"O_x[{m + 1}] (x not in {{{inside}}})"]
+    return [f"O(n)[{m}] (n >= {int(K)})", f"O_x[{m}] (x in P1)",
+            f"O(n)[{m + 1}] (n < {int(K)})"]
+
+
+def oracle_generator_objects(cut, family):
+    oracle_p1_only(cut, "heart generators")
+    if isinstance(cut, ExceptionalCut):
+        gens = []
+        if cut.a not in (INF, -INF):
+            gens.append(line(family.k, int(cut.a)))
+        if cut.b not in (INF, -INF):
+            gens.append(line(family.k + 1, int(cut.b)))
+        return gens
+    raise NotSlopeDescribableError("only exceptional hearts have finitely many generators")
+
+
+def oracle_is_bounded(cut, family):
+    oracle_require_valid_cut(cut, family)
+    if isinstance(cut, ExceptionalCut):
+        return cut.a not in (INF, -INF) and cut.b not in (INF, -INF)
+    return True
+
+
+def oracle_apply_twist_shift(cut, twist, shift):
+    oracle_p1_only(cut, "apply_twist_shift")
+    if isinstance(cut, StandardCut):
+        K = cut.K if cut.K in (INF, -INF) else cut.K + twist
+        return StandardCut(cut.m + shift, K, cut.P)
+    if isinstance(cut, ExceptionalCut):
+        def move(v):
+            return v if v in (INF, -INF) else v + shift
+        return ExceptionalCut(move(cut.a), move(cut.b))
+    return CoarseCut(cut.m + shift)
+
+
+def oracle_canonical_cut(cut, family):
+    if isinstance(cut, StandardCut) and cut.P is not None and family.point_labels \
+            and set(cut.P) >= set(family.point_labels):
+        return StandardCut(cut.m, cut.K, None)
+    return cut
+
+
+def oracle_classify_bounded_cut(cut, family):
+    oracle_p1_only(cut, "classify_bounded_cut")
+    oracle_require_valid_cut(cut, family)
+    if not oracle_is_bounded(cut, family):
+        raise UnboundedError("only bounded cuts are classified")
+    if isinstance(cut, CoarseCut):
+        return Classification("A", (), 0, cut.m)
+    if isinstance(cut, StandardCut):
+        cut = oracle_canonical_cut(cut, family)
+        if cut.K == -INF:
+            return Classification("A", (), 0, cut.m)
+        if cut.K == INF:
+            if cut.P is None:
+                return Classification("C", (), 0, cut.m)
+            return Classification("D", (("P", cut.P),), 0, cut.m)
+        return Classification("B", (), int(cut.K), cut.m)
+    a, b, p = int(cut.a), int(cut.b), family.p
+    if b == a - p - 2:
+        return Classification("E", (("p", p),), family.k, b + 2)
+    return Classification("F", (("p", p),), family.k, b + 1)
+
+
+def oracle_slope_token(family, s):
+    if isinstance(s, StandardSlope):
+        if isinstance(s.level, Point):
+            return f"O_{s.level.label}[{s.i}]"
+        return _render_line_gen(s.level, s.i)
+    if isinstance(s, ExceptionalSlope):
+        n = family.k + s.col
+        return _render_line_gen(n, s.i)
+    return f"Coh[{s.i}]"
+
+
+def oracle_diagram(cut, family, radius=2):
+    oracle_p1_only(cut, "diagram")
+    oracle_require_valid_cut(cut, family)
+    slopes = sorted(oracle_window_slopes(cut, family, radius), key=family.slope_key)
+    heart = HeartDescription(family, cut)
+    line1 = ["..."]
+    line2 = ["   "]
+    boundary_done = False
+    for s in slopes:
+        if not boundary_done and cut.in_plus(s):
+            line1.append("][")
+            line2.append("  ")
+            boundary_done = True
+        token = oracle_slope_token(family, s)
+        line1.append(token)
+        line2.append(("^" if heart.contains_slope(s) else " ") + " " * (len(token) - 1))
+    if not boundary_done:
+        line1.append("][")
+        line2.append("  ")
+    line1.append("...")
+    return "  ".join(line1).rstrip() + "\n" + "  ".join(line2).rstrip()
 
 
 def oracle_finest_check(family, window):
@@ -1925,6 +2134,58 @@ def test_validate_cut_matches_pairwise_up_closure_oracle():
     assert outcomes == {(True, True), (True, False), (False, False), (False, True)}
 
 
+def _protocol_cases():
+    """(family, cut): the cases of `_window_cut_cases`, every elliptic tilt, a
+    standard point set covering the universe, and every cut kind over every
+    family, its own kind and each other one (a coarsened family included)."""
+    cases = _window_cut_cases() + [(family, EllipticCut(0, q, S)) for q, S, family in _tilts()]
+    cases += [(StandardP1(order), StandardCut(m, INF, frozenset(order)))
+              for order in ORDERS[:2] for m in (-1, 0)]
+    families = (CoarseZ(), StandardP1(LABELS), ExceptionalP1(0, 0), ExceptionalP1(1, INF),
+                EllipticStandard(LABELS), coarsen(StandardP1(), by_shift_partition()))
+    cuts = (CoarseCut(1), StandardCut(0, 2), StandardCut(0, INF, {"z"}), ExceptionalCut(2, 0),
+            ExceptionalCut(INF, -INF), EllipticCut(0, Fraction(1, 2), {"x"}))
+    return cases + [(family, cut) for family in families for cut in cuts]
+
+
+def _result(call, *args):
+    """What call(*args) returns, with its type, or the type and message of its error."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    return type(value), value, repr(value)
+
+
+def test_cut_methods_match_the_dispatch_oracles():
+    """Every rule a cut kind owns against the dispatcher it replaced: reasons,
+    windows, verdicts, twist images, generators, classes and diagrams."""
+    seen = set()
+    for family, cut in _protocol_cases():
+        reason = oracle_cut_validity_reason(cut, family)
+        assert cut.validity_reason(family) == reason
+        assert cut_is_valid(cut, family) == (reason is None)
+        assert validate_cut(cut, family, 2) == oracle_validate_cut(cut, family, 2)
+        if oracle_check_cut_family(cut, family) is None:
+            for radius in (0, 2, 4):
+                assert cut.window(family, radius) == oracle_window_slopes(cut, family, radius)
+        heart = HeartDescription(family, cut)
+        pairs = [((is_bounded, cut, family), (oracle_is_bounded, cut, family)),
+                 ((heart.generators,), (oracle_heart_generators, cut, family)),
+                 ((heart.generator_objects,), (oracle_generator_objects, cut, family)),
+                 ((classify_bounded_cut, cut, family), (oracle_classify_bounded_cut, cut, family)),
+                 ((diagram, cut, family), (oracle_diagram, cut, family)),
+                 ((diagram, cut, family, 1), (oracle_diagram, cut, family, 1))]
+        pairs += [((apply_twist_shift, cut, t, n), (oracle_apply_twist_shift, cut, t, n))
+                  for t, n in ((0, 0), (1, -1), (-3, 2))]
+        for new, old in pairs:
+            outcome = _result(*new)
+            assert outcome == _result(*old), (family, cut, new[0])
+            seen.add(outcome[0].__name__)
+    assert {"InvalidCutError", "UnboundedError", "UnsupportedFamilyError",
+            "NotSlopeDescribableError", "Classification", "str", "bool"} <= seen
+
+
 @settings(max_examples=100, deadline=None)
 @given(family_and_window())
 def test_finest_check_hom0_matches_profile_oracle(case):
@@ -1987,6 +2248,8 @@ def oracle_parse_cutspec(spec, session):
         m = cli._int_field(fields.get("m", "0"), "m", spec)
         K = cli._int_field(fields.get("K", "-inf"), "K", spec, bound)
         p_field = fields.get("P", "all")
+        if K != INF and p_field != "all":  # a P that would have no effect
+            raise TStabError(f"P must be all unless K = inf, got {p_field!r} in {spec!r}")
         if p_field == "all":
             P = None
         elif p_field == "none":
@@ -2061,6 +2324,7 @@ _SESSIONS = st.builds(cli.SessionConfig, st.sampled_from([(), ("z", "x", "y"), (
 @example("std:m=0,K=inf,P=none", cli.SessionConfig())
 @example("std:K=inf,P=b;;a,m=-1", cli.SessionConfig(points=("b", "a")))
 @example("exc:b=-inf,a=1", cli.SessionConfig(k=1, p=INF))
+@example("std:m=0,K=3,P=x", cli.SessionConfig())
 @example("exc:k=2,p=-1", cli.SessionConfig())
 def test_cut_and_family_specs_match_per_kind_oracles(spec, session):
     assert _cli_outcome(cli.parse_cutspec, spec, session) == \

@@ -15,8 +15,7 @@ from tstab.p1 import Point, ShiftedIndec, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
 from tstab.families import StandardP1
 from tstab.stability import CheckItem, EllipticSlope, Window, validate_stability, verify_hn
-from tstab.tstructures import (EllipticCut, _window_slopes, heart_contains, truncate,
-                               validate_cut)
+from tstab.tstructures import EllipticCut, heart_contains, truncate, validate_cut
 from tstab.value import FrozenInstanceError
 
 L, M, N = Point("l"), Point("m"), Point("n")
@@ -253,7 +252,7 @@ def test_valid_elliptic_cuts_pass_validate_cut(q):
         report = validate_cut(EllipticCut(-1, q, P), family)
         assert report.ok, report.summary()
     # the window holds the q stratum, and the cut falls inside it
-    slopes = _window_slopes(EllipticCut(0, q, {"l"}), ORDERED, 4)
+    slopes = EllipticCut(0, q, {"l"}).window(ORDERED, 4)
     stratum = [s for s in slopes if s.i == 0 and s.mu == EllipticCut(0, q).q]
     assert [s.cls.x.label for s in stratum] == ["l", "m", "n"]
 

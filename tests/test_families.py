@@ -253,6 +253,10 @@ def test_coarsen_rejects_non_tau_stable_blocks():
     capped = SlopePartition("capped", lambda s: min(s.i, 0), lambda b: b, lambda b: b + 1)
     with pytest.raises(InvalidPartitionError):
         coarsen(std, capped, WINDOW)
+    # distinct block ids under one block key are refused before the tau check
+    flat = SlopePartition("flat", lambda s: s.i, lambda b: 0, lambda b, n=1: b + n)
+    with pytest.raises(InvalidPartitionError, match="block ids must order consistently"):
+        coarsen(std, flat)
 
 
 def test_coarsen_rejects_partitions_of_another_slope_set():

@@ -13,7 +13,7 @@ from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, point_resolv
 from tstab.slopes import Ordering
 from tstab.stability import CheckItem, Window
 from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, HeartDescription,
-                               StandardCut, TorsionPair, apply_twist_shift, canonical_cut,
+                               StandardCut, TorsionPair, apply_twist_shift,
                                catalog, catalog_entries, classify_bounded_cut, cut_is_valid,
                                diagram, heart_contains, heart_slopes, is_bounded,
                                torsion_pair_cut, truncate, validate_cut)
@@ -212,6 +212,13 @@ def test_heart_generators_examples():
     assert a.heart.generators() == ["O(n)[0] (n in Z)", "O_x[0] (x in P1)"]
     i_entry = catalog("I")
     assert i_entry.heart.generators() == []
+    assert heart_slopes(CoarseCut(2), CoarseZ()).generators() == ["Coh[2]"]
+    # only exceptional hearts have finitely many generator objects
+    heart = heart_slopes(ExceptionalCut(1, -1), ExceptionalP1(0, 0))
+    assert heart.generator_objects() == [line(0, 1), line(1, -1)]
+    for cut, family in ((StandardCut(0, 0), StandardP1()), (CoarseCut(0), CoarseZ())):
+        with pytest.raises(NotSlopeDescribableError, match="only exceptional hearts"):
+            heart_slopes(cut, family).generator_objects()
 
 
 def test_heart_contains_examples():
@@ -281,6 +288,9 @@ def test_torsion_pair_from_predicates():
         lambda base: base.n >= 2 if isinstance(base, Line) else True,
         degrees=range(-5, 6), points=(Point("x"), Point("y")))
     assert pair == TorsionPair(2, None)
+    every_line = TorsionPair.from_predicates(lambda base: isinstance(base, Line),
+                                             degrees=range(-3, 4), points=(Point("x"),))
+    assert every_line == TorsionPair(-INF, frozenset())
     with pytest.raises(NotSlopeDescribableError):
         TorsionPair.from_predicates(
             lambda base: isinstance(base, Line) and base.n == 0,
@@ -408,7 +418,7 @@ def test_classification_window_round_trip():
                 assert cl.name in ("A", "B", "C", "D")
                 entry = catalog(cl.name, P=cl.params_dict().get("P"), points=points)
                 rebuilt = apply_twist_shift(entry.cut, cl.twist, cl.shift)
-                assert canonical_cut(rebuilt, std) == canonical_cut(cut, std)
+                assert rebuilt == cut
                 seen.add(cl.name)
     assert seen == {"A", "B", "C", "D"}
     for p in (0, 1, 2):
@@ -441,6 +451,8 @@ def test_classify_with_twisted_family():
 def test_classify_coarse_cut():
     cl = classify_bounded_cut(CoarseCut(-2), CoarseZ())
     assert (cl.name, cl.shift) == ("A", -2)
+    assert apply_twist_shift(CoarseCut(0), cl.twist, cl.shift) == CoarseCut(-2)
+    assert apply_twist_shift(CoarseCut(0), 5, 1).spec() == "coarse:m=1"
 
 
 # --- diagram ---------------------------------------------------------------------------
@@ -457,3 +469,8 @@ def test_diagram_marks_cut_and_heart():
     b = catalog("B")
     text = diagram(b.cut, b.family, radius=1)
     assert "][" in text and "O_x[0]" in text
+    assert diagram(CoarseCut(2), CoarseZ(), radius=1).splitlines() == [
+        "...  Coh[1]  ][  Coh[2]  Coh[3]  Coh[4]  ...", "                 ^"]
+    # no slope of the window is in the up-set: the cut sits at the top, the heart is empty
+    text = diagram(ExceptionalCut(INF, INF), ExceptionalP1(0, 0), radius=0)
+    assert text.endswith("O(1)[2]  O(1)[3]  ][  ...\n")
