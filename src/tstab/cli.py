@@ -8,11 +8,10 @@ Object expressions follow the grammar
 
 with arbitrary whitespace.  O/T atoms build objects on the projective
 line, S atoms build elliptic objects; the two kinds cannot be mixed.
-One left-to-right pass reads each summand once: a summand text seen
-before, cut at `render`'s ``" + "``, is one memo lookup (a filtration
-document shares one memo over all its objects); the `_SUMMAND` regex
-takes every other summand it matches, `_Scanner` the rest (zeros such
-as ``0[1]``, non-ASCII digits, malformed text, whose error it raises).
+Text as `render` writes it, summands joined by ``" + "``, is read piece
+by piece: one memo lookup (a filtration document shares one memo over all
+its objects), else one `_SUMMAND` match.  `_Scanner` reads any other text
+whole, and raises the errors of malformed text.
 
 Cut specifications: ``std:m=M,K=<int|inf|-inf>,P=<lbl;lbl|all|none>``
 (a P other than ``all`` needs ``K=inf``), ``exc:a=<int|inf|-inf>,b=<int|inf|-inf>``
@@ -52,8 +51,8 @@ from .value import INT_TEXT, Value, assign
 # --- expression parser ---------------------------------------------------------
 
 class _Scanner:
-    """Reads a text one character at a time: the summands `_SUMMAND` does
-    not match, and the error of malformed text."""
+    """Reads a text one character at a time, from position 0 to the end:
+    every text that is not `render`'s own, and the error of malformed text."""
 
     def __init__(self, text: str):
         self.text = text
@@ -62,10 +61,6 @@ class _Scanner:
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
 
     def peek(self) -> str:
         self.skip_ws()
@@ -77,34 +72,27 @@ class _Scanner:
             raise ObjectParseError(f"expected {expected!r}", self.pos)
         self.pos += len(expected)
 
-    def nat(self) -> int:
+    def run(self, what: str, test: str, signs: tuple = ()) -> str:
+        """The characters from here on whose string method `test` holds, after
+        one of `signs`; none, or a sign alone, raises "expected `what`"."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        if self.pos < len(self.text) and self.text[self.pos] in signs:
             self.pos += 1
-        if self.pos == start:
-            raise ObjectParseError("expected a natural number", start)
-        return int(self.text[start:self.pos])
+        while self.pos < len(self.text) and getattr(self.text[self.pos], test)():
+            self.pos += 1
+        if self.text[start:self.pos] in ("", *signs):
+            raise ObjectParseError(f"expected {what}", start)
+        return self.text[start:self.pos]
+
+    def nat(self) -> int:
+        return int(self.run("a natural number", "isdigit"))
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] in ("+", "-"):
-            raise ObjectParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        return int(self.run("an integer", "isdigit", ("+", "-")))
 
     def label(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        if self.pos == start:
-            raise ObjectParseError("expected a point label", start)
-        return self.text[start:self.pos]
+        return self.run("a point label", "isalnum")
 
     def shift(self) -> int:
         if self.peek() != "[":
@@ -114,10 +102,17 @@ class _Scanner:
         self.take("]")
         return n
 
-    def summand(self, pos: int, resolve_point) -> tuple[tuple, bool, int]:
-        """Read the summand at `pos` and the "+" after it: (memo entry, empty
-        for a zero atom; whether a "+" followed; the end)."""
-        self.pos, mult, head = pos, 1, ""
+    def summands(self, resolve_point) -> list[tuple]:
+        """The memo entries of the text's summands, in text order."""
+        entries = [self.summand(resolve_point)]
+        while self.peek():  # more text: a "+" and the next summand
+            self.take("+")
+            entries.append(self.summand(resolve_point))
+        return entries
+
+    def summand(self, resolve_point) -> tuple:
+        """Read one summand: its memo entry, empty for a zero atom."""
+        mult, head = 1, ""
         if self.peek().isdigit():
             mult = self.nat()
             if self.peek() == "*":
@@ -126,7 +121,7 @@ class _Scanner:
                 head = "0"  # the digits were the zero atom
             else:
                 raise ObjectParseError("expected '*' after a multiplicity", self.pos)
-        pos, entry = self.pos, ()
+        pos = self.pos
         if not head:
             head = self.peek()
             if head not in ("0", "O", "T", "S"):
@@ -134,36 +129,30 @@ class _Scanner:
             self.take(head)
         if head == "0":
             self.shift()
-        else:
-            reads = {"O": (self.integer,), "T": (self.label, self.nat),
-                     "S": (self.integer, self.integer, self.label)}[head]
-            args = []
-            for sep, read in zip("(,,", reads):  # the arguments in grammar order
-                self.take(sep)
-                args.append(read())
-            self.take(")")
-            entry = _atom(head, args, mult, pos, resolve_point, self.shift)
-        more = not self.at_end()
-        if more:
-            self.take("+")
-        return entry, more, self.pos
+            return ()
+        reads = {"O": (self.integer,), "T": (self.label, self.nat),
+                 "S": (self.integer, self.integer, self.label)}[head]
+        args = []
+        for sep, read in zip("(,,", reads):  # the arguments in grammar order
+            self.take(sep)
+            args.append(read())
+        self.take(")")
+        return _atom(head, args, mult, pos, resolve_point, self.shift)
 
 
-# One summand with the scanner's whitespace rules, then "+" or the end.
-# ASCII digits and labels only, so the scanner accepts every match; it is
-# left the shifted zero and whitespace after "*", so that the atom group
-# starts at the scanner's atom position.  Compiled on first use, through
-# `re`'s own cache, so commands that parse no expression do not pay for it.
+# One summand as `render` writes it: ASCII only, so that the scanner reads
+# every match alike, and no shifted zero, whose error is the scanner's.
+# Compiled on first use, through `re`'s cache: commands that parse no
+# expression do not pay for it.
 _SUMMAND = r"""
-    \s*(?:(?P<mult>[0-9]+)\s*\*)?
+    (?:(?P<mult>[0-9]+)\*)?
     (?P<atom>
-        O\s*\(\s*(?P<n>[+-]?[0-9]+)\s*\)
-      | T\s*\(\s*(?P<tx>[A-Za-z0-9]+)\s*,\s*(?P<td>[0-9]+)\s*\)
-      | S\s*\(\s*(?P<r>[+-]?[0-9]+)\s*,\s*(?P<d>[+-]?[0-9]+)\s*,\s*(?P<sx>[A-Za-z0-9]+)\s*\)
-      | 0(?!\s*\[)
+        O\((?P<n>[+-]?[0-9]+)\)
+      | T\((?P<tx>[A-Za-z0-9]+),(?P<td>[0-9]+)\)
+      | S\((?P<r>[+-]?[0-9]+),(?P<d>[+-]?[0-9]+),(?P<sx>[A-Za-z0-9]+)\)
+      | 0(?!\[)
     )
-    (?:\s*\[\s*(?P<shift>[+-]?[0-9]+)\s*\])?
-    \s*(?:(?P<more>\+)|\Z)
+    (?:\[(?P<shift>[+-]?[0-9]+)\])?
 """
 
 
@@ -184,41 +173,30 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
                   ) -> DerivedObject | EllipticObject:
     """`parse_object` with `memo`, from summand text to (curve, (atom, mult), key).
 
-    One pass, left to right, reads each summand once.  A summand that is a
-    whole piece of the text cut at `render`'s ``" + "`` is first looked up
-    in the memo.  Otherwise `_SUMMAND` reads it, and the memo stores it if
-    the match ends at that separator; the scanner reads what the pattern
-    does not match (zeros such as ``0[1]``, whitespace after "*", non-ASCII
-    digits, malformed text) and raises its errors.  Errors come in text
-    order, and the curve checks, which need every summand, come last.  The
-    memo may be shared by calls with the same category and resolver.
+    Two paths.  `render`'s own text is read piece by piece, cut at ``" + "``:
+    a memo lookup, or one `_SUMMAND` match that the memo stores.  Any other
+    text (``0[1]``, whitespace, non-ASCII digits, malformed text, a
+    non-string) goes whole to `_Scanner`, which alone raises syntax errors.
+    Either raises in text order; the curve checks, which need every
+    summand, run last.  The memo may be shared by calls with the same
+    category and resolver.
     """
-    if not isinstance(text, str):  # the scanner reads a non-string, and raises its error
-        _Scanner(text).summand(0, resolve_point)
-    match, lookup = re.compile(_SUMMAND, re.VERBOSE).match, memo.get
-    pieces = text.split(" + ")
-    curve, mixed, pairs = None, False, []
-    j = start = pos = 0  # pieces[j] starts at `start`; the next summand at `pos`
-    more, last, ascending = True, (), True
-    while more:
-        piece, final = pieces[j], j + 1 == len(pieces)
-        # Where a summand read as the whole piece ends: after the separator's "+".
-        end = len(text) if final else start + len(piece) + 2
-        aligned = pos == start
-        summand = lookup(piece) if aligned else None
-        if summand is not None:
-            more, pos = not final, end
-        elif (m := match(text, pos)) is None:
-            summand, more, pos = _Scanner(text).summand(pos, resolve_point)
-        else:
-            atom_text, more = m.group("atom", "more")
-            summand = () if atom_text == "0" else _matched_summand(m, resolve_point)
-            pos = m.end()
-            if aligned and pos == end and not (final and more):
-                memo[piece] = summand
-        if more and pos == end and not final:  # the separator is read: on to the next piece
-            j, start = j + 1, end + 1
-            pos = start
+    summands = None
+    if isinstance(text, str):
+        fullmatch, lookup = re.compile(_SUMMAND, re.VERBOSE).fullmatch, memo.get
+        summands, offset = [], 0  # where the piece starts in the text
+        for piece in text.split(" + "):
+            if (summand := lookup(piece)) is None:
+                if (m := fullmatch(piece)) is None:
+                    summands = None
+                    break
+                summand = memo[piece] = _matched_summand(m, offset, resolve_point)
+            summands.append(summand)
+            offset += len(piece) + 3
+    if summands is None:
+        summands = _Scanner(text).summands(resolve_point)
+    curve, mixed, pairs, last, ascending = None, False, [], (), True
+    for summand in summands:
         if not summand:
             continue  # the zero object contributes nothing
         atom_curve, pair, key = summand
@@ -243,14 +221,16 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
     return curve(tuple(pairs)) if ascending else curve.from_pairs(pairs)
 
 
-def _matched_summand(m: re.Match, resolve_point) -> tuple[type, tuple, tuple]:
-    """The memo entry of a summand `_SUMMAND` matched, its values read in the
-    scanner's order, so that an error is the one the scanner would raise."""
-    mult, _, n, tx, td, r, d, sx, shift, _ = m.groups()  # in pattern order
+def _matched_summand(m: re.Match, offset: int, resolve_point) -> tuple:
+    """The memo entry of a piece at `offset` in the text that `_SUMMAND` matched,
+    its values read in the scanner's order, so that it raises the scanner's error."""
+    mult, atom, n, tx, td, r, d, sx, shift = m.groups()  # in pattern order
+    if atom == "0":
+        return ()
     head, args = (("O", (int(n),)) if n is not None else ("T", (tx, int(td))) if td is not None
                   else ("S", (int(r), int(d), sx)))
-    return _atom(head, args, 1 if mult is None else int(mult), m.start("atom"), resolve_point,
-                 lambda: int(shift or 0))
+    return _atom(head, args, 1 if mult is None else int(mult), offset + m.start("atom"),
+                 resolve_point, lambda: int(shift or 0))
 
 
 def _atom(head: str, args, mult: int, pos: int, resolve_point, read_shift
@@ -258,21 +238,29 @@ def _atom(head: str, args, mult: int, pos: int, resolve_point, read_shift
     """The memo entry (curve, (shifted atom, mult), sort key) of `mult` copies of
     atom `head` with its arguments in grammar order, where curve is the object
     type of the atom's curve.  The arguments must first pass the checks the
-    grammar cannot state, which raise at `pos`; only then is the shift read."""
+    grammar cannot state and the label its resolver, all of which raise at
+    `pos`; only then is the shift read."""
     if head == "O":
         curve, base = DerivedObject, Line(*args)
-    elif head == "T":
-        label, d = args
-        if d == 0:
-            raise InvalidLengthError("torsion length must be >= 1", pos)
-        curve, base = DerivedObject, Torsion(resolve_point(label), d)
     else:
-        r, d, label = args
-        if r < 0 or math.gcd(r, d) != 1:
-            raise NonCoprimeError(
-                f"stable classes need coprime rank >= 0 and degree, got ({r},{d})", pos)
-        from .elliptic import EllipticObject, StableClass
-        curve, base = EllipticObject, StableClass(r, d, resolve_point(label))
+        if head == "T":
+            label, d = args
+            if d == 0:
+                raise InvalidLengthError("torsion length must be >= 1", pos)
+        else:
+            r, d, label = args
+            if r < 0 or math.gcd(r, d) != 1:
+                raise NonCoprimeError(
+                    f"stable classes need coprime rank >= 0 and degree, got ({r},{d})", pos)
+        try:
+            point = resolve_point(label)
+        except ObjectParseError as exc:  # a resolver knows no position: the atom's is taken
+            raise ObjectParseError(exc.message, pos) from None
+        if head == "T":
+            curve, base = DerivedObject, Torsion(point, d)
+        else:
+            from .elliptic import EllipticObject, StableClass
+            curve, base = EllipticObject, StableClass(r, d, point)
     atom = ShiftedIndec(base, read_shift())
     return curve, (atom, mult), atom.key()
 
@@ -403,10 +391,10 @@ def _spec_fields(spec: str, what: str, allowed: dict) -> tuple[str, dict]:
     return kind, fields
 
 
-def _point_set(text: str) -> frozenset[str] | None:
-    """The point set of a ``P=`` field: `all` is None, `none` the empty set."""
+def _point_set(text: str, everything: frozenset[str] | None = None) -> frozenset[str] | None:
+    """The point set of a ``P=`` field: `all` is `everything`, `none` the empty set."""
     labels = () if text == "none" else text.split(";")
-    return None if text == "all" else frozenset(lbl for lbl in labels if lbl)
+    return everything if text == "all" else frozenset(lbl for lbl in labels if lbl)
 
 
 def parse_cutspec(spec: str, session: SessionConfig) -> tuple[SlopeCut, StabilityFamily]:
@@ -572,7 +560,7 @@ def _cmd_catalog(args, session, out) -> int:
     spec = f"{args.name}:{','.join(args.params)}"
     _, params = _spec_fields(spec, "parameter", _CATALOG_FIELDS)
     p = _parse_p(params["p"], spec) if "p" in params else None
-    P = frozenset(lbl for lbl in params["P"].split(";") if lbl) if "P" in params else None
+    P = _point_set(params["P"], frozenset(points)) if "P" in params else None
     entry = catalog(args.name, p=p, P=P, points=points)
     if args.diagram:
         text = diagram(entry.cut, entry.family)

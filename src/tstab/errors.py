@@ -58,7 +58,7 @@ class ObjectParseError(TStabError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class InvalidLengthError(ObjectParseError):

@@ -155,8 +155,13 @@ class StandardCut(SlopeCut):
     def twisted(self, twist: int, shift: int) -> StandardCut:
         return StandardCut(self.m + shift, self.K + twist, self.P)
 
+    def points(self, family: StandardP1) -> frozenset[str] | None:
+        """P as the family reads it: a P covering its declared universe is P = all."""
+        P, labels = self.P, family.point_labels
+        return None if P is not None and labels and P >= set(labels) else P
+
     def heart_generators(self, family: StandardP1) -> list[str]:
-        m, K, P = self.m, self.K, self.P
+        m, K, P = self.m, self.K, self.points(family)
         if K == -INF:
             return [f"O(n)[{m}] (n in Z)", f"O_x[{m}] (x in P1)"]
         if K == INF:
@@ -170,12 +175,11 @@ class StandardCut(SlopeCut):
                 f"O(n)[{m + 1}] (n < {int(K)})"]
 
     def catalog_class(self, family: StandardP1) -> Classification:
-        m, K, P = self.m, self.K, self.P
+        m, K, P = self.m, self.K, self.points(family)
         if K == -INF:
             return Classification("A", (), 0, m)
         if K == INF:
-            # a point set covering the whole declared universe is P = all
-            if P is None or (family.point_labels and P >= set(family.point_labels)):
+            if P is None:
                 return Classification("C", (), 0, m)
             return Classification("D", (("P", P),), 0, m)
         return Classification("B", (), int(K), m)

@@ -466,6 +466,15 @@ def test_standard_cut_point_sets():
         _run("heart", "--cut", "std:m=1,K=-inf,P=all")
 
 
+def test_a_point_set_covering_the_universe_is_p_all():
+    """`heart` lists the generators of P = all, as `classify_bounded_cut` names
+    the class C."""
+    for fmt in ("text", "json"):
+        assert _run("heart", "--cut", "std:m=0,K=inf,P=x;y;z", "--points", "x,y,z",
+                    "--format", fmt) == \
+            _run("heart", "--cut", "std:m=0,K=inf,P=all", "--points", "x,y,z", "--format", fmt)
+
+
 def test_bad_cut_specs_are_domain_errors():
     for spec in ("exc:a=1", "exc:b=1", "exc:"):
         _assert_error(("heart", "--cut", spec, "--p", "0"), "an exceptional cut needs a and b")
@@ -552,6 +561,21 @@ def test_undeclared_point_rejected_when_universe_fixed():
     code, out = _run("normalize", "T(q,1)", "--points", "x,y", "--format", "json")
     assert code == 1
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("expr, atom", [
+    ("O(1)+T(q,1)", "T(q,1)"),  # read by the scanner
+    ("O(1) + T(q,1)", "T(q,1)"),  # read piece by piece
+    ("2*S(1,0,x) + S(0,1,q)[1]", "S(0,1,q)"),
+    ("S(1,0,x)+ 3*S(0,1,q)", "S(0,1,q)"),
+])
+def test_undeclared_point_label_error_is_at_its_atom(expr, atom):
+    """Like a failing length or coprimality check, an undeclared label raises at
+    the position of its atom."""
+    message = f"undeclared point label 'q' (at position {expr.index(atom)})"
+    assert _run("normalize", expr, "--points", "x,y") == (1, f"error: {message}\n")
+    code, out = _run("normalize", expr, "--points", "x,y", "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": message})
 
 
 def test_usage_errors_exit_2():
@@ -756,6 +780,16 @@ def test_catalog_parameters_are_spec_fields():
     assert _run("catalog", "D", "--params", "P=y;z")[0] == 0
 
 
+@pytest.mark.parametrize("P", ["all", "none"])
+def test_catalog_d_reads_all_and_none_as_a_cut_spec_does(P):
+    """`all` and `none` are the keywords of a `std:` spec's P, not point labels:
+    the whole universe and the empty set, both of which D refuses."""
+    message = "D needs a nonempty proper subset of the point universe"
+    assert _run("catalog", "D", "--params", f"P={P}") == (1, f"error: {message}\n")
+    code, out = _run("catalog", "D", "--params", f"P={P}", "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": message})
+
+
 def _check_hn(doc, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -794,7 +828,7 @@ def test_check_hn_rejects_labels_outside_the_declared_order(tmp_path):
     doc = json.loads(out)
     doc["family"]["point_order"] = ["y"]
     assert _check_hn_is_domain_error(doc, tmp_path) == \
-        "undeclared point label 'x' (at position 0)"
+        f"undeclared point label 'x' (at position {doc['object'].index('T(x,1)')})"
 
 
 def _hn_json(*argv):

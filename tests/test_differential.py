@@ -417,7 +417,7 @@ def oracle_heart_generators(cut, family):
         if cut.b not in (INF, -INF):
             gens.append(_render_line_gen(family.k + 1, int(cut.b)))
         return gens
-    m, K, P = cut.m, cut.K, cut.P
+    m, K, P = cut.m, cut.K, oracle_canonical_cut(cut, family).P  # a covering P is P = all
     if K == -INF:
         return [f"O(n)[{m}] (n in Z)", f"O_x[{m}] (x in P1)"]
     if K == INF:
@@ -817,6 +817,14 @@ def _oracle_opt_shift(sc):
     return 0
 
 
+def _oracle_point(resolve_point, lbl, atom_pos):
+    """The resolver's point of a label; its error is raised at the atom's position."""
+    try:
+        return resolve_point(lbl)
+    except ObjectParseError as exc:
+        raise ObjectParseError(exc.message, atom_pos) from None
+
+
 def oracle_parse_object(text, category="auto", resolve_point=None):
     """The object parser as a scanner alone, one character at a time."""
     if resolve_point is None:
@@ -862,7 +870,7 @@ def oracle_parse_object(text, category="auto", resolve_point=None):
                 sc.take(")")
                 if d == 0:
                     raise InvalidLengthError("torsion length must be >= 1", atom_pos)
-                base = Torsion(resolve_point(lbl), d)
+                base = Torsion(_oracle_point(resolve_point, lbl, atom_pos), d)
                 shift = _oracle_opt_shift(sc)
                 p1_terms.append((ShiftedIndec(base, shift), mult))
             elif head == "S":
@@ -878,7 +886,7 @@ def oracle_parse_object(text, category="auto", resolve_point=None):
                     raise NonCoprimeError(
                         f"stable classes need coprime rank >= 0 and degree, got ({r},{d})",
                         atom_pos)
-                cls = StableClass(r, d, resolve_point(lbl))
+                cls = StableClass(r, d, _oracle_point(resolve_point, lbl, atom_pos))
                 shift = _oracle_opt_shift(sc)
                 ell_terms.append((ShiftedIndec(cls, shift), mult))
             else:
@@ -1547,6 +1555,30 @@ def test_filtration_document_error_is_at_its_own_terms_position():
     assert _outcome(oracle_parse_object, bad, "p1", point_resolver(())) \
         == (InvalidLengthError, str(err.value), bad.index("T(x,0)"))
     assert err.value.position == bad.index("T(x,0)")
+
+
+@st.composite
+def rendered_texts(draw):
+    """`render`'s own text: the summands of a P1 or elliptic object (the zero
+    object included), joined out of order, some repeated, some zeros."""
+    x = draw(st.one_of(p1_objects(max_size=8), elliptic_objects(max_size=8)))
+    pieces = x.render().split(" + ")
+    extra = draw(st.lists(st.sampled_from([*pieces, "0"]), max_size=4))
+    return " + ".join(draw(st.permutations(pieces + extra)))
+
+
+@settings(max_examples=200)
+@given(rendered_texts(), _CATEGORIES, st.sampled_from(sorted(_RESOLVERS)))
+def test_rendered_text_is_read_piece_by_piece(text, category, resolver_name):
+    """Text as `render` writes it never reaches the scanner, and a fresh memo
+    ends with one entry per distinct piece."""
+    resolver, memo = _RESOLVERS[resolver_name], {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_Scanner", None)
+        outcome = _outcome(cli._parse_object, text, category, resolver or Point, memo)
+    assert outcome == _outcome(oracle_parse_object, text, category, resolver)
+    assert category != "auto" or not issubclass(outcome[0], Exception)
+    assert memo.keys() == set(text.split(" + "))
 
 
 # --- point order ------------------------------------------------------------------------

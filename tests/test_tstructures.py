@@ -213,6 +213,10 @@ def test_heart_generators_examples():
     i_entry = catalog("I")
     assert i_entry.heart.generators() == []
     assert heart_slopes(CoarseCut(2), CoarseZ()).generators() == ["Coh[2]"]
+    # a point set covering the declared universe is P = all
+    xyz = StandardP1(("x", "y", "z"))
+    assert heart_slopes(StandardCut(0, INF, {"x", "y", "z"}), xyz).generators() == \
+        heart_slopes(StandardCut(0, INF), xyz).generators()
     # only exceptional hearts have finitely many generator objects
     heart = heart_slopes(ExceptionalCut(1, -1), ExceptionalP1(0, 0))
     assert heart.generator_objects() == [line(0, 1), line(1, -1)]
