@@ -8,7 +8,14 @@ the normal form being justified by homological dimension one: the same
 `FormalSum` (`EllipticObject`) and the same atom `ShiftedIndec` as on
 the line, here over a `StableClass`, and the same `hom_profile` over
 the atoms' `ext_dim`.  A stable class gives the atom its `key`,
-`rank_degree`, `ext_dim` (the slope rule table below) and `render`.
+`rank_degree`, `ext_dim` (the slope rule table below) and `render`,
+which the atom caches.
+
+The sort key of a class leads with its slope: `(0, MuKey(d, r))` for
+positive rank, `(1, 0)` for a skyscraper, so slope infinity comes last.
+`MuKey` compares d/r by cross-multiplication, d*r' < d'*r, which is exact
+because ranks are positive: no rational number is built per key and no
+float enters a comparison.
 
 Hom dimensions between stable classes are determined by their slopes:
 
@@ -34,8 +41,44 @@ from fractions import Fraction
 from .errors import FiltrationFormatError
 from .p1 import FormalSum, Point, ShiftedIndec, point_resolver
 from .slopes import ExtendedRational, PLUS_INFINITY
-from .stability import EllipticSlope, StabilityFamily, Window, slope_int
+from .stability import EllipticSlope, StabilityFamily, Window, slope_int, slope_point
 from .value import Value, set_field
+
+
+class MuKey(Value):
+    """The slope d/r of a class of rank r >= 1, as a sort key element.
+
+    It compares with another MuKey by cross-multiplication, d*r' < d'*r,
+    exact as both ranks are positive; against any other type every
+    comparison is NotImplemented.  Rank and degree are coprime, so equal
+    slopes have equal fields and one hash.
+    """
+
+    __slots__ = ("d", "r")
+
+    def __init__(self, d: int, r: int):
+        set_field(self, "d", d)
+        set_field(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is MuKey:
+            return self.d * other.r == other.d * self.r
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is MuKey:
+            return self.d * other.r < other.d * self.r
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is MuKey:
+            return self.d * other.r <= other.d * self.r
+        return NotImplemented
+
+    # `a > b` and `a >= b` are answered by the reflections `b < a` and `b <= a`.
+
+    def __hash__(self):
+        return hash((self.d, self.r))
 
 
 class StableClass(Value):
@@ -76,8 +119,9 @@ class StableClass(Value):
         return ExtendedRational.finite(Fraction(self.d, self.r))
 
     def key(self):
-        mu_key = (1, Fraction(0)) if self.r == 0 else (0, Fraction(self.d, self.r))
-        return (*mu_key, *self.x.key())
+        if self.r == 0:
+            return (1, 0, *self.x.key())
+        return (0, MuKey(self.d, self.r), *self.x.key())
 
     def rank_degree(self) -> tuple[int, int]:
         return self.r, self.d
@@ -170,7 +214,7 @@ class EllipticStandard(StabilityFamily, Value):
         if not match:
             raise ValueError(f"bad stable class {data['class']!r}")
         r, d, label = int(match.group(1)), int(match.group(2)), match.group(3)
-        cls = StableClass(r, d, point_resolver(self.point_labels)(label))
+        cls = StableClass(r, d, slope_point(self.point_labels, label, "class"))
         slope = EllipticSlope(slope_int(data["shift"], "shift"), cls)
         mu = self.slope_json(slope)["mu"]
         if data["mu"] != mu:

@@ -60,6 +60,11 @@ class ObjectParseError(TStabError):
         super().__init__(f"{message} (at position {position})")
         self.message, self.position = message, position
 
+    def __reduce__(self):
+        # `args` holds the formatted text alone; pickle and copy call the class
+        # with what `__init__` takes
+        return type(self), (self.message, self.position), self.__dict__
+
 
 class InvalidLengthError(ObjectParseError):
     """A torsion term was given length zero."""

@@ -37,7 +37,7 @@ from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, hom_di
                  normalize, point_resolver, torsion)
 from .slopes import INF
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
-                        StandardSlope, Window, slope_int)
+                        StandardSlope, Window, slope_int, slope_point)
 from .value import Value, assign, set_field
 
 
@@ -145,7 +145,7 @@ class StandardP1(P1Family, Value):
         shift, level = slope_int(data["shift"], "shift"), data["level"]
         if "int" in level:
             return StandardSlope(shift, slope_int(level["int"], "level.int"))
-        return StandardSlope(shift, point_resolver(self.point_labels)(level["point"]))
+        return StandardSlope(shift, slope_point(self.point_labels, level["point"], "level.point"))
 
 
 # --- exceptional ----------------------------------------------------------------

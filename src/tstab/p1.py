@@ -10,6 +10,11 @@ gives its `key`, `rank_degree`, `ext_dim` and `render`.  `FormalSum` is
 the one normal form, a multiset of atoms with multiplicities:
 `DerivedObject` here, `EllipticObject` on the elliptic curve.
 
+An atom computes its hash, sort key, signed (rank, degree) and text once,
+when it is built, and keeps them in derived slots: an HN filtration
+repeats every atom in every term, and hashing, sorting, K0 sums and
+rendering read these per summand.
+
 The Hom rule table is classical:
 
     Ext^0(O(a), O(b))    = max(b - a + 1, 0)
@@ -170,13 +175,31 @@ Indec = Line | Torsion
 class ShiftedIndec(Value):
     """A sheaf placed in homological degree -shift (i.e. base[shift]): a
     `Line` or a `Torsion` on the line, a `StableClass` on the elliptic curve.
+
+    `__init__` computes what the engine asks of an atom once, into derived
+    slots (see `tstab.value`): `_hash`, the hash of its fields; `_key`, its
+    sort key; `_rd`, its signed (rank, degree); `_text`, its `render`.
+    Uncached, the hash alone would cost more than a render, as it nests
+    the `__hash__` of base and point.  A base that is not a sheaf, or a
+    shift that is not a number, leaves some of them unset; each method
+    then computes its value afresh, so it raises what it always raised,
+    when it is called, and not when the atom is built.
     """
 
-    __slots__ = ("base", "shift")
+    __slots__ = ("base", "shift", "_hash", "_key", "_rd", "_text")
 
     def __init__(self, base: Line | Torsion | StableClass, shift: int = 0):
         set_field(self, "base", base)
         set_field(self, "shift", shift)
+        try:
+            r, d = base.rank_degree()
+            text = base.render()
+            set_field(self, "_hash", hash((base, shift)))
+            set_field(self, "_key", (shift, *base.key()))
+            set_field(self, "_rd", (-r, -d) if shift % 2 else (r, d))
+            set_field(self, "_text", f"{text}[{shift}]" if shift else text)
+        except (AttributeError, TypeError, ValueError):
+            pass  # a bad base or shift: see the class docstring
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -184,17 +207,26 @@ class ShiftedIndec(Value):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.base, self.shift))
+        try:
+            return self._hash
+        except AttributeError:  # not cached (see the class docstring)
+            return hash((self.base, self.shift))
 
     def shifted(self, n: int) -> "ShiftedIndec":
         return ShiftedIndec(self.base, self.shift + n)
 
     def key(self):
-        return (self.shift, *self.base.key())
+        try:
+            return self._key
+        except AttributeError:
+            return (self.shift, *self.base.key())
 
     def rank_degree(self) -> tuple[int, int]:
-        r, d = self.base.rank_degree()
-        return (-r, -d) if self.shift % 2 else (r, d)
+        try:
+            return self._rd
+        except AttributeError:
+            r, d = self.base.rank_degree()
+            return (-r, -d) if self.shift % 2 else (r, d)
 
     def k0(self) -> K0Class:
         return K0Class(self.rank_degree())
@@ -204,8 +236,11 @@ class ShiftedIndec(Value):
         return self.base.ext_dim(other.base, i)
 
     def render(self) -> str:
-        s = self.base.render()
-        return f"{s}[{self.shift}]" if self.shift else s
+        try:
+            return self._text
+        except AttributeError:
+            s = self.base.render()
+            return f"{s}[{self.shift}]" if self.shift else s
 
     def __repr__(self):
         return self.render()
@@ -265,7 +300,7 @@ class FormalSum(Value):
     def k0(self) -> K0Class:
         rank = degree = 0
         for t, m in self.terms:
-            r, d = t.rank_degree()
+            r, d = t._rd
             rank += m * r
             degree += m * d
         return K0Class((rank, degree))
@@ -273,8 +308,7 @@ class FormalSum(Value):
     def render(self) -> str:
         if self.is_zero:
             return "0"
-        return " + ".join(t.render() if m == 1 else f"{m}*{t.render()}"
-                          for t, m in self.terms)
+        return " + ".join([t._text if m == 1 else f"{m}*{t._text}" for t, m in self.terms])
 
     def __repr__(self):
         return self.render()

@@ -24,8 +24,9 @@ from collections.abc import Sequence
 from itertools import compress
 from operator import methodcaller
 
-from .errors import FiltrationFormatError, InvalidShuffleError, UnsupportedFamilyError
-from .p1 import Point, hom_profile, point_universe
+from .errors import (FiltrationFormatError, InvalidShuffleError, ObjectParseError,
+                     UnsupportedFamilyError)
+from .p1 import Point, hom_profile, point_resolver, point_universe
 from .slopes import ExtendedRational, K0Class, Ordering
 from .value import INT_TEXT, Value, assign, set_field
 
@@ -40,6 +41,17 @@ def slope_int(value, name: str, text: bool = False) -> int:
         kind = "a decimal integer string" if text else "an integer"
         raise FiltrationFormatError(f"slope field {name!r} must be {kind}, got {value!r}")
     return int(value)
+
+
+def slope_point(labels: tuple[str, ...], label, name: str) -> Point:
+    """The point that slope field `name` names under the point order `labels`.
+
+    A label the order does not declare raises FiltrationFormatError naming
+    the field: a slope field has no text position to report."""
+    try:
+        return point_resolver(labels)(label)
+    except ObjectParseError as exc:
+        raise FiltrationFormatError(f"slope field {name!r} names an {exc.message}") from None
 
 
 class CoarseSlope(Value):
@@ -297,7 +309,7 @@ class StabilityFamily:
     `term_filtration`.  The generic engine assembles full filtrations
     from those.  Each subclass gives:
 
-    * `slope_key(s)`: an exact key (ints, tuples, Fractions) whose natural
+    * `slope_key(s)`: an exact key (ints, tuples, `elliptic.MuKey`s) whose natural
       order is the slope order; a slope of another family raises TypeError;
     * `tau(s, n=1)`: tau^n, for any integer n;
     * `slope_json(s)`, `slope_from_json(data)` and `descriptor()`: a slope

@@ -1,18 +1,29 @@
 """The base of the package's immutable value types.
 
 Every record of the package is a `__slots__` class derived from `Value`.
-Its fields are its slots, in declaration order; `Value` gives it
-the refusal of assignment and deletion, a `Name(field=value, ...)` repr
-and pickle/copy support, and, for types that do not write their own,
-`==` and `hash` over the field tuple.  No methods are generated, so
-defining a type costs no more than a plain class.
+Its fields are its slots whose names do not start with `_`, in
+declaration order; `Value` gives it the refusal of assignment and
+deletion, a `Name(field=value, ...)` repr and pickle/copy support, and,
+for types that do not write their own, `==` and `hash` over the field
+tuple.  No methods are generated, so defining a type costs no more than
+a plain class.
+
+A slot whose name starts with `_` is a derived cache, not a field: a
+value its `__init__` computes once from the fields, such as the atom's
+hash, sort key, K0 pair and text (`p1.ShiftedIndec`).  `_fields`,
+`_compare`, `repr`, `==` and pickle/copy ignore it; since pickle and copy
+rebuild a value through `__init__`, they recompute it.  It is refused
+assignment and deletion like a field.
 
 Nine types that the HN engine and the window checks hash and compare in
 bulk write `__eq__` and `__hash__` out by hand, as the generic methods,
 which build the field tuple through `getattr`, cost them measurable time:
 `Point`, `Line`, `Torsion`, `StableClass`, `ShiftedIndec` and the four
-slope types.  Every other type, formal sums and K0 classes included, takes
-`Value`'s methods, which a profile shows cold.  The rules are the same:
+slope types.  `ShiftedIndec`'s returns the `_hash` it cached, `hash` of
+its field tuple all the same.  So does the sort-key element
+`elliptic.MuKey`, which adds `<` and `<=`.  Every other type, formal sums
+and K0 classes included, takes `Value`'s methods, which a profile shows
+cold.  The rules are the same:
 
 * `a == b` compares the field tuples when `a` and `b` are of the very
   same class, and is NotImplemented (so False, unless reflected)
@@ -43,14 +54,14 @@ class FrozenInstanceError(AttributeError):
 
 class Value:
     __slots__ = ()
-    _fields: tuple[str, ...] = ()   # the slots, in declaration order
+    _fields: tuple[str, ...] = ()   # the slots but the derived ones, in declaration order
     _compare: tuple[str, ...] = ()  # the fields that == and hash read; all unless declared
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__dict__.get("__slots__", ())
-        if fields:
-            cls._fields = tuple(fields)
+        slots = cls.__dict__.get("__slots__", ())
+        if slots:
+            cls._fields = tuple(name for name in slots if not name.startswith("_"))
         if "_compare" not in cls.__dict__:
             cls._compare = cls._fields
 

@@ -1,9 +1,11 @@
 """Tests for the expression parser and the command-line interface."""
 
 import argparse
+import copy
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -88,6 +90,15 @@ def test_parse_error_carries_position():
         assert exc.position == 11
     else:
         pytest.fail("expected a parse error")
+
+
+@pytest.mark.parametrize("error", [ObjectParseError, InvalidLengthError, NonCoprimeError])
+def test_parse_errors_survive_pickle_and_copy(error):
+    exc = error("bad atom", 3)
+    for round_trip in (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))):
+        again = round_trip(exc)
+        assert type(again) is error
+        assert (again.message, again.position, str(again)) == ("bad atom", 3, str(exc))
 
 
 def _random_expression(rng: random.Random) -> str:
@@ -866,6 +877,26 @@ def test_slope_fields_are_not_coerced(doc, path, value, message, tmp_path):
         slope = slope[key]
     slope[path[-1]] = value
     assert _check_hn_is_domain_error(doc, tmp_path) == message
+
+
+@pytest.mark.parametrize("doc, path, value, message", [
+    (_hn_json("T(y,1)", "--stability", "std", "--points", "x,y"), ("level", "point"), "q",
+     "slope field 'level.point' names an undeclared point label 'q'"),
+    (_hn_json("S(1,0,y)", "--stability", "ell", "--points", "x,y"), ("class",), "S(1,0,q)",
+     "slope field 'class' names an undeclared point label 'q'"),
+], ids=["std", "ell"])
+def test_undeclared_slope_point_names_the_slope_field(doc, path, value, message, tmp_path):
+    """A slope field has no text position, so its error names the field."""
+    doc = json.loads(json.dumps(doc))
+    slope = doc["quotients"][0]["slope"]
+    for key in path[:-1]:
+        slope = slope[key]
+    slope[path[-1]] = value
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert _run("check", "hn", "--input", str(file)) == (1, f"error: {message}\n")
+    code, out = _run("check", "hn", "--input", str(file), "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": message})
 
 
 # --- fuzzing ---------------------------------------------------------------------

@@ -46,7 +46,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tstab import cli, elliptic, p1, slopes, stability
-from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
+from tstab.elliptic import (EllipticObject, EllipticStandard, MuKey, StableClass, hom_dim_stable,
                             normalize_elliptic)
 from tstab.errors import (InvalidCutError, InvalidLengthError, NonCoprimeError,
                           NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
@@ -1757,6 +1757,78 @@ def test_atoms_match_per_curve_oracles(data):
         # Keys lead with the shift, so `shift` keeps the term order.
         x = curve.from_pairs((t, 1) for t, _ in atoms)
         assert x.shift(n) == curve.from_pairs((t.shifted(n), m) for t, m in x.summands())
+
+
+def oracle_stable_key(cls):
+    """`StableClass.key` as it was: the slope as a Fraction, the skyscraper's as
+    Fraction(0) behind a 1."""
+    mu_key = (1, Fraction(0)) if cls.r == 0 else (0, Fraction(cls.d, cls.r))
+    return (*mu_key, *cls.x.key())
+
+
+class OracleComputedAtom:
+    """`ShiftedIndec` as it was before it cached its derived values: each method
+    computes its value from the base on every call."""
+
+    def __init__(self, base, shift):
+        self.base, self.shift = base, shift
+
+    def __hash__(self):
+        return hash((self.base, self.shift))
+
+    def key(self):
+        base_key = oracle_stable_key(self.base) if isinstance(self.base, StableClass) \
+            else self.base.key()
+        return (self.shift, *base_key)
+
+    def rank_degree(self):
+        r, d = self.base.rank_degree()
+        return (-r, -d) if self.shift % 2 else (r, d)
+
+    def render(self):
+        s = self.base.render()
+        return f"{s}[{self.shift}]" if self.shift else s
+
+
+def _as_fractions(key):
+    """A sort key with each MuKey read as the Fraction it stands for."""
+    return tuple(Fraction(k.d, k.r) if isinstance(k, MuKey) else k for k in key)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_cached_atom_values_match_the_computing_oracle(data):
+    order = data.draw(st.sampled_from(ORDERS))
+    p1_sheaves = st.one_of(st.integers(-8, 8).map(Line),
+                           st.builds(Torsion, _points(order), st.integers(1, 4)))
+    skyscrapers = _points(order).map(lambda pt: StableClass(0, 1, pt))
+    classes = st.one_of(stable_classes(order, max_rank=6, max_degree=9), skyscrapers)
+    for sheaves in (p1_sheaves, classes):
+        drawn = data.draw(st.lists(st.tuples(sheaves, st.integers(-5, 5)), min_size=1,
+                                   max_size=8))
+        atoms = [(ShiftedIndec(b, sh), OracleComputedAtom(b, sh)) for b, sh in drawn]
+        for new, old in atoms:
+            assert new._hash == hash(new) == hash(old)
+            assert _as_fractions(new._key) == _as_fractions(new.key()) == old.key()
+            assert new._rd == new.rank_degree() == old.rank_degree()
+            assert new._text == new.render() == old.render()
+        for (a, old_a), (b, old_b) in itertools.product(atoms, repeat=2):
+            assert (a.key() == b.key()) == (old_a.key() == old_b.key())
+            assert (a.key() < b.key()) == (old_a.key() < old_b.key())
+        positions = range(len(atoms))
+        assert sorted(positions, key=lambda j: atoms[j][0].key()) == \
+            sorted(positions, key=lambda j: atoms[j][1].key())
+
+
+def test_mu_key_compares_only_with_mu_keys():
+    half, third = MuKey(1, 2), MuKey(-1, 3)
+    assert third < half <= half and half > third >= third and half == MuKey(1, 2)
+    assert hash(half) == hash(MuKey(1, 2)) and half != third
+    for other in (Fraction(1, 2), 0.5, 0, "1/2"):
+        assert half != other and other != half
+        with pytest.raises(TypeError):
+            half < other
+    assert StableClass(0, 1, Point("x")).key()[:2] == (1, 0)
 
 
 # --- value types ----------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Tests for the P1 object model and its Hom rule table."""
 
+import copy
 import itertools
+import pickle
 import random
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tstab.elliptic import StableClass
 from tstab.errors import ObjectParseError
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
                       direct_sum, ext_dim, euler_form, hom_dim, hom_profile,
                       line, normalize, point_resolver, torsion)
 from tstab.slopes import K0Class
+from tstab.value import FrozenInstanceError, Value
 
 
 X, Y = Point("x"), Point("y")
@@ -204,3 +208,54 @@ def test_render_and_direct_sum():
     obj = direct_sum(line(3), 2 * line(-1, 2), torsion(X, 2))
     assert obj.render() == "O(3) + T(x,2) + 2*O(-1)[2]"
     assert ZERO.render() == "0"
+
+
+# --- derived slots --------------------------------------------------------------
+
+DERIVED = ("_hash", "_key", "_rd", "_text")
+_ATOMS = (ShiftedIndec(Line(-3), 1), ShiftedIndec(Torsion(Point("y", 2), 2), -2),
+          ShiftedIndec(StableClass(3, -2, Point("z", 1)), 3),
+          ShiftedIndec(StableClass(0, 1, X)))
+
+
+@pytest.mark.parametrize("atom", _ATOMS, ids=repr)
+def test_derived_slots_survive_copy_and_pickle(atom):
+    assert ShiftedIndec._fields == ShiftedIndec._compare == ("base", "shift")
+    assert Value.__repr__(atom) == f"ShiftedIndec(base={atom.base!r}, shift={atom.shift!r})"
+    for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        again = round_trip(atom)
+        assert again == atom and again is not atom
+        assert [getattr(again, name) for name in DERIVED] == \
+            [getattr(atom, name) for name in DERIVED]
+
+
+@pytest.mark.parametrize("name", DERIVED)
+def test_derived_slots_are_refused_assignment_and_deletion(name):
+    atom = _ATOMS[0]
+    before = getattr(atom, name)
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(atom, name, 0)
+    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+        delattr(atom, name)
+    assert getattr(atom, name) == before
+
+
+def test_a_bad_base_raises_when_used_not_when_built():
+    atom = ShiftedIndec(5, 1)
+    assert atom == ShiftedIndec(5, 1) and hash(atom) == hash((5, 1))
+    for method in (atom.key, atom.rank_degree, atom.render):
+        with pytest.raises(AttributeError, match="'int' object has no attribute"):
+            method()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ShiftedIndec([Line(1)]))
+    odd = ShiftedIndec(Line(2), "1")  # a text shift: key and text work, the sign does not
+    assert odd.key() == ("1", 0, (2,)) and odd.render() == "O(2)[1]"
+    with pytest.raises(TypeError):
+        odd.rank_degree()
+    text_degree = ShiftedIndec(Line("a"), 1)  # a sheaf of a bad field, likewise
+    assert text_degree.key() == (1, 0, ("a",)) and text_degree.render() == "O(a)[1]"
+    with pytest.raises(TypeError):
+        text_degree.rank_degree()
+    unplaced = ShiftedIndec(Torsion("x", 2))  # a label, not a Point
+    with pytest.raises(AttributeError, match="'str' object has no attribute"):
+        unplaced.key()
