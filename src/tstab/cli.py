@@ -562,23 +562,16 @@ def _cmd_catalog(args, session, out) -> int:
     p = _parse_p(params["p"], spec) if "p" in params else None
     P = _point_set(params["P"], frozenset(points)) if "P" in params else None
     entry = catalog(args.name, p=p, P=P, points=points)
+    doc = entry.to_json()
     if args.diagram:
         text = diagram(entry.cut, entry.family)
-        _emit({**entry.to_json(), "diagram": text}, text, session, out)
+        _emit({**doc, "diagram": text}, text, session, out)
         return 0
-    gens = "; ".join(entry.heart.generators()) or "(none)"
-    text = (f"{entry.name}{_fmt_params(entry.params_dict())}: bounded={str(entry.bounded).lower()}"
-            f"\nheart: {gens}\ncut: {entry.cut.spec()}")
-    _emit(entry.to_json(), text, session, out)
+    named = ", ".join(f"{k}={v}" for k, v in doc["params"].items())
+    text = (f"{entry.name}{f'({named})' if named else ''}: bounded={str(entry.bounded).lower()}"
+            f"\nheart: {'; '.join(doc['heart']) or '(none)'}\ncut: {entry.cut.spec()}")
+    _emit(doc, text, session, out)
     return 0
-
-
-def _fmt_params(params: dict) -> str:
-    if not params:
-        return ""
-    inner = ", ".join(f"{k}={sorted(v) if isinstance(v, frozenset) else v}"
-                      for k, v in params.items())
-    return f"({inner})"
 
 
 class UsageError(Exception):

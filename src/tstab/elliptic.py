@@ -101,14 +101,6 @@ class StableClass(Value):
         set_field(self, "d", d)
         set_field(self, "x", x)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.r == other.r and self.d == other.d and self.x == other.x
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.r, self.d, self.x))
-
     @property
     def is_skyscraper(self) -> bool:
         return self.r == 0
@@ -140,8 +132,6 @@ def hom_dim_stable(e: StableClass, f: StableClass, ext_degree: int) -> int:
     """dim Ext^i(e, f) between stable classes, from the slope rule table."""
     if ext_degree not in (0, 1):
         return 0
-    if e == f:
-        return 1
     # Ranks are >= 0 and the only rank-0 class is (0, 1), so the sign of
     # chi decides the slope order exactly: chi > 0 iff mu(e) < mu(f).
     chi = e.r * f.d - e.d * f.r
@@ -149,7 +139,8 @@ def hom_dim_stable(e: StableClass, f: StableClass, ext_degree: int) -> int:
         return chi if ext_degree == 0 else 0
     if chi < 0:
         return 0 if ext_degree == 0 else -chi
-    return 0
+    # Equal slopes: the coprime (r, d) agree, so e == f iff the points do.
+    return 1 if e.x == f.x else 0
 
 
 class EllipticObject(FormalSum):
@@ -206,7 +197,8 @@ class EllipticStandard(StabilityFamily, Value):
         return {"family": "elliptic", "point_order": list(self.point_labels)}
 
     def slope_json(self, s: EllipticSlope) -> dict:
-        mu = "inf" if s.mu.is_infinite else str(s.mu.value)
+        r, d = s.cls.r, s.cls.d
+        mu = "inf" if r == 0 else str(d) if r == 1 else f"{d}/{r}"
         return {"shift": s.i, "mu": mu, "class": s.cls.render()}
 
     def slope_from_json(self, data: dict) -> EllipticSlope:

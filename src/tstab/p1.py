@@ -60,14 +60,6 @@ class Point(Value):
         set_field(self, "label", label)
         set_field(self, "order_index", order_index)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.label == other.label and self.order_index == other.order_index
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.label, self.order_index))
-
     def key(self):
         return (self.order_index, self.label)
 
@@ -116,14 +108,6 @@ class Line(Value):
     def __init__(self, n: int):
         set_field(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.n == other.n
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n,))
-
     def key(self):
         return (0, (self.n,))  # lines before torsion, then by degree
 
@@ -147,14 +131,6 @@ class Torsion(Value):
             raise ValueError(f"torsion length must be >= 1, got {d}")
         set_field(self, "x", x)
         set_field(self, "d", d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.x == other.x and self.d == other.d
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.d))
 
     def key(self):
         return (1, (*self.x.key(), self.d))  # by point order, then length
@@ -180,10 +156,8 @@ class ShiftedIndec(Value):
     slots (see `tstab.value`): `_hash`, the hash of its fields; `_key`, its
     sort key; `_rd`, its signed (rank, degree); `_text`, its `render`.
     Uncached, the hash alone would cost more than a render, as it nests
-    the `__hash__` of base and point.  A base that is not a sheaf, or a
-    shift that is not a number, leaves some of them unset; each method
-    then computes its value afresh, so it raises what it always raised,
-    when it is called, and not when the atom is built.
+    the hashes of base and point.  A base that is not a sheaf, or a shift
+    that is not a number, raises when the atom is built.
     """
 
     __slots__ = ("base", "shift", "_hash", "_key", "_rd", "_text")
@@ -191,42 +165,24 @@ class ShiftedIndec(Value):
     def __init__(self, base: Line | Torsion | StableClass, shift: int = 0):
         set_field(self, "base", base)
         set_field(self, "shift", shift)
-        try:
-            r, d = base.rank_degree()
-            text = base.render()
-            set_field(self, "_hash", hash((base, shift)))
-            set_field(self, "_key", (shift, *base.key()))
-            set_field(self, "_rd", (-r, -d) if shift % 2 else (r, d))
-            set_field(self, "_text", f"{text}[{shift}]" if shift else text)
-        except (AttributeError, TypeError, ValueError):
-            pass  # a bad base or shift: see the class docstring
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.base == other.base and self.shift == other.shift
-        return NotImplemented
+        r, d = base.rank_degree()
+        text = base.render()
+        set_field(self, "_hash", hash((base, shift)))
+        set_field(self, "_key", (shift, *base.key()))
+        set_field(self, "_rd", (-r, -d) if shift % 2 else (r, d))
+        set_field(self, "_text", f"{text}[{shift}]" if shift else text)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # not cached (see the class docstring)
-            return hash((self.base, self.shift))
+        return self._hash
 
     def shifted(self, n: int) -> "ShiftedIndec":
         return ShiftedIndec(self.base, self.shift + n)
 
     def key(self):
-        try:
-            return self._key
-        except AttributeError:
-            return (self.shift, *self.base.key())
+        return self._key
 
     def rank_degree(self) -> tuple[int, int]:
-        try:
-            return self._rd
-        except AttributeError:
-            r, d = self.base.rank_degree()
-            return (-r, -d) if self.shift % 2 else (r, d)
+        return self._rd
 
     def k0(self) -> K0Class:
         return K0Class(self.rank_degree())
@@ -236,11 +192,7 @@ class ShiftedIndec(Value):
         return self.base.ext_dim(other.base, i)
 
     def render(self) -> str:
-        try:
-            return self._text
-        except AttributeError:
-            s = self.base.render()
-            return f"{s}[{self.shift}]" if self.shift else s
+        return self._text
 
     def __repr__(self):
         return self.render()

@@ -62,14 +62,6 @@ class CoarseSlope(Value):
     def __init__(self, i: int):
         set_field(self, "i", i)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.i == other.i
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.i,))
-
     def __repr__(self):
         return f"({self.i})"
 
@@ -82,14 +74,6 @@ class StandardSlope(Value):
     def __init__(self, i: int, level: int | Point):
         set_field(self, "i", i)
         set_field(self, "level", level)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.i == other.i and self.level == other.level
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.i, self.level))
 
     def key(self):
         if isinstance(self.level, Point):
@@ -111,14 +95,6 @@ class ExceptionalSlope(Value):
         set_field(self, "i", i)
         set_field(self, "col", col)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.i == other.i and self.col == other.col
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.i, self.col))
-
     def __repr__(self):
         return f"({self.i}, col {self.col})"
 
@@ -131,14 +107,6 @@ class EllipticSlope(Value):
     def __init__(self, i: int, cls):  # cls: a StableClass
         set_field(self, "i", i)
         set_field(self, "cls", cls)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.i == other.i and self.cls == other.cls
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.i, self.cls))
 
     @property
     def mu(self) -> ExtendedRational:

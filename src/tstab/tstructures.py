@@ -357,10 +357,6 @@ def _point_set_reason(P: frozenset[str], labels: tuple[str, ...], up: bool) -> s
     return None
 
 
-def cut_is_valid(cut: SlopeCut, family: StabilityFamily) -> bool:
-    return cut.validity_reason(family) is None
-
-
 def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Report:
     """Check that the cut decomposes the slope set into down-set < up-set.
 

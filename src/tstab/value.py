@@ -3,10 +3,9 @@
 Every record of the package is a `__slots__` class derived from `Value`.
 Its fields are its slots whose names do not start with `_`, in
 declaration order; `Value` gives it the refusal of assignment and
-deletion, a `Name(field=value, ...)` repr and pickle/copy support, and,
-for types that do not write their own, `==` and `hash` over the field
-tuple.  No methods are generated, so defining a type costs no more than
-a plain class.
+deletion, a `Name(field=value, ...)` repr, pickle/copy support, and `==`
+and `hash` over the field tuple.  No methods are generated, so defining
+a type costs no more than a plain class and one getter of its fields.
 
 A slot whose name starts with `_` is a derived cache, not a field: a
 value its `__init__` computes once from the fields, such as the atom's
@@ -15,15 +14,7 @@ hash, sort key, K0 pair and text (`p1.ShiftedIndec`).  `_fields`,
 rebuild a value through `__init__`, they recompute it.  It is refused
 assignment and deletion like a field.
 
-Nine types that the HN engine and the window checks hash and compare in
-bulk write `__eq__` and `__hash__` out by hand, as the generic methods,
-which build the field tuple through `getattr`, cost them measurable time:
-`Point`, `Line`, `Torsion`, `StableClass`, `ShiftedIndec` and the four
-slope types.  `ShiftedIndec`'s returns the `_hash` it cached, `hash` of
-its field tuple all the same.  So does the sort-key element
-`elliptic.MuKey`, which adds `<` and `<=`.  Every other type, formal sums
-and K0 classes included, takes `Value`'s methods, which a profile shows
-cold.  The rules are the same:
+The rules of `==` and `hash`:
 
 * `a == b` compares the field tuples when `a` and `b` are of the very
   same class, and is NotImplemented (so False, unless reflected)
@@ -31,6 +22,17 @@ cold.  The rules are the same:
 * `hash(a)` is `hash` of the field tuple, so set and dict order follow
   the field values alone;
 * a field listed outside `_compare` takes no part in either.
+
+Each class gets one getter of its compared tuple, an `operator.attrgetter`
+where it has two fields or more, so the tuple is built in C.  Two types
+keep methods of their own:
+
+* `elliptic.MuKey`, a sort key element, has `<` and `<=` by
+  cross-multiplication, and an `==` of the same form that sort-key
+  comparisons call hot; its `hash` is `hash` of its coprime fields;
+* `p1.ShiftedIndec`'s `hash` returns the `_hash` it computed when it was
+  built, as the field hash nests the hashes of base and point; the value
+  is `hash` of its field tuple all the same.
 
 Pickle and copy rebuild a value by calling its class on its fields, so
 every `__init__` takes the fields in declaration order, and a value it
@@ -41,11 +43,23 @@ has normalised comes back as it was.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 set_field = object.__setattr__  # how an __init__ sets a field past Value.__setattr__
 
 # ASCII digits with an optional sign.  Compiled on first use, through `re`'s
 # own cache, so commands that read none do not pay for it at import.
 INT_TEXT = r"[+-]?[0-9]+\Z"
+
+
+def _tuple_getter(names: tuple[str, ...]):
+    """The map from a value to the tuple of its fields `names`."""
+    if len(names) > 1:
+        return attrgetter(*names)
+    if names:
+        get = attrgetter(*names)
+        return lambda value: (get(value),)
+    return lambda value: ()
 
 
 class FrozenInstanceError(AttributeError):
@@ -56,6 +70,7 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()   # the slots but the derived ones, in declaration order
     _compare: tuple[str, ...] = ()  # the fields that == and hash read; all unless declared
+    _compared = staticmethod(_tuple_getter(()))  # value -> its _compare tuple
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -64,6 +79,7 @@ class Value:
             cls._fields = tuple(name for name in slots if not name.startswith("_"))
         if "_compare" not in cls.__dict__:
             cls._compare = cls._fields
+        cls._compared = staticmethod(_tuple_getter(cls._compare))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -71,16 +87,14 @@ class Value:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _compared(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._compare])
-
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._compared() == other._compared()
+            compared = self._compared
+            return compared(self) == compared(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._compared())
+        return hash(self._compared(self))
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -23,7 +23,7 @@ from tstab.stability import (ExceptionalSlope, HNFiltration, StandardSlope, Wind
                              validate_stability, verify_hn)
 from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, StandardCut,
                                apply_twist_shift, catalog, classify_bounded_cut,
-                               cut_is_valid, heart_contains, is_bounded, truncate)
+                               heart_contains, is_bounded, truncate)
 
 WINDOW = Window(max_degree=8, max_shift=3, max_length=4, max_summands=6)
 EXC_PARAMS = [(k, p) for k in (-1, 0, 1) for p in (0, 1, 2, INF)]
@@ -262,7 +262,7 @@ def test_criterion_7_classification_window():
             candidates = all_subsets + [None] if K == INF else [None]
             for P in candidates:
                 cut = StandardCut(m, K, P)
-                if not cut_is_valid(cut, std):
+                if cut.validity_reason(std) is not None:
                     ok = ok and K == INF and P is not None  # only bad point sets fail
                     continue
                 if not is_bounded(cut, std):
@@ -281,7 +281,7 @@ def test_criterion_7_classification_window():
         for a in range(-6, 7):
             for b in range(-6, 7):
                 cut = ExceptionalCut(a, b)
-                if not cut_is_valid(cut, fam):
+                if cut.validity_reason(fam) is not None:
                     ok = ok and b not in (a - p - 2, a - p - 1)
                     continue
                 valid += 1

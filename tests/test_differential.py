@@ -65,8 +65,8 @@ from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalS
 from tstab.tstructures import (CatalogEntry, Classification, CoarseCut, EllipticCut,
                                ExceptionalCut, HeartDescription, StandardCut, _fmt_bound,
                                _point_set_reason, _render_line_gen, apply_twist_shift, catalog,
-                               classify_bounded_cut, cut_is_valid, diagram, heart_contains,
-                               is_bounded, truncate, validate_cut)
+                               classify_bounded_cut, diagram, heart_contains, is_bounded,
+                               truncate, validate_cut)
 from tstab.value import set_field
 
 from test_stability import _ShiftsDescend, _TorsionBelowLines
@@ -134,6 +134,21 @@ def fraction_hom_dim_stable(e, f, ext_degree):
     if mu_e < mu_f:
         return chi if ext_degree == 0 else 0
     if mu_f < mu_e:
+        return 0 if ext_degree == 0 else -chi
+    return 0
+
+
+def equal_first_hom_dim_stable(e, f, ext_degree):
+    """dim Ext^i(e, f) by the rule as it was before equal slopes were decided
+    from the points: class equality first, then the sign of chi."""
+    if ext_degree not in (0, 1):
+        return 0
+    if e == f:
+        return 1
+    chi = e.r * f.d - e.d * f.r
+    if chi > 0:
+        return chi if ext_degree == 0 else 0
+    if chi < 0:
         return 0 if ext_degree == 0 else -chi
     return 0
 
@@ -1099,7 +1114,7 @@ def family_object_cut(draw):
         else:
             bounds = [(m, m - p - 2), (m, m - p - 1), (-INF, -INF), (INF, INF)]
         cut = ExceptionalCut(*draw(st.sampled_from(bounds)))
-    assert cut_is_valid(cut, family)
+    assert cut.validity_reason(family) is None
     return family, x, cut
 
 
@@ -1147,7 +1162,7 @@ def test_truncate_and_heart_match_oracles_on_every_window_atom():
     atoms = [normalize([(ShiftedIndec(b, sh), 2)]) for b in bases for sh in range(-3, 4)]
     splits = 0
     for family, cut in _cut_cases():
-        assert cut_is_valid(cut, family)
+        assert cut.validity_reason(family) is None
         for x in atoms:
             ref = oracle_truncate(x, cut, family)
             assert truncate(x, cut, family) == ref
@@ -1338,10 +1353,16 @@ def test_standard_slopes_match_the_wrapped_level_oracle(order):
 
 # --- Hom rule -------------------------------------------------------------------------
 
-def test_integer_hom_rule_matches_fraction_rule_on_window_classes():
+def _window_stable_classes():
+    """The stable classes of ranks <= 3 at three points, skyscrapers included."""
     window = Window(points=tuple(Point(lbl, i) for i, lbl in enumerate(LABELS)))
     classes = EllipticStandard(LABELS).window_classes(window, max_rank=3)
-    assert any(c.is_skyscraper for c in classes)
+    assert any(c.is_skyscraper for c in classes) and max(c.r for c in classes) == 3
+    return classes
+
+
+def test_integer_hom_rule_matches_fraction_rule_on_window_classes():
+    classes = _window_stable_classes()
     for e in classes:
         for f in classes:
             for i in (-1, 0, 1, 2):
@@ -1352,6 +1373,26 @@ def test_integer_hom_rule_matches_fraction_rule_on_window_classes():
        st.integers(-1, 2))
 def test_integer_hom_rule_matches_fraction_rule(e, f, i):
     assert hom_dim_stable(e, f, i) == fraction_hom_dim_stable(e, f, i)
+
+
+def test_hom_rule_matches_the_equal_first_rule_on_window_classes():
+    classes = _window_stable_classes()
+    equal_slope_pairs = 0
+    for e in classes:
+        for f in classes:
+            equal_slope_pairs += e != f and e.r * f.d == e.d * f.r
+            for i in (-1, 0, 1, 2):
+                assert hom_dim_stable(e, f, i) == equal_first_hom_dim_stable(e, f, i), (e, f, i)
+    assert equal_slope_pairs  # classes of one slope at different points, skyscrapers too
+
+
+def test_slope_json_mu_is_the_text_of_the_class_slope():
+    family = EllipticStandard(LABELS)
+    for cls in _window_stable_classes():
+        mu = cls.mu()
+        slope = EllipticSlope(-1, cls)
+        assert family.slope_json(slope)["mu"] == ("inf" if mu.is_infinite else str(mu.value))
+        assert family.slope_from_json(family.slope_json(slope)) == slope
 
 
 # --- K0 -------------------------------------------------------------------------------
@@ -2268,7 +2309,7 @@ def test_cut_methods_match_the_dispatch_oracles():
     for family, cut in _protocol_cases():
         reason = oracle_cut_validity_reason(cut, family)
         assert cut.validity_reason(family) == reason
-        assert cut_is_valid(cut, family) == (reason is None)
+        assert (cut.validity_reason(family) is None) == (reason is None)
         assert validate_cut(cut, family, 2) == oracle_validate_cut(cut, family, 2)
         if oracle_check_cut_family(cut, family) is None:
             for radius in (0, 2, 4):

@@ -13,9 +13,9 @@ from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, point_resolv
 from tstab.slopes import Ordering
 from tstab.stability import CheckItem, Window
 from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, HeartDescription,
-                               StandardCut, TorsionPair, apply_twist_shift,
-                               catalog, catalog_entries, classify_bounded_cut, cut_is_valid,
-                               diagram, heart_contains, heart_slopes, is_bounded,
+                               StandardCut, TorsionPair, apply_twist_shift, catalog,
+                               catalog_entries, classify_bounded_cut, diagram,
+                               heart_contains, heart_slopes, is_bounded,
                                torsion_pair_cut, truncate, validate_cut)
 
 STD3 = StandardP1(("x", "y", "z"))
@@ -29,28 +29,28 @@ def test_exceptional_cut_validity_analytic():
     # realizing the bounded entries: b in {a-p-2, a-p-1}
     for p in (0, 1, 2):
         fam = ExceptionalP1(0, p)
-        assert cut_is_valid(ExceptionalCut(0, -p - 2), fam)
-        assert cut_is_valid(ExceptionalCut(0, -p - 1), fam)
-        assert not cut_is_valid(ExceptionalCut(0, -p), fam)
-        assert not cut_is_valid(ExceptionalCut(0, -p - 3), fam)
+        assert ExceptionalCut(0, -p - 2).validity_reason(fam) is None
+        assert ExceptionalCut(0, -p - 1).validity_reason(fam) is None
+        assert ExceptionalCut(0, -p).validity_reason(fam) is not None
+        assert ExceptionalCut(0, -p - 3).validity_reason(fam) is not None
     # the E(p) cut is valid under the interleaving orders p and p+1
     for p in (0, 1, 3):
         cut = ExceptionalCut(p, -2)
-        assert cut_is_valid(cut, ExceptionalP1(0, p))
-        assert cut_is_valid(cut, ExceptionalP1(0, p + 1))
+        assert cut.validity_reason(ExceptionalP1(0, p)) is None
+        assert cut.validity_reason(ExceptionalP1(0, p + 1)) is None
         assert validate_cut(cut, ExceptionalP1(0, p + 1)).ok
 
 
 def test_half_infinite_exceptional_cuts():
     g_cut = ExceptionalCut(0, -INF)
     for p in (0, 1, 2):
-        assert not cut_is_valid(g_cut, ExceptionalP1(0, p))
+        assert g_cut.validity_reason(ExceptionalP1(0, p)) is not None
         assert not validate_cut(g_cut, ExceptionalP1(0, p)).ok
-    assert cut_is_valid(g_cut, ExceptionalP1(0, INF))
+    assert g_cut.validity_reason(ExceptionalP1(0, INF)) is None
     assert validate_cut(g_cut, ExceptionalP1(0, INF)).ok
-    assert cut_is_valid(ExceptionalCut(INF, 0), ExceptionalP1(0, INF))
-    assert cut_is_valid(ExceptionalCut(INF, -INF), ExceptionalP1(0, INF))
-    assert not cut_is_valid(ExceptionalCut(-INF, 4), ExceptionalP1(0, 1))
+    assert ExceptionalCut(INF, 0).validity_reason(ExceptionalP1(0, INF)) is None
+    assert ExceptionalCut(INF, -INF).validity_reason(ExceptionalP1(0, INF)) is None
+    assert ExceptionalCut(-INF, 4).validity_reason(ExceptionalP1(0, 1)) is not None
 
 
 def test_standard_cut_validity_and_window_check():
@@ -100,7 +100,8 @@ def test_exceptional_validity_matches_brute_force_up_closure():
         for a in list(range(-5, 6)) + [INF, -INF]:
             for b in list(range(-5, 6)) + [INF, -INF]:
                 cut = ExceptionalCut(a, b)
-                assert cut_is_valid(cut, fam) == _window_up_closed(cut, fam, slopes), (a, b, p)
+                valid = cut.validity_reason(fam) is None
+                assert valid == _window_up_closed(cut, fam, slopes), (a, b, p)
 
 
 def test_standard_validity_matches_brute_force_up_closure():
@@ -113,8 +114,8 @@ def test_standard_validity_matches_brute_force_up_closure():
         for K in [-2, 0, 2, INF, -INF]:
             for P in subsets + [None]:
                 cut = StandardCut(m, K, P)
-                assert cut_is_valid(cut, STD3) == _window_up_closed(cut, STD3, slopes), \
-                    (m, K, P)
+                valid = cut.validity_reason(STD3) is None
+                assert valid == _window_up_closed(cut, STD3, slopes), (m, K, P)
 
 
 # --- truncation -----------------------------------------------------------------
@@ -416,7 +417,7 @@ def test_classification_window_round_trip():
         for K in list(range(-4, 5)) + [INF, -INF]:
             for P in (upsets if K == INF else [None]):
                 cut = StandardCut(m, K, P)
-                if not cut_is_valid(cut, std):
+                if cut.validity_reason(std) is not None:
                     continue
                 cl = classify_bounded_cut(cut, std)
                 assert cl.name in ("A", "B", "C", "D")
@@ -431,7 +432,7 @@ def test_classification_window_round_trip():
         for a in range(-6, 7):
             for b in range(-6, 7):
                 cut = ExceptionalCut(a, b)
-                if not cut_is_valid(cut, fam):
+                if cut.validity_reason(fam) is not None:
                     continue
                 cl = classify_bounded_cut(cut, fam)
                 assert cl.name in ("E", "F")
