@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from functools import lru_cache
 
 from .errors import InvalidPartitionError
 from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, hom_dim, line,
@@ -211,27 +212,34 @@ def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> tuple:
     """The HN quotients of `mult` copies of one atom over the twisting
     pair (O(k), O(k+1)), ascending.
 
-    Generators stay put; any other line bundle and any torsion sheaf
-    splits into a column-0 and a column-1 quotient via its two-term
-    resolution (module docstring).
+    Generators stay put, on their own atom; any other line bundle and any
+    torsion sheaf splits into a column-0 and a column-1 quotient via its
+    two-term resolution (module docstring).  Each quotient is one summand,
+    built as it stands, on the shared atom of `_column_atom`.
     """
     i = term.shift
     base = term.base
     if isinstance(base, Line):
         n = base.n
-        if n == k:
-            return ((ExceptionalSlope(i, 0), line(k, i, mult)),)
-        if n == k + 1:
-            return ((ExceptionalSlope(i, 1), line(k + 1, i, mult)),)
-        if n > k + 1:
-            return ((ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * (n - k - 1))),
-                    (ExceptionalSlope(i, 1), line(k + 1, i, mult * (n - k))))
-        # n < k
-        return ((ExceptionalSlope(i, 0), line(k, i, mult * (k - n + 1))),
-                (ExceptionalSlope(i - 1, 1), line(k + 1, i - 1, mult * (k - n))))
-    d = base.d
-    return ((ExceptionalSlope(i + 1, 0), line(k, i + 1, mult * d)),
-            (ExceptionalSlope(i, 1), line(k + 1, i, mult * d)))
+        if n == k or n == k + 1:
+            return ((ExceptionalSlope(i, n - k), _summand(term, mult)),)
+        low, high, a, b = (i + 1, i, n - k - 1, n - k) if n > k else (i, i - 1, k - n + 1, k - n)
+    else:
+        low, high, a, b = i + 1, i, base.d, base.d
+    return ((ExceptionalSlope(low, 0), _summand(_column_atom(k, low), mult * a)),
+            (ExceptionalSlope(high, 1), _summand(_column_atom(k + 1, high), mult * b)))
+
+
+@lru_cache(maxsize=256)
+def _column_atom(n: int, j: int) -> ShiftedIndec:
+    """The atom O(n)[j]; one object per recent (n, j), so the quotients of an
+    exceptional `hn` share their atoms (equal atoms compare as before)."""
+    return ShiftedIndec(Line(n), j)
+
+
+def _summand(atom: ShiftedIndec, mult: int) -> DerivedObject:
+    """`mult` copies of one atom; as `normalize` reads it when mult <= 0."""
+    return DerivedObject(((atom, mult),)) if mult > 0 else normalize([(atom, mult)])
 
 
 # --- refinement order -----------------------------------------------------------

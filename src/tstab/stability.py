@@ -321,10 +321,12 @@ class StabilityFamily:
 
     def summand_tower(self, term, mult: int) -> tuple[tuple, tuple]:
         """(quotients, terms) of the HN filtration of `mult` copies of one atom:
-        the terms are the whole, then the top quotient if there are two, then zero."""
+        the terms are the whole, then the top quotient if there are two, then zero.
+        A one-quotient tower's whole is its quotient object itself."""
         quotients = self.term_filtration(term, mult)
-        top = tuple(obj for _, obj in quotients[1:])
-        return quotients, (self.single_term_object(term, mult), *top, self.zero)
+        if len(quotients) == 1:
+            return quotients, (quotients[0][1], self.zero)
+        return quotients, (self.single_term_object(term, mult), quotients[1][1], self.zero)
 
     # -- assembled operations --
 
@@ -334,7 +336,10 @@ class StabilityFamily:
                 f"object {x!r} is outside the {self.kind} family's object model")
 
     def single_term_object(self, term, mult: int):
-        """The object with a single summand `term` of multiplicity `mult`."""
+        """The object with a single summand `term` of multiplicity `mult`: built
+        as it stands when `mult > 0`, as one such summand is a normal form."""
+        if mult > 0:
+            return type(self.zero)(((term, mult),))
         return type(self.zero).from_pairs([(term, mult)])
 
     def hn(self, x) -> HNFiltration:

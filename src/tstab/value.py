@@ -23,9 +23,10 @@ The rules of `==` and `hash`:
   the field values alone;
 * a field listed outside `_compare` takes no part in either.
 
-Each class gets one getter of its compared tuple, an `operator.attrgetter`
-where it has two fields or more, so the tuple is built in C.  Two types
-keep methods of their own:
+Each class gets its getters in C, an `operator.attrgetter`: `==` compares
+the compared tuples, or the bare field of a one-field type, and `hash`
+reads the tuple, which a one-field type wraps in Python.  Two types keep
+methods of their own:
 
 * `elliptic.MuKey`, a sort key element, has `<` and `<=` by
   cross-multiplication, and an `==` of the same form that sort-key
@@ -52,14 +53,13 @@ set_field = object.__setattr__  # how an __init__ sets a field past Value.__seta
 INT_TEXT = r"[+-]?[0-9]+\Z"
 
 
-def _tuple_getter(names: tuple[str, ...]):
-    """The map from a value to the tuple of its fields `names`."""
-    if len(names) > 1:
-        return attrgetter(*names)
-    if names:
-        get = attrgetter(*names)
-        return lambda value: (get(value),)
-    return lambda value: ()
+def _getters(names: tuple[str, ...]):
+    """The maps from a value to what `==` compares of its fields `names`, the
+    bare field where there is one, and to their tuple, which `hash` reads."""
+    if not names:
+        return (lambda value: (),) * 2
+    get = attrgetter(*names)
+    return get, (get if len(names) > 1 else lambda value: (get(value),))
 
 
 class FrozenInstanceError(AttributeError):
@@ -70,7 +70,7 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()   # the slots but the derived ones, in declaration order
     _compare: tuple[str, ...] = ()  # the fields that == and hash read; all unless declared
-    _compared = staticmethod(_tuple_getter(()))  # value -> its _compare tuple
+    _eq_key = _compared = staticmethod(_getters(())[0])  # value -> what == and hash read
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -79,7 +79,8 @@ class Value:
             cls._fields = tuple(name for name in slots if not name.startswith("_"))
         if "_compare" not in cls.__dict__:
             cls._compare = cls._fields
-        cls._compared = staticmethod(_tuple_getter(cls._compare))
+        eq_key, compared = _getters(cls._compare)
+        cls._eq_key, cls._compared = staticmethod(eq_key), staticmethod(compared)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -89,8 +90,8 @@ class Value:
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            compared = self._compared
-            return compared(self) == compared(other)
+            eq_key = self._eq_key
+            return eq_key(self) == eq_key(other)
         return NotImplemented
 
     def __hash__(self):

@@ -10,6 +10,7 @@ per-curve Hom loops that the one `hom_profile` replaced, the
 hand-written slope comparators that each family's `slope_key` replaced,
 the three label resolvers that `point_resolver` replaced, and the
 per-summand data that `StabilityFamily.summand_tower` replaced: the
+towers whose every object went through `from_pairs` or `line()`, the
 exceptional rewrite with its stored mid-term, the `truncate` that read
 it, `heart_contains` read off a whole `hn`, and the coarsened
 `semistable_slope` read off the base family's `hn`, the elliptic tilt
@@ -53,7 +54,7 @@ from tstab.errors import (InvalidCutError, InvalidLengthError, NonCoprimeError,
                           UnsupportedFamilyError)
 from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopePartition,
                             StandardP1, by_shift_partition, coarsen, column_partition,
-                            family_from_descriptor, finest_check)
+                            exceptional_rewrite, family_from_descriptor, finest_check)
 from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim,
                       hom_profile, ZERO, line, normalize, point_resolver, point_universe,
                       torsion)
@@ -597,6 +598,31 @@ def oracle_exceptional_rewrite(term, k, mult=1):
     return (low, high), high[1]
 
 
+def oracle_single_term_object(family, term, mult):
+    """The one-summand object, read through `from_pairs`."""
+    return type(family.zero).from_pairs([(term, mult)])
+
+
+def oracle_term_filtration(family, term, mult):
+    """HN quotients of one summand, each object built through `line()` or `from_pairs`."""
+    if isinstance(family, ExceptionalP1):
+        return oracle_exceptional_rewrite(term, family.k, mult)[0]
+    if isinstance(family, CoarsenedFamily):
+        base = oracle_term_filtration(family.base, term, mult)
+        low, high = (family.partition.block_of(s) for s in (base[0][0], base[-1][0]))
+        if family.slope_key(low) == family.slope_key(high):
+            return ((low, oracle_single_term_object(family, term, mult)),)
+        return ((low, base[0][1]), (high, base[-1][1]))
+    return ((family.slope_of_term(term), oracle_single_term_object(family, term, mult)),)
+
+
+def oracle_summand_tower(family, term, mult):
+    """(quotients, terms) of one summand, the whole built apart from its quotients."""
+    quotients = oracle_term_filtration(family, term, mult)
+    top = tuple(obj for _, obj in quotients[1:])
+    return quotients, (oracle_single_term_object(family, term, mult), *top, family.zero)
+
+
 def oracle_term_rewrite(family, term, mult):
     """(quotients, mid) of one summand under a family a cut applies to."""
     if isinstance(family, ExceptionalP1):
@@ -1090,6 +1116,45 @@ def test_no_summand_has_more_than_two_quotients(case):
         assert 1 <= len(quotients) <= 2
         assert len(terms) == len(quotients) + 1
         assert terms[0] == family.single_term_object(term, mult) and terms[-1].is_zero
+
+
+@settings(max_examples=200)
+@given(family_and_object(max_size=4), st.integers(1, 4))
+def test_summand_towers_match_from_pairs_oracle(case, mult):
+    family, x = case
+    make = type(family.zero).from_pairs
+    for term, _ in x.summands():
+        quotients, terms = family.summand_tower(term, mult)
+        assert (quotients, terms) == oracle_summand_tower(family, term, mult)
+        whole = family.single_term_object(term, mult)
+        assert whole == oracle_single_term_object(family, term, mult)
+        for obj in (*terms, *(q for _, q in quotients)):
+            assert obj == make(obj.summands())
+
+
+def test_one_summand_objects_keep_their_answers_off_positive_multiplicities():
+    for family, term in ((StandardP1(), ShiftedIndec(Line(2), 1)),
+                         (EllipticStandard(), ShiftedIndec(StableClass(1, 0, Point("x"))))):
+        assert family.single_term_object(term, 0) == family.zero
+        with pytest.raises(ValueError):
+            family.single_term_object(term, -1)
+    for base in (Line(0), Line(3), Torsion(Point("x"), 2)):
+        term = ShiftedIndec(base, 1)
+        assert exceptional_rewrite(term, 0, 0) == oracle_exceptional_rewrite(term, 0, 0)[0]
+        assert all(obj.is_zero for _, obj in exceptional_rewrite(term, 0, 0))
+        with pytest.raises(ValueError):
+            exceptional_rewrite(term, 0, -1)
+
+
+def test_exceptional_column_atoms_are_shared():
+    exc = ExceptionalP1(0, 0)
+    x = line(3) + line(5)
+    (q3, _), (q5, _) = (exc.summand_tower(term, mult) for term, mult in x.summands())
+    columns = [obj.terms[0][0] for _, obj in q3]
+    assert [atom.render() for atom in columns] == ["O(0)[1]", "O(1)"]
+    assert all(obj.terms[0][0] is atom for (_, obj), atom in zip(q5, columns))
+    merged = [atom for _, obj in exc.hn(x).quotients for atom, _ in obj.terms]
+    assert len(merged) == 2 and all(a is b for a, b in zip(merged, columns))
 
 
 @st.composite

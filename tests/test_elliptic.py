@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, StableClass,
-                            hom_dim_stable, stable)
+from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, MuKey,
+                            StableClass, hom_dim_stable, stable)
 from tstab.errors import InvalidCutError
 from tstab.p1 import Point, ShiftedIndec, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
@@ -47,6 +47,11 @@ def test_stable_class_validation():
         StableClass(0, 2, L)
     with pytest.raises(ValueError):
         StableClass(-1, 1, L)
+
+
+def test_mu_key_does_not_order_against_an_int():
+    with pytest.raises(TypeError):
+        MuKey(1, 2) <= 3
 
 
 def test_mu_class_examples():

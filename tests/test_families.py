@@ -192,6 +192,11 @@ def test_standard_refines_coarse():
     assert verdict.holds
 
 
+def test_finer_verdict_is_true_exactly_when_it_holds():
+    assert is_finer(StandardP1(), CoarseZ(), WINDOW)
+    assert not is_finer(CoarseZ(), StandardP1(), WINDOW)
+
+
 def test_family_refines_itself():
     for fam in (StandardP1(), ExceptionalP1(0, 1), CoarseZ()):
         assert is_finer(fam, fam, WINDOW).holds

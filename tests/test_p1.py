@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from tstab.elliptic import StableClass
+from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, StableClass, normalize_elliptic
 from tstab.errors import ObjectParseError
 from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
                       direct_sum, ext_dim, euler_form, hom_dim, hom_profile,
@@ -48,6 +48,15 @@ def test_normalize_empty_is_zero():
 def test_normalize_rejects_negative_multiplicity():
     with pytest.raises(ValueError):
         normalize([(ShiftedIndec(Line(0)), -1)])
+
+
+def test_scalar_multiples_refuse_negatives_and_zero_gives_the_curves_zero():
+    x = line(1) + torsion(X, 2, shift=1)
+    with pytest.raises(ValueError):
+        -1 * x
+    assert 0 * x == ZERO and type(0 * x) is type(ZERO)
+    ell = normalize_elliptic([(ShiftedIndec(StableClass(1, 0, X)), 2)])
+    assert 0 * ell == ELLIPTIC_ZERO and type(0 * ell) is EllipticObject
 
 
 def test_torsion_length_positive():
