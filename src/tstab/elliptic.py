@@ -11,11 +11,10 @@ the atoms' `ext_dim`.  A stable class gives the atom its `key`,
 `rank_degree`, `ext_dim` (the slope rule table below) and `render`,
 which the atom caches.
 
-The sort key of a class leads with its slope: `(0, MuKey(d, r))` for
-positive rank, `(1, 0)` for a skyscraper, so slope infinity comes last.
-`MuKey` compares d/r by cross-multiplication, d*r' < d'*r, which is exact
-because ranks are positive: no rational number is built per key and no
-float enters a comparison.
+The sort key of a class leads with its slope `mu()`, the exact
+`ExtendedRational(d, r)`: a skyscraper's (d, r) is (1, 0), +infinity, so
+it comes last.  Slopes compare by cross-multiplication, d*r' < d'*r, so
+no quotient is computed per key and no float enters a comparison.
 
 Hom dimensions between stable classes are determined by their slopes:
 
@@ -36,49 +35,12 @@ from __future__ import annotations
 import math
 import random
 import re
-from fractions import Fraction
 
 from .errors import FiltrationFormatError
 from .p1 import FormalSum, Point, ShiftedIndec, point_resolver
-from .slopes import ExtendedRational, PLUS_INFINITY
+from .slopes import ExtendedRational
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int, slope_point
 from .value import Value, set_field
-
-
-class MuKey(Value):
-    """The slope d/r of a class of rank r >= 1, as a sort key element.
-
-    It compares with another MuKey by cross-multiplication, d*r' < d'*r,
-    exact as both ranks are positive; against any other type every
-    comparison is NotImplemented.  Rank and degree are coprime, so equal
-    slopes have equal fields and one hash.
-    """
-
-    __slots__ = ("d", "r")
-
-    def __init__(self, d: int, r: int):
-        set_field(self, "d", d)
-        set_field(self, "r", r)
-
-    def __eq__(self, other):
-        if other.__class__ is MuKey:
-            return self.d * other.r == other.d * self.r
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is MuKey:
-            return self.d * other.r < other.d * self.r
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is MuKey:
-            return self.d * other.r <= other.d * self.r
-        return NotImplemented
-
-    # `a > b` and `a >= b` are answered by the reflections `b < a` and `b <= a`.
-
-    def __hash__(self):
-        return hash((self.d, self.r))
 
 
 class StableClass(Value):
@@ -106,14 +68,10 @@ class StableClass(Value):
         return self.r == 0
 
     def mu(self) -> ExtendedRational:
-        if self.r == 0:
-            return PLUS_INFINITY
-        return ExtendedRational.finite(Fraction(self.d, self.r))
+        return ExtendedRational(self.d, self.r)  # a skyscraper's (d, r) is (1, 0), +infinity
 
     def key(self):
-        if self.r == 0:
-            return (1, 0, *self.x.key())
-        return (0, MuKey(self.d, self.r), *self.x.key())
+        return (self.mu(), *self.x.key())
 
     def rank_degree(self) -> tuple[int, int]:
         return self.r, self.d
@@ -197,9 +155,8 @@ class EllipticStandard(StabilityFamily, Value):
         return {"family": "elliptic", "point_order": list(self.point_labels)}
 
     def slope_json(self, s: EllipticSlope) -> dict:
-        r, d = s.cls.r, s.cls.d
-        mu = "inf" if r == 0 else str(d) if r == 1 else f"{d}/{r}"
-        return {"shift": s.i, "mu": mu, "class": s.cls.render()}
+        mu = s.mu
+        return {"shift": s.i, "mu": "inf" if mu.is_infinite else repr(mu), "class": s.cls.render()}
 
     def slope_from_json(self, data: dict) -> EllipticSlope:
         match = re.match(_CLASS_RE, data["class"])

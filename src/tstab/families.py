@@ -222,12 +222,13 @@ def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> tuple:
     if isinstance(base, Line):
         n = base.n
         if n == k or n == k + 1:
-            return ((ExceptionalSlope(i, n - k), _summand(term, mult)),)
+            return ((ExceptionalSlope(i, n - k), DerivedObject.single(term, mult)),)
         low, high, a, b = (i + 1, i, n - k - 1, n - k) if n > k else (i, i - 1, k - n + 1, k - n)
     else:
         low, high, a, b = i + 1, i, base.d, base.d
-    return ((ExceptionalSlope(low, 0), _summand(_column_atom(k, low), mult * a)),
-            (ExceptionalSlope(high, 1), _summand(_column_atom(k + 1, high), mult * b)))
+    return ((ExceptionalSlope(low, 0), DerivedObject.single(_column_atom(k, low), mult * a)),
+            (ExceptionalSlope(high, 1),
+             DerivedObject.single(_column_atom(k + 1, high), mult * b)))
 
 
 @lru_cache(maxsize=256)
@@ -235,11 +236,6 @@ def _column_atom(n: int, j: int) -> ShiftedIndec:
     """The atom O(n)[j]; one object per recent (n, j), so the quotients of an
     exceptional `hn` share their atoms (equal atoms compare as before)."""
     return ShiftedIndec(Line(n), j)
-
-
-def _summand(atom: ShiftedIndec, mult: int) -> DerivedObject:
-    """`mult` copies of one atom; as `normalize` reads it when mult <= 0."""
-    return DerivedObject(((atom, mult),)) if mult > 0 else normalize([(atom, mult)])
 
 
 # --- refinement order -----------------------------------------------------------
@@ -391,7 +387,7 @@ class CoarsenedFamily(StabilityFamily):
         base = self.base.term_filtration(term, mult)
         low, high = self.partition.block_of(base[0][0]), self.partition.block_of(base[-1][0])
         if self.slope_key(low) == self.slope_key(high):  # the summand, not its base quotients' sum
-            return ((low, self.single_term_object(term, mult)),)
+            return ((low, type(self.zero).single(term, mult)),)
         return ((low, base[0][1]), (high, base[-1][1]))
 
     def semistable_slope(self, x):

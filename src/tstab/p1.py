@@ -226,6 +226,12 @@ class FormalSum(Value):
                 acc[t] = acc.get(t, 0) + m
         return cls(tuple(sorted(acc.items(), key=lambda tm: tm[0].key())))
 
+    @classmethod
+    def single(cls, atom, mult: int):
+        """`mult` copies of one atom: built as it stands when mult > 0, as one
+        such summand is a normal form, else as `from_pairs` reads it."""
+        return cls(((atom, mult),)) if mult > 0 else cls.from_pairs([(atom, mult)])
+
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -186,10 +186,6 @@ class Nu(Value):
     def __repr__(self):
         return f"Nu({self.q})"
 
-    def approx(self) -> float:
-        """Float rendering for display only; never used in comparisons."""
-        return math.atan2(1.0, float(self.q)) / math.pi
-
 
 SlopeComponent = One | Nu
 
@@ -214,14 +210,6 @@ class SlopeValue(Value):
 
     def __len__(self):
         return len(self.components)
-
-    def __lt__(self, other: "SlopeValue"):
-        if len(self) != len(other):
-            raise ArityMismatchError("cannot compare slope vectors of different lengths")
-        return self.key() < other.key()
-
-    def __le__(self, other: "SlopeValue"):
-        return self == other or self < other
 
     def __repr__(self):
         return "Slope(" + ", ".join(repr(c) for c in self.components) + ")"
@@ -259,41 +247,68 @@ def gamma_slope(system: PositiveSystem, cls: K0Class) -> SlopeValue:
 # --- extended rationals -----------------------------------------------------
 
 class ExtendedRational(Value):
-    """A rational number or +infinity, with +infinity maximal."""
+    """A rational number d/r or +infinity, with +infinity maximal.
 
-    __slots__ = ("value",)
+    The fields are coprime ints with r >= 0; +infinity is (1, 0), the value
+    `PLUS_INFINITY`.  `finite` and `reduced` are the conversions; a caller
+    of the constructor gives the fields in this form.  Values compare by
+    cross-multiplication, d*r' < d'*r, exact as no r is negative; against
+    any other type every comparison is NotImplemented.  Equal values have
+    equal fields, so `hash` reads the fields.
+    """
 
-    def __init__(self, value: Fraction | None = None):  # None encodes +infinity
-        set_field(self, "value", value)
+    __slots__ = ("d", "r")
+
+    def __init__(self, d: int, r: int):
+        set_field(self, "d", d)
+        set_field(self, "r", r)
 
     @staticmethod
-    def finite(q) -> "ExtendedRational":
-        return ExtendedRational(Fraction(q))
+    def finite(q: int | Fraction) -> "ExtendedRational":
+        """q as an extended rational: an int (not a bool) or a Fraction, else TypeError."""
+        if q.__class__ is int:
+            return ExtendedRational(q, 1)
+        if isinstance(q, Fraction):
+            return ExtendedRational(q.numerator, q.denominator)
+        raise TypeError(f"a slope must be an int or a Fraction, got {q!r}")
+
+    @staticmethod
+    def reduced(d: int, r: int) -> "ExtendedRational":
+        """d/r in lowest terms; +infinity when r = 0."""
+        if r == 0:
+            return PLUS_INFINITY
+        g = math.gcd(d, r) if r > 0 else -math.gcd(d, r)
+        return ExtendedRational(d // g, r // g)
 
     @property
     def is_infinite(self) -> bool:
-        return self.value is None
+        return self.r == 0
 
-    def key(self):
-        return (1, Fraction(0)) if self.value is None else (0, self.value)
+    def __eq__(self, other):
+        if other.__class__ is ExtendedRational:
+            return self.d * other.r == other.d * self.r
+        return NotImplemented
 
-    def __lt__(self, other: "ExtendedRational"):
-        return self.key() < other.key()
+    def __lt__(self, other):
+        if other.__class__ is ExtendedRational:
+            return self.d * other.r < other.d * self.r
+        return NotImplemented
 
-    def __le__(self, other: "ExtendedRational"):
-        return self.key() <= other.key()
+    def __le__(self, other):
+        if other.__class__ is ExtendedRational:
+            return self.d * other.r <= other.d * self.r
+        return NotImplemented
 
-    def __gt__(self, other: "ExtendedRational"):
-        return other < self
+    # `a > b` and `a >= b` are answered by the reflections `b < a` and `b <= a`.
 
-    def __ge__(self, other: "ExtendedRational"):
-        return other <= self
+    def __hash__(self):
+        return hash((self.d, self.r))
 
     def __repr__(self):
-        return "+inf" if self.value is None else str(self.value)
+        return "+inf" if self.r == 0 else str(self.d) if self.r == 1 else f"{self.d}/{self.r}"
 
 
-PLUS_INFINITY = ExtendedRational(None)
+PLUS_INFINITY = ExtendedRational(1, 0)
 
 # The infinite bounds of cuts and the parameter p = inf, as plain floats.
 INF = float("inf")
@@ -310,9 +325,7 @@ def mu_bar(cls: K0Class) -> ExtendedRational:
     if cls.is_zero:
         raise ZeroClassError("the zero class has no slope")
     rk, deg = cls.components
-    if rk == 0:
-        return PLUS_INFINITY
-    return ExtendedRational.finite(Fraction(deg, rk))
+    return ExtendedRational.reduced(deg, rk)
 
 
 # --- seesaw -----------------------------------------------------------------

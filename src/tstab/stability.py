@@ -277,7 +277,7 @@ class StabilityFamily:
     `term_filtration`.  The generic engine assembles full filtrations
     from those.  Each subclass gives:
 
-    * `slope_key(s)`: an exact key (ints, tuples, `elliptic.MuKey`s) whose natural
+    * `slope_key(s)`: an exact key (ints, tuples, `ExtendedRational`s) whose natural
       order is the slope order; a slope of another family raises TypeError;
     * `tau(s, n=1)`: tau^n, for any integer n;
     * `slope_json(s)`, `slope_from_json(data)` and `descriptor()`: a slope
@@ -317,7 +317,7 @@ class StabilityFamily:
     def term_filtration(self, term, mult: int) -> tuple[tuple[object, object], ...]:
         """The HN quotients of `mult` copies of one atom, ascending in slope,
         at most two; here every atom is semistable."""
-        return ((self.slope_of_term(term), self.single_term_object(term, mult)),)
+        return ((self.slope_of_term(term), type(self.zero).single(term, mult)),)
 
     def summand_tower(self, term, mult: int) -> tuple[tuple, tuple]:
         """(quotients, terms) of the HN filtration of `mult` copies of one atom:
@@ -326,7 +326,7 @@ class StabilityFamily:
         quotients = self.term_filtration(term, mult)
         if len(quotients) == 1:
             return quotients, (quotients[0][1], self.zero)
-        return quotients, (self.single_term_object(term, mult), quotients[1][1], self.zero)
+        return quotients, (type(self.zero).single(term, mult), quotients[1][1], self.zero)
 
     # -- assembled operations --
 
@@ -334,13 +334,6 @@ class StabilityFamily:
         if not self.accepts(x):
             raise UnsupportedFamilyError(
                 f"object {x!r} is outside the {self.kind} family's object model")
-
-    def single_term_object(self, term, mult: int):
-        """The object with a single summand `term` of multiplicity `mult`: built
-        as it stands when `mult > 0`, as one such summand is a normal form."""
-        if mult > 0:
-            return type(self.zero)(((term, mult),))
-        return type(self.zero).from_pairs([(term, mult)])
 
     def hn(self, x) -> HNFiltration:
         """The HN filtration: merge the summands' towers by slope (none for zero)."""

@@ -299,11 +299,12 @@ def _p1_notion(what: str):
 class EllipticCut(SlopeCut):
     """Tilt of the elliptic heart at slope q and point set P, at shift m.
 
-    q is an `ExtendedRational` (`PLUS_INFINITY` for inf), or an int or a
-    Fraction, in [0, 1) or inf.  A slope (i, S(r,d,x)) is in the up-set iff
-    i > m, or i = m and mu > q, or mu = q with x not in P; up-closure forces
-    P to be down-closed in the point order.  The catalog, the classifier,
-    twists, diagrams and heart generators are P1 notions, which it refuses.
+    q is an `ExtendedRational` (`PLUS_INFINITY` for inf), or an int (not a
+    bool) or a Fraction, in [0, 1) or inf; any other q is a TypeError.  A
+    slope (i, S(r,d,x)) is in the up-set iff i > m, or i = m and mu > q, or
+    mu = q with x not in P; up-closure forces P to be down-closed in the
+    point order.  The catalog, the classifier, twists, diagrams and heart
+    generators are P1 notions, which it refuses.
     """
 
     __slots__ = ("m", "q", "P")
@@ -322,16 +323,15 @@ class EllipticCut(SlopeCut):
 
     def constraint_reason(self, family: EllipticStandard) -> str | None:
         q = self.q
-        if not q.is_infinite and not 0 <= q.value < 1:
+        if not (q.is_infinite or 0 <= q.d < q.r):
             return f"tilting slope must lie in [0, 1) or be inf, got {q!r}"
         return _point_set_reason(self.P, family.point_labels, up=False)
 
     def window(self, family: EllipticStandard, radius: int) -> list[EllipticSlope]:
         # ranks up to 2 near the cut, and every point's class of slope q (at inf, skyscrapers)
-        points, q = point_universe(family.point_labels), self.q.value
+        points, q = point_universe(family.point_labels), self.q
         classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
-        if q is not None:
-            classes += [StableClass(q.denominator, q.numerator, pt) for pt in points]
+        classes += [StableClass(q.r, q.d, pt) for pt in points]
         return [EllipticSlope(i, cls) for i in range(self.m - 1, self.m + 2)
                 for cls in dict.fromkeys(classes)]
 

@@ -28,9 +28,9 @@ the compared tuples, or the bare field of a one-field type, and `hash`
 reads the tuple, which a one-field type wraps in Python.  Two types keep
 methods of their own:
 
-* `elliptic.MuKey`, a sort key element, has `<` and `<=` by
-  cross-multiplication, and an `==` of the same form that sort-key
-  comparisons call hot; its `hash` is `hash` of its coprime fields;
+* `slopes.ExtendedRational`, the exact slope and a sort key element, has
+  `<` and `<=` by cross-multiplication, and an `==` of the same form that
+  sort-key comparisons call hot; its `hash` is `hash` of its coprime fields;
 * `p1.ShiftedIndec`'s `hash` returns the `_hash` it computed when it was
   built, as the field hash nests the hashes of base and point; the value
   is `hash` of its field tuple all the same.

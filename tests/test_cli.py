@@ -702,6 +702,41 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert (done.returncode, done.stderr) == (1, b"")
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone: flush raises BrokenPipeError, and its
+    descriptor is `fd`, which `main` points at the null device."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def flush(self):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+def test_main_exits_with_the_code_of_run(monkeypatch, capsys):
+    for argv, code in ((["hn", "O(1)", "--stability", "std"], 0), (["hn", "O(1)"], 2)):
+        monkeypatch.setattr(sys, "argv", ["tstab", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code == _run(*argv)[0]
+        assert capsys.readouterr().out == _run(*argv)[1]
+
+
+def test_main_on_a_closed_stdout_exits_1(monkeypatch, tmp_path):
+    target = tmp_path / "stdout"
+    with open(target, "w") as handle:
+        monkeypatch.setattr(sys, "argv", ["tstab", "catalog", "--format", "json"])
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(handle.fileno()))
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        handle.write("after")  # the descriptor now writes to the null device
+    assert exc.value.code == 1 and target.read_text() == ""
+
+
 # --- family registry ------------------------------------------------------------------
 
 def _session(*flags):

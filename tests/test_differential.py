@@ -24,9 +24,14 @@ HomProfile, the cut dispatchers that branched on the cut's class where
 each cut kind now owns its rules, the two per-curve atom classes that the one `ShiftedIndec`
 replaced, the CLI readers with one `if` per config key or spec kind
 that the settings, cut and family tables replaced, and the summand loop
-of `semistable_slope` that one set of slopes replaced.  They are kept here
-only, as oracles, and every result must agree bit for bit.  The JSON round
-trip of filtrations is tested here too, over the same families and objects.
+of `semistable_slope` that one set of slopes replaced, and the
+Fraction-backed `ExtendedRational` and the `MuKey` sort key that the one
+exact slope `ExtendedRational(d, r)` replaced.  They are kept here only, as
+oracles, and every result must agree bit for bit.  The HN filtration is
+also compared with the order that a heart and its slope function give
+(Bridgeland, Prop. 5.3): by shift, then by the exact slope gamma.  The
+JSON round trip of filtrations is tested here too, over the same families
+and objects.
 """
 
 import copy
@@ -47,7 +52,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tstab import cli, elliptic, p1, slopes, stability
-from tstab.elliptic import (EllipticObject, EllipticStandard, MuKey, StableClass, hom_dim_stable,
+from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic)
 from tstab.errors import (InvalidCutError, InvalidLengthError, NonCoprimeError,
                           NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
@@ -58,7 +63,8 @@ from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopeP
 from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ext_dim,
                       hom_profile, ZERO, line, normalize, point_resolver, point_universe,
                       torsion)
-from tstab.slopes import ExtendedRational, K0Class, Ordering, PLUS_INFINITY
+from tstab.slopes import (RANK_DEGREE, ExtendedRational, K0Class, Ordering, PLUS_INFINITY,
+                          compare_slopes, gamma_slope, mu_bar, seesaw_check)
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                              HNFiltration, Report, StandardSlope, Window,
                              hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
@@ -68,7 +74,7 @@ from tstab.tstructures import (CatalogEntry, Classification, CoarseCut, Elliptic
                                _point_set_reason, _render_line_gen, apply_twist_shift, catalog,
                                classify_bounded_cut, diagram, heart_contains, is_bounded,
                                truncate, validate_cut)
-from tstab.value import set_field
+from tstab.value import Value, set_field
 
 from test_stability import _ShiftsDescend, _TorsionBelowLines
 
@@ -124,6 +130,81 @@ def oracle_hn(family, x):
     return oracle_merge_towers(family, summand_towers(family, x))
 
 
+class OracleExtendedRational(Value):
+    """`slopes.ExtendedRational` as it was: a Fraction, None for +infinity,
+    ordered through the key (0, q), or (1, 0) for +infinity."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value=None):
+        set_field(self, "value", value)
+
+    @staticmethod
+    def finite(q):
+        return OracleExtendedRational(Fraction(q))
+
+    @property
+    def is_infinite(self):
+        return self.value is None
+
+    def key(self):
+        return (1, Fraction(0)) if self.value is None else (0, self.value)
+
+    def __lt__(self, other):
+        return self.key() < other.key()
+
+    def __le__(self, other):
+        return self.key() <= other.key()
+
+    def __repr__(self):
+        return "+inf" if self.value is None else str(self.value)
+
+
+ORACLE_PLUS_INFINITY = OracleExtendedRational()
+
+
+def oracle_extended(q):
+    """The slope d/r of an ExtendedRational or a StableClass, as the Fraction-backed
+    oracle; `StableClass.mu` as it was."""
+    return ORACLE_PLUS_INFINITY if q.r == 0 else OracleExtendedRational.finite(Fraction(q.d, q.r))
+
+
+class OracleMuKey(Value):
+    """`elliptic.MuKey` as it was: the slope d/r of a class of rank r >= 1 as a
+    sort key element, compared by cross-multiplication with MuKeys only."""
+
+    __slots__ = ("d", "r")
+
+    def __init__(self, d, r):
+        set_field(self, "d", d)
+        set_field(self, "r", r)
+
+    def __eq__(self, other):
+        if other.__class__ is OracleMuKey:
+            return self.d * other.r == other.d * self.r
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is OracleMuKey:
+            return self.d * other.r < other.d * self.r
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is OracleMuKey:
+            return self.d * other.r <= other.d * self.r
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.r))
+
+
+def oracle_mu_key_stable_key(cls):
+    """`StableClass.key` as it was with MuKey: (0, MuKey(d, r)) for positive
+    rank, (1, 0) for a skyscraper, then the point's key."""
+    mu_key = (1, 0) if cls.r == 0 else (0, OracleMuKey(cls.d, cls.r))
+    return (*mu_key, *cls.x.key())
+
+
 def fraction_hom_dim_stable(e, f, ext_degree):
     """dim Ext^i(e, f) with the slope order decided on Fraction slopes."""
     if ext_degree not in (0, 1):
@@ -131,7 +212,7 @@ def fraction_hom_dim_stable(e, f, ext_degree):
     if e == f:
         return 1
     chi = e.r * f.d - e.d * f.r
-    mu_e, mu_f = e.mu(), f.mu()
+    mu_e, mu_f = oracle_extended(e), oracle_extended(f)
     if mu_e < mu_f:
         return chi if ext_degree == 0 else 0
     if mu_f < mu_e:
@@ -274,7 +355,7 @@ def oracle_compare_exceptional(a, b, p):
 def oracle_compare_elliptic(a, b):
     if not isinstance(a, EllipticSlope) or not isinstance(b, EllipticSlope):
         raise TypeError("cross-family slope comparison")
-    return Ordering.of((a.i, *a.cls.key()), (b.i, *b.cls.key()))
+    return Ordering.of((a.i, *oracle_stable_key(a.cls)), (b.i, *oracle_stable_key(b.cls)))
 
 
 def oracle_compare_blocks(a, b):
@@ -366,7 +447,7 @@ def oracle_cut_validity_reason(cut, family):
     if isinstance(cut, StandardCut):
         return None if cut.P is None else _point_set_reason(cut.P, family.point_labels, up=True)
     if isinstance(cut, EllipticCut):
-        q = cut.q
+        q = oracle_extended(cut.q)
         if not q.is_infinite and not 0 <= q.value < 1:
             return f"tilting slope must lie in [0, 1) or be inf, got {q!r}"
         return _point_set_reason(cut.P, family.point_labels, up=False)
@@ -404,7 +485,7 @@ def oracle_window_slopes(cut, family, radius):
         return [ExceptionalSlope(i, c)
                 for i in range(center - radius - 3, center + radius + 4) for c in (0, 1)]
     if isinstance(cut, EllipticCut):
-        points, q = point_universe(family.point_labels), cut.q.value
+        points, q = point_universe(family.point_labels), oracle_extended(cut.q).value
         classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
         if q is not None:
             classes += [StableClass(q.denominator, q.numerator, pt) for pt in points]
@@ -627,7 +708,7 @@ def oracle_term_rewrite(family, term, mult):
     """(quotients, mid) of one summand under a family a cut applies to."""
     if isinstance(family, ExceptionalP1):
         return oracle_exceptional_rewrite(term, family.k, mult)
-    return ((family.slope_of_term(term), family.single_term_object(term, mult)),), family.zero
+    return ((family.slope_of_term(term), type(family.zero).single(term, mult)),), family.zero
 
 
 def oracle_truncate(x, cut, family):
@@ -642,7 +723,7 @@ def oracle_truncate(x, cut, family):
     for term, mult in x.summands():
         quotients, mid = oracle_term_rewrite(family, term, mult)
         statuses = [cut.in_plus(s) for s, _ in quotients]
-        whole = family.single_term_object(term, mult)
+        whole = type(family.zero).single(term, mult)
         if all(statuses):
             le0 = le0 + whole
         elif not any(statuses):
@@ -691,16 +772,17 @@ def oracle_semistable_slope(family, x):
 
 # The elliptic tilt as it stood before `EllipticCut`, helpers renamed; a bad q
 # raises ValueError, as the deleted QOutOfRangeError is gone.
-def _oracle_check_q(q: ExtendedRational) -> None:
+def _oracle_check_q(q: OracleExtendedRational) -> None:
     if q.is_infinite:
         return
     if not (0 <= q.value < 1):
         raise ValueError(f"tilting slope must lie in [0, 1) or be inf, got {q!r}")
 
 
-def _oracle_in_second_part(cls: StableClass, q: ExtendedRational, P: frozenset[str]) -> bool:
+def _oracle_in_second_part(cls: StableClass, q: OracleExtendedRational,
+                           P: frozenset[str]) -> bool:
     """Whether a class falls in the quotient part: mu < q, or mu = q with x in P."""
-    mu = cls.mu()
+    mu = oracle_extended(cls)
     if mu < q:
         return True
     return mu == q and cls.x.label in P
@@ -729,14 +811,14 @@ def oracle_a_qp_split(x: EllipticObject, q: ExtendedRational | Fraction | str,
     return first, second
 
 
-def _oracle_as_extended(q) -> ExtendedRational:
+def _oracle_as_extended(q) -> OracleExtendedRational:
     if isinstance(q, ExtendedRational):
-        return q
+        return oracle_extended(q)
     if isinstance(q, str):
         if q == "inf":
-            return PLUS_INFINITY
-        return ExtendedRational.finite(Fraction(q))
-    return ExtendedRational.finite(Fraction(q))
+            return ORACLE_PLUS_INFINITY
+        return OracleExtendedRational.finite(Fraction(q))
+    return OracleExtendedRational.finite(Fraction(q))
 
 
 def oracle_elliptic_heart_contains(x: EllipticObject, q, P: Iterable[str] = ()) -> bool:
@@ -1021,6 +1103,83 @@ def _assert_same(filt, ref):
     assert filt.to_json() == ref.to_json()
 
 
+# --- the HN order of a heart with a slope function (Rudakov, Bridgeland Prop. 5.3) ------
+
+_HEART_FAMILIES = (CoarseZ(), StandardP1(), *(StandardP1(order) for order in ORDERS),
+                   EllipticStandard(), *(EllipticStandard(order) for order in ORDERS))
+
+
+def _sheaf_k0(pairs):
+    """The K0 class of the sheaves of `pairs`, shifts ignored: a positive class."""
+    total = K0Class((0, 0))
+    for atom, mult in pairs:
+        total = total + mult * K0Class(atom.base.rank_degree())
+    return total
+
+
+def _sheaf_gamma(atom):
+    """The exact slope gamma of an atom's sheaf on the rank/degree system."""
+    return gamma_slope(RANK_DEGREE, K0Class(atom.base.rank_degree()))
+
+
+def _by_shift_and_gamma(x):
+    """x split by shift, and each shift's part, an object of Coh shifted, split by
+    the exact slope gamma of its sheaves: {shift: [(gamma, pairs)] ascending}."""
+    parts = {}
+    for atom, mult in x.summands():
+        parts.setdefault(atom.shift, {}).setdefault(_sheaf_gamma(atom), []).append((atom, mult))
+    by_gamma = cmp_to_key(lambda a, b: compare_slopes(a[0], b[0]).value)
+    return {i: sorted(part.items(), key=by_gamma) for i, part in sorted(parts.items())}
+
+
+def rudakov_bridgeland_hn(family, x):
+    """The HN quotient objects of x, ascending, as Prop. 5.3 builds them from the
+    heart Coh and its slope: by shift, then by gamma within a shift; for CoarseZ,
+    whose slopes are the shifts, by shift alone."""
+    make = type(family.zero).from_pairs
+    parts = _by_shift_and_gamma(x)
+    if isinstance(family, CoarseZ):
+        return [make(p for _, pairs in part for p in pairs) for part in parts.values()]
+    return [make(pairs) for part in parts.values() for _, pairs in part]
+
+
+def _merged_quotients(family, filt):
+    """The quotient objects of a filtration, consecutive ones merged where gamma
+    cannot tell their slopes apart: torsion at different points, elliptic classes
+    of one slope; each quotient lies in one shift and one gamma (one shift for CoarseZ)."""
+    merged, last, coarse = [], None, isinstance(family, CoarseZ)
+    for _, obj in filt.quotients:
+        [label] = {(atom.shift, None if coarse else _sheaf_gamma(atom))
+                   for atom, _ in obj.summands()}
+        if label == last:
+            merged[-1] = merged[-1] + obj
+        else:
+            merged.append(obj)
+        last = label
+    return merged
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(_HEART_FAMILIES), st.randoms(use_true_random=False))
+def test_hn_matches_the_heart_slope_oracle(family, rng):
+    window = Window(max_degree=4, max_shift=2, max_summands=8,
+                    points=point_universe(family.point_labels))
+    x = family.random_object(rng, window)
+    assert _merged_quotients(family, family.hn(x)) == rudakov_bridgeland_hn(family, x)
+    for part in _by_shift_and_gamma(x).values():
+        # sub = the higher slopes, quotient = the lower: gamma(sub) > gamma(x) > gamma(quotient)
+        for j in range(1, len(part)):
+            sub = _sheaf_k0([p for _, pairs in part[j:] for p in pairs])
+            quotient = _sheaf_k0([p for _, pairs in part[:j] for p in pairs])
+            assert seesaw_check(RANK_DEGREE, sub, quotient).alternative == "decreasing"
+    atoms = [atom for atom, _ in x.summands()]
+    for a, b in itertools.product(atoms, repeat=2):
+        order = compare_slopes(_sheaf_gamma(a), _sheaf_gamma(b))
+        assert Ordering.of(mu_bar(_sheaf_k0([(a, 1)])), mu_bar(_sheaf_k0([(b, 1)]))) == order
+        if isinstance(a.base, StableClass):
+            assert Ordering.of(a.base.mu(), b.base.mu()) == order
+
+
 # --- merge ----------------------------------------------------------------------------
 
 @settings(max_examples=300)
@@ -1115,7 +1274,7 @@ def test_no_summand_has_more_than_two_quotients(case):
         assert quotients == family.term_filtration(term, mult)
         assert 1 <= len(quotients) <= 2
         assert len(terms) == len(quotients) + 1
-        assert terms[0] == family.single_term_object(term, mult) and terms[-1].is_zero
+        assert terms[0] == type(family.zero).single(term, mult) and terms[-1].is_zero
 
 
 @settings(max_examples=200)
@@ -1126,7 +1285,7 @@ def test_summand_towers_match_from_pairs_oracle(case, mult):
     for term, _ in x.summands():
         quotients, terms = family.summand_tower(term, mult)
         assert (quotients, terms) == oracle_summand_tower(family, term, mult)
-        whole = family.single_term_object(term, mult)
+        whole = type(family.zero).single(term, mult)
         assert whole == oracle_single_term_object(family, term, mult)
         for obj in (*terms, *(q for _, q in quotients)):
             assert obj == make(obj.summands())
@@ -1135,9 +1294,9 @@ def test_summand_towers_match_from_pairs_oracle(case, mult):
 def test_one_summand_objects_keep_their_answers_off_positive_multiplicities():
     for family, term in ((StandardP1(), ShiftedIndec(Line(2), 1)),
                          (EllipticStandard(), ShiftedIndec(StableClass(1, 0, Point("x"))))):
-        assert family.single_term_object(term, 0) == family.zero
+        assert type(family.zero).single(term, 0) == family.zero
         with pytest.raises(ValueError):
-            family.single_term_object(term, -1)
+            type(family.zero).single(term, -1)
     for base in (Line(0), Line(3), Torsion(Point("x"), 2)):
         term = ShiftedIndec(base, 1)
         assert exceptional_rewrite(term, 0, 0) == oracle_exceptional_rewrite(term, 0, 0)[0]
@@ -1456,7 +1615,8 @@ def test_slope_json_mu_is_the_text_of_the_class_slope():
     for cls in _window_stable_classes():
         mu = cls.mu()
         slope = EllipticSlope(-1, cls)
-        assert family.slope_json(slope)["mu"] == ("inf" if mu.is_infinite else str(mu.value))
+        old = oracle_extended(mu)
+        assert family.slope_json(slope)["mu"] == ("inf" if old.is_infinite else str(old.value))
         assert family.slope_from_json(family.slope_json(slope)) == slope
 
 
@@ -1897,8 +2057,10 @@ class OracleComputedAtom:
 
 
 def _as_fractions(key):
-    """A sort key with each MuKey read as the Fraction it stands for."""
-    return tuple(Fraction(k.d, k.r) if isinstance(k, MuKey) else k for k in key)
+    """A sort key with its slope read as the old key's pair: (0, Fraction(d, r)),
+    or (1, Fraction(0)) for +infinity."""
+    return tuple(part for k in key for part in
+                 (oracle_extended(k).key() if isinstance(k, ExtendedRational) else (k,)))
 
 
 @settings(max_examples=200)
@@ -1926,15 +2088,52 @@ def test_cached_atom_values_match_the_computing_oracle(data):
             sorted(positions, key=lambda j: atoms[j][1].key())
 
 
-def test_mu_key_compares_only_with_mu_keys():
-    half, third = MuKey(1, 2), MuKey(-1, 3)
-    assert third < half <= half and half > third >= third and half == MuKey(1, 2)
-    assert hash(half) == hash(MuKey(1, 2)) and half != third
-    for other in (Fraction(1, 2), 0.5, 0, "1/2"):
+def test_extended_rational_compares_only_with_extended_rationals():
+    half, third = ExtendedRational(1, 2), ExtendedRational(-1, 3)
+    assert third < half <= half and half > third >= third and half == ExtendedRational(1, 2)
+    assert hash(half) == hash(ExtendedRational(1, 2)) and half != third
+    for other in (Fraction(1, 2), 0.5, 0, "1/2", OracleMuKey(1, 2), OracleExtendedRational()):
         assert half != other and other != half
         with pytest.raises(TypeError):
             half < other
-    assert StableClass(0, 1, Point("x")).key()[:2] == (1, 0)
+    assert StableClass(0, 1, Point("x")).key()[0] == PLUS_INFINITY
+
+
+_EXTENDED_FIELDS = st.one_of(
+    st.just((1, 0)),
+    st.tuples(st.integers(-30, 30), st.integers(1, 12)).filter(lambda dr: math.gcd(*dr) == 1))
+
+
+@settings(max_examples=300)
+@given(st.lists(_EXTENDED_FIELDS, min_size=1, max_size=6),
+       st.tuples(st.integers(-60, 60), st.integers(-20, 20)),
+       st.lists(st.one_of(stable_classes(max_rank=6, max_degree=9),
+                          _points(LABELS).map(lambda pt: StableClass(0, 1, pt))), max_size=6))
+def test_extended_rational_matches_the_fraction_and_mu_key_oracles(fields, raw, classes):
+    values = [(ExtendedRational(d, r), oracle_extended(ExtendedRational(d, r))) for d, r in fields]
+    for new, old in values:
+        assert repr(new) == repr(old)
+        assert new.is_infinite == old.is_infinite
+        if not new.is_infinite:
+            assert new == ExtendedRational.finite(old.value)
+    for (a, old_a), (b, old_b) in itertools.product(values, repeat=2):
+        assert (a == b) == (old_a == old_b) and (a != b) == (old_a != old_b)
+        assert (a < b) == (old_a < old_b) and (a <= b) == (old_a <= old_b)
+        assert (a > b) == (old_b < old_a) and (a >= b) == (old_b <= old_a)
+        assert a != b or hash(a) == hash(b)
+    # the reducing constructor gives Fraction's lowest terms, +infinity for r = 0
+    d, r = raw
+    expected = ORACLE_PLUS_INFINITY if r == 0 else OracleExtendedRational.finite(Fraction(d, r))
+    reduced = ExtendedRational.reduced(d, r)
+    assert repr(reduced) == repr(expected)
+    assert reduced.r >= 0 and math.gcd(reduced.d, reduced.r) == 1
+    # class keys lead with the class's own slope and order as the MuKey and Fraction keys did
+    keys = [(cls.key(), oracle_mu_key_stable_key(cls), oracle_stable_key(cls)) for cls in classes]
+    for cls, (key, _, _) in zip(classes, keys):
+        assert key[0] == cls.mu() and repr(key[0]) == repr(oracle_extended(cls))
+    for (a, mu_a, old_a), (b, mu_b, old_b) in itertools.product(keys, repeat=2):
+        assert (a == b) == (mu_a == mu_b) == (old_a == old_b)
+        assert (a < b) == (mu_a < mu_b) == (old_a < old_b)
 
 
 # --- value types ----------------------------------------------------------------------------
@@ -2053,13 +2252,6 @@ def _dataclass_oracles():
             return "{" + ", ".join(f"{q}: {n}" for q, n in self.entries) + "}"
 
     @dataclass(frozen=True)
-    class ExtendedRational:
-        value: object = None
-
-        def __repr__(self):
-            return "+inf" if self.value is None else str(self.value)
-
-    @dataclass(frozen=True)
     class CoarseSlope:
         i: int
 
@@ -2146,8 +2338,6 @@ _INDEC = st.one_of(_make("Line", _INTS), _make("Torsion", _POINT, st.integers(-1
 _SHIFTED_INDEC = _make("ShiftedIndec", _INDEC, _INTS)
 _STABLE = _make("StableClass", st.integers(-1, 3), st.integers(-2, 3), _POINT)
 _SHIFTED_STABLE = _make("ShiftedIndec", _STABLE, _INTS)
-_EXTENDED = _make("ExtendedRational",
-                  st.one_of(st.none(), st.fractions(max_denominator=4), _INTS))
 _SLOPE = st.one_of(_make("CoarseSlope", _INTS),
                    _make("StandardSlope", _INTS, st.one_of(_INTS, _POINT)),
                    _make("ExceptionalSlope", _INTS, st.integers(-1, 2)),
@@ -2161,7 +2351,7 @@ _FILTRATION = _make("HNFiltration", st.sampled_from(_FAMILIES),
                     st.lists(st.tuples(_SLOPE, _SUM), max_size=2).map(tuple),
                     st.lists(_SUM, min_size=1, max_size=3).map(tuple))
 _VALUE = st.one_of(
-    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_STABLE, _EXTENDED, _SLOPE, _SUM,
+    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_STABLE, _SLOPE, _SUM,
     _make("K0Class", st.lists(_INTS, max_size=3).map(tuple)),
     _make("HomProfile", st.lists(st.tuples(_INTS, st.integers(1, 3)), max_size=3).map(tuple)),
     _make("CheckItem", st.sampled_from(["a", "b"]), st.booleans(), st.sampled_from(["", "d"])),

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard, MuKey,
+from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard,
                             StableClass, hom_dim_stable, stable)
 from tstab.errors import InvalidCutError
 from tstab.p1 import Point, ShiftedIndec, hom_profile
@@ -49,9 +49,9 @@ def test_stable_class_validation():
         StableClass(-1, 1, L)
 
 
-def test_mu_key_does_not_order_against_an_int():
+def test_class_slope_does_not_order_against_an_int():
     with pytest.raises(TypeError):
-        MuKey(1, 2) <= 3
+        StableClass(2, 1, L).mu() <= 3
 
 
 def test_mu_class_examples():
@@ -247,6 +247,19 @@ def test_elliptic_cut_slope_out_of_range(q):
     for operation in (truncate, heart_contains):
         with pytest.raises(InvalidCutError, match=re.escape(reason)):
             operation(stable(1, 0, L), cut, FAMILY)
+
+
+@pytest.mark.parametrize("q", [0.1, True, "1/2"])
+def test_elliptic_cut_refuses_a_slope_that_is_not_exact(q):
+    """A float, a bool or a string is not read as a slope, so no cut is built."""
+    with pytest.raises(TypeError, match="a slope must be an int or a Fraction"):
+        EllipticCut(0, q)
+
+
+def test_elliptic_cut_slope_is_read_from_its_fields():
+    assert EllipticCut(0, Fraction(2, 6)).q == ExtendedRational(1, 3)
+    assert EllipticCut(0, 0).q == ExtendedRational(0, 1)
+    assert validate_cut(EllipticCut(0, ExtendedRational(1, 2)), FAMILY).ok
 
 
 @pytest.mark.parametrize("q", [0, Fraction(1, 3), Fraction(5, 7), Fraction(49, 50),

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from tstab.errors import ArityMismatchError, NotPositiveError, ZeroClassError
 from tstab.slopes import (ExtendedRational, K0Class, Nu, One, Ordering, PLUS_INFINITY,
-                          PositiveSystem, RANK_DEGREE, SlopeValue, check_positive,
-                          compare_slopes, gamma_slope, k0, mu_bar, seesaw_check)
+                          PositiveSystem, RANK_DEGREE, SlopeValue, _nonzero_cascade_violation,
+                          check_positive, compare_slopes, gamma_slope, k0, mu_bar, seesaw_check)
 
 
 def test_check_positive_accepts_good_samples():
@@ -108,12 +108,65 @@ def test_extended_rational_order():
     assert ExtendedRational.finite(Fraction(1, 2)) < ExtendedRational.finite(1)
 
 
-def test_nu_float_rendering_is_display_only_but_monotone():
-    # approx() exists for display; it must at least respect the exact order
-    values = [Nu(Fraction(q)) for q in (-5, -1, 0, Fraction(1, 3), 2, 100)]
-    floats = [v.approx() for v in values]
-    assert floats == sorted(floats, reverse=True)
-    assert all(0.0 < f < 1.0 for f in floats)
+def test_extended_rational_fields_and_text():
+    assert (PLUS_INFINITY.d, PLUS_INFINITY.r) == (1, 0) and PLUS_INFINITY.is_infinite
+    assert ExtendedRational.finite(Fraction(-6, 4)) == ExtendedRational(-3, 2)
+    assert (ExtendedRational.finite(7).d, ExtendedRational.finite(7).r) == (7, 1)
+    assert [repr(q) for q in (PLUS_INFINITY, ExtendedRational(-4, 1), ExtendedRational(-3, 2))] \
+        == ["+inf", "-4", "-3/2"]
+    assert not ExtendedRational(0, 1).is_infinite
+    assert ExtendedRational(1, 2) >= ExtendedRational(1, 2) > ExtendedRational(-3, 7)
+
+
+def test_extended_rational_reduces_to_lowest_terms():
+    for (d, r), fields in (((6, -4), (-3, 2)), ((-6, -4), (3, 2)), ((0, -5), (0, 1)),
+                           ((5, 0), (1, 0)), ((-5, 0), (1, 0))):
+        q = ExtendedRational.reduced(d, r)
+        assert (q.d, q.r) == fields and q == ExtendedRational(*fields)
+
+
+@pytest.mark.parametrize("q", [0.1, True, "1/2", None, 0.5])
+def test_extended_rational_takes_only_an_int_or_a_fraction(q):
+    """A float, a bool or a string is not coerced into an exact slope."""
+    with pytest.raises(TypeError, match="a slope must be an int or a Fraction"):
+        ExtendedRational.finite(q)
+
+
+def test_extended_rational_does_not_compare_with_other_types():
+    half = ExtendedRational(1, 2)
+    for other in (Fraction(1, 2), 0.5, 0, "1/2"):
+        assert half != other and other != half
+        for compare in (lambda: half < other, lambda: half <= other,
+                        lambda: half > other, lambda: half >= other):
+            with pytest.raises(TypeError):
+                compare()
+
+
+def test_classes_of_another_arity_are_refused():
+    three = K0Class((1, 2, 3))
+    for call in (lambda: k0(1, 2) + three, lambda: gamma_slope(RANK_DEGREE, three),
+                 lambda: mu_bar(three)):
+        with pytest.raises(ArityMismatchError):
+            call()
+
+
+def test_k0_class_subtraction():
+    assert k0(3, 1) - k0(1, 4) == k0(2, -3)
+    assert K0Class((0, 2, -7)) - K0Class((0, 2, -7)) == K0Class((0, 0, 0))
+
+
+def test_the_cascade_gives_no_reason_for_the_zero_vector():
+    """Callers handle the zero vector first; the cascade finds no leading entry in it."""
+    assert _nonzero_cascade_violation(K0Class((0, 0, 0))) is None
+    assert _nonzero_cascade_violation(K0Class((0, -1, 2))) == \
+        "x_1 = -1 must be >= 0 once x_0..x_0 vanish"
+
+
+def test_slope_values_and_violations_print_their_parts():
+    value = gamma_slope(PositiveSystem(("x0", "x1", "x2")), K0Class((0, 2, -7)))
+    assert repr(value) == "Slope(One, Nu(7/2))"
+    violation, = check_positive(RANK_DEGREE, [k0(0, -1)])
+    assert str(violation) == "K0(0, -1): x_1 = -1 must be > 0 once x_0..x_0 vanish"
 
 
 nonzero_classes = st.tuples(st.integers(0, 30), st.integers(-30, 30)).filter(
