@@ -274,8 +274,10 @@ class ExtendedRational(Value):
 
     @staticmethod
     def reduced(d: int, r: int) -> "ExtendedRational":
-        """d/r in lowest terms; +infinity when r = 0."""
+        """d/r in lowest terms; +infinity when r = 0 and d != 0; 0/0 is a ZeroClassError."""
         if r == 0:
+            if d == 0:
+                raise ZeroClassError("the zero class has no slope")
             return PLUS_INFINITY
         g = math.gcd(d, r) if r > 0 else -math.gcd(d, r)
         return ExtendedRational(d // g, r // g)
@@ -322,8 +324,6 @@ def mu_bar(cls: K0Class) -> ExtendedRational:
     """
     if cls.arity != 2:
         raise ArityMismatchError("mu_bar is defined for (rank, degree) classes")
-    if cls.is_zero:
-        raise ZeroClassError("the zero class has no slope")
     rk, deg = cls.components
     return ExtendedRational.reduced(deg, rk)
 

@@ -299,10 +299,11 @@ def _p1_notion(what: str):
 class EllipticCut(SlopeCut):
     """Tilt of the elliptic heart at slope q and point set P, at shift m.
 
-    q is an `ExtendedRational` (`PLUS_INFINITY` for inf), or an int (not a
-    bool) or a Fraction, in [0, 1) or inf; any other q is a TypeError.  A
-    slope (i, S(r,d,x)) is in the up-set iff i > m, or i = m and mu > q, or
-    mu = q with x not in P; up-closure forces P to be down-closed in the
+    q is an int (not a bool), a Fraction or an `ExtendedRational`
+    (`PLUS_INFINITY` for inf), which is reduced to lowest terms; any other q
+    is a TypeError, and 0/0 a ZeroClassError.  q lies in [0, 1) or is inf.
+    A slope (i, S(r,d,x)) is in the up-set iff i > m, or i = m and mu > q,
+    or mu = q with x not in P; up-closure forces P to be down-closed in the
     point order.  The catalog, the classifier, twists, diagrams and heart
     generators are P1 notions, which it refuses.
     """
@@ -311,8 +312,8 @@ class EllipticCut(SlopeCut):
     family_type, mismatch = EllipticStandard, "an elliptic cut needs the elliptic family"
 
     def __init__(self, m: int, q, P: Iterable[str] = ()):
-        if not isinstance(q, ExtendedRational):
-            q = ExtendedRational.finite(q)
+        q = (ExtendedRational.reduced(q.d, q.r) if isinstance(q, ExtendedRational)
+             else ExtendedRational.finite(q))
         P = frozenset(P)
         assign(self, locals())
 

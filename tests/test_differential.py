@@ -56,7 +56,7 @@ from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_d
                             normalize_elliptic)
 from tstab.errors import (InvalidCutError, InvalidLengthError, NonCoprimeError,
                           NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
-                          UnsupportedFamilyError)
+                          UnsupportedFamilyError, ZeroClassError)
 from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopePartition,
                             StandardP1, by_shift_partition, coarsen, column_partition,
                             exceptional_rewrite, family_from_descriptor, finest_check)
@@ -2121,8 +2121,12 @@ def test_extended_rational_matches_the_fraction_and_mu_key_oracles(fields, raw, 
         assert (a < b) == (old_a < old_b) and (a <= b) == (old_a <= old_b)
         assert (a > b) == (old_b < old_a) and (a >= b) == (old_b <= old_a)
         assert a != b or hash(a) == hash(b)
-    # the reducing constructor gives Fraction's lowest terms, +infinity for r = 0
+    # the reducing constructor gives Fraction's lowest terms, +infinity for r = 0, d != 0
     d, r = raw
+    if d == r == 0:
+        with pytest.raises(ZeroClassError):
+            ExtendedRational.reduced(d, r)
+        d = 1
     expected = ORACLE_PLUS_INFINITY if r == 0 else OracleExtendedRational.finite(Fraction(d, r))
     reduced = ExtendedRational.reduced(d, r)
     assert repr(reduced) == repr(expected)
@@ -2145,8 +2149,9 @@ def _dataclass_oracles():
     and `__repr__` as they were; the other methods do not bear on `==`,
     `hash`, `repr`, construction or refused assignment and are left out.
     The classes get their library names, which the dataclass `repr` prints.
-    The two slope records have their present fields: a `StandardSlope` level
-    is a degree or a Point, and an `EllipticSlope` reads mu off its class.
+    The two slope records and `ExtendedRational` have their present fields: a
+    `StandardSlope` level is a degree or a Point, an `EllipticSlope` reads mu
+    off its class, and an exact slope is the coprime pair (d, r) with r >= 0.
     `ShiftedIndec` is the one atom of both curves and prints its base's
     `render`, which the three sheaf records therefore keep.
     """
@@ -2252,6 +2257,14 @@ def _dataclass_oracles():
             return "{" + ", ".join(f"{q}: {n}" for q, n in self.entries) + "}"
 
     @dataclass(frozen=True)
+    class ExtendedRational:
+        d: int
+        r: int
+
+        def __repr__(self):
+            return "+inf" if self.r == 0 else str(self.d) if self.r == 1 else f"{self.d}/{self.r}"
+
+    @dataclass(frozen=True)
     class CoarseSlope:
         i: int
 
@@ -2338,6 +2351,7 @@ _INDEC = st.one_of(_make("Line", _INTS), _make("Torsion", _POINT, st.integers(-1
 _SHIFTED_INDEC = _make("ShiftedIndec", _INDEC, _INTS)
 _STABLE = _make("StableClass", st.integers(-1, 3), st.integers(-2, 3), _POINT)
 _SHIFTED_STABLE = _make("ShiftedIndec", _STABLE, _INTS)
+_EXTENDED = _EXTENDED_FIELDS.map(lambda dr: Make("ExtendedRational", dr))
 _SLOPE = st.one_of(_make("CoarseSlope", _INTS),
                    _make("StandardSlope", _INTS, st.one_of(_INTS, _POINT)),
                    _make("ExceptionalSlope", _INTS, st.integers(-1, 2)),
@@ -2351,7 +2365,7 @@ _FILTRATION = _make("HNFiltration", st.sampled_from(_FAMILIES),
                     st.lists(st.tuples(_SLOPE, _SUM), max_size=2).map(tuple),
                     st.lists(_SUM, min_size=1, max_size=3).map(tuple))
 _VALUE = st.one_of(
-    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_STABLE, _SLOPE, _SUM,
+    _POINT, _INDEC, _SHIFTED_INDEC, _STABLE, _SHIFTED_STABLE, _EXTENDED, _SLOPE, _SUM,
     _make("K0Class", st.lists(_INTS, max_size=3).map(tuple)),
     _make("HomProfile", st.lists(st.tuples(_INTS, st.integers(1, 3)), max_size=3).map(tuple)),
     _make("CheckItem", st.sampled_from(["a", "b"]), st.booleans(), st.sampled_from(["", "d"])),

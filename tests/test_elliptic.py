@@ -10,7 +10,7 @@ import pytest
 
 from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard,
                             StableClass, hom_dim_stable, stable)
-from tstab.errors import InvalidCutError
+from tstab.errors import InvalidCutError, ZeroClassError
 from tstab.p1 import Point, ShiftedIndec, hom_profile
 from tstab.slopes import ExtendedRational, PLUS_INFINITY
 from tstab.families import StandardP1
@@ -260,6 +260,17 @@ def test_elliptic_cut_slope_is_read_from_its_fields():
     assert EllipticCut(0, Fraction(2, 6)).q == ExtendedRational(1, 3)
     assert EllipticCut(0, 0).q == ExtendedRational(0, 1)
     assert validate_cut(EllipticCut(0, ExtendedRational(1, 2)), FAMILY).ok
+
+
+def test_elliptic_cut_reduces_a_slope_given_by_its_fields():
+    """Fields not in lowest terms name the reduced slope; 0/0 names none."""
+    for fields, reduced in (((2, 4), (1, 2)), ((-1, -3), (1, 3)), ((3, 0), (1, 0))):
+        cut = EllipticCut(0, ExtendedRational(*fields), {"l"})
+        assert (cut.q.d, cut.q.r) == reduced
+        assert cut == EllipticCut(0, ExtendedRational(*reduced), {"l"})
+        assert validate_cut(cut, ORDERED).ok
+    with pytest.raises(ZeroClassError, match="the zero class has no slope"):
+        EllipticCut(0, ExtendedRational(0, 0))
 
 
 @pytest.mark.parametrize("q", [0, Fraction(1, 3), Fraction(5, 7), Fraction(49, 50),

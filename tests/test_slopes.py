@@ -123,6 +123,8 @@ def test_extended_rational_reduces_to_lowest_terms():
                            ((5, 0), (1, 0)), ((-5, 0), (1, 0))):
         q = ExtendedRational.reduced(d, r)
         assert (q.d, q.r) == fields and q == ExtendedRational(*fields)
+    with pytest.raises(ZeroClassError, match="the zero class has no slope"):
+        ExtendedRational.reduced(0, 0)
 
 
 @pytest.mark.parametrize("q", [0.1, True, "1/2", None, 0.5])
