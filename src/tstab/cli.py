@@ -9,9 +9,9 @@ Object expressions follow the grammar
 with arbitrary whitespace.  O/T atoms build objects on the projective
 line, S atoms build elliptic objects; the two kinds cannot be mixed.
 Text as `render` writes it, summands joined by ``" + "``, is read piece
-by piece: one memo lookup (a filtration document shares one memo over all
-its objects), else one `_SUMMAND` match.  `_Scanner` reads any other text
-whole, and raises the errors of malformed text.
+by piece: one lookup in the summand memo that every call with the same
+point resolver shares (`_MEMOS`), else one `_SUMMAND` match.  `_Scanner`
+reads any other text whole, and raises the errors of malformed text.
 
 Cut specifications: ``std:m=M,K=<int|inf|-inf>,P=<lbl;lbl|all|none>``
 (a P other than ``all`` needs ``K=inf``), ``exc:a=<int|inf|-inf>,b=<int|inf|-inf>``
@@ -164,9 +164,31 @@ def parse_object(text: str, category: str = "auto", resolve_point=None
     decide (S builds elliptic objects, O/T build objects on the line,
     a bare 0 is the zero object of the requested side, defaulting to
     the line).  `resolve_point` maps labels to Points and defaults to
-    label-ordered points.
+    label-ordered points; it must be hashable and give the same Point
+    for a label on every call, as its summands are kept in a memo (`_MEMOS`).
     """
-    return _parse_object(text, category, resolve_point or Point, {})
+    resolve_point = resolve_point or Point
+    return _parse_object(text, category, resolve_point, _memo(resolve_point))
+
+
+# The summand memo, one per point resolver, shared by every `parse_object` and
+# `filtration_from_json` call: summand text -> `_atom`'s entry.  An entry depends
+# on the text and the resolver alone, never on the category or the text position,
+# and a piece that raises is never stored.  A call that finds more than
+# _MEMO_SUMMANDS entries in the table, or _MEMO_RESOLVERS resolvers and not its
+# own, empties the table before it reads, so a document never evicts its own
+# entries; a call running meanwhile keeps the memo it holds.
+_MEMO_SUMMANDS = 1024
+_MEMO_RESOLVERS = 8
+_MEMOS: dict = {}
+
+
+def _memo(resolve_point) -> dict:
+    """The shared memo of `resolve_point`, within the table's bounds."""
+    if sum(map(len, _MEMOS.values())) > _MEMO_SUMMANDS or (
+            resolve_point not in _MEMOS and len(_MEMOS) >= _MEMO_RESOLVERS):
+        _MEMOS.clear()
+    return _MEMOS.setdefault(resolve_point, {})
 
 
 def _parse_object(text: str, category: str, resolve_point, memo: dict
@@ -178,8 +200,8 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
     text (``0[1]``, whitespace, non-ASCII digits, malformed text, a
     non-string) goes whole to `_Scanner`, which alone raises syntax errors.
     Either raises in text order; the curve checks, which need every
-    summand, run last.  The memo may be shared by calls with the same
-    category and resolver.
+    summand, run last.  An entry depends on the text and the resolver
+    alone, so the memo may be shared by every call with that resolver.
     """
     summands = None
     if isinstance(text, str):
@@ -461,7 +483,7 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
         family = family_from_descriptor(data["family"])
         category = _category(family)
         resolver = point_resolver(family.point_labels)
-        memo: dict = {}  # terms are suffix sums: most of their summands repeat
+        memo = _memo(resolver)  # terms are suffix sums: most of their summands repeat
 
         def parse(text):
             return _parse_object(text, category, resolver, memo)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from functools import lru_cache
 
 from .errors import FiltrationFormatError
 from .p1 import FormalSum, Point, ShiftedIndec, point_resolver
@@ -172,14 +173,7 @@ class EllipticStandard(StabilityFamily, Value):
         return slope
 
     def window_classes(self, window: Window, max_rank: int = 3) -> list[StableClass]:
-        classes = []
-        for pt in window.points:
-            classes.append(StableClass(0, 1, pt))
-            for r in range(1, max_rank + 1):
-                for d in window.degrees():
-                    if math.gcd(r, d) == 1:
-                        classes.append(StableClass(r, d, pt))
-        return classes
+        return list(_window_classes(window, max_rank))
 
     def window_generators(self, window: Window) -> list[EllipticObject]:
         return [normalize_elliptic([(ShiftedIndec(cls, i), 1)])
@@ -187,7 +181,7 @@ class EllipticStandard(StabilityFamily, Value):
                 for cls in self.window_classes(window, max_rank=2)]
 
     def random_object(self, rng: random.Random, window: Window) -> EllipticObject:
-        classes = self.window_classes(window, max_rank=3)
+        classes = _window_classes(window, 3)
         count = rng.randint(1, window.max_summands)
         pairs = []
         for _ in range(count):
@@ -196,3 +190,17 @@ class EllipticStandard(StabilityFamily, Value):
             pairs.append((ShiftedIndec(cls, sh), rng.randint(1, 3)))
         return normalize_elliptic(pairs)
 
+
+@lru_cache(maxsize=16)
+def _window_classes(window: Window, max_rank: int) -> tuple[StableClass, ...]:
+    """The stable classes of rank <= `max_rank` over the window's points and
+    degrees, each point's skyscraper first.  Cached, as `random_object` draws
+    from them once per sample of a window."""
+    classes = []
+    for pt in window.points:
+        classes.append(StableClass(0, 1, pt))
+        for r in range(1, max_rank + 1):
+            for d in window.degrees():
+                if math.gcd(r, d) == 1:
+                    classes.append(StableClass(r, d, pt))
+    return tuple(classes)

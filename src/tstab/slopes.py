@@ -319,11 +319,16 @@ INF = float("inf")
 def mu_bar(cls: K0Class) -> ExtendedRational:
     """deg/rk for positive rank, +infinity for torsion classes.
 
-    Order-equivalent to `gamma_slope` on the rank/degree system; the
-    equivalence is a tested invariant rather than an assumption.
+    Order-equivalent to `gamma_slope` on the rank/degree system, and defined
+    on the same classes: the zero class raises ZeroClassError, a class that
+    is not positive NotPositiveError.  The equivalence is a tested invariant
+    rather than an assumption.
     """
     if cls.arity != 2:
         raise ArityMismatchError("mu_bar is defined for (rank, degree) classes")
+    reason = _nonzero_cascade_violation(cls)
+    if reason is not None:
+        raise NotPositiveError(reason)
     rk, deg = cls.components
     return ExtendedRational.reduced(deg, rk)
 

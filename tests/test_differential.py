@@ -1847,6 +1847,48 @@ def test_rendered_text_is_read_piece_by_piece(text, category, resolver_name):
     assert memo.keys() == set(text.split(" + "))
 
 
+# The lexicographic resolver and five resolvers of other point orders.
+_SHARED_RESOLVERS = (Point, *map(point_resolver, (("z", "x", "y"), ("y", "z", "x"),
+                                                  ("z", "y", "x"), ("x", "z", "y"),
+                                                  ("y", "x", "z"))))
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(rendered_texts(), _CATEGORIES, st.sampled_from(_SHARED_RESOLVERS)),
+                min_size=1, max_size=6))
+def test_the_shared_memo_parses_like_a_fresh_one(reads):
+    """`parse_object` reads through the memo that every call with its resolver
+    shares; read after read, resolvers interleaved, it gives what a fresh memo gives."""
+    for text, category, resolver in reads:
+        for _ in range(2):  # the second read takes every piece from the shared memo
+            assert _outcome(cli.parse_object, text, category, resolver) \
+                == _outcome(cli._parse_object, text, category, resolver, {}), text
+
+
+def test_a_bad_piece_raises_at_its_own_position_every_time(monkeypatch):
+    monkeypatch.setattr(cli, "_MEMOS", {})
+    for text in ("O(1) + T(x,0)", "T(x,0)", "O(1) + T(x,0)"):
+        with pytest.raises(InvalidLengthError) as err:
+            cli.parse_object(text)
+        assert err.value.position == text.index("T(x,0)")
+    assert cli._MEMOS[Point].keys() == {"O(1)"}  # the bad piece is never stored
+
+
+def test_the_shared_memo_stays_within_its_bounds(monkeypatch):
+    monkeypatch.setattr(cli, "_MEMOS", {})
+    cap = cli._MEMO_SUMMANDS
+    first = cli.parse_object("O(0)").terms[0][0]
+    document = " + ".join(f"O({n})" for n in range(cap + 100))
+    assert cli.parse_object(document).terms[0][0] is first  # one text, one atom
+    assert len(cli._MEMOS[Point]) == cap + 100  # a call never evicts its own entries
+    for n in range(1, 2 * cap):  # more than a cap's worth of distinct pieces, one per call
+        cli.parse_object(f"T(x,{n})")
+        assert sum(map(len, cli._MEMOS.values())) <= cap + 1
+    for i in range(2 * cli._MEMO_RESOLVERS):
+        cli.parse_object(f"T(p{i},1)", "p1", point_resolver((f"p{i}",)))
+        assert len(cli._MEMOS) <= cli._MEMO_RESOLVERS
+
+
 # --- point order ------------------------------------------------------------------------
 
 _ORDER_LABELS = st.sampled_from(["x", "y", "z", "a", "b1", "7"])

@@ -100,6 +100,9 @@ def test_mu_bar_values():
     assert mu_bar(k0(2, -3)) == ExtendedRational.finite(Fraction(-3, 2))
     with pytest.raises(ZeroClassError):
         mu_bar(k0(0, 0))
+    for rank, degree in ((0, -5), (-1, 3)):
+        with pytest.raises(NotPositiveError):
+            mu_bar(k0(rank, degree))
 
 
 def test_extended_rational_order():
@@ -175,11 +178,24 @@ nonzero_classes = st.tuples(st.integers(0, 30), st.integers(-30, 30)).filter(
     lambda rd: rd[0] > 0 or rd[1] > 0).map(lambda rd: k0(*rd))
 
 
-@given(nonzero_classes, nonzero_classes)
+def _slope_or_error(slope, cls):
+    try:
+        return slope(cls)
+    except (NotPositiveError, ZeroClassError) as exc:
+        return type(exc), str(exc)
+
+
+@given(nonzero_classes | st.tuples(st.integers(-30, 30), st.integers(-30, 30)).map(
+    lambda rd: k0(*rd)), nonzero_classes)
 def test_gamma_agrees_with_mu_bar(a, b):
-    gamma_cmp = compare_slopes(gamma_slope(RANK_DEGREE, a), gamma_slope(RANK_DEGREE, b))
-    mu_cmp = Ordering.of(mu_bar(a), mu_bar(b))
-    assert gamma_cmp == mu_cmp
+    """mu_bar orders positive classes as gamma_slope does, and refuses the zero
+    class and every class that is not positive with gamma_slope's error."""
+    gamma = _slope_or_error(lambda cls: gamma_slope(RANK_DEGREE, cls), a)
+    mu = _slope_or_error(mu_bar, a)
+    if isinstance(gamma, tuple):
+        assert mu == gamma
+    else:
+        assert compare_slopes(gamma, gamma_slope(RANK_DEGREE, b)) == Ordering.of(mu, mu_bar(b))
 
 
 def test_gamma_agrees_with_mu_bar_bulk():
