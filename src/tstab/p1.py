@@ -7,8 +7,8 @@ finite direct sum of shifted indecomposables, as is every object of the
 elliptic model.  `ShiftedIndec` is the one shifted atom of both curves,
 over a `Line`, a `Torsion` or an elliptic `StableClass`, each of which
 gives its `key`, `rank_degree`, `ext_dim` and `render`.  `FormalSum` is
-the one normal form, a multiset of atoms with multiplicities:
-`DerivedObject` here, `EllipticObject` on the elliptic curve.
+the one normal form, a multiset of atoms with multiplicities, with its own
+`rank_degree`: `DerivedObject` here, `EllipticObject` on the elliptic curve.
 
 An atom computes its hash, sort key, signed (rank, degree) and text once,
 when it is built, and keeps them in derived slots: an HN filtration
@@ -207,7 +207,8 @@ class FormalSum(Value):
     line and over a `StableClass` on the elliptic curve.  The term list
     is sorted by atom key and free of zero multiplicities; the zero
     object is the empty sum.  Each curve has its own subclass, and sums
-    of different subclasses are never equal.
+    of different subclasses are never equal.  `rank_degree()` is its signed
+    (rank, degree) int pair, and `k0()` the same pair as a `K0Class`.
     """
 
     __slots__ = ("terms",)
@@ -255,13 +256,18 @@ class FormalSum(Value):
         # Every atom key starts with the shift, so the order is kept.
         return type(self)(tuple((t.shifted(n), m) for t, m in self.terms))
 
-    def k0(self) -> K0Class:
+    def rank_degree(self) -> tuple[int, int]:
         rank = degree = 0
         for t, m in self.terms:
             r, d = t._rd
             rank += m * r
             degree += m * d
-        return K0Class((rank, degree))
+        if rank.__class__ is not int or degree.__class__ is not int:
+            K0Class((rank, degree))  # raises its TypeError, once per object
+        return rank, degree
+
+    def k0(self) -> K0Class:
+        return K0Class(self.rank_degree())
 
     def render(self) -> str:
         if self.is_zero:

@@ -483,20 +483,24 @@ def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
 def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     """Re-check a filtration against the HN characterisation.
 
-    (a) slopes strictly ascending; (b) every quotient nonzero and
-    semistable of its recorded slope; (c) Hom^{<=0} between quotients
-    vanishes from higher to lower position; (d) K0 additivity of the
-    terms; (e) terms start at x and end at zero.  Passing all five
-    identifies the filtration as the unique HN filtration of x.
+    (a) slopes strictly ascending, keyed as the walk reaches them; (b) every
+    quotient nonzero and semistable of its recorded slope; (c) Hom^{<=0}
+    between quotients vanishes from higher to lower position; (d) K0
+    additivity of the terms on int (rank, degree) pairs, with `K0Class`
+    values only in a failure's detail; (e) terms start at x and end at zero.
+    Passing all five identifies the filtration as the unique HN filtration of x.
     """
     checks = []
 
-    ok, detail = True, ""
-    for j in range(len(filt.quotients) - 1):
-        if family.compare(filt.quotients[j][0], filt.quotients[j + 1][0]) != Ordering.LESS:
-            ok, detail = False, (f"slope {family.render_slope(filt.quotients[j][0])} !< "
-                                 f"{family.render_slope(filt.quotients[j + 1][0])} at position {j}")
+    ok, detail, slopes = True, "", filt.slopes
+    prev = family.slope_key(slopes[0]) if len(slopes) > 1 else None
+    for j in range(1, len(slopes)):
+        key = family.slope_key(slopes[j])
+        if not prev < key:
+            ok, detail = False, (f"slope {family.render_slope(slopes[j - 1])} !< "
+                                 f"{family.render_slope(slopes[j])} at position {j - 1}")
             break
+        prev = key
     checks.append(CheckItem("ascending_slopes", ok, detail))
 
     ok, detail = True, ""
@@ -518,11 +522,11 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     checks.append(CheckItem("hom_vanishing", ok, detail))
 
     ok, detail = True, ""
-    term_k0 = [family.k0(t) for t in filt.terms]
-    for i, (slope, obj) in enumerate(filt.quotients):
-        lhs = term_k0[i]
-        rhs = term_k0[i + 1] + family.k0(obj)
-        if lhs != rhs:
+    term_rd = [t.rank_degree() for t in filt.terms]
+    for i, (_, obj) in enumerate(filt.quotients):
+        (r, d), (r1, d1) = obj.rank_degree(), term_rd[i + 1]
+        if term_rd[i] != (r1 + r, d1 + d):
+            lhs, rhs = family.k0(filt.terms[i]), family.k0(filt.terms[i + 1]) + family.k0(obj)
             ok, detail = False, f"k0(terms[{i}]) = {lhs} != {rhs}"
             break
     checks.append(CheckItem("k0_additivity", ok, detail))

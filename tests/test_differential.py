@@ -26,7 +26,9 @@ replaced, the CLI readers with one `if` per config key or spec kind
 that the settings, cut and family tables replaced, and the summand loop
 of `semistable_slope` that one set of slopes replaced, and the
 Fraction-backed `ExtendedRational` and the `MuKey` sort key that the one
-exact slope `ExtendedRational(d, r)` replaced.  They are kept here only, as
+exact slope `ExtendedRational(d, r)` replaced, and the `verify_hn` that
+compared slopes with `family.compare` and summed K0 as `K0Class` values,
+where it now compares slope keys and (rank, degree) ints.  They are kept here only, as
 oracles, and every result must agree bit for bit.  The HN filtration is
 also compared with the order that a heart and its slope function give
 (Bridgeland, Prop. 5.3): by shift, then by the exact slope gamma.  The
@@ -76,6 +78,7 @@ from tstab.tstructures import (CatalogEntry, Classification, CoarseCut, Elliptic
                                truncate, validate_cut)
 from tstab.value import Value, set_field
 
+from test_acceptance import _mutations
 from test_stability import _ShiftsDescend, _TorsionBelowLines
 
 
@@ -376,6 +379,52 @@ def oracle_hom_vanishing(filt, family):
         if not ok:
             break
     return CheckItem("hom_vanishing", ok, detail)
+
+
+def oracle_verify_hn(x, filt, family):
+    """`verify_hn` as it ran before its checks went to ints and slope keys:
+    `family.compare` once per adjacent pair of slopes, and K0 additivity
+    on one `K0Class` per term and quotient, summed with `K0Class.__add__`."""
+    checks = []
+
+    ok, detail = True, ""
+    for j in range(len(filt.quotients) - 1):
+        if family.compare(filt.quotients[j][0], filt.quotients[j + 1][0]) != Ordering.LESS:
+            ok, detail = False, (f"slope {family.render_slope(filt.quotients[j][0])} !< "
+                                 f"{family.render_slope(filt.quotients[j + 1][0])} at position {j}")
+            break
+    checks.append(CheckItem("ascending_slopes", ok, detail))
+
+    ok, detail = True, ""
+    for idx, (slope, obj) in enumerate(filt.quotients):
+        actual = family.semistable_slope(obj)
+        if actual is None or actual != slope:
+            ok = False
+            detail = (f"quotient {idx} ({obj.render()}) is not semistable of slope "
+                      f"{family.render_slope(slope)}")
+            break
+    checks.append(CheckItem("semistable_quotients", ok, detail))
+
+    checks.append(oracle_hom_vanishing(filt, family))
+
+    ok, detail = True, ""
+    term_k0 = [family.k0(t) for t in filt.terms]
+    for i, (slope, obj) in enumerate(filt.quotients):
+        lhs = term_k0[i]
+        rhs = term_k0[i + 1] + family.k0(obj)
+        if lhs != rhs:
+            ok, detail = False, f"k0(terms[{i}]) = {lhs} != {rhs}"
+            break
+    checks.append(CheckItem("k0_additivity", ok, detail))
+
+    ok, detail = True, ""
+    if filt.terms[0] != x:
+        ok, detail = False, f"terms[0] = {filt.terms[0].render()} != {x.render()}"
+    elif not filt.terms[-1].is_zero:
+        ok, detail = False, f"terms[-1] = {filt.terms[-1].render()} != 0"
+    checks.append(CheckItem("endpoints", ok, detail))
+
+    return Report(tuple(checks))
 
 
 def oracle_window_hom_vanishing(family, window):
@@ -1632,6 +1681,24 @@ def test_k0_matches_per_summand_sum_elliptic(x):
     assert x.k0() == per_summand_k0(x)
 
 
+@given(st.one_of(p1_objects(), elliptic_objects()))
+def test_rank_degree_is_the_k0_components(x):
+    assert x.rank_degree() == x.k0().components
+    assert all(c.__class__ is int for c in x.rank_degree())
+
+
+def test_rank_degree_of_the_zero_objects_is_zero():
+    assert ZERO.rank_degree() == EllipticObject().rank_degree() == (0, 0)
+
+
+@given(st.one_of(p1_objects(max_size=1), elliptic_objects(max_size=1)).filter(lambda x: x.terms),
+       st.integers(0, 7))
+def test_rank_degree_of_one_summand_is_its_multiple_of_the_atom(x, m):
+    [(atom, _)] = x.terms
+    r, d = atom.rank_degree()
+    assert type(x).single(atom, m).rank_degree() == (m * r, m * d)
+
+
 # --- parser ---------------------------------------------------------------------------
 
 _WS = st.sampled_from(["", "", "", " ", "  ", "\t", "\n", " ", " "])
@@ -1984,6 +2051,73 @@ def test_hom_profile_matches_per_curve_oracle_loops(case):
     oracle, x, y = case
     for a, b in ((x, y), (y, x), (x, x), (x + y, x.shift(1))):
         assert hom_profile(a, b) == oracle(a, b)
+
+
+# --- verify_hn --------------------------------------------------------------------------
+
+def _foreign_slope(family):
+    """A slope of another family: a coarse one, or a standard one for `CoarseZ`."""
+    return StandardSlope(0, 0) if isinstance(family, CoarseZ) else CoarseSlope(0)
+
+
+@st.composite
+def verified_filtrations(draw):
+    """A computed HN filtration of every family kind, or one tampered with: one
+    of the four mutation kinds of the acceptance suite, a term of another K0
+    or a foreign slope after (or before) a descent; on top of these, a term or
+    quotient may get a multiplicity of 1.5."""
+    family, x = draw(family_and_object())
+    filt = family.hn(x)
+    kind = draw(st.sampled_from(("none", "mutation", "term", "foreign")))
+    mutants = list(_mutations(filt, family))
+    if kind == "mutation" and mutants:
+        filt = draw(st.sampled_from(mutants))
+    quots, terms = list(filt.quotients), list(filt.terms)
+    if kind == "term":
+        i = draw(st.integers(0, len(terms) - 1))
+        _, y = draw(family_and_object())
+        if family.accepts(y) and y.k0() != terms[i].k0():
+            terms[i] = y
+    elif kind == "foreign" and quots:
+        if len(quots) > 1:
+            j = draw(st.integers(0, len(quots) - 2))
+            quots[j], quots[j + 1] = quots[j + 1], quots[j]
+        k = draw(st.integers(0, len(quots) - 1))
+        quots[k] = (_foreign_slope(family), quots[k][1])
+    if quots and draw(st.booleans()) and draw(st.booleans()):
+        pos = draw(st.integers(0, len(terms) + len(quots) - 1))
+        bad = type(family.zero)(((draw(st.sampled_from(x.terms))[0], 1.5),))
+        if pos < len(terms):
+            terms[pos] = bad
+        else:
+            quots[pos - len(terms)] = (quots[pos - len(terms)][0], bad)
+    return family, x, HNFiltration(family, tuple(quots), tuple(terms))
+
+
+def _verdict(check, x, filt, family):
+    """The report of a check, or the type and message of what it raised."""
+    try:
+        return check(x, filt, family)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+
+
+def _float_quotient_after_a_k0_failure():
+    """Quotients 0 and 1 swapped, so K0 additivity fails at 0 and never reads
+    quotient 2, 1.5 * O(3)."""
+    family, x = StandardP1(), line(1) + line(2) + line(3)
+    filt = family.hn(x)
+    q0, q1, (slope, obj) = filt.quotients
+    bad = DerivedObject(((obj.terms[0][0], 1.5),))
+    return family, x, HNFiltration(family, (q1, q0, (slope, bad)), filt.terms)
+
+
+@settings(max_examples=400)
+@given(verified_filtrations())
+@example(_float_quotient_after_a_k0_failure())
+def test_verify_hn_matches_the_k0class_and_compare_oracle(case):
+    family, x, filt = case
+    assert _verdict(verify_hn, x, filt, family) == _verdict(oracle_verify_hn, x, filt, family)
 
 
 # --- JSON round trip ------------------------------------------------------------------------

@@ -11,10 +11,11 @@ from tstab.errors import InvalidShuffleError, UnsupportedFamilyError
 from tstab.elliptic import EllipticStandard, stable
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
-from tstab.p1 import Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize, torsion
-from tstab.stability import (ExceptionalSlope, HNFiltration, StandardSlope, Window, glue,
-                             is_semistable, shuffle_merge, split, validate_stability,
-                             verify_hn)
+from tstab.p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
+                      torsion)
+from tstab.stability import (CheckItem, CoarseSlope, ExceptionalSlope, HNFiltration,
+                             StandardSlope, Window, glue, is_semistable, shuffle_merge, split,
+                             validate_stability, verify_hn)
 
 STD = StandardP1()
 EXC0 = ExceptionalP1(0, 0)
@@ -101,6 +102,38 @@ def test_verify_hom_vanishing_detects_bad_pairing():
     assert not report.ok
     failing = {c.name for c in report.failures()}
     assert "hom_vanishing" in failing or "ascending_slopes" in failing
+
+
+def test_verify_k0_additivity_detail_names_both_classes():
+    x = line(1) + line(2)
+    filt = STD.hn(x)
+    wrong = HNFiltration(STD, filt.quotients, (filt.terms[0], line(5), ZERO))
+    [item] = [c for c in verify_hn(x, wrong, STD).checks if c.name == "k0_additivity"]
+    assert item == CheckItem("k0_additivity", False, "k0(terms[0]) = K0(2, 3) != K0(2, 6)")
+
+
+def test_verify_raises_on_a_term_whose_k0_is_not_an_int():
+    x = line(1) + line(2)
+    filt = STD.hn(x)
+    bad = DerivedObject(((ShiftedIndec(Line(1)), 1.5),))
+    with pytest.raises(TypeError, match=r"^K0 components must be integers, got 1\.5$"):
+        verify_hn(x, HNFiltration(STD, filt.quotients, (bad,) + filt.terms[1:]), STD)
+
+
+def test_verify_reports_a_foreign_slope_after_a_descent_without_raising():
+    x = line(1) + line(2) + line(3)
+    filt = STD.hn(x)
+    quots = list(filt.quotients)
+    quots[0], quots[1] = quots[1], quots[0]
+    quots[2] = (CoarseSlope(0), quots[2][1])
+    report = verify_hn(x, HNFiltration(STD, tuple(quots), filt.terms), STD)
+    assert report.checks == (
+        CheckItem("ascending_slopes", False, "slope (0, 2) !< (0, 1) at position 0"),
+        CheckItem("semistable_quotients", False, "quotient 2 (O(3)) is not semistable of slope (0)"),
+        CheckItem("hom_vanishing", False, "Hom^(<=0)(Q_1, Q_0) != 0: profile {0: 2}"),
+        CheckItem("k0_additivity", False, "k0(terms[0]) = K0(3, 6) != K0(3, 7)"),
+        CheckItem("endpoints", True, ""),
+    )
 
 
 # --- is_semistable ------------------------------------------------------------------
