@@ -193,7 +193,13 @@ def _memo(resolve_point) -> dict:
 
 def _parse_object(text: str, category: str, resolve_point, memo: dict
                   ) -> DerivedObject | EllipticObject:
-    """`parse_object` with `memo`, from summand text to (curve, (atom, mult), key).
+    """`parse_object` with `memo`, from summand text to (curve, (atom, mult), key)."""
+    return _read_object(text, category, resolve_point, memo)[0]
+
+
+def _read_object(text: str, category: str, resolve_point, memo: dict) -> tuple[object, bool]:
+    """`_parse_object`'s object, and whether the text was read piece by piece into
+    a normal form of one summand per piece (no zero piece, no merge).
 
     Two paths.  `render`'s own text is read piece by piece, cut at ``" + "``:
     a memo lookup, or one `_SUMMAND` match that the memo stores.  Any other
@@ -203,7 +209,7 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
     summand, run last.  An entry depends on the text and the resolver
     alone, so the memo may be shared by every call with that resolver.
     """
-    summands = None
+    summands, piecewise = None, False
     if isinstance(text, str):
         fullmatch, lookup = re.compile(_SUMMAND, re.VERBOSE).fullmatch, memo.get
         summands, offset = [], 0  # where the piece starts in the text
@@ -215,6 +221,7 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
                 summand = memo[piece] = _matched_summand(m, offset, resolve_point)
             summands.append(summand)
             offset += len(piece) + 3
+        piecewise = summands is not None
     if summands is None:
         summands = _Scanner(text).summands(resolve_point)
     curve, mixed, pairs, last, ascending = None, False, [], (), True
@@ -240,7 +247,8 @@ def _parse_object(text: str, category: str, resolve_point, memo: dict
                                else "an elliptic object was expected", 0)
     # Summands in strictly ascending key order with positive multiplicities
     # (as `render` writes them) are already a normal form.
-    return curve(tuple(pairs)) if ascending else curve.from_pairs(pairs)
+    return ((curve(tuple(pairs)), piecewise and len(pairs) == len(summands)) if ascending
+            else (curve.from_pairs(pairs), False))
 
 
 def _matched_summand(m: re.Match, offset: int, resolve_point) -> tuple:
@@ -475,7 +483,9 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
     """Rebuild (object, filtration) from the serialised form.
 
     The document comes from outside: a missing field or one of the wrong
-    type raises FiltrationFormatError naming it.
+    type raises FiltrationFormatError naming it.  A term whose text ends the
+    text of the term before, after a ``" + "``, is that term's last summands
+    if it was read as one summand per piece: the same pieces and memo entries.
     """
     from .families import family_from_descriptor
     from .stability import HNFiltration
@@ -491,12 +501,20 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
         obj = parse(data["object"])
         quotients = tuple((family.slope_from_json(q["slope"]), parse(q["object"]))
                           for q in data["quotients"])
-        terms = tuple(parse(t) for t in data["terms"])
+        terms, prev, exact = [], "", False
+        for text in data["terms"]:
+            if exact and isinstance(text, str) and prev.endswith(text) \
+                    and prev.endswith(" + ", 0, len(prev) - len(text)):
+                term = type(term)(term.terms[-1 - text.count(" + "):])
+            else:
+                term, exact = _read_object(text, category, resolver, memo)
+            terms.append(term)
+            prev = text
     except KeyError as exc:
         raise FiltrationFormatError(f"filtration JSON lacks the field {exc.args[0]!r}") from None
     except (TypeError, AttributeError) as exc:
         raise FiltrationFormatError(f"malformed filtration JSON: {exc}") from None
-    return obj, HNFiltration(family, quotients, terms)
+    return obj, HNFiltration(family, quotients, tuple(terms))
 
 
 def _category(family: StabilityFamily) -> str:

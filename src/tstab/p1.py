@@ -207,8 +207,12 @@ class FormalSum(Value):
     line and over a `StableClass` on the elliptic curve.  The term list
     is sorted by atom key and free of zero multiplicities; the zero
     object is the empty sum.  Each curve has its own subclass, and sums
-    of different subclasses are never equal.  `rank_degree()` is its signed
-    (rank, degree) int pair, and `k0()` the same pair as a `K0Class`.
+    of different subclasses are never equal.  Multiplicities are ints:
+    `from_pairs`, `single` and `m * x` raise TypeError on any other, a bool
+    too (the raw constructor checks nothing).  `rank_degree()` is the signed
+    (rank, degree) int pair, `k0()` that pair as a `K0Class`; they and `render`
+    loop in `rank_degree_of` and `render_pairs`, over any run of pairs, so an HN
+    term that ends with the next term's pairs is read from its head (`head_before`).
     """
 
     __slots__ = ("terms",)
@@ -221,6 +225,8 @@ class FormalSum(Value):
         """Merge, sort and drop zeros; the normal form of a formal sum."""
         acc: dict = {}
         for t, m in pairs:
+            if m.__class__ is not int:
+                raise TypeError(f"multiplicities must be integers, got {m!r}")
             if m < 0:
                 raise ValueError("multiplicities must be >= 0")
             if m:
@@ -230,8 +236,9 @@ class FormalSum(Value):
     @classmethod
     def single(cls, atom, mult: int):
         """`mult` copies of one atom: built as it stands when mult > 0, as one
-        such summand is a normal form, else as `from_pairs` reads it."""
-        return cls(((atom, mult),)) if mult > 0 else cls.from_pairs([(atom, mult)])
+        such summand is a normal form, else as `from_pairs` reads (or refuses) it."""
+        return cls(((atom, mult),)) if mult.__class__ is int and mult > 0 \
+            else cls.from_pairs([(atom, mult)])
 
     @property
     def is_zero(self) -> bool:
@@ -246,6 +253,8 @@ class FormalSum(Value):
         return self.from_pairs(list(self.terms) + list(other.terms))
 
     def __rmul__(self, m: int):
+        if m.__class__ is not int:
+            raise TypeError(f"multiplicities must be integers, got {m!r}")
         if m < 0:
             raise ValueError("multiplicities must be >= 0")
         if m == 0:
@@ -257,25 +266,43 @@ class FormalSum(Value):
         return type(self)(tuple((t.shifted(n), m) for t, m in self.terms))
 
     def rank_degree(self) -> tuple[int, int]:
-        rank = degree = 0
-        for t, m in self.terms:
-            r, d = t._rd
-            rank += m * r
-            degree += m * d
-        if rank.__class__ is not int or degree.__class__ is not int:
-            K0Class((rank, degree))  # raises its TypeError, once per object
-        return rank, degree
+        return rank_degree_of(self.terms)
 
     def k0(self) -> K0Class:
         return K0Class(self.rank_degree())
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        return " + ".join([t._text if m == 1 else f"{m}*{t._text}" for t, m in self.terms])
+        return render_pairs(self.terms) if self.terms else "0"
 
     def __repr__(self):
         return self.render()
+
+
+def rank_degree_of(pairs) -> tuple[int, int]:
+    """The signed (rank, degree) of (atom, multiplicity) pairs, or K0Class's TypeError."""
+    rank = degree = 0
+    for t, m in pairs:
+        r, d = t._rd
+        rank += m * r
+        degree += m * d
+    if rank.__class__ is not int or degree.__class__ is not int:
+        K0Class((rank, degree))  # raises its TypeError
+    return rank, degree
+
+
+def render_pairs(pairs) -> str:
+    """The text of a nonempty run of (atom, multiplicity) pairs, as `render` writes it."""
+    return " + ".join([t._text if m == 1 else f"{m}*{t._text}" for t, m in pairs])
+
+
+def head_before(obj, tail) -> tuple | None:
+    """The summands of `obj` before `tail`'s, if `tail` is a nonzero sum of its type
+    whose pairs equal `obj`'s last ones (an HN term of a split family often is
+    the tail of the one before); else None."""
+    if type(obj) is not type(tail) or not isinstance(obj, FormalSum):
+        return None
+    k, terms = len(tail.terms), obj.terms
+    return terms[:-k] if 0 < k < len(terms) and terms[-k:] == tail.terms else None
 
 
 class DerivedObject(FormalSum):

@@ -26,7 +26,8 @@ from operator import methodcaller
 
 from .errors import (FiltrationFormatError, InvalidShuffleError, ObjectParseError,
                      UnsupportedFamilyError)
-from .p1 import Point, hom_profile, point_resolver, point_universe
+from .p1 import (Point, head_before, hom_profile, point_resolver, point_universe,
+                 rank_degree_of, render_pairs)
 from .slopes import ExtendedRational, K0Class, Ordering
 from .value import INT_TEXT, Value, assign, set_field
 
@@ -204,8 +205,9 @@ class HNFiltration(Value):
 
     All terms are held eagerly.  `merge_towers` builds them in one pass
     over a running list of multiplicities, so producing them costs about
-    as much as reading them, and serialisation and `verify_hn` read
-    every term anyway.
+    as much as reading them.  A term of a split family is mostly a head
+    followed by the next term's summands (`p1.head_before`), and `to_json`,
+    `verify_hn` and `filtration_from_json` then read only that head.
     """
 
     __slots__ = ("family", "quotients", "terms")
@@ -257,12 +259,18 @@ class HNFiltration(Value):
 
     def to_json(self) -> dict:
         fam = self.family
+        texts, nxt = [], None  # the terms' texts, last first
+        for t in reversed(self.terms):
+            head = head_before(t, nxt)
+            texts.append(f"{render_pairs(head)} + {texts[-1]}" if head else t.render())
+            nxt = t
+        texts.reverse()
         return {
-            "object": self.object.render(),
+            "object": texts[0],
             "family": fam.descriptor(),
             "quotients": [{"slope": fam.slope_json(s), "object": o.render()}
                           for s, o in self.quotients],
-            "terms": [t.render() for t in self.terms],
+            "terms": texts,
         }
 
 
@@ -487,7 +495,9 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     quotient nonzero and semistable of its recorded slope; (c) Hom^{<=0}
     between quotients vanishes from higher to lower position; (d) K0
     additivity of the terms on int (rank, degree) pairs, with `K0Class`
-    values only in a failure's detail; (e) terms start at x and end at zero.
+    values only in a failure's detail; a term that ends the term before
+    (`p1.head_before`) gets that term's pair minus its head's, and the first
+    term whose full sum is not an int raises; (e) terms start at x and end at zero.
     Passing all five identifies the filtration as the unique HN filtration of x.
     """
     checks = []
@@ -522,7 +532,11 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     checks.append(CheckItem("hom_vanishing", ok, detail))
 
     ok, detail = True, ""
-    term_rd = [t.rank_degree() for t in filt.terms]
+    term_rd = [filt.terms[0].rank_degree()]
+    for prev, t in zip(filt.terms, filt.terms[1:]):
+        if head := head_before(prev, t):
+            (r0, d0), (r, d) = term_rd[-1], rank_degree_of(head)
+        term_rd.append((r0 - r, d0 - d) if head else t.rank_degree())
     for i, (_, obj) in enumerate(filt.quotients):
         (r, d), (r1, d1) = obj.rank_degree(), term_rd[i + 1]
         if term_rd[i] != (r1 + r, d1 + d):

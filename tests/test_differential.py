@@ -28,7 +28,9 @@ of `semistable_slope` that one set of slopes replaced, and the
 Fraction-backed `ExtendedRational` and the `MuKey` sort key that the one
 exact slope `ExtendedRational(d, r)` replaced, and the `verify_hn` that
 compared slopes with `family.compare` and summed K0 as `K0Class` values,
-where it now compares slope keys and (rank, degree) ints.  They are kept here only, as
+where it now compares slope keys and (rank, degree) ints, and the `to_json`,
+`filtration_from_json` and K0 sums that read every term in full, where a term
+that ends with the next term is now read from its head.  They are kept here only, as
 oracles, and every result must agree bit for bit.  The HN filtration is
 also compared with the order that a heart and its slope function give
 (Bridgeland, Prop. 5.3): by shift, then by the exact slope gamma.  The
@@ -39,6 +41,7 @@ and objects.
 import copy
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 import random
@@ -51,12 +54,13 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tstab import cli, elliptic, p1, slopes, stability
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic)
-from tstab.errors import (InvalidCutError, InvalidLengthError, NonCoprimeError,
+from tstab.errors import (FiltrationFormatError, InvalidCutError, InvalidLengthError,
+                          NonCoprimeError,
                           NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
                           UnsupportedFamilyError, ZeroClassError)
 from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopePartition,
@@ -79,6 +83,7 @@ from tstab.tstructures import (CatalogEntry, Classification, CoarseCut, Elliptic
 from tstab.value import Value, set_field
 
 from test_acceptance import _mutations
+from test_cli import mutated_documents
 from test_stability import _ShiftsDescend, _TorsionBelowLines
 
 
@@ -425,6 +430,39 @@ def oracle_verify_hn(x, filt, family):
     checks.append(CheckItem("endpoints", ok, detail))
 
     return Report(tuple(checks))
+
+
+def oracle_to_json(filt):
+    """`HNFiltration.to_json` as it ran before a term that ends with the next term
+    was rendered from its head: the object and every term rendered in full."""
+    fam = filt.family
+    return {"object": filt.object.render(), "family": fam.descriptor(),
+            "quotients": [{"slope": fam.slope_json(s), "object": o.render()}
+                          for s, o in filt.quotients],
+            "terms": [t.render() for t in filt.terms]}
+
+
+def oracle_filtration_from_json(data):
+    """`filtration_from_json` as it ran before a term's text could be read as a
+    tail of the term before: every term parsed on its own."""
+    try:
+        family = family_from_descriptor(data["family"])
+        category = cli._category(family)
+        resolver = point_resolver(family.point_labels)
+        memo = cli._memo(resolver)
+
+        def parse(text):
+            return cli._parse_object(text, category, resolver, memo)
+
+        obj = parse(data["object"])
+        quotients = tuple((family.slope_from_json(q["slope"]), parse(q["object"]))
+                          for q in data["quotients"])
+        terms = tuple(parse(t) for t in data["terms"])
+    except KeyError as exc:
+        raise FiltrationFormatError(f"filtration JSON lacks the field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise FiltrationFormatError(f"malformed filtration JSON: {exc}") from None
+    return obj, HNFiltration(family, quotients, terms)
 
 
 def oracle_window_hom_vanishing(family, window):
@@ -2165,6 +2203,135 @@ def test_filtration_json_round_trip_all_families(case, data):
     x3, filt3 = cli.filtration_from_json(respelled)
     assert x3 == x and filt3 == filt
     assert filt3.to_json() == doc
+
+
+# --- terms as tails -------------------------------------------------------------------------
+
+def _to_json_outcome(to_json, filt):
+    try:
+        return to_json(filt)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+
+
+def _read_outcome(read, data):
+    """What a reader makes of a document: every object with its type, or the error."""
+    try:
+        x, filt = read(data)
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return (type(x), x.terms, filt.family.descriptor(),
+            tuple((s, type(o), o.terms) for s, o in filt.quotients),
+            tuple((type(t), t.terms) for t in filt.terms))
+
+
+@st.composite
+def float_tails(draw):
+    """A filtration of `verified_filtrations`, where one summand pair (a, m) of a
+    term may become (a, 1.5): in that term alone, where it may lie in the head,
+    or in every term that holds it, so that each tail stays a tail."""
+    family, x, filt = draw(verified_filtrations())
+    held = [(i, pair) for i, t in enumerate(filt.terms) for pair in t.terms]
+    kind = draw(st.sampled_from(("none", "head", "tail")))
+    if kind == "none" or not held:
+        return family, x, filt
+    i, (atom, m) = draw(st.sampled_from(held))
+    terms = list(filt.terms)
+    for j, t in enumerate(terms):
+        if (kind == "tail" or j == i) and (atom, m) in t.terms:
+            terms[j] = type(t)(tuple((a, 1.5) if (a, k) == (atom, m) else (a, k)
+                                     for a, k in t.terms))
+    return family, x, HNFiltration(family, filt.quotients, tuple(terms))
+
+
+def _one_float_pair(where):
+    """line(1) + line(2) + line(3) under `StandardP1`, whose terms are each a tail
+    of the one before, with O(2) of multiplicity 1.5 in the head of terms[1]
+    alone, or in every term as a tail."""
+    family, x = StandardP1(), line(1) + line(2) + line(3)
+    filt = family.hn(x)
+    o2 = filt.terms[1].terms[0]
+    terms = [type(t)(tuple((a, 1.5) if (a, m) == o2 and (where == "tail" or i == 1) else (a, m)
+                           for a, m in t.terms)) for i, t in enumerate(filt.terms)]
+    return family, x, HNFiltration(family, filt.quotients, tuple(terms))
+
+
+@settings(max_examples=300)
+@given(float_tails())
+@example(_one_float_pair("head"))
+@example(_one_float_pair("tail"))
+def test_terms_as_tails_render_and_sum_like_the_full_path_oracles(case):
+    """`to_json` and `verify_hn` give what rendering and summing every term in full
+    gives, raises (K0Class's TypeError at the first term of a 1.5 multiplicity) included."""
+    family, x, filt = case
+    assert _to_json_outcome(HNFiltration.to_json, filt) == _to_json_outcome(oracle_to_json, filt)
+    assert _verdict(verify_hn, x, filt, family) == _verdict(oracle_verify_hn, x, filt, family)
+
+
+def test_a_float_multiplicity_raises_at_its_first_term():
+    """With 1.5 in the head of terms[1] alone, terms[1] is no tail of terms[0] and
+    raises; with 1.5 in every term, terms[0] raises before any tail is read."""
+    for where, rank in (("head", "2.5"), ("tail", "3.5")):
+        family, x, filt = _one_float_pair(where)
+        with pytest.raises(TypeError, match=f"K0 components must be integers, got {rank}$"):
+            verify_hn(x, filt, family)
+        assert "1.5*O(2)" in filt.to_json()["terms"][1]
+
+
+@settings(max_examples=100)
+@given(family_and_object(max_size=30), st.data())
+def test_terms_as_tails_read_like_the_per_term_oracle(case, data):
+    """Real documents of every family kind, and the same documents respelled, read
+    as the oracle reads them, term by term."""
+    family, x = case
+    doc = family.hn(x).to_json()
+    respelled = {**doc, "terms": [_respell(data, t) if data.draw(st.booleans()) else t
+                                  for t in doc["terms"]]}
+    for d in (doc, respelled):
+        assert _read_outcome(cli.filtration_from_json, d) \
+            == _read_outcome(oracle_filtration_from_json, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mangled_documents_read_like_the_per_term_oracle(text):
+    """Mangled `hn` documents give the oracle's objects, or its error, message and position."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        assume(False)
+    assert _read_outcome(cli.filtration_from_json, data) \
+        == _read_outcome(oracle_filtration_from_json, data)
+
+
+@pytest.mark.parametrize("prev, text", [
+    ("O(1) + O(2) + 0", "0"),         # a zero piece: the last summand is no piece's
+    ("O(2) + O(1)", "O(1)"),          # sorted by `from_pairs`: the last summand is O(2)
+    ("2*O(1) + O(1)", "O(1)"),        # merged into 3*O(1)
+    (" O(2) + O(1)", "O(1)"),         # read by the scanner, and sorted
+    ("O(1) + O(2) + 0[1]", "0[1]"),   # read by the scanner, a shifted zero dropped
+])
+def test_a_term_is_a_tail_only_of_one_summand_per_piece(prev, text):
+    """Where a rule that took the last pieces' count of summands would be wrong."""
+    doc = StandardP1().hn(line(1) + line(2)).to_json()
+    doc["terms"] = [prev, text, "0"]
+    outcome = _read_outcome(cli.filtration_from_json, doc)
+    assert outcome == _read_outcome(oracle_filtration_from_json, doc)
+    assert outcome[-1][1] == (DerivedObject, cli.parse_object(text).terms)
+
+
+def test_a_tail_term_is_not_parsed_again(monkeypatch):
+    """Of a five-line `StandardP1` document, whose terms are each a tail of the one
+    before, the object, the quotients and the first term alone are parsed."""
+    doc = StandardP1().hn(normalize([(ShiftedIndec(Line(n)), 1) for n in range(5)])).to_json()
+    assert all(t.endswith(" + " + u) for t, u in zip(doc["terms"], doc["terms"][1:-1]))
+    read, texts = cli._read_object, []
+    monkeypatch.setattr(cli, "_read_object", lambda text, *rest: texts.append(text)
+                        or read(text, *rest))
+    x, filt = cli.filtration_from_json(doc)
+    assert texts == [doc["object"], *(q["object"] for q in doc["quotients"]), doc["terms"][0],
+                     "0"]
+    assert (x, filt) == oracle_filtration_from_json(doc) and filt.to_json() == doc
 
 
 # --- atoms ----------------------------------------------------------------------------------

@@ -5,13 +5,14 @@ import itertools
 import pickle
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, StableClass, normalize_elliptic
 from tstab.errors import ObjectParseError
-from tstab.p1 import (HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
+from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
                       direct_sum, ext_dim, euler_form, hom_dim, hom_profile,
                       line, normalize, point_resolver, torsion)
 from tstab.slopes import K0Class
@@ -217,6 +218,43 @@ def test_render_and_direct_sum():
     obj = direct_sum(line(3), 2 * line(-1, 2), torsion(X, 2))
     assert obj.render() == "O(3) + T(x,2) + 2*O(-1)[2]"
     assert ZERO.render() == "0"
+
+
+_NOT_INTS = (1.5, 2.0, True, Fraction(2))
+
+
+@pytest.mark.parametrize("mult", _NOT_INTS, ids=repr)
+def test_normalize_refuses_a_multiplicity_that_is_not_an_int(mult):
+    atom = ShiftedIndec(Line(3))
+    for build in (normalize, normalize_elliptic, DerivedObject.from_pairs):
+        with pytest.raises(TypeError) as err:
+            build([(ShiftedIndec(Line(1)), 1), (atom, mult)])
+        assert str(err.value) == f"multiplicities must be integers, got {mult!r}"
+
+
+@pytest.mark.parametrize("mult", _NOT_INTS, ids=repr)
+def test_single_refuses_a_multiplicity_that_is_not_an_int(mult):
+    for curve, atom in ((DerivedObject, ShiftedIndec(Line(3))),
+                        (EllipticObject, ShiftedIndec(StableClass(1, 0, X)))):
+        with pytest.raises(TypeError, match="multiplicities must be integers"):
+            curve.single(atom, mult)
+
+
+@pytest.mark.parametrize("mult", _NOT_INTS, ids=repr)
+def test_scaling_refuses_a_multiplicity_that_is_not_an_int(mult):
+    for x in (line(3), ZERO, ELLIPTIC_ZERO):
+        with pytest.raises(TypeError, match="multiplicities must be integers"):
+            mult * x
+
+
+def test_int_multiplicities_and_the_raw_constructor_are_unchanged():
+    atom = ShiftedIndec(Line(3))
+    assert 2 * line(3) == DerivedObject.single(atom, 2) == normalize([(atom, 2)])
+    assert 0 * line(3) == DerivedObject.single(atom, 0) == ZERO
+    for build in (lambda: -1 * line(3), lambda: DerivedObject.single(atom, -1)):
+        with pytest.raises(ValueError, match="multiplicities must be >= 0"):
+            build()
+    assert DerivedObject(((atom, 1.5),)).render() == "1.5*O(3)"  # tests build tampered objects so
 
 
 # --- derived slots --------------------------------------------------------------

@@ -6,14 +6,18 @@ O(n)[n mod 5 - 2], n = N .. 2N-1 (so two sizes share no summand), which
 this process, once each and after a full garbage collection, `hn`,
 `verify_hn`, `to_json`, `filtration_from_json` of that document, `verify_hn`
 of the filtration read back (as each `large-hn` benchmark op does) and `==`
-of the two filtrations, and prints one JSON line: each N with its timings in
-ms, and whether both filtrations verified and the read-back one is equal.
+of the two filtrations.  Under `ExceptionalP1(0, 0)` the same object has a
+few quotients whose terms mostly do not end with the next term, so they are
+rendered, read and summed in full: `exc_round_trip_ms` times its `to_json`,
+`filtration_from_json` and `verify_hn` of what that reads back.  Prints one
+JSON line: each N with its timings in ms, and whether every filtration
+verified and each read-back one is equal.
 
     python tools/roundtrip_scale.py [N ...]        (default: 400 1600)
 
-Exits 1 if either filtration fails to verify or the read-back one is
-unequal.  Timings on a machine shared with other work move between runs:
-compare two checkouts in paired runs, not single figures.
+Exits 1 if a filtration fails to verify or a read-back one is unequal.
+Timings on a machine shared with other work move between runs: compare two
+checkouts in paired runs, not single figures.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tstab import StandardP1, normalize, verify_hn  # noqa: E402
+from tstab import ExceptionalP1, StandardP1, normalize, verify_hn  # noqa: E402
 from tstab.cli import filtration_from_json  # noqa: E402
 from tstab.p1 import Line, ShiftedIndec  # noqa: E402
 
@@ -50,10 +54,17 @@ def measure(n: int) -> dict:
     (x2, filt2), from_json_ms = timed(lambda: filtration_from_json(doc))
     report2, verify_read_ms = timed(lambda: verify_hn(x2, filt2, filt2.family))
     equal, eq_ms = timed(lambda: filt2 == filt)
+    exc = ExceptionalP1(0, 0).hn(x)
+
+    def exc_round_trip():
+        x3, filt3 = filtration_from_json(exc.to_json())
+        return x3, filt3, verify_hn(x3, filt3, filt3.family)
+    (x3, filt3, report3), exc_ms = timed(exc_round_trip)
     return {"quotients": len(filt.quotients), "hn_ms": hn_ms, "verify_hn_ms": verify_ms,
             "to_json_ms": to_json_ms, "from_json_ms": from_json_ms,
-            "verify_read_ms": verify_read_ms, "eq_ms": eq_ms,
-            "ok": report.ok and report2.ok and equal and x2 == x}
+            "verify_read_ms": verify_read_ms, "eq_ms": eq_ms, "exc_round_trip_ms": exc_ms,
+            "ok": report.ok and report2.ok and equal and x2 == x
+            and report3.ok and filt3 == exc and x3 == x}
 
 
 def main(argv: list[str]) -> int:
