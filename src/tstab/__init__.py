@@ -12,11 +12,11 @@ _EXPORTS = {  # each module and the names the package exports from it
               "RANK_DEGREE SlopeValue check_positive compare_slopes gamma_slope mu_bar "
               "seesaw_check",
     "p1": "DEFAULT_POINTS DerivedObject FormalSum HomProfile Indec Line Point ShiftedIndec "
-          "Torsion ZERO direct_sum euler_form hom_dim hom_profile line normalize "
+          "Torsion ZERO euler_form hom_dim hom_profile line normalize "
           "point_resolver point_universe torsion",
     "stability": "CheckItem CoarseSlope EllipticSlope ExceptionalSlope HNFiltration Report "
-                 "StabilityFamily StandardSlope Window glue is_semistable merge_towers "
-                 "shuffle_merge split validate_stability verify_hn",
+                 "StabilityFamily StandardSlope Window merge_towers validate_stability "
+                 "verify_hn",
     "families": "CoarseZ CoarsenedFamily ExceptionalP1 FinerVerdict SlopePartition StandardP1 "
                 "by_shift_partition coarsen column_partition exceptional_rewrite "
                 "family_from_descriptor finest_check is_finer",

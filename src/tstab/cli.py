@@ -469,13 +469,12 @@ def _emit(payload: dict, text: str, session: SessionConfig, out) -> None:
         print(text, file=out)
 
 
-def _filtration_text(filt: HNFiltration) -> str:
-    fam = filt.family
-    lines = [f"object: {filt.object.render()}"]
-    lines.append("quotients:")
-    for slope, obj in filt.quotients:
-        lines.append(f"  {fam.render_slope(slope)}: {obj.render()}")
-    lines.append("terms: " + " -> ".join(t.render() for t in filt.terms))
+def _filtration_text(filt: HNFiltration, doc: dict) -> str:
+    """The text form of `filt`, with the object texts of its document `doc`."""
+    render = filt.family.render_slope
+    lines = [f"object: {doc['object']}", "quotients:"]
+    lines += [f"  {render(s)}: {q['object']}" for s, q in zip(filt.slopes, doc["quotients"])]
+    lines.append("terms: " + " -> ".join(doc["terms"]))
     return "\n".join(lines)
 
 
@@ -551,7 +550,8 @@ def _cmd_hn(args, session, out) -> int:
     family = parse_famspec(args.stability, session)
     obj = parse_object(args.expr, _category(family), point_resolver(session.points))
     filt = family.hn(obj)
-    _emit(filt.to_json(), _filtration_text(filt), session, out)
+    doc = filt.to_json()
+    _emit(doc, _filtration_text(filt, doc), session, out)
     return 0
 
 

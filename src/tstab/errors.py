@@ -21,10 +21,6 @@ class UnsupportedFamilyError(TStabError):
     """An object lies outside the object model of the stability family."""
 
 
-class InvalidShuffleError(TStabError):
-    """A shuffle pattern does not interleave the two quotient lists."""
-
-
 class InvalidPartitionError(TStabError):
     """A slope-set partition is not order-congruent or not tau-stable."""
 

@@ -315,13 +315,6 @@ ZERO = DerivedObject()
 normalize = DerivedObject.from_pairs
 
 
-def direct_sum(*objects: DerivedObject) -> DerivedObject:
-    total = ZERO
-    for x in objects:
-        total = total + x
-    return total
-
-
 def line(n: int, shift: int = 0, mult: int = 1) -> DerivedObject:
     """Convenience constructor: mult * O(n)[shift]."""
     return normalize([(ShiftedIndec(Line(n), shift), mult)])

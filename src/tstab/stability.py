@@ -24,8 +24,7 @@ from collections.abc import Sequence
 from itertools import compress
 from operator import methodcaller
 
-from .errors import (FiltrationFormatError, InvalidShuffleError, ObjectParseError,
-                     UnsupportedFamilyError)
+from .errors import FiltrationFormatError, ObjectParseError, UnsupportedFamilyError
 from .p1 import (Point, head_before, hom_profile, point_resolver, point_universe,
                  rank_degree_of, render_pairs)
 from .slopes import ExtendedRational, K0Class, Ordering
@@ -433,12 +432,6 @@ def merge_towers(family: StabilityFamily,
 
 # --- module-level operations --------------------------------------------------
 
-def is_semistable(x, family: StabilityFamily):
-    """The slope if the HN filtration of x has exactly one quotient, else None."""
-    quotients = family.hn(x).quotients
-    return quotients[0][0] if len(quotients) == 1 else None
-
-
 def _maps_at_or_below_zero(t, s) -> bool:
     """Whether Hom^q(t, s) != 0 for some q <= 0, for two shifted atoms.
 
@@ -448,16 +441,6 @@ def _maps_at_or_below_zero(t, s) -> bool:
     """
     gap = t.shift - s.shift
     return gap <= 0 and bool(t.base.ext_dim(s.base, 0) or (gap < 0 and t.base.ext_dim(s.base, 1)))
-
-
-def hom_vanishes_at_and_below_zero(x, y) -> bool:
-    """Whether Hom^q(x, y) = 0 for all q <= 0.
-
-    Multiplicities and dimensions are nonnegative, so the sum vanishes
-    exactly when every pair of summands does.
-    """
-    return not any(_maps_at_or_below_zero(t, s)
-                   for t, _ in x.summands() for s, _ in y.summands())
 
 
 def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
@@ -555,71 +538,6 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     return Report(tuple(checks))
 
 
-def glue(outer: Sequence[tuple[object, Sequence[tuple[object, object]]]]) -> list[tuple[object, object]]:
-    """Flatten a nested filtration: concatenate inner quotient lists in order."""
-    flat: list[tuple[object, object]] = []
-    for _, inner in outer:
-        if not inner:
-            raise ValueError("inner quotient lists must be nonempty")
-        flat.extend(inner)
-    return flat
-
-
-def split(flat: Sequence[tuple[object, object]],
-          blocks: Sequence[Sequence[int]]) -> list[tuple[object, list[tuple[object, object]]]]:
-    """Group a flat quotient list into consecutive blocks.
-
-    Returns (block direct sum, inner quotient list) per block; blocks
-    must be nonempty consecutive index groups covering the list.
-    """
-    out = []
-    expected = 0
-    for block in blocks:
-        idxs = list(block)
-        if not idxs or idxs != list(range(expected, expected + len(idxs))):
-            raise ValueError("blocks must be nonempty consecutive index groups")
-        expected += len(idxs)
-        inner = [flat[i] for i in idxs]
-        total = type(inner[0][1]).from_pairs(p for _, obj in inner for p in obj.summands())
-        out.append((total, inner))
-    if expected != len(flat):
-        raise ValueError("blocks must cover the whole quotient list")
-    return out
-
-
-def shuffle_merge(fa: HNFiltration, fb: HNFiltration,
-                  mode: str | Sequence[str] = "by-slope") -> HNFiltration:
-    """Interleave two filtrations into a filtration of the direct sum.
-
-    In "by-slope" mode the quotients are merged in ascending slope order
-    and equal slopes are coalesced by direct sum, which yields the HN
-    filtration of the sum.  An explicit shuffle is a sequence over
-    {"a", "b"} naming the source of each successive quotient; it must
-    use each source exactly as often as it has quotients.
-    """
-    if fa.family.descriptor() != fb.family.descriptor():
-        raise InvalidShuffleError("filtrations belong to different families")
-    family = fa.family
-    if mode == "by-slope":
-        return merge_towers(family, [(fa.quotients, fa.terms), (fb.quotients, fb.terms)])
-    picks = list(mode)
-    if picks.count("a") != len(fa.quotients) or picks.count("b") != len(fb.quotients) \
-            or len(picks) != len(fa.quotients) + len(fb.quotients):
-        raise InvalidShuffleError("shuffle must use each source's quotients exactly once, in order")
-    ia = ib = 0
-    quotients = []
-    terms = [fa.terms[0] + fb.terms[0]]
-    for pick in picks:
-        if pick == "a":
-            quotients.append(fa.quotients[ia])
-            ia += 1
-        else:  # the counts above leave only "b"
-            quotients.append(fb.quotients[ib])
-            ib += 1
-        terms.append(fa.terms[ia] + fb.terms[ib])
-    return HNFiltration(family, tuple(quotients), tuple(terms))
-
-
 def validate_stability(family: StabilityFamily, window: Window) -> Report:
     """Check the stability axioms on a finite window of generators.
 
@@ -671,7 +589,7 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
         ok = False
         scan = ((g1, g2) for g1, k1 in zip(gens, keys) for g2, k2 in zip(gens, keys) if k1 > k2)
         for pairs, (g1, g2) in enumerate(scan, 1):
-            if not hom_vanishes_at_and_below_zero(g1, g2):
+            if _first_hom_violation((g2, g1)) is not None:
                 break
         detail = (f"Hom^(<=0)({g1.render()}, {g2.render()}) != 0 "
                   f"against the order: profile {family.hom_profile(g1, g2)!r}")

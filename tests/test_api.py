@@ -12,6 +12,7 @@ and each command loads only the modules it uses.
 import ast
 import importlib
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,16 @@ def test_package_names_resolve_on_first_access():
     assert set(tstab.__all__) == set(public)
     with pytest.raises(AttributeError, match="no attribute 'nothing'"):
         tstab.nothing
+
+
+def test_readme_library_api_names_each_export_once():
+    """README's Library API section names every export but the submodules, once
+    each, so the export table cannot grow or shrink unnoticed."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([^`]+)`", section)
+    assert len(names) == len(set(names))
+    assert set(names) == set(importlib.import_module("tstab").__all__) - set(SUBMODULES)
 
 
 def _trees():

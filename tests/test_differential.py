@@ -72,9 +72,9 @@ from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Tors
 from tstab.slopes import (RANK_DEGREE, ExtendedRational, K0Class, Ordering, PLUS_INFINITY,
                           compare_slopes, gamma_slope, mu_bar, seesaw_check)
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
-                             HNFiltration, Report, StandardSlope, Window,
-                             hom_vanishes_at_and_below_zero, merge_towers, shuffle_merge,
-                             validate_stability, verify_hn)
+                             HNFiltration, Report, StandardSlope, Window, _first_hom_violation,
+                             _maps_at_or_below_zero, merge_towers, validate_stability,
+                             verify_hn)
 from tstab.tstructures import (CatalogEntry, Classification, CoarseCut, EllipticCut,
                                ExceptionalCut, HeartDescription, StandardCut, _fmt_bound,
                                _point_set_reason, _render_line_gen, apply_twist_shift, catalog,
@@ -84,7 +84,7 @@ from tstab.value import Value, set_field
 
 from test_acceptance import _mutations
 from test_cli import mutated_documents
-from test_stability import _ShiftsDescend, _TorsionBelowLines
+from test_stability import _ShiftsDescend, _TorsionBelowLines, merge_two
 
 
 # --- oracles ------------------------------------------------------------------------
@@ -465,6 +465,16 @@ def oracle_filtration_from_json(data):
     return obj, HNFiltration(family, quotients, terms)
 
 
+def oracle_hom_vanishes_at_and_below_zero(x, y) -> bool:
+    """Whether Hom^q(x, y) = 0 for all q <= 0, one pair of summands at a time.
+
+    Multiplicities and dimensions are nonnegative, so the sum vanishes
+    exactly when every pair of summands does.
+    """
+    return not any(_maps_at_or_below_zero(t, s)
+                   for t, _ in x.summands() for s, _ in y.summands())
+
+
 def oracle_window_hom_vanishing(family, window):
     """`validate_stability`'s Hom check one generator pair at a time: the
     item and the pair count it hands to `CheckItem.over`."""
@@ -475,7 +485,7 @@ def oracle_window_hom_vanishing(family, window):
         for g2, k2 in zip(gens, keys):
             if k1 > k2:
                 pairs += 1
-                if not hom_vanishes_at_and_below_zero(g1, g2):
+                if not oracle_hom_vanishes_at_and_below_zero(g1, g2):
                     profile = family.hom_profile(g1, g2)
                     ok = False
                     detail = (f"Hom^(<=0)({g1.render()}, {g2.render()}) != 0 "
@@ -1296,7 +1306,7 @@ def test_shuffle_merge_by_slope_matches_oracle(case, data):
         y = data.draw(p1_objects(getattr(family, "point_labels", None) or LABELS))
     fa, fb = family.hn(x), family.hn(y)
     ref = oracle_merge_towers(family, [(fa.quotients, fa.terms), (fb.quotients, fb.terms)])
-    _assert_same(shuffle_merge(fa, fb), ref)
+    _assert_same(merge_two(fa, fb), ref)
 
 
 @settings(max_examples=100)
@@ -2069,7 +2079,8 @@ def test_hom_vanishing_rule_matches_hom_profile(a, b):
     (family, x), (_, y) = a, b
     if family.accepts(y):
         expected = family.hom_profile(x, y).vanishes_at_and_below(0)
-        assert hom_vanishes_at_and_below_zero(x, y) == expected
+        assert (_first_hom_violation((y, x)) is None) == expected
+        assert oracle_hom_vanishes_at_and_below_zero(x, y) == expected
 
 
 def _window_objects(family, oracle):
@@ -2276,6 +2287,19 @@ def test_a_float_multiplicity_raises_at_its_first_term():
         with pytest.raises(TypeError, match=f"K0 components must be integers, got {rank}$"):
             verify_hn(x, filt, family)
         assert "1.5*O(2)" in filt.to_json()["terms"][1]
+
+
+@settings(max_examples=100)
+@given(family_and_object(max_size=30))
+def test_hn_text_form_renders_like_the_full_path_oracle(case):
+    """The text of `tstab hn`, built from the texts of its document, tails included,
+    prints the object, each quotient and every term as `render` does."""
+    family, x = case
+    filt = family.hn(x)
+    assert cli._filtration_text(filt, filt.to_json()).splitlines() == [
+        f"object: {filt.object.render()}", "quotients:",
+        *(f"  {family.render_slope(s)}: {o.render()}" for s, o in filt.quotients),
+        "terms: " + " -> ".join(t.render() for t in filt.terms)]
 
 
 @settings(max_examples=100)

@@ -13,8 +13,8 @@ from hypothesis import given, strategies as st
 from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, StableClass, normalize_elliptic
 from tstab.errors import ObjectParseError
 from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
-                      direct_sum, ext_dim, euler_form, hom_dim, hom_profile,
-                      line, normalize, point_resolver, torsion)
+                      ext_dim, euler_form, hom_dim, hom_profile, line, normalize,
+                      point_resolver, torsion)
 from tstab.slopes import K0Class
 from tstab.value import FrozenInstanceError, Value
 
@@ -215,7 +215,7 @@ def test_homprofile_euler_helper():
 
 
 def test_render_and_direct_sum():
-    obj = direct_sum(line(3), 2 * line(-1, 2), torsion(X, 2))
+    obj = line(3) + 2 * line(-1, 2) + torsion(X, 2)
     assert obj.render() == "O(3) + T(x,2) + 2*O(-1)[2]"
     assert ZERO.render() == "0"
 

@@ -7,19 +7,23 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from tstab.errors import InvalidShuffleError, UnsupportedFamilyError
+from tstab.errors import UnsupportedFamilyError
 from tstab.elliptic import EllipticStandard, stable
 from tstab.families import (INF, CoarseZ, ExceptionalP1, StandardP1, by_shift_partition,
                             coarsen, column_partition)
 from tstab.p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, line, normalize,
                       torsion)
 from tstab.stability import (CheckItem, CoarseSlope, ExceptionalSlope, HNFiltration,
-                             StandardSlope, Window, glue, is_semistable, shuffle_merge, split,
-                             validate_stability, verify_hn)
+                             StandardSlope, Window, merge_towers, validate_stability, verify_hn)
 
 STD = StandardP1()
 EXC0 = ExceptionalP1(0, 0)
 WINDOW = Window(max_degree=5, max_shift=2, max_length=3, samples=40)
+
+
+def merge_two(fa, fb):
+    """The by-slope merge of two filtrations of one family: a filtration of the sum."""
+    return merge_towers(fa.family, [(fa.quotients, fa.terms), (fb.quotients, fb.terms)])
 
 
 def _random_objects(count, seed=0, window=WINDOW):
@@ -136,81 +140,37 @@ def test_verify_reports_a_foreign_slope_after_a_descent_without_raising():
     )
 
 
-# --- is_semistable ------------------------------------------------------------------
+# --- semistability through hn -------------------------------------------------------
 
 def test_is_semistable_examples():
-    assert is_semistable(3 * line(2, 1), STD) == StandardSlope(1, 2)
-    assert is_semistable(line(5), ExceptionalP1(0, 2)) is None
+    assert STD.hn(3 * line(2, 1)).slopes == (StandardSlope(1, 2),)
+    assert len(ExceptionalP1(0, 2).hn(line(5)).slopes) > 1
     pt = Point("x")
-    assert is_semistable(torsion(pt, 4), STD) == StandardSlope(0, pt)
+    assert STD.hn(torsion(pt, 4)).slopes == (StandardSlope(0, pt),)
 
 
 def test_is_semistable_matches_structural_check():
+    """hn gives one quotient exactly when the structural check finds a slope, and
+    that quotient has the slope."""
     for x in _random_objects(60, seed=5):
         for fam in (STD, EXC0, CoarseZ()):
-            assert is_semistable(x, fam) == fam.semistable_slope(x)
+            slopes = fam.hn(x).slopes
+            assert (slopes[0] if len(slopes) == 1 else None) == fam.semistable_slope(x)
 
 
 def test_summand_stability():
     for x in _random_objects(40, seed=9):
         for y in _random_objects(40, seed=10):
             for fam in (STD, EXC0):
-                slope = is_semistable(x + y, fam)
-                if slope is not None and not x.is_zero and not y.is_zero:
-                    assert is_semistable(x, fam) == slope
-                    assert is_semistable(y, fam) == slope
+                slopes = fam.hn(x + y).slopes
+                if len(slopes) == 1 and not x.is_zero and not y.is_zero:
+                    assert fam.hn(x).slopes == slopes == fam.hn(y).slopes
 
 
-# --- glue / split --------------------------------------------------------------------
-
-def test_glue_concatenates():
-    inner1 = [("s1", line(0)), ("s2", line(1))]
-    inner2 = [("s3", line(2))]
-    assert glue([("y0", inner1), ("y1", inner2)]) == inner1 + inner2
-    assert glue([("y0", inner1)]) == inner1
-    with pytest.raises(ValueError):
-        glue([("y0", [])])
-
-
-def test_split_blocks():
-    flat = [("a", line(0)), ("b", line(1)), ("c", line(2))]
-    nested = split(flat, [[0, 1], [2]])
-    assert nested[0][0] == line(0) + line(1)
-    assert nested[0][1] == flat[:2]
-    assert nested[1][1] == flat[2:]
-    with pytest.raises(ValueError):
-        split(flat, [[0], [2]])
-    with pytest.raises(ValueError):
-        split(flat, [[0, 1]])
-
-
-def test_glue_split_round_trip_random():
-    rng = random.Random(13)
-    for _ in range(50):
-        x = STD.random_object(rng, WINDOW)
-        flat = list(STD.hn(x).quotients)
-        if not flat:
-            continue
-        # random consecutive partition
-        cuts = sorted(rng.sample(range(1, len(flat) + 1), rng.randint(0, len(flat) - 1))
-                      ) + [len(flat)] if len(flat) > 1 else [len(flat)]
-        blocks, start = [], 0
-        for stop in cuts:
-            if stop > start:
-                blocks.append(list(range(start, stop)))
-                start = stop
-        nested = split(flat, blocks)
-        assert glue(nested) == flat
-        # K0 adds over each block
-        for outer_obj, inner in nested:
-            total = sum((obj.k0() for _, obj in inner), start=ZERO.k0())
-            assert outer_obj.k0() == total
-
-
-# --- shuffle_merge --------------------------------------------------------------------
+# --- merging two filtrations ---------------------------------------------------------
 
 def test_merge_by_slope_standard():
-    merged = shuffle_merge(STD.hn(line(-1)), STD.hn(line(3)))
+    merged = merge_two(STD.hn(line(-1)), STD.hn(line(3)))
     assert merged.quotients == (
         (StandardSlope(0, -1), line(-1)),
         (StandardSlope(0, 3), line(3)),
@@ -218,7 +178,7 @@ def test_merge_by_slope_standard():
 
 
 def test_merge_exceptional_interleaving():
-    merged = shuffle_merge(EXC0.hn(line(3)), EXC0.hn(line(-2)))
+    merged = merge_two(EXC0.hn(line(3)), EXC0.hn(line(-2)))
     slopes = [(s.i, s.col) for s in merged.slopes]
     assert slopes == [(0, 0), (-1, 1), (1, 0), (0, 1)]
     objs = [o.render() for o in merged.quotient_objects]
@@ -237,34 +197,13 @@ def test_merge_exceptional_interleaving():
 
 def test_merge_with_empty_is_identity():
     filt = STD.hn(line(2) + torsion(Point("x"), 1))
-    merged = shuffle_merge(filt, STD.hn(ZERO))
+    merged = merge_two(filt, STD.hn(ZERO))
     assert merged == filt
 
 
 def test_merge_coalesces_equal_slopes():
-    merged = shuffle_merge(STD.hn(line(2)), STD.hn(2 * line(2)))
+    merged = merge_two(STD.hn(line(2)), STD.hn(2 * line(2)))
     assert merged.quotients == ((StandardSlope(0, 2), 3 * line(2)),)
-
-
-def test_explicit_shuffle_preserves_sources():
-    fa, fb = STD.hn(line(0)), STD.hn(line(1) + line(2, 1))
-    merged = shuffle_merge(fa, fb, mode="bab")
-    assert [o.render() for o in merged.quotient_objects] == ["O(1)", "O(0)", "O(2)[1]"]
-    assert merged.terms[0] == line(0) + line(1) + line(2, 1)
-    assert merged.terms[-1] == ZERO
-    with pytest.raises(InvalidShuffleError):
-        shuffle_merge(fa, fb, mode="ba")
-    with pytest.raises(InvalidShuffleError):
-        shuffle_merge(fa, fb, mode="bax")
-    with pytest.raises(InvalidShuffleError):
-        shuffle_merge(fa, EXC0.hn(line(0)))
-
-
-def test_a_shuffle_with_a_tag_other_than_a_or_b_is_refused():
-    fa, fb = STD.hn(line(0)), STD.hn(line(1))
-    for mode in (["c"], ["a", "c"], ["a", "b", "c"], ["a", "b", "b"]):
-        with pytest.raises(InvalidShuffleError, match="exactly once, in order"):
-            shuffle_merge(fa, fb, mode)
 
 
 def test_hn_of_sum_equals_merge():
@@ -273,7 +212,7 @@ def test_hn_of_sum_equals_merge():
         for _ in range(40):
             x = fam.random_object(rng, WINDOW)
             y = fam.random_object(rng, WINDOW)
-            assert fam.hn(x + y) == shuffle_merge(fam.hn(x), fam.hn(y))
+            assert fam.hn(x + y) == merge_two(fam.hn(x), fam.hn(y))
 
 
 def test_shift_equivariance():
@@ -333,7 +272,7 @@ families = st.sampled_from([STD, EXC0, ExceptionalP1(1, 2),
 
 @given(families, objects, objects)
 def test_property_hn_is_additive_under_direct_sum(fam, x, y):
-    assert fam.hn(x + y) == shuffle_merge(fam.hn(x), fam.hn(y))
+    assert fam.hn(x + y) == merge_two(fam.hn(x), fam.hn(y))
 
 
 @given(families, objects, st.integers(-2, 2))
