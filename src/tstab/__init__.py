@@ -25,7 +25,8 @@ _EXPORTS = {  # each module and the names the package exports from it
                    "catalog_entries classify_bounded_cut diagram heart_contains heart_slopes "
                    "is_bounded torsion_pair_cut truncate validate_cut",
     "elliptic": "ELLIPTIC_ZERO EllipticObject EllipticStandard StableClass hom_dim_stable stable",
-    "cli": "parse_object run",
+    "syntax": "filtration_from_json parse_object",
+    "cli": "run",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = (*_EXPORTS, "errors", "value")

@@ -45,7 +45,8 @@ from .value import Value, set_field
 
 
 class StableClass(Value):
-    """A stable sheaf class: rank r >= 0, degree d with gcd(r, d) = 1, point x.
+    """A stable sheaf class: int rank r >= 0, int degree d (not bools) with
+    gcd(r, d) = 1, point x.
 
     Rank 0 forces degree 1 (the skyscraper at x); positive rank allows
     any coprime degree.
@@ -54,6 +55,8 @@ class StableClass(Value):
     __slots__ = ("r", "d", "x")
 
     def __init__(self, r: int, d: int, x: Point):
+        if r.__class__ is not int or d.__class__ is not int:
+            raise TypeError(f"rank and degree must be integers, got ({r!r}, {d!r})")
         if r < 0:
             raise ValueError("rank must be nonnegative")
         if r == 0 and d != 1:

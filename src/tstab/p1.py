@@ -101,11 +101,13 @@ def point_universe(labels: tuple[str, ...] = ()) -> tuple[Point, ...]:
 # --- indecomposables --------------------------------------------------------
 
 class Line(Value):
-    """The line bundle O(n)."""
+    """The line bundle O(n), of an int degree n (not a bool)."""
 
     __slots__ = ("n",)
 
     def __init__(self, n: int):
+        if n.__class__ is not int:
+            raise TypeError(f"line degrees must be integers, got {n!r}")
         set_field(self, "n", n)
 
     def key(self):
@@ -122,11 +124,13 @@ class Line(Value):
 
 
 class Torsion(Value):
-    """The indecomposable torsion sheaf of length d >= 1 at a point."""
+    """The indecomposable torsion sheaf of int length d >= 1 (not a bool) at a point."""
 
     __slots__ = ("x", "d")
 
     def __init__(self, x: Point, d: int):
+        if d.__class__ is not int:
+            raise TypeError(f"torsion lengths must be integers, got {d!r}")
         if d < 1:
             raise ValueError(f"torsion length must be >= 1, got {d}")
         set_field(self, "x", x)
@@ -157,12 +161,14 @@ class ShiftedIndec(Value):
     sort key; `_rd`, its signed (rank, degree); `_text`, its `render`.
     Uncached, the hash alone would cost more than a render, as it nests
     the hashes of base and point.  A base that is not a sheaf, or a shift
-    that is not a number, raises when the atom is built.
+    that is a bool or not an int, raises when the atom is built.
     """
 
     __slots__ = ("base", "shift", "_hash", "_key", "_rd", "_text")
 
     def __init__(self, base: Line | Torsion | StableClass, shift: int = 0):
+        if shift.__class__ is not int:
+            raise TypeError(f"shifts must be integers, got {shift!r}")
         set_field(self, "base", base)
         set_field(self, "shift", shift)
         r, d = base.rank_degree()

@@ -12,7 +12,7 @@ so no morphisms are represented.
 (ascending slopes, semistable quotients, Hom-vanishing between
 quotients in degrees <= 0, K0 additivity, correct endpoints); a
 filtration passing all of them is accepted as THE HN filtration of its
-object.
+object.  `syntax.filtration_from_json` reads back `HNFiltration.to_json`.
 """
 
 from __future__ import annotations
@@ -206,7 +206,7 @@ class HNFiltration(Value):
     over a running list of multiplicities, so producing them costs about
     as much as reading them.  A term of a split family is mostly a head
     followed by the next term's summands (`p1.head_before`), and `to_json`,
-    `verify_hn` and `filtration_from_json` then read only that head.
+    `verify_hn` and the reader `syntax.filtration_from_json` then read only that head.
     """
 
     __slots__ = ("family", "quotients", "terms")

@@ -35,12 +35,19 @@ def _fmt_bound(v) -> str:
         return "inf"
     if v == -INF:
         return "-inf"
-    return str(int(v))
+    return str(v)
+
+
+def _threshold(value, name: str, infinite: bool = True) -> int | float:
+    """`value` if it is an int (not a bool) or, where `infinite`, +-INF; else TypeError."""
+    if value.__class__ is int or infinite and value in (INF, -INF):
+        return value
+    raise TypeError(f"{name} must be an integer{' or +-inf' if infinite else ''}, got {value!r}")
 
 
 def _degrees_around(K: int | float, radius: int) -> range:
     """Line degrees within radius of a threshold K, of 0 when K is infinite."""
-    center = 0 if K in (INF, -INF) else int(K)
+    center = 0 if K in (INF, -INF) else K
     return range(center - radius, center + radius + 1)
 
 
@@ -60,7 +67,8 @@ class SlopeCut(Value):
     generators (`heart_generators`), catalog class (`catalog_class`) and
     the diagram token of a slope (`token`).  The family check, the
     defaults and the order of the checks in `classify` and `diagram`
-    are shared here.
+    are shared here.  Thresholds are ints (not bools), or +-INF where they
+    may be infinite; any other value is a TypeError when the cut is built.
     """
 
     __slots__ = ()
@@ -119,6 +127,7 @@ class StandardCut(SlopeCut):
     family_type, mismatch = StandardP1, "a standard cut needs the standard family"
 
     def __init__(self, m: int, K: int | float = -INF, P: frozenset[str] | None = None):
+        m, K = _threshold(m, "m", False), _threshold(K, "K")
         if P is not None:
             P = frozenset(P)
         if K != INF:
@@ -171,8 +180,7 @@ class StandardCut(SlopeCut):
             return [f"O_x[{m}] (x in {{{inside}}})",
                     f"O(n)[{m + 1}] (n in Z)",
                     f"O_x[{m + 1}] (x not in {{{inside}}})"]
-        return [f"O(n)[{m}] (n >= {int(K)})", f"O_x[{m}] (x in P1)",
-                f"O(n)[{m + 1}] (n < {int(K)})"]
+        return [f"O(n)[{m}] (n >= {K})", f"O_x[{m}] (x in P1)", f"O(n)[{m + 1}] (n < {K})"]
 
     def catalog_class(self, family: StandardP1) -> Classification:
         m, K, P = self.m, self.K, self.points(family)
@@ -182,7 +190,7 @@ class StandardCut(SlopeCut):
             if P is None:
                 return Classification("C", (), 0, m)
             return Classification("D", (("P", P),), 0, m)
-        return Classification("B", (), int(K), m)
+        return Classification("B", (), K, m)
 
     def token(self, family: StandardP1, s: StandardSlope) -> str:
         if isinstance(s.level, Point):
@@ -202,6 +210,7 @@ class ExceptionalCut(SlopeCut):
     family_type, mismatch = ExceptionalP1, "an exceptional cut needs an exceptional family"
 
     def __init__(self, a: int | float, b: int | float):
+        a, b = _threshold(a, "a"), _threshold(b, "b")
         assign(self, locals())
 
     def in_plus(self, s: ExceptionalSlope) -> bool:
@@ -227,7 +236,7 @@ class ExceptionalCut(SlopeCut):
 
     def window(self, family: ExceptionalP1, radius: int) -> list[ExceptionalSlope]:
         finite = [v for v in (self.a, self.b) if v not in (INF, -INF)]
-        center = int(finite[0]) if finite else 0
+        center = finite[0] if finite else 0
         return [ExceptionalSlope(i, c)
                 for i in range(center - radius - 3, center + radius + 4) for c in (0, 1)]
 
@@ -239,7 +248,7 @@ class ExceptionalCut(SlopeCut):
 
     def _heart_lines(self, family: ExceptionalP1) -> list[tuple[int, int]]:
         """(degree, shift) of the heart's line bundle in each column of finite threshold."""
-        return [(family.k + col, int(v)) for col, v in enumerate((self.a, self.b))
+        return [(family.k + col, v) for col, v in enumerate((self.a, self.b))
                 if v not in (INF, -INF)]
 
     def heart_generators(self, family: ExceptionalP1) -> list[str]:
@@ -249,8 +258,8 @@ class ExceptionalCut(SlopeCut):
         return [line(n, i) for n, i in self._heart_lines(family)]
 
     def catalog_class(self, family: ExceptionalP1) -> Classification:
-        b, p = int(self.b), family.p
-        if b == int(self.a) - p - 2:
+        b, p = self.b, family.p
+        if b == self.a - p - 2:
             return Classification("E", (("p", p),), family.k, b + 2)
         return Classification("F", (("p", p),), family.k, b + 1)
 
@@ -265,6 +274,7 @@ class CoarseCut(SlopeCut):
     family_type, mismatch = CoarseZ, "a coarse cut needs the coarse family"
 
     def __init__(self, m: int):
+        m = _threshold(m, "m", False)
         assign(self, locals())
 
     def in_plus(self, s: CoarseSlope) -> bool:
@@ -312,6 +322,7 @@ class EllipticCut(SlopeCut):
     family_type, mismatch = EllipticStandard, "an elliptic cut needs the elliptic family"
 
     def __init__(self, m: int, q, P: Iterable[str] = ()):
+        m = _threshold(m, "m", False)
         q = (ExtendedRational.reduced(q.d, q.r) if isinstance(q, ExtendedRational)
              else ExtendedRational.finite(q))
         P = frozenset(P)
@@ -478,6 +489,7 @@ class TorsionPair(Value):
     __slots__ = ("line_threshold", "torsion_points")
 
     def __init__(self, line_threshold: int | float, torsion_points: frozenset[str] | None = None):
+        line_threshold = _threshold(line_threshold, "line_threshold")
         if torsion_points is not None:
             torsion_points = frozenset(torsion_points)
         assign(self, locals())

@@ -50,7 +50,7 @@ def test_cli_import_pulls_in_no_heavy_module():
     assert _in_fresh_process(code).strip() == "[]"
 
 
-_BASE = ["cli", "errors", "p1", "slopes", "value"]
+_BASE = ["cli", "errors", "p1", "slopes", "syntax", "value"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -70,6 +70,24 @@ def test_each_command_loads_only_the_modules_it_uses(argv, loaded):
     exit_code, modules = _in_fresh_process(code, *argv, stdin_text=document.getvalue()).split(" ", 1)
     assert exit_code == "0"
     assert modules.strip() == repr(sorted(loaded))
+
+
+@pytest.mark.parametrize("argv", [
+    ["hn", "O(3) + T(x,2) + O(1)[1]", "--stability", "std", "--points", "z,x"],
+    ["hn", "S(1,0,x) + S(0,1,y)[-1]", "--stability", "ell"],
+], ids=["std", "ell"])
+def test_a_cli_document_is_read_back_without_the_cli(argv):
+    """`tstab.syntax` reads a `tstab hn --format json` document, which then
+    verifies, in a process that never loads argparse or `tstab.cli`."""
+    from tstab import cli
+    document = io.StringIO()
+    assert cli.run([*argv, "--format", "json"], document) == 0
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from tstab.syntax import filtration_from_json; from tstab.stability import verify_hn; "
+            "x, filt = filtration_from_json(json.load(sys.stdin)); "
+            "print(verify_hn(x, filt, filt.family).ok, "
+            "sorted({'argparse', 'tstab.cli'} & set(sys.modules)))")
+    assert _in_fresh_process(code, stdin_text=document.getvalue()).strip() == "True []"
 
 
 def test_package_names_resolve_on_first_access():

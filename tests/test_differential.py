@@ -56,7 +56,7 @@ from functools import cmp_to_key
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tstab import cli, elliptic, p1, slopes, stability
+from tstab import cli, elliptic, p1, slopes, stability, syntax
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic)
 from tstab.errors import (FiltrationFormatError, InvalidCutError, InvalidLengthError,
@@ -447,12 +447,12 @@ def oracle_filtration_from_json(data):
     tail of the term before: every term parsed on its own."""
     try:
         family = family_from_descriptor(data["family"])
-        category = cli._category(family)
+        category = syntax._category(family)
         resolver = point_resolver(family.point_labels)
-        memo = cli._memo(resolver)
+        memo = syntax._memo(resolver)
 
         def parse(text):
-            return cli._parse_object(text, category, resolver, memo)
+            return _parse_through(text, category, resolver, memo)
 
         obj = parse(data["object"])
         quotients = tuple((family.slope_from_json(q["slope"]), parse(q["object"]))
@@ -1818,6 +1818,11 @@ _RESOLVERS = {
 }
 
 
+def _parse_through(text, category, resolver, memo):
+    """`parse_object` with its own `memo`, as `filtration_from_json` reads a document."""
+    return syntax._read_object(text, category, resolver, memo)[0]
+
+
 def _outcome(parse, *args):
     try:
         obj = parse(*args)
@@ -1832,7 +1837,7 @@ def _assert_parses_like_oracle(texts, category, resolver_name):
     for text in texts:
         expected = _outcome(oracle_parse_object, text, category, resolver)
         assert _outcome(cli.parse_object, text, category, resolver) == expected, text
-        shared = _outcome(cli._parse_object, text, category, resolver or Point, memo)
+        shared = _outcome(_parse_through, text, category, resolver or Point, memo)
         assert shared == expected, text
 
 
@@ -1904,11 +1909,11 @@ def test_parser_memo_hits_then_misses_like_the_scanner_oracle(text):
     for category in ("auto", "p1", "elliptic"):
         for resolver in _RESOLVERS.values():
             memo: dict = {}
-            _outcome(cli._parse_object, _MEMO_WARMUP, category, resolver or Point, memo)
+            _outcome(_parse_through, _MEMO_WARMUP, category, resolver or Point, memo)
             assert {"O(1)", "O(2)", "2*O(1)", "0", "T(x,1)"} <= memo.keys()
             expected = _outcome(oracle_parse_object, text, category, resolver)
             for _ in range(2):  # the second read may hit what the first one stored
-                assert _outcome(cli._parse_object, text, category, resolver or Point, memo) \
+                assert _outcome(_parse_through, text, category, resolver or Point, memo) \
                     == expected, text
 
 
@@ -1916,12 +1921,12 @@ def test_a_text_read_again_takes_every_summand_from_the_memo(monkeypatch):
     text = "O(1) + 2*O(2)[1] + T(x,1) + S(1,0,x)"
     memo: dict = {}
     with pytest.raises(ObjectParseError):  # the mix error comes after every summand is read
-        cli._parse_object(text, "auto", Point, memo)
-    monkeypatch.setattr(cli, "_matched_summand", None)  # a miss would call one of these
-    monkeypatch.setattr(cli, "_Scanner", None)
+        _parse_through(text, "auto", Point, memo)
+    monkeypatch.setattr(syntax, "_matched_summand", None)  # a miss would call one of these
+    monkeypatch.setattr(syntax, "_Scanner", None)
     with pytest.raises(ObjectParseError, match="cannot mix"):
-        cli._parse_object(text, "auto", Point, memo)
-    assert cli._parse_object(text.rpartition(" + ")[0], "p1", Point, memo) == \
+        _parse_through(text, "auto", Point, memo)
+    assert _parse_through(text.rpartition(" + ")[0], "p1", Point, memo) == \
         oracle_parse_object(text.rpartition(" + ")[0])
 
 
@@ -1955,8 +1960,8 @@ def test_rendered_text_is_read_piece_by_piece(text, category, resolver_name):
     ends with one entry per distinct piece."""
     resolver, memo = _RESOLVERS[resolver_name], {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_Scanner", None)
-        outcome = _outcome(cli._parse_object, text, category, resolver or Point, memo)
+        patch.setattr(syntax, "_Scanner", None)
+        outcome = _outcome(_parse_through, text, category, resolver or Point, memo)
     assert outcome == _outcome(oracle_parse_object, text, category, resolver)
     assert category != "auto" or not issubclass(outcome[0], Exception)
     assert memo.keys() == set(text.split(" + "))
@@ -1977,31 +1982,31 @@ def test_the_shared_memo_parses_like_a_fresh_one(reads):
     for text, category, resolver in reads:
         for _ in range(2):  # the second read takes every piece from the shared memo
             assert _outcome(cli.parse_object, text, category, resolver) \
-                == _outcome(cli._parse_object, text, category, resolver, {}), text
+                == _outcome(_parse_through, text, category, resolver, {}), text
 
 
 def test_a_bad_piece_raises_at_its_own_position_every_time(monkeypatch):
-    monkeypatch.setattr(cli, "_MEMOS", {})
+    monkeypatch.setattr(syntax, "_MEMOS", {})
     for text in ("O(1) + T(x,0)", "T(x,0)", "O(1) + T(x,0)"):
         with pytest.raises(InvalidLengthError) as err:
-            cli.parse_object(text)
+            syntax.parse_object(text)
         assert err.value.position == text.index("T(x,0)")
-    assert cli._MEMOS[Point].keys() == {"O(1)"}  # the bad piece is never stored
+    assert syntax._MEMOS[Point].keys() == {"O(1)"}  # the bad piece is never stored
 
 
 def test_the_shared_memo_stays_within_its_bounds(monkeypatch):
-    monkeypatch.setattr(cli, "_MEMOS", {})
-    cap = cli._MEMO_SUMMANDS
-    first = cli.parse_object("O(0)").terms[0][0]
+    monkeypatch.setattr(syntax, "_MEMOS", {})
+    cap = syntax._MEMO_SUMMANDS
+    first = syntax.parse_object("O(0)").terms[0][0]
     document = " + ".join(f"O({n})" for n in range(cap + 100))
-    assert cli.parse_object(document).terms[0][0] is first  # one text, one atom
-    assert len(cli._MEMOS[Point]) == cap + 100  # a call never evicts its own entries
+    assert syntax.parse_object(document).terms[0][0] is first  # one text, one atom
+    assert len(syntax._MEMOS[Point]) == cap + 100  # a call never evicts its own entries
     for n in range(1, 2 * cap):  # more than a cap's worth of distinct pieces, one per call
-        cli.parse_object(f"T(x,{n})")
-        assert sum(map(len, cli._MEMOS.values())) <= cap + 1
-    for i in range(2 * cli._MEMO_RESOLVERS):
-        cli.parse_object(f"T(p{i},1)", "p1", point_resolver((f"p{i}",)))
-        assert len(cli._MEMOS) <= cli._MEMO_RESOLVERS
+        syntax.parse_object(f"T(x,{n})")
+        assert sum(map(len, syntax._MEMOS.values())) <= cap + 1
+    for i in range(2 * syntax._MEMO_RESOLVERS):
+        syntax.parse_object(f"T(p{i},1)", "p1", point_resolver((f"p{i}",)))
+        assert len(syntax._MEMOS) <= syntax._MEMO_RESOLVERS
 
 
 # --- point order ------------------------------------------------------------------------
@@ -2349,10 +2354,10 @@ def test_a_tail_term_is_not_parsed_again(monkeypatch):
     before, the object, the quotients and the first term alone are parsed."""
     doc = StandardP1().hn(normalize([(ShiftedIndec(Line(n)), 1) for n in range(5)])).to_json()
     assert all(t.endswith(" + " + u) for t, u in zip(doc["terms"], doc["terms"][1:-1]))
-    read, texts = cli._read_object, []
-    monkeypatch.setattr(cli, "_read_object", lambda text, *rest: texts.append(text)
+    read, texts = syntax._read_object, []
+    monkeypatch.setattr(syntax, "_read_object", lambda text, *rest: texts.append(text)
                         or read(text, *rest))
-    x, filt = cli.filtration_from_json(doc)
+    x, filt = syntax.filtration_from_json(doc)
     assert texts == [doc["object"], *(q["object"] for q in doc["quotients"]), doc["terms"][0],
                      "0"]
     assert (x, filt) == oracle_filtration_from_json(doc) and filt.to_json() == doc

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, StableClass, normalize_elliptic
+from tstab.elliptic import ELLIPTIC_ZERO, EllipticObject, StableClass, normalize_elliptic, stable
 from tstab.errors import ObjectParseError
 from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Torsion, ZERO,
                       ext_dim, euler_form, hom_dim, hom_profile, line, normalize,
@@ -298,3 +298,22 @@ def test_a_bad_atom_raises_when_built():
         ShiftedIndec(Line("a"), 1)  # a sheaf of a bad field
     with pytest.raises(AttributeError, match="'str' object has no attribute"):
         ShiftedIndec(Torsion("x", 2))  # a label, not a Point
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, False, Fraction(2), "1"], ids=repr)
+def test_an_atom_refuses_an_int_field_that_is_not_an_int(bad):
+    for build in (lambda: Line(bad), lambda: Torsion(X, bad), lambda: ShiftedIndec(Line(1), bad),
+                  lambda: StableClass(bad, 1, X), lambda: StableClass(1, bad, X)):
+        with pytest.raises(TypeError, match="must be integers"):
+            build()
+
+
+def test_atoms_of_non_int_fields_are_not_built():
+    """Once built: `line(1, 0.5)` passed `verify_hn` and did not read back from its
+    document, `line(1.5)` was `O(1.5)`, and the others rendered as they were given."""
+    for build, text in ((lambda: line(1, 0.5), "0.5"), (lambda: line(1.5), "1.5"),
+                        (lambda: torsion("x", 1.5), "1.5"), (lambda: stable(True, 0, "x"), "True")):
+        with pytest.raises(TypeError, match=f"must be integers, got .*{text}"):
+            build()
+    assert [x.render() for x in (line(-1, -2), torsion("x", 3, 1), stable(0, 1, "x", 2))] == \
+        ["O(-1)[-2]", "T(x,3)[1]", "S(0,1,x)[2]"]

@@ -25,6 +25,35 @@ WINDOW = Window(max_degree=5, max_shift=2, samples=20)
 
 # --- cut validity ---------------------------------------------------------------
 
+@pytest.mark.parametrize("build", [
+    lambda: StandardCut(0, 2.5), lambda: StandardCut(0, True), lambda: StandardCut(0.5, 2),
+    lambda: StandardCut(INF), lambda: StandardCut(False, INF, {"x"}),
+    lambda: ExceptionalCut(1.5, 0), lambda: ExceptionalCut(float("nan"), 0),
+    lambda: ExceptionalCut(0, True), lambda: CoarseCut(0.5), lambda: CoarseCut(-INF),
+    lambda: EllipticCut(0.5, 0), lambda: EllipticCut(True, 0), lambda: TorsionPair(1.5),
+    lambda: TorsionPair(True),
+], ids=["std-K-2.5", "std-K-True", "std-m-0.5", "std-m-inf", "std-m-False", "exc-a-1.5",
+        "exc-a-nan", "exc-b-True", "coarse-0.5", "coarse-inf", "ell-m-0.5", "ell-m-True",
+        "pair-1.5", "pair-True"])
+def test_a_cut_refuses_a_threshold_that_is_not_an_int_or_inf(build):
+    """Before: `StandardCut(0, 2.5)` and `StandardCut(0, True)` were built and
+    checked, `ExceptionalCut(1.5, 0)` failed with "b must be 0 or 0, got 0", and
+    the nan and 0.5 thresholds raised inside `validate_cut`."""
+    with pytest.raises(TypeError, match="must be an integer"):
+        build()
+
+
+def test_validate_cut_reports_on_every_cut_that_was_built():
+    bounds = (-INF, -2, 0, 1, INF)
+    families = (STD3, StandardP1(), CoarseZ(), *(ExceptionalP1(0, p) for p in (0, 1, INF)))
+    cuts = [*(StandardCut(m, K, P) for m in (-1, 0, 2) for K in bounds
+              for P in (None, {"x"}, {"y", "z"}, ())),
+            *(ExceptionalCut(a, b) for a in bounds for b in bounds),
+            *(CoarseCut(m) for m in (-1, 0, 3))]
+    for cut, family in itertools.product(cuts, families):
+        report = validate_cut(cut, family, radius=2)  # raises for no built cut
+        assert report.checks[0].ok == (cut.validity_reason(family) is None), (cut, family)
+
 def test_exceptional_cut_validity_analytic():
     # realizing the bounded entries: b in {a-p-2, a-p-1}
     for p in (0, 1, 2):

@@ -32,7 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tstab import ExceptionalP1, StandardP1, normalize, verify_hn  # noqa: E402
-from tstab.cli import filtration_from_json  # noqa: E402
+from tstab.syntax import filtration_from_json  # noqa: E402
 from tstab.p1 import Line, ShiftedIndec  # noqa: E402
 
 
