@@ -9,7 +9,7 @@ the normal form being justified by homological dimension one: the same
 the line, here over a `StableClass`, and the same `hom_profile` over
 the atoms' `ext_dim`.  A stable class gives the atom its `key`,
 `rank_degree`, `ext_dim` (the slope rule table below) and `render`,
-which the atom caches.
+which the atom caches, and its part of the Hom sweep (`join`, `hits`).
 
 The sort key of a class leads with its slope `mu()`, the exact
 `ExtendedRational(d, r)`: a skyscraper's (d, r) is (1, 0), +infinity, so
@@ -38,7 +38,7 @@ import re
 from functools import lru_cache
 
 from .errors import FiltrationFormatError
-from .p1 import FormalSum, Point, ShiftedIndec, point_resolver
+from .p1 import FormalSum, Point, ShiftSummary, ShiftedIndec, point_resolver
 from .slopes import ExtendedRational
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int, slope_point
 from .value import Value, set_field
@@ -82,6 +82,33 @@ class StableClass(Value):
 
     def ext_dim(self, other: "StableClass", i: int) -> int:
         return hom_dim_stable(self, other, i)
+
+    # Slopes compare as `hom_dim_stable` decides: mu(e) < mu(f) iff e.r*f.d - e.d*f.r > 0.
+
+    def join(self, summary: ShiftSummary) -> None:
+        """Add this class to a summary: the class set, and the classes of least
+        and greatest slope."""
+        summary.classes.add(self)
+        high = summary.high
+        if high is None:
+            summary.low = summary.high = self
+        elif high.r * self.d - high.d * self.r > 0:
+            summary.high = self
+        elif self.r * summary.low.d - self.d * summary.low.r > 0:
+            summary.low = self
+
+    def hits(self, summary: ShiftSummary, across: bool) -> bool:
+        """Whether Ext^0(e, f) != 0 for a class f of the summary, or with `across`
+        Ext^1: e itself or a class of greater slope, and with `across` also a
+        class of smaller slope."""
+        high = summary.high
+        if high is None:
+            return False
+        chi = self.r * high.d - self.d * high.r
+        if chi:  # above every class or below the top one: no class equals e
+            return chi > 0 or across
+        low = summary.low
+        return self in summary.classes or across and self.r * low.d - self.d * low.r < 0
 
     def render(self) -> str:
         return f"S({self.r},{self.d},{self.x.label})"

@@ -152,16 +152,21 @@ class StandardP1(P1Family, Value):
 # --- exceptional ----------------------------------------------------------------
 
 class ExceptionalP1(P1Family, Value):
-    """Stability built on the twisting pair (O(k), O(k+1)) with interleaving p."""
+    """Stability built on the twisting pair (O(k), O(k+1)) with interleaving p.
+
+    k is an int and p an int or INF (not bools): any other value is a
+    TypeError, and a negative p a ValueError."""
 
     __slots__ = ("k", "p")
     kind = "exceptional"
 
     def __init__(self, k: int = 0, p: int | float = 0):
         # bool is an int subclass; True must not pass for 1
-        if isinstance(k, bool) or not isinstance(k, int):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if isinstance(p, bool) or (p != INF and (not isinstance(p, int) or p < 0)):
+        if k.__class__ is not int:
+            raise TypeError(f"k must be an integer, got {k!r}")
+        if p != INF and p.__class__ is not int:
+            raise TypeError(f"p must be an integer or inf, got {p!r}")
+        if p < 0:
             raise ValueError("p must be a nonnegative integer or inf")
         assign(self, locals())
 
@@ -492,8 +497,8 @@ def finest_check(family: StabilityFamily, window: Window) -> Report:
 # --- descriptors ------------------------------------------------------------------
 
 def family_from_descriptor(desc: dict) -> StabilityFamily:
-    """Rebuild a family from its JSON descriptor; a field of the wrong type
-    (`point_order` not a list, `k` or `p` not an integer) raises ValueError."""
+    """Rebuild a family from its JSON descriptor; `point_order` not a list
+    raises ValueError, and `k` or `p` not an integer TypeError."""
     kind = desc.get("family")
     if kind == "coarse":
         return CoarseZ()

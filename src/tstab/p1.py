@@ -6,7 +6,8 @@ the category has homological dimension 1, every derived object is a
 finite direct sum of shifted indecomposables, as is every object of the
 elliptic model.  `ShiftedIndec` is the one shifted atom of both curves,
 over a `Line`, a `Torsion` or an elliptic `StableClass`, each of which
-gives its `key`, `rank_degree`, `ext_dim` and `render`.  `FormalSum` is
+gives its `key`, `rank_degree`, `ext_dim` and `render`, and its part of the
+Hom sweep's `ShiftSummary` (`join`, `hits`).  `FormalSum` is
 the one normal form, a multiset of atoms with multiplicities, with its own
 `rank_degree`: `DerivedObject` here, `EllipticObject` on the elliptic curve.
 
@@ -119,6 +120,25 @@ class Line(Value):
     def ext_dim(self, other: Indec, i: int) -> int:
         return ext_dim(self, other, i)
 
+    def join(self, summary: ShiftSummary) -> None:
+        """Add this line to a summary: its least and greatest line degree."""
+        n, hi = self.n, summary.hi
+        if hi is None:
+            summary.lo = summary.hi = n
+        elif n > hi:
+            summary.hi = n
+        elif n < summary.lo:
+            summary.lo = n
+
+    def hits(self, summary: ShiftSummary, across: bool) -> bool:
+        """Whether Ext^0(O(n), s) != 0 for a sheaf s of the summary, or with
+        `across` Ext^1: any torsion or a line of degree >= n, and with `across`
+        also a line of degree <= n - 2."""
+        hi = summary.hi
+        if summary.points or hi is not None and hi >= self.n:
+            return True
+        return across and hi is not None and summary.lo <= self.n - 2
+
     def render(self) -> str:
         return f"O({self.n})"
 
@@ -145,11 +165,39 @@ class Torsion(Value):
     def ext_dim(self, other: Indec, i: int) -> int:
         return ext_dim(self, other, i)
 
+    def join(self, summary: ShiftSummary) -> None:
+        """Add this sheaf to a summary: its point."""
+        summary.points.add(self.x)
+
+    def hits(self, summary: ShiftSummary, across: bool) -> bool:
+        """Whether Ext^0(T(x,d), s) != 0 for a sheaf s of the summary, or with
+        `across` Ext^1: torsion at x, and with `across` also any line."""
+        return self.x in summary.points or across and summary.hi is not None
+
     def render(self) -> str:
         return f"T({self.x.label},{self.d})"
 
 
 Indec = Line | Torsion
+
+
+class ShiftSummary:
+    """What the Hom sweep (`stability._first_hom_violation`) keeps of the
+    sheaves placed at one shift.  Each sheaf type adds itself with `join` and
+    tests itself against a summary with `hits`, on its own fields:
+
+    * `lo`, `hi`: the least and greatest line degree (None before a line);
+    * `points`: the points of the torsion sheaves;
+    * `low`, `high`: a stable class of least and of greatest slope (None before
+      a class);
+    * `classes`: the stable classes.
+    """
+
+    __slots__ = ("lo", "hi", "points", "low", "high", "classes")
+
+    def __init__(self):
+        self.lo = self.hi = self.low = self.high = None
+        self.points, self.classes = set(), set()
 
 
 class ShiftedIndec(Value):

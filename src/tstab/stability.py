@@ -25,7 +25,7 @@ from itertools import compress
 from operator import methodcaller
 
 from .errors import FiltrationFormatError, ObjectParseError, UnsupportedFamilyError
-from .p1 import (Point, head_before, hom_profile, point_resolver, point_universe,
+from .p1 import (Point, ShiftSummary, head_before, hom_profile, point_resolver, point_universe,
                  rank_degree_of, render_pairs)
 from .slopes import ExtendedRational, K0Class, Ordering
 from .value import INT_TEXT, Value, assign, set_field
@@ -354,8 +354,14 @@ class StabilityFamily:
         `hn`, used to verify quotients of candidate filtrations.
         """
         self._require(x)
-        slopes = {self.slope_of_term(term) for term, _ in x.summands()}  # None for a non-generator
-        return slopes.pop() if len(slopes) == 1 else None
+        summands = x.summands()
+        first = next(summands, None)
+        slope = None if first is None else self.slope_of_term(first[0])  # None: a non-generator
+        if slope is not None:
+            for term, _ in summands:
+                if self.slope_of_term(term) != slope:
+                    return None
+        return slope
 
 
 def merge_towers(family: StabilityFamily,
@@ -433,7 +439,8 @@ def merge_towers(family: StabilityFamily,
 # --- module-level operations --------------------------------------------------
 
 def _maps_at_or_below_zero(t, s) -> bool:
-    """Whether Hom^q(t, s) != 0 for some q <= 0, for two shifted atoms.
+    """Whether Hom^q(t, s) != 0 for some q <= 0, for two shifted atoms; the
+    exact test that names the first violating pair of `_first_hom_violation`.
 
     Ext between sheaves lives in degrees 0 and 1, so Hom^q(t, s) is
     Ext^0 at q = gap and Ext^1 at q = gap + 1, where gap = shift(t) -
@@ -446,28 +453,51 @@ def _maps_at_or_below_zero(t, s) -> bool:
 def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
     """The first (j, i), i < j, with Hom^(<=0)(objects[j], objects[i]) != 0.
 
-    "First" is in the order j ascending, then i ascending.  The summands
-    of objects[:j] wait in buckets by shift, each in ascending i; a
-    summand t of objects[j] is tested only against buckets with shift >=
-    shift(t), the only ones `_maps_at_or_below_zero` can hit.
+    "First" is in the order j ascending, then i ascending.  One pass keeps a
+    `p1.ShiftSummary` per shift of the summands of objects[:j].  A summand t
+    of objects[j] maps to an earlier summand s in a degree <= 0 exactly when
+    Ext^0(t, s) != 0 with shift(s) >= shift(t), or Ext^1(t, s) != 0 with
+    shift(s) > shift(t) (`_maps_at_or_below_zero`).  So t is tested, by its
+    sheaf's `hits`, against the summary of its own shift for Ext^0, and
+    against those of higher shifts for Ext^0 or Ext^1; the latter only once
+    a shift above t's has been seen, which ascending HN quotients seldom show.
+    Each test is exact, as the rule tables (`p1.ext_dim`,
+    `elliptic.hom_dim_stable`) decide whether an Ext vanishes by extremes
+    and by equality alone:
+
+    * Ext^0(O(a), O(b)) != 0 iff b >= a, and Ext^0(O(a), T) != 0 always; so a
+      line hits a summary with torsion or a greatest degree >= a.  Ext^1(O(a),
+      O(b)) != 0 iff b <= a - 2, and Ext^1(O(a), T) = 0; so across a shift gap
+      it also hits a least degree <= a - 2.
+    * Ext^0(T_x, O(b)) = 0, and Ext^i(T_x, T_y) != 0 iff x == y for i = 0, 1;
+      so torsion at x hits torsion at x.  Ext^1(T_x, O(b)) != 0 always; so
+      across a gap it also hits any line.
+    * Ext^0(e, f) != 0 iff mu(e) < mu(f) or e == f, and Ext^1(e, f) != 0 iff
+      mu(e) > mu(f) or e == f; so a class hits itself or a greatest slope above
+      its own, and across a gap also a least slope below its own.  Slopes
+      compare by the int cross product, as `hom_dim_stable` decides.
+
+    At the first j that hits, the summands of objects[j] are scanned pairwise
+    against those of each earlier object in turn, to name the least i.
     """
-    by_shift: dict[int, list] = {}
+    summaries: dict[int, ShiftSummary] = {}
+    top = None  # the greatest shift with a summary
     for j, obj in enumerate(objects):
-        best = j
-        for t, _ in obj.summands():
-            for shift, bucket in by_shift.items():
-                if shift < t.shift:
-                    continue
-                for i, s in bucket:
-                    if i >= best:
-                        break
-                    if _maps_at_or_below_zero(t, s):
-                        best = i
-                        break
-        if best < j:
-            return j, best
-        for t, _ in obj.summands():
-            by_shift.setdefault(t.shift, []).append((j, t))
+        for t, _ in obj.terms:
+            shift, base = t.shift, t.base
+            own = summaries.get(shift)
+            hit = own is not None and base.hits(own, False)
+            if not hit and top is not None and top > shift:
+                hit = any(base.hits(above, True) for at, above in summaries.items() if at > shift)
+            if hit:
+                return j, next(i for i in range(j) for s, _ in objects[i].terms
+                               if any(_maps_at_or_below_zero(u, s) for u, _ in obj.terms))
+        for t, _ in obj.terms:
+            own = summaries.get(t.shift)
+            if own is None:
+                own = summaries[t.shift] = ShiftSummary()
+                top = t.shift if top is None else max(top, t.shift)
+            t.base.join(own)
     return None
 
 

@@ -45,6 +45,15 @@ def _threshold(value, name: str, infinite: bool = True) -> int | float:
     raise TypeError(f"{name} must be an integer{' or +-inf' if infinite else ''}, got {value!r}")
 
 
+def _labels(P, name: str) -> frozenset[str]:
+    """`P` as a frozenset; a point label in it that is not a str is a TypeError."""
+    P = frozenset(P)
+    for label in P:
+        if not isinstance(label, str):
+            raise TypeError(f"{name} must hold point labels (strings), got {label!r}")
+    return P
+
+
 def _degrees_around(K: int | float, radius: int) -> range:
     """Line degrees within radius of a threshold K, of 0 when K is infinite."""
     center = 0 if K in (INF, -INF) else K
@@ -68,7 +77,8 @@ class SlopeCut(Value):
     the diagram token of a slope (`token`).  The family check, the
     defaults and the order of the checks in `classify` and `diagram`
     are shared here.  Thresholds are ints (not bools), or +-INF where they
-    may be infinite; any other value is a TypeError when the cut is built.
+    may be infinite, and point labels are strs; any other value is a
+    TypeError when the cut is built.
     """
 
     __slots__ = ()
@@ -129,7 +139,7 @@ class StandardCut(SlopeCut):
     def __init__(self, m: int, K: int | float = -INF, P: frozenset[str] | None = None):
         m, K = _threshold(m, "m", False), _threshold(K, "K")
         if P is not None:
-            P = frozenset(P)
+            P = _labels(P, "P")
         if K != INF:
             P = None
         elif P is not None and not P:
@@ -325,7 +335,7 @@ class EllipticCut(SlopeCut):
         m = _threshold(m, "m", False)
         q = (ExtendedRational.reduced(q.d, q.r) if isinstance(q, ExtendedRational)
              else ExtendedRational.finite(q))
-        P = frozenset(P)
+        P = _labels(P, "P")
         assign(self, locals())
 
     def in_plus(self, s: EllipticSlope) -> bool:
@@ -491,7 +501,7 @@ class TorsionPair(Value):
     def __init__(self, line_threshold: int | float, torsion_points: frozenset[str] | None = None):
         line_threshold = _threshold(line_threshold, "line_threshold")
         if torsion_points is not None:
-            torsion_points = frozenset(torsion_points)
+            torsion_points = _labels(torsion_points, "torsion_points")
         assign(self, locals())
 
     def in_first(self, base: Indec) -> bool:

@@ -288,6 +288,22 @@ def test_check_hn_malformed_document_is_domain_error(tmp_path):
         assert code == 1 and out.startswith("error: "), doc
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("k", 1.5, "k must be an integer, got 1.5"), ("k", True, "k must be an integer, got True"),
+    ("p", 1.5, "p must be an integer or inf, got 1.5"),
+], ids=["k-1.5", "k-True", "p-1.5"])
+def test_check_hn_non_integer_exceptional_field_is_domain_error(field, value, message, tmp_path):
+    """`ExceptionalP1` raises TypeError for such a k or p, which the document
+    reader reports as a malformed document."""
+    _, out = _run("hn", "O(2)", "--stability", "exc", "--format", "json")
+    doc = json.loads(out)
+    doc["family"][field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = _run("check", "hn", "--input", str(path), "--format", "json")
+    assert (code, json.loads(out)) == (1, {"error": f"malformed filtration JSON: {message}"})
+
+
 def test_check_hn_deeply_nested_document_is_domain_error(tmp_path, monkeypatch):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
@@ -848,14 +864,14 @@ def _check_hn_is_domain_error(doc, tmp_path):
     return json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("family", [
-    {"family": "exceptional", "k": 1.5, "p": 2.7},
-    {"family": "exceptional", "k": True, "p": 0},
-    {"family": "standard", "point_order": "zyx"},
-    {"family": "standard", "point_order": ["x", "x"]},
+@pytest.mark.parametrize("family, error", [
+    ({"family": "exceptional", "k": 1.5, "p": 2.7}, TypeError),
+    ({"family": "exceptional", "k": True, "p": 0}, TypeError),
+    ({"family": "standard", "point_order": "zyx"}, ValueError),
+    ({"family": "standard", "point_order": ["x", "x"]}, ValueError),
 ], ids=["float-k-p", "bool-k", "string-order", "repeated-label"])
-def test_family_descriptor_fields_are_not_coerced(family, tmp_path):
-    with pytest.raises(ValueError):
+def test_family_descriptor_fields_are_not_coerced(family, error, tmp_path):
+    with pytest.raises(error):
         family_from_descriptor(family)
     doc = {"object": "O(3)", "family": family, "quotients": [], "terms": ["O(3)", "0"]}
     _check_hn_is_domain_error(doc, tmp_path)
@@ -865,7 +881,8 @@ def test_check_hn_rejects_a_fractional_twist(tmp_path):
     _, out = _run("hn", "O(3)", "--stability", "exc", "--k", "0", "--p", "0", "--format", "json")
     doc = json.loads(out)
     doc["family"]["k"] = 0.9
-    assert _check_hn_is_domain_error(doc, tmp_path) == "k must be an integer, got 0.9"
+    assert _check_hn_is_domain_error(doc, tmp_path) == \
+        "malformed filtration JSON: k must be an integer, got 0.9"
 
 
 def test_check_hn_rejects_labels_outside_the_declared_order(tmp_path):

@@ -24,7 +24,9 @@ HomProfile, the cut dispatchers that branched on the cut's class where
 each cut kind now owns its rules, the two per-curve atom classes that the one `ShiftedIndec`
 replaced, the CLI readers with one `if` per config key or spec kind
 that the settings, cut and family tables replaced, and the summand loop
-of `semistable_slope` that one set of slopes replaced, and the
+of `semistable_slope` that one set of slopes replaced, and that set, which
+a comparison of each summand's slope with the first replaced, and the
+pairwise Hom sweep that per-shift summaries replaced, and the
 Fraction-backed `ExtendedRational` and the `MuKey` sort key that the one
 exact slope `ExtendedRational(d, r)` replaced, and the `verify_hn` that
 compared slopes with `family.compare` and summed K0 as `K0Class` values,
@@ -58,7 +60,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tstab import cli, elliptic, p1, slopes, stability, syntax
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
-                            normalize_elliptic)
+                            normalize_elliptic, stable)
 from tstab.errors import (FiltrationFormatError, InvalidCutError, InvalidLengthError,
                           NonCoprimeError,
                           NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
@@ -851,6 +853,13 @@ def oracle_coarsened_semistable_slope(family, x):
     return None
 
 
+def oracle_set_semistable_slope(family, x):
+    """`StabilityFamily.semistable_slope` as it ran before it compared each
+    summand's slope with the first: one set of the summands' slopes."""
+    slopes = {family.slope_of_term(term) for term, _ in x.summands()}
+    return slopes.pop() if len(slopes) == 1 else None
+
+
 def oracle_semistable_slope(family, x):
     """The one slope of x's summands, all generators, read with early exits."""
     if x.is_zero:
@@ -1294,6 +1303,21 @@ def test_semistable_slope_matches_summand_loop_oracle(case):
     for y in (x, *family.hn(x).quotient_objects):
         if not isinstance(family, CoarsenedFamily):  # which reads the base family's hn
             assert family.semistable_slope(y) == oracle_semistable_slope(family, y)
+
+
+@settings(max_examples=150)
+@given(family_and_object(), st.data())
+def test_semistable_slope_matches_the_slope_set_oracle(case, data):
+    """On the zero object, drawn objects (non-generators of an exceptional family
+    among them), their HN quotients and sums of window generators, of one slope
+    or mixed; a coarsened family against its one block of base HN slopes."""
+    family, x = case
+    window = Window(max_degree=2, max_shift=1, max_length=2, points=point_universe(LABELS))
+    gens = data.draw(st.lists(st.sampled_from(family.window_generators(window)), max_size=4))
+    oracle = (oracle_coarsened_semistable_slope if isinstance(family, CoarsenedFamily)
+              else oracle_set_semistable_slope)
+    for y in (family.zero, x, sum(gens, family.zero), *family.hn(x).quotient_objects):
+        assert family.semistable_slope(y) == oracle(family, y)
 
 
 @settings(max_examples=150)
@@ -2086,6 +2110,72 @@ def test_hom_vanishing_rule_matches_hom_profile(a, b):
         expected = family.hom_profile(x, y).vanishes_at_and_below(0)
         assert (_first_hom_violation((y, x)) is None) == expected
         assert oracle_hom_vanishes_at_and_below_zero(x, y) == expected
+
+
+def oracle_first_hom_violation(objects):
+    """`_first_hom_violation` as a scan over object pairs, j then i ascending."""
+    return next(((j, i) for j in range(len(objects)) for i in range(j)
+                 if not oracle_hom_vanishes_at_and_below_zero(objects[j], objects[i])), None)
+
+
+_SWEEP_FAMILIES = (CoarseZ(), *(StandardP1(order) for order in ORDERS),
+                   *(ExceptionalP1(k, p) for k in (-1, 0) for p in (0, 1, INF)),
+                   *_COARSENED.values(), *(EllipticStandard(order) for order in ORDERS))
+_SWEEP_TYPES = ((0, 1), (1, 0), (1, 1), (1, -1), (2, 1), (3, -2))  # (rank, degree), skyscraper first
+
+
+def _distinct_atoms(bases, least: int, most: int):
+    """Lists of `least` to `most` distinct atoms over `bases`, at shifts -3..3."""
+    return st.lists(st.builds(ShiftedIndec, bases, st.integers(-3, 3)),
+                    min_size=least, max_size=most, unique=True)
+
+
+@st.composite
+def swept_quotient_lists(draw):
+    """HN quotients of an object of 25-100 distinct summands in any family, then
+    shuffled, truncated or with one quotient shifted by +-1, up to twice.
+
+    The summands sit at shifts -3..3, over points in the family's order and
+    unordered ones: lines and up to ten torsion sheaves on P1; on the elliptic
+    curve classes of one to three (rank, degree) types, skyscrapers among them,
+    so that most classes have equal-slope classes beside them, at other points
+    and shifts."""
+    family = draw(st.sampled_from(_SWEEP_FAMILIES))
+    points = _points(family.point_labels or LABELS)
+    if isinstance(family, EllipticStandard):
+        types = st.sampled_from(draw(st.lists(st.sampled_from(_SWEEP_TYPES), min_size=1,
+                                              max_size=3, unique=True)))
+        classes = st.builds(lambda rd, pt: StableClass(*rd, pt), types, points)
+        atoms = draw(_distinct_atoms(classes, 25, 100))
+    else:  # few torsion sheaves, so that one often meets only lines
+        atoms = draw(_distinct_atoms(st.builds(Line, st.integers(-4, 4)), 24, 90)) + draw(
+            _distinct_atoms(st.builds(Torsion, points, st.integers(1, 3)), 1, 10))
+    x = type(family.zero).from_pairs((a, draw(st.integers(1, 3))) for a in atoms)
+    objects = list(family.hn(x).quotient_objects)
+    for op in draw(st.lists(st.sampled_from(("shuffle", "truncate", "shift")), max_size=2)):
+        if op == "shuffle":
+            objects = draw(st.permutations(objects))
+        elif op == "truncate":
+            start = draw(st.integers(0, len(objects)))
+            objects = objects[start:draw(st.integers(start, len(objects)))]
+        elif objects:
+            j = draw(st.integers(0, len(objects) - 1))
+            objects[j] = objects[j].shift(draw(st.sampled_from((-1, 1))))
+    return tuple(objects)
+
+
+# Ext^0 and Ext^1 across a shift gap from a line, torsion and a class; then the
+# equal-degree and the equal-class rule at one shift
+@example((line(0, 1), line(0)))
+@example((line(0, 1), line(2)))
+@example((line(0, 1), torsion("x")))
+@example((stable(1, 0, "x", 1), stable(1, 1, "x")))
+@example((line(-1), line(2), line(2)))
+@example((stable(1, 0, "y"), stable(1, 0, "x"), stable(1, 0, "y")))
+@settings(max_examples=200, deadline=None)
+@given(swept_quotient_lists())
+def test_hom_sweep_at_scale_matches_pairwise_oracle(objects):
+    assert _first_hom_violation(objects) == oracle_first_hom_violation(objects)
 
 
 def _window_objects(family, oracle):

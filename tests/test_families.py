@@ -98,10 +98,14 @@ def test_compare_exceptional_is_total_order_on_window():
 
 
 def test_exceptional_rejects_bool_and_non_integer_parameters():
+    """A k or p that is not an int is a TypeError, as an atom's or a cut's int
+    field is (before, a ValueError); a negative p stays a ValueError."""
     # bool is an int subclass: True must not be taken for p = 1 or k = 1
-    for k, p in ((0, True), (0, False), (True, 0), (0.5, 0), (0, -1), (0, 1.5)):
-        with pytest.raises(ValueError):
+    for k, p in ((0, True), (0, False), (True, 0), (0.5, 0), (0, 1.5), ("0", 0), (0, -INF)):
+        with pytest.raises(TypeError, match="must be an integer"):
             ExceptionalP1(k, p)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExceptionalP1(0, -1)
     assert ExceptionalP1(-1, INF).p == INF and ExceptionalP1(2, 3).p == 3
 
 

@@ -43,6 +43,18 @@ def test_a_cut_refuses_a_threshold_that_is_not_an_int_or_inf(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: validate_cut(StandardCut(0, INF, {1, None}), StandardP1(("x", "y"))),
+    lambda: StandardCut(0, INF, {1}).spec(), lambda: StandardCut(0, 0, {"x", 2}),
+    lambda: EllipticCut(0, 0, {"x", None}), lambda: TorsionPair(0, {b"x"}),
+], ids=["std-validate", "std-spec", "std-finite-K", "ell", "pair"])
+def test_a_cut_refuses_a_point_label_that_is_not_a_str(build):
+    """Before: the first raised a TypeError in `_point_set_reason`'s `sorted`,
+    the second one in `spec`'s `join`, and both cuts were built."""
+    with pytest.raises(TypeError, match="must hold point labels"):
+        build()
+
+
 def test_validate_cut_reports_on_every_cut_that_was_built():
     bounds = (-INF, -2, 0, 1, INF)
     families = (STD3, StandardP1(), CoarseZ(), *(ExceptionalP1(0, p) for p in (0, 1, INF)))
