@@ -145,7 +145,7 @@ normalize_elliptic = EllipticObject.from_pairs
 def stable(r: int, d: int, x: Point | str, shift: int = 0, mult: int = 1) -> EllipticObject:
     """Convenience constructor: mult * S(r,d,x)[shift]."""
     pt = x if isinstance(x, Point) else Point(x)
-    return normalize_elliptic([(ShiftedIndec(StableClass(r, d, pt), shift), mult)])
+    return EllipticObject.single(ShiftedIndec(StableClass(r, d, pt), shift), mult)
 
 
 # --- the standard family ------------------------------------------------------
@@ -203,15 +203,15 @@ class EllipticStandard(StabilityFamily, Value):
         return slope
 
     def window_classes(self, window: Window, max_rank: int = 3) -> list[StableClass]:
-        return list(_window_classes(window, max_rank))
+        return list(_window_classes(window.points, window.max_degree, max_rank))
 
     def window_generators(self, window: Window) -> list[EllipticObject]:
-        return [normalize_elliptic([(ShiftedIndec(cls, i), 1)])
+        return [EllipticObject.single(ShiftedIndec(cls, i), 1)
                 for i in window.shifts()
-                for cls in self.window_classes(window, max_rank=2)]
+                for cls in _window_classes(window.points, window.max_degree, 2)]
 
     def random_object(self, rng: random.Random, window: Window) -> EllipticObject:
-        classes = _window_classes(window, 3)
+        classes = _window_classes(window.points, window.max_degree, 3)
         count = rng.randint(1, window.max_summands)
         pairs = []
         for _ in range(count):
@@ -222,15 +222,15 @@ class EllipticStandard(StabilityFamily, Value):
 
 
 @lru_cache(maxsize=16)
-def _window_classes(window: Window, max_rank: int) -> tuple[StableClass, ...]:
-    """The stable classes of rank <= `max_rank` over the window's points and
-    degrees, each point's skyscraper first.  Cached, as `random_object` draws
-    from them once per sample of a window."""
+def _window_classes(points: tuple, max_degree: int, max_rank: int) -> tuple[StableClass, ...]:
+    """The stable classes of rank <= `max_rank` over a window's points and degrees,
+    each point's skyscraper first.  Cached on what it reads, as `random_object` draws
+    from them once per sample of a window, and windows of other seeds share them."""
     classes = []
-    for pt in window.points:
+    for pt in points:
         classes.append(StableClass(0, 1, pt))
         for r in range(1, max_rank + 1):
-            for d in window.degrees():
+            for d in range(-max_degree, max_degree + 1):
                 if math.gcd(r, d) == 1:
                     classes.append(StableClass(r, d, pt))
     return tuple(classes)

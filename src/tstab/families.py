@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from functools import lru_cache
 
 from .errors import InvalidPartitionError
 from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, hom_dim, line,
@@ -220,7 +219,7 @@ def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> tuple:
     Generators stay put, on their own atom; any other line bundle and any
     torsion sheaf splits into a column-0 and a column-1 quotient via its
     two-term resolution (module docstring).  Each quotient is one summand,
-    built as it stands, on the shared atom of `_column_atom`.
+    built as it stands.
     """
     i = term.shift
     base = term.base
@@ -231,16 +230,9 @@ def exceptional_rewrite(term: ShiftedIndec, k: int, mult: int = 1) -> tuple:
         low, high, a, b = (i + 1, i, n - k - 1, n - k) if n > k else (i, i - 1, k - n + 1, k - n)
     else:
         low, high, a, b = i + 1, i, base.d, base.d
-    return ((ExceptionalSlope(low, 0), DerivedObject.single(_column_atom(k, low), mult * a)),
-            (ExceptionalSlope(high, 1),
-             DerivedObject.single(_column_atom(k + 1, high), mult * b)))
-
-
-@lru_cache(maxsize=256)
-def _column_atom(n: int, j: int) -> ShiftedIndec:
-    """The atom O(n)[j]; one object per recent (n, j), so the quotients of an
-    exceptional `hn` share their atoms (equal atoms compare as before)."""
-    return ShiftedIndec(Line(n), j)
+    column0, column1 = ShiftedIndec(Line(k), low), ShiftedIndec(Line(k + 1), high)
+    return ((ExceptionalSlope(low, 0), DerivedObject.single(column0, mult * a)),
+            (ExceptionalSlope(high, 1), DerivedObject.single(column1, mult * b)))
 
 
 # --- refinement order -----------------------------------------------------------

@@ -11,10 +11,9 @@ Hom sweep's `ShiftSummary` (`join`, `hits`).  `FormalSum` is
 the one normal form, a multiset of atoms with multiplicities, with its own
 `rank_degree`: `DerivedObject` here, `EllipticObject` on the elliptic curve.
 
-An atom computes its hash, sort key, signed (rank, degree) and text once,
-when it is built, and keeps them in derived slots: an HN filtration
-repeats every atom in every term, and hashing, sorting, K0 sums and
-rendering read these per summand.
+Atoms are hash-consed: one object per (base, shift), built once with its
+hash, sort key, signed (rank, degree) and text, which hashing, sorting, K0
+sums and rendering read per summand; atom `==` is identity.
 
 The Hom rule table is classical:
 
@@ -43,10 +42,12 @@ from .value import Value, set_field
 
 # The point universe of windows, catalogs and cut checks when no order is declared.
 DEFAULT_POINTS = ("x", "y", "z")
+# The one `ShiftedIndec` of each (base, shift); never cleared, as atom == is identity.
+_ATOMS: dict[tuple, ShiftedIndec] = {}
 
 
 class Point(Value):
-    """A point of P1: an opaque label plus its position in the point order.
+    """A point of P1: an opaque label plus its int position (not a bool) in the point order.
 
     Points sort by `key()`, (order_index, label), so leaving order_index at
     0 gives the default lexicographic order on labels.  Points of a
@@ -58,6 +59,8 @@ class Point(Value):
     def __init__(self, label: str, order_index: int = 0):
         if not isinstance(label, str) or not (label.isascii() and label.isalnum()):
             raise ValueError(f"point label must be letters/digits, got {label!r}")
+        if order_index.__class__ is not int:
+            raise TypeError(f"point order indices must be integers, got {order_index!r}")
         set_field(self, "label", label)
         set_field(self, "order_index", order_index)
 
@@ -204,27 +207,32 @@ class ShiftedIndec(Value):
     """A sheaf placed in homological degree -shift (i.e. base[shift]): a
     `Line` or a `Torsion` on the line, a `StableClass` on the elliptic curve.
 
-    `__init__` computes what the engine asks of an atom once, into derived
-    slots (see `tstab.value`): `_hash`, the hash of its fields; `_key`, its
-    sort key; `_rd`, its signed (rank, degree); `_text`, its `render`.
-    Uncached, the hash alone would cost more than a render, as it nests
-    the hashes of base and point.  A base that is not a sheaf, or a shift
-    that is a bool or not an int, raises when the atom is built.
+    Hash-consed: `ShiftedIndec(base, shift)`, `shifted`, copy and pickle all
+    return the one atom of (base, shift) in `_ATOMS`, so `==` is identity.
+    `__new__` builds it once, with derived slots (see `tstab.value`): `_hash`,
+    the hash of its fields; `_key`, its sort key; `_rd`, its signed (rank,
+    degree); `_text`, its `render`.  A shift that is a bool or not an int, or
+    a base that is unhashable or not a sheaf, raises and stores no atom.
     """
 
     __slots__ = ("base", "shift", "_hash", "_key", "_rd", "_text")
+    __eq__ = object.__eq__
 
-    def __init__(self, base: Line | Torsion | StableClass, shift: int = 0):
+    def __new__(cls, base: Line | Torsion | StableClass, shift: int = 0):
         if shift.__class__ is not int:
             raise TypeError(f"shifts must be integers, got {shift!r}")
-        set_field(self, "base", base)
-        set_field(self, "shift", shift)
-        r, d = base.rank_degree()
-        text = base.render()
-        set_field(self, "_hash", hash((base, shift)))
-        set_field(self, "_key", (shift, *base.key()))
-        set_field(self, "_rd", (-r, -d) if shift % 2 else (r, d))
-        set_field(self, "_text", f"{text}[{shift}]" if shift else text)
+        atom = _ATOMS.get((base, shift))
+        if atom is None:  # stored once built in full, so a build that raises stores nothing
+            atom = object.__new__(cls)
+            (r, d), text = base.rank_degree(), base.render()
+            set_field(atom, "base", base)
+            set_field(atom, "shift", shift)
+            set_field(atom, "_hash", hash((base, shift)))
+            set_field(atom, "_key", (shift, *base.key()))
+            set_field(atom, "_rd", (-r, -d) if shift % 2 else (r, d))
+            set_field(atom, "_text", f"{text}[{shift}]" if shift else text)
+            _ATOMS[base, shift] = atom
+        return atom
 
     def __hash__(self):
         return self._hash
@@ -371,13 +379,13 @@ normalize = DerivedObject.from_pairs
 
 def line(n: int, shift: int = 0, mult: int = 1) -> DerivedObject:
     """Convenience constructor: mult * O(n)[shift]."""
-    return normalize([(ShiftedIndec(Line(n), shift), mult)])
+    return DerivedObject.single(ShiftedIndec(Line(n), shift), mult)
 
 
 def torsion(x: Point | str, d: int = 1, shift: int = 0, mult: int = 1) -> DerivedObject:
     """Convenience constructor: mult * T(x, d)[shift]."""
     pt = x if isinstance(x, Point) else Point(x)
-    return normalize([(ShiftedIndec(Torsion(pt, d), shift), mult)])
+    return DerivedObject.single(ShiftedIndec(Torsion(pt, d), shift), mult)
 
 
 # --- Hom dimensions ---------------------------------------------------------

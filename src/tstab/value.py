@@ -8,11 +8,11 @@ and `hash` over the field tuple.  No methods are generated, so defining
 a type costs no more than a plain class and one getter of its fields.
 
 A slot whose name starts with `_` is a derived cache, not a field: a
-value its `__init__` computes once from the fields, such as the atom's
-hash, sort key, K0 pair and text (`p1.ShiftedIndec`).  `_fields`,
-`_compare`, `repr`, `==` and pickle/copy ignore it; since pickle and copy
-rebuild a value through `__init__`, they recompute it.  It is refused
-assignment and deletion like a field.
+value computed once from the fields when the value is built, such as the
+atom's hash, sort key, K0 pair and text (`p1.ShiftedIndec`).  `_fields`,
+`_compare`, `repr`, `==` and pickle/copy ignore it; pickle and copy call
+the class, which computes it again or returns the atom that holds it.  It is
+refused assignment and deletion like a field.
 
 The rules of `==` and `hash`:
 
@@ -31,12 +31,12 @@ methods of their own:
 * `slopes.ExtendedRational`, the exact slope and a sort key element, has
   `<` and `<=` by cross-multiplication, and an `==` of the same form that
   sort-key comparisons call hot; its `hash` is `hash` of its coprime fields;
-* `p1.ShiftedIndec`'s `hash` returns the `_hash` it computed when it was
-  built, as the field hash nests the hashes of base and point; the value
-  is `hash` of its field tuple all the same.
+* `p1.ShiftedIndec` is hash-consed, one object per field tuple, so its `==`
+  is identity; its `hash` returns the `_hash` of that tuple it computed when
+  built, as the field hash nests the hashes of base and point.
 
 Pickle and copy rebuild a value by calling its class on its fields, so
-every `__init__` takes the fields in declaration order, and a value it
+every constructor takes the fields in declaration order, and a value it
 has normalised comes back as it was.
 
 `INT_TEXT` is the one integer literal of specs, flags and documents.

@@ -32,7 +32,8 @@ exact slope `ExtendedRational(d, r)` replaced, and the `verify_hn` that
 compared slopes with `family.compare` and summed K0 as `K0Class` values,
 where it now compares slope keys and (rank, degree) ints, and the `to_json`,
 `filtration_from_json` and K0 sums that read every term in full, where a term
-that ends with the next term is now read from its head.  They are kept here only, as
+that ends with the next term is now read from its head, and the field `==` of atoms,
+where equal atoms are now one object.  They are kept here only, as
 oracles, and every result must agree bit for bit.  The HN filtration is
 also compared with the order that a heart and its slope function give
 (Bridgeland, Prop. 5.3): by shift, then by the exact slope gamma.  The
@@ -2548,6 +2549,75 @@ def test_cached_atom_values_match_the_computing_oracle(data):
         positions = range(len(atoms))
         assert sorted(positions, key=lambda j: atoms[j][0].key()) == \
             sorted(positions, key=lambda j: atoms[j][1].key())
+
+
+def oracle_atoms_equal(a, b) -> bool:
+    """Whether two per-call atoms are equal as the atom value type compared them:
+    the same atom type over an equal sheaf at the same shift."""
+    return type(a) is type(b) and vars(a) == vars(b)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_atoms_are_one_object_exactly_when_the_oracle_atoms_are_equal(data):
+    order = data.draw(st.sampled_from(ORDERS))
+    atoms = []
+    for oracle, _, sheaves in _sheaves(order):
+        drawn = data.draw(st.lists(st.tuples(sheaves, st.integers(-2, 2)), min_size=1,
+                                   max_size=8))
+        # some pairs again, over a fresh but equal sheaf (and point)
+        drawn += [(copy.deepcopy(b), sh) for b, sh in
+                  data.draw(st.lists(st.sampled_from(drawn), max_size=3))]
+        atoms += [(ShiftedIndec(b, sh), oracle(b, sh)) for b, sh in drawn]
+    for new, old in atoms:
+        assert new.key() == old.key()
+        assert new.rank_degree() == old.rank_degree()
+        assert new.render() == old.render()
+    for (a, old_a), (b, old_b) in itertools.product(atoms, repeat=2):
+        assert (a is b) == (a == b) == oracle_atoms_equal(old_a, old_b)
+        assert (a != b) == (not oracle_atoms_equal(old_a, old_b))
+        if type(old_a) is type(old_b):  # Ext is within one curve
+            for i in range(-1, 3):
+                assert a.ext_dim(b, i) == old_a.ext_dim(old_b, i)
+
+
+_NOT_SHIFTS = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+                        st.just(None), st.fractions())
+_NOT_SHEAVES = st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+                         _points(LABELS),
+                         st.builds(Torsion, st.sampled_from(LABELS), st.integers(1, 3)))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_a_failed_atom_build_leaves_the_table_unchanged(data):
+    order = data.draw(st.sampled_from(ORDERS))
+    p1_sheaves, ell_sheaves = (sheaves for _, _, sheaves in _sheaves(order))
+    base, shift = data.draw(st.one_of(
+        st.tuples(st.one_of(p1_sheaves, ell_sheaves), _NOT_SHIFTS),
+        st.tuples(_NOT_SHEAVES, st.integers(-3, 3))))
+    before = dict(p1._ATOMS)
+    with pytest.raises((TypeError, AttributeError)):
+        ShiftedIndec(base, shift)
+    assert p1._ATOMS == before
+
+
+def _atoms_of(x, filt):
+    return [atom for obj in (x, *(q for _, q in filt.quotients), *filt.terms)
+            for atom, _ in obj.terms]
+
+
+@settings(max_examples=50)
+@given(family_and_object(max_size=20))
+def test_a_read_back_filtration_holds_the_original_atoms(case):
+    family, drawn = case
+    # Points as the family's documents resolve them (see ROADMAP item 4).
+    category = "elliptic" if isinstance(family.zero, EllipticObject) else "p1"
+    x = oracle_parse_object(drawn.render(), category, point_resolver(family.point_labels))
+    filt = family.hn(x)
+    x2, filt2 = syntax.filtration_from_json(filt.to_json())
+    read, held = _atoms_of(x2, filt2), _atoms_of(x, filt)
+    assert len(read) == len(held) and all(a is b for a, b in zip(read, held))
 
 
 def test_extended_rational_compares_only_with_extended_rationals():

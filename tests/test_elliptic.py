@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tstab import elliptic
 from tstab.elliptic import (ELLIPTIC_ZERO, EllipticObject, EllipticStandard,
                             StableClass, hom_dim_stable, stable)
 from tstab.errors import InvalidCutError, ZeroClassError
@@ -292,3 +293,16 @@ def test_elliptic_cut_needs_the_elliptic_family():
                                        "an elliptic cut needs the elliptic family"),)
     with pytest.raises(InvalidCutError):
         truncate(stable(1, 0, L), EllipticCut(0, 0), StandardP1())
+
+
+def test_window_classes_are_shared_by_windows_of_other_seeds_and_samples():
+    """The class list is read off the points and the degree bound alone, so windows that
+    differ in what it does not read get the very same tuple, not a rebuilt one."""
+    cached = elliptic._window_classes
+    base = Window(max_degree=3, points=(L, M), samples=5, seed=1)
+    for other in (Window(max_degree=3, points=(L, M), samples=9, seed=2),
+                  Window(max_degree=3, max_shift=1, max_length=2, points=(L, M), seed=3)):
+        assert cached(other.points, other.max_degree, 2) is cached(base.points, 3, 2)
+        assert FAMILY.window_classes(other, 2) == FAMILY.window_classes(base, 2)
+    assert FAMILY.window_classes(base, 2) == _window_classes(2, 3, (L, M))
+    assert cached((L, M), 3, 2) is not cached((L, M), 4, 2)

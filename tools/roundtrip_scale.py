@@ -11,11 +11,13 @@ few quotients whose terms mostly do not end with the next term, so they are
 rendered, read and summed in full: `exc_round_trip_ms` times its `to_json`,
 `filtration_from_json` and `verify_hn` of what that reads back.  Prints one
 JSON line: each N with its timings in ms, and whether every filtration
-verified and each read-back one is equal.
+verified and each read-back one is equal and holds the original's atom
+objects (atoms are hash-consed, one object per sheaf and shift).
 
     python tools/roundtrip_scale.py [N ...]        (default: 400 1600)
 
-Exits 1 if a filtration fails to verify or a read-back one is unequal.
+Exits 1 if a filtration fails to verify, or a read-back one is unequal or
+holds other atom objects.
 Timings on a machine shared with other work move between runs: compare two
 checkouts in paired runs, not single figures.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import platform
 import sys
 import time
@@ -45,6 +48,15 @@ def timed(call):
     return result, round((time.perf_counter() - start) * 1e3, 2)
 
 
+def same_atoms(x, filt, x2, filt2) -> bool:
+    """Whether object and filtration read back hold the very atom objects of the
+    originals, summand by summand."""
+    def atoms(obj, f):
+        return [a for part in (obj, *(q for _, q in f.quotients), *f.terms) for a, _ in part.terms]
+    read, held = atoms(x2, filt2), atoms(x, filt)
+    return len(read) == len(held) and all(map(operator.is_, read, held))
+
+
 def measure(n: int) -> dict:
     family = StandardP1()
     x = normalize([(ShiftedIndec(Line(d), d % 5 - 2), 1) for d in range(n, 2 * n)])
@@ -64,7 +76,8 @@ def measure(n: int) -> dict:
             "to_json_ms": to_json_ms, "from_json_ms": from_json_ms,
             "verify_read_ms": verify_read_ms, "eq_ms": eq_ms, "exc_round_trip_ms": exc_ms,
             "ok": report.ok and report2.ok and equal and x2 == x
-            and report3.ok and filt3 == exc and x3 == x}
+            and report3.ok and filt3 == exc and x3 == x
+            and same_atoms(x, filt, x2, filt2) and same_atoms(x, exc, x3, filt3)}
 
 
 def main(argv: list[str]) -> int:
