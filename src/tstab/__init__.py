@@ -8,9 +8,8 @@ export below is looked up in its module on first access (PEP 562), so a
 __version__ = "0.1.0"
 
 _EXPORTS = {  # each module and the names the package exports from it
-    "slopes": "ExtendedRational INF K0Class Nu One Ordering PLUS_INFINITY PositiveSystem "
-              "RANK_DEGREE SlopeValue check_positive compare_slopes gamma_slope mu_bar "
-              "seesaw_check",
+    "slopes": "ExtendedRational INF K0Class Ordering PLUS_INFINITY PositiveSystem RANK_DEGREE "
+              "check_positive compare_slopes gamma_slope mu_bar seesaw_check",
     "p1": "DEFAULT_POINTS DerivedObject FormalSum HomProfile Indec Line Point ShiftedIndec "
           "Torsion ZERO euler_form hom_dim hom_profile line normalize "
           "point_resolver point_universe torsion",

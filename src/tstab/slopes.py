@@ -7,9 +7,10 @@ the last position must be strictly positive there.  Such a system
 assigns to every nonzero class an exact, totally ordered slope vector,
 and the induced preorder on objects has the seesaw property.
 
-All ordering here is exact: slope components carry rational arguments
-and the comparator reverses their order (the underlying arccotangent
-reparametrisation is strictly decreasing), so no floating point ever
+A slope vector is a tuple of `ExtendedRational`s, compared
+lexicographically: +infinity stands where a leading function vanishes,
+and each later entry is a quotient of two function values.  The order is
+exact, by integer cross-multiplication, so no floating point ever
 participates in a comparison.
 """
 
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from fractions import Fraction
 from collections.abc import Iterable
 
 from .errors import ArityMismatchError, NotPositiveError, ZeroClassError
@@ -162,72 +162,18 @@ def check_positive(system: PositiveSystem, samples: Iterable[K0Class]) -> list[P
 
 # --- slope values -----------------------------------------------------------
 
-class One(Value):
-    """The maximal slope component (the filler above every Nu value)."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "One"
-
-
-class Nu(Value):
-    """Slope component nu(q); ordering reverses the rational argument.
-
-    Semantically nu(q) = arccot(q)/pi, which is strictly decreasing in q,
-    so Nu(q1) < Nu(q2) iff q1 > q2, and Nu(q) < One for every q.
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: Fraction):
-        assign(self, locals())
-
-    def __repr__(self):
-        return f"Nu({self.q})"
-
-
-SlopeComponent = One | Nu
-
-
-def _component_key(c: SlopeComponent):
-    # One sorts above every Nu; among Nu values the order of q is reversed.
-    if isinstance(c, One):
-        return (1, Fraction(0))
-    return (0, -c.q)
-
-
-class SlopeValue(Value):
-    """An exact slope vector of length r-1, ordered lexicographically."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: tuple[SlopeComponent, ...]):
-        assign(self, locals())
-
-    def key(self):
-        return tuple(_component_key(c) for c in self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __repr__(self):
-        return "Slope(" + ", ".join(repr(c) for c in self.components) + ")"
-
-
-def compare_slopes(a: SlopeValue, b: SlopeValue) -> Ordering:
+def compare_slopes(a: tuple[ExtendedRational, ...], b: tuple[ExtendedRational, ...]) -> Ordering:
     """Lexicographic comparison of two slope vectors of equal length."""
     if len(a) != len(b):
         raise ArityMismatchError("cannot compare slope vectors of different lengths")
-    return Ordering.of(a.key(), b.key())
+    return Ordering.of(a, b)
 
 
-def gamma_slope(system: PositiveSystem, cls: K0Class) -> SlopeValue:
-    """The exact slope of a nonzero positive class.
+def gamma_slope(system: PositiveSystem, cls: K0Class) -> tuple[ExtendedRational, ...]:
+    """The exact slope of a nonzero positive class, a vector of length r-1.
 
-    The result has s leading One components, where s is the index of the
-    first nonzero function value, followed by Nu(-x_{s+j}/x_s) for the
-    remaining positions.
+    With x_s the first nonzero value (positive, by the cascade), it holds s
+    copies of +infinity, then x_{s+j}/x_s for each later position.
     """
     if cls.arity != system.arity:
         raise ArityMismatchError(f"class arity {cls.arity} vs system arity {system.arity}")
@@ -238,10 +184,8 @@ def gamma_slope(system: PositiveSystem, cls: K0Class) -> SlopeValue:
         raise NotPositiveError(reason)
     comps = cls.components
     s = next(i for i, c in enumerate(comps) if c != 0)
-    parts: list[SlopeComponent] = [One()] * s
-    for j in range(s + 1, len(comps)):
-        parts.append(Nu(Fraction(-comps[j], comps[s])))
-    return SlopeValue(tuple(parts))
+    return (PLUS_INFINITY,) * s + tuple(ExtendedRational.reduced(c, comps[s])
+                                        for c in comps[s + 1:])
 
 
 # --- extended rationals -----------------------------------------------------
@@ -264,10 +208,11 @@ class ExtendedRational(Value):
         set_field(self, "r", r)
 
     @staticmethod
-    def finite(q: int | Fraction) -> "ExtendedRational":
+    def finite(q) -> "ExtendedRational":
         """q as an extended rational: an int (not a bool) or a Fraction, else TypeError."""
         if q.__class__ is int:
             return ExtendedRational(q, 1)
+        from fractions import Fraction  # only a caller that has a Fraction pays its import
         if isinstance(q, Fraction):
             return ExtendedRational(q.numerator, q.denominator)
         raise TypeError(f"a slope must be an int or a Fraction, got {q!r}")
@@ -319,10 +264,9 @@ INF = float("inf")
 def mu_bar(cls: K0Class) -> ExtendedRational:
     """deg/rk for positive rank, +infinity for torsion classes.
 
-    Order-equivalent to `gamma_slope` on the rank/degree system, and defined
-    on the same classes: the zero class raises ZeroClassError, a class that
-    is not positive NotPositiveError.  The equivalence is a tested invariant
-    rather than an assumption.
+    `gamma_slope(RANK_DEGREE, cls)` is `(mu_bar(cls),)`, and the two are
+    defined on the same classes: the zero class raises ZeroClassError, a
+    class that is not positive NotPositiveError.
     """
     if cls.arity != 2:
         raise ArityMismatchError("mu_bar is defined for (rank, degree) classes")

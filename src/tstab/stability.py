@@ -85,11 +85,16 @@ class StandardSlope(Value):
 
 
 class ExceptionalSlope(Value):
-    """Slope (shift, column): column 0 carries O(k), column 1 carries O(k+1)."""
+    """Slope (shift, column): column 0 carries O(k), column 1 carries O(k+1).
+
+    A column that is not an int (a bool included) is a TypeError, any int but
+    0 and 1 a ValueError."""
 
     __slots__ = ("i", "col")
 
     def __init__(self, i: int, col: int):
+        if col.__class__ is not int:  # True must not pass for column 1
+            raise TypeError(f"column must be an integer, got {col!r}")
         if col not in (0, 1):
             raise ValueError("column must be 0 or 1")
         set_field(self, "i", i)

@@ -641,7 +641,7 @@ def catalog(name: str, p: int | None = None, P: Iterable[str] | None = None,
         return CatalogEntry("D", (("P", pset),), std, cut,
                             torsion_pair=TorsionPair(INF, pset))
     if name in ("E", "F"):
-        if not isinstance(p, int) or p < 0:
+        if p.__class__ is not int or p < 0:  # a bool is no p
             raise BadParamsError(f"{name} needs a nonnegative integer parameter p")
         fam = ExceptionalP1(0, p)
         if name == "E":

@@ -24,8 +24,10 @@ PERFBENCH = ROOT / "perfbench"
 
 # Modules whose import alone costs milliseconds at start-up: dataclasses, with
 # the code generation it runs per class, inspect and the modules inspect pulls
-# in, and typing.
-HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+# in, typing, and fractions with the decimal it imports: slopes are ints in an
+# ExtendedRational, and only ExtendedRational.finite, given a Fraction, needs it.
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "fractions",
+                 "decimal")
 
 
 SRC = ROOT / "src"

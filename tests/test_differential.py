@@ -33,7 +33,9 @@ compared slopes with `family.compare` and summed K0 as `K0Class` values,
 where it now compares slope keys and (rank, degree) ints, and the `to_json`,
 `filtration_from_json` and K0 sums that read every term in full, where a term
 that ends with the next term is now read from its head, and the field `==` of atoms,
-where equal atoms are now one object.  They are kept here only, as
+where equal atoms are now one object, and the `One` and `Nu` components of
+`gamma_slope`, ordered through Fraction keys, that tuples of `ExtendedRational`
+replaced.  They are kept here only, as
 oracles, and every result must agree bit for bit.  The HN filtration is
 also compared with the order that a heart and its slope function give
 (Bridgeland, Prop. 5.3): by shift, then by the exact slope gamma.  The
@@ -62,8 +64,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from tstab import cli, elliptic, p1, slopes, stability, syntax
 from tstab.elliptic import (EllipticObject, EllipticStandard, StableClass, hom_dim_stable,
                             normalize_elliptic, stable)
-from tstab.errors import (FiltrationFormatError, InvalidCutError, InvalidLengthError,
-                          NonCoprimeError,
+from tstab.errors import (ArityMismatchError, FiltrationFormatError, InvalidCutError,
+                          InvalidLengthError, NonCoprimeError, NotPositiveError,
                           NotSlopeDescribableError, ObjectParseError, TStabError, UnboundedError,
                           UnsupportedFamilyError, ZeroClassError)
 from tstab.families import (INF, CoarsenedFamily, CoarseZ, ExceptionalP1, SlopePartition,
@@ -73,7 +75,7 @@ from tstab.p1 import (DerivedObject, HomProfile, Line, Point, ShiftedIndec, Tors
                       hom_profile, ZERO, line, normalize, point_resolver, point_universe,
                       torsion)
 from tstab.slopes import (RANK_DEGREE, ExtendedRational, K0Class, Ordering, PLUS_INFINITY,
-                          compare_slopes, gamma_slope, mu_bar, seesaw_check)
+                          PositiveSystem, compare_slopes, gamma_slope, mu_bar, seesaw_check)
 from tstab.stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope,
                              HNFiltration, Report, StandardSlope, Window, _first_hom_violation,
                              _maps_at_or_below_zero, merge_towers, validate_stability,
@@ -2670,6 +2672,97 @@ def test_extended_rational_matches_the_fraction_and_mu_key_oracles(fields, raw, 
     for (a, mu_a, old_a), (b, mu_b, old_b) in itertools.product(keys, repeat=2):
         assert (a == b) == (mu_a == mu_b) == (old_a == old_b)
         assert (a < b) == (mu_a < mu_b) == (old_a < old_b)
+
+
+# --- the abelian slope gamma -------------------------------------------------------------
+
+class OracleOne(Value):
+    """`slopes.One` as it was: the slope component above every Nu."""
+
+    __slots__ = ()
+
+
+class OracleNu(Value):
+    """`slopes.Nu` as it was: nu(q) = arccot(q)/pi, so the order of q is reversed."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: Fraction):
+        set_field(self, "q", q)
+
+
+def oracle_component_key(c):
+    # One sorts above every Nu; among Nu values the order of q is reversed.
+    if isinstance(c, OracleOne):
+        return (1, Fraction(0))
+    return (0, -c.q)
+
+
+class OracleSlopeValue(Value):
+    """`slopes.SlopeValue` as it was: a vector of One and Nu components, ordered
+    lexicographically through their Fraction keys."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components):
+        set_field(self, "components", components)
+
+    def key(self):
+        return tuple(oracle_component_key(c) for c in self.components)
+
+
+def oracle_gamma_slope(system, cls):
+    """`slopes.gamma_slope` as it was: s leading One components, s the index of
+    the first nonzero value, then Nu(-x_{s+j}/x_s) for the later positions."""
+    if cls.arity != system.arity:
+        raise ArityMismatchError(f"class arity {cls.arity} vs system arity {system.arity}")
+    if cls.is_zero:
+        raise ZeroClassError("the zero class has no slope")
+    reason = slopes._nonzero_cascade_violation(cls)
+    if reason is not None:
+        raise NotPositiveError(reason)
+    comps = cls.components
+    s = next(i for i, c in enumerate(comps) if c != 0)
+    parts = [OracleOne()] * s
+    for j in range(s + 1, len(comps)):
+        parts.append(OracleNu(Fraction(-comps[j], comps[s])))
+    return OracleSlopeValue(tuple(parts))
+
+
+def _gamma_or_error(gamma, system, cls):
+    try:
+        return gamma(system, cls)
+    except TStabError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def k0_classes(draw, arity):
+    """A K0 class of the given arity, positive or not, with leading zeros often."""
+    zeros = draw(st.integers(0, arity))
+    rest = draw(st.lists(st.integers(-12, 12), min_size=arity - zeros, max_size=arity - zeros))
+    return K0Class((0,) * zeros + tuple(rest))
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 4).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(k0_classes(r), min_size=1, max_size=6))))
+def test_gamma_slope_matches_the_one_and_nu_oracle(case):
+    arity, classes = case
+    system = PositiveSystem(tuple(f"x{i}" for i in range(arity)))
+    slopes_of = []
+    for cls in classes:
+        new = _gamma_or_error(gamma_slope, system, cls)
+        old = _gamma_or_error(oracle_gamma_slope, system, cls)
+        if isinstance(old, OracleSlopeValue):
+            assert len(new) == len(old.components) == arity - 1
+            assert all(n.__class__ is ExtendedRational for n in new)
+            slopes_of.append((new, old))
+        else:
+            assert new == old  # the zero class and a class that is not positive
+    for (a, old_a), (b, old_b) in itertools.product(slopes_of, repeat=2):
+        assert compare_slopes(a, b) == Ordering.of(old_a.key(), old_b.key())
+        assert (a == b) == (old_a == old_b) and (a != b or hash(a) == hash(b))
 
 
 # --- value types ----------------------------------------------------------------------------

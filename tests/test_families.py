@@ -109,6 +109,18 @@ def test_exceptional_rejects_bool_and_non_integer_parameters():
     assert ExceptionalP1(-1, INF).p == INF and ExceptionalP1(2, 3).p == 3
 
 
+def test_exceptional_slope_rejects_a_column_that_is_not_an_int():
+    """ExceptionalSlope(0, True) built, printed `(0, col True)` and equalled
+    ExceptionalSlope(0, 1), hash included; a bool or float column now raises."""
+    for col in (True, False, 1.0, 0.0, "1", None):
+        with pytest.raises(TypeError, match="column must be an integer"):
+            ExceptionalSlope(0, col)
+    for col in (-1, 2):
+        with pytest.raises(ValueError, match="column must be 0 or 1"):
+            ExceptionalSlope(0, col)
+    assert repr(ExceptionalSlope(0, 1)) == "(0, col 1)"
+
+
 def test_tau_preserves_order_and_raises():
     std, exc = StandardP1(), ExceptionalP1(0, 1)
     std_slopes = [StandardSlope(i, lvl) for i in (-2, 0, 1)

@@ -377,6 +377,10 @@ def test_catalog_param_validation():
         catalog("E")
     with pytest.raises(BadParamsError):
         catalog("F", p=-1)
+    for p in (True, False, 1.0):  # True was a TypeError from ExceptionalP1
+        for name in ("E", "F"):
+            with pytest.raises(BadParamsError, match="nonnegative integer parameter p"):
+                catalog(name, p=p)
     with pytest.raises(BadParamsError):
         catalog("Z")
 
