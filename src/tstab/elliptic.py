@@ -41,7 +41,7 @@ from .errors import FiltrationFormatError
 from .p1 import FormalSum, Point, ShiftSummary, ShiftedIndec, point_resolver
 from .slopes import ExtendedRational
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int, slope_point
-from .value import Value, set_field
+from .value import Value, check_ints, set_field
 
 
 class StableClass(Value):
@@ -53,10 +53,10 @@ class StableClass(Value):
     """
 
     __slots__ = ("r", "d", "x")
+    _ints = {"r": (), "d": ()}
 
     def __init__(self, r: int, d: int, x: Point):
-        if r.__class__ is not int or d.__class__ is not int:
-            raise TypeError(f"rank and degree must be integers, got ({r!r}, {d!r})")
+        check_ints(self._ints, r, d)
         if r < 0:
             raise ValueError("rank must be nonnegative")
         if r == 0 and d != 1:
@@ -72,7 +72,7 @@ class StableClass(Value):
         return self.r == 0
 
     def mu(self) -> ExtendedRational:
-        return ExtendedRational(self.d, self.r)  # a skyscraper's (d, r) is (1, 0), +infinity
+        return ExtendedRational._raw(self.d, self.r)  # a skyscraper's (d, r) is (1, 0), +infinity
 
     def key(self):
         return (self.mu(), *self.x.key())
@@ -86,16 +86,11 @@ class StableClass(Value):
     # Slopes compare as `hom_dim_stable` decides: mu(e) < mu(f) iff e.r*f.d - e.d*f.r > 0.
 
     def join(self, summary: ShiftSummary) -> None:
-        """Add this class to a summary: the class set, and the classes of least
-        and greatest slope."""
+        """Add this class to a summary: the class set, and the greatest slope yet."""
         summary.classes.add(self)
-        high = summary.high
-        if high is None:
-            summary.low = summary.high = self
-        elif high.r * self.d - high.d * self.r > 0:
-            summary.high = self
-        elif self.r * summary.low.d - self.d * summary.low.r > 0:
+        if summary.high is None:
             summary.low = self
+        summary.high = self  # see `ShiftSummary`
 
     def hits(self, summary: ShiftSummary, across: bool) -> bool:
         """Whether Ext^0(e, f) != 0 for a class f of the summary, or with `across`
@@ -218,7 +213,7 @@ class EllipticStandard(StabilityFamily, Value):
             cls = rng.choice(classes)
             sh = rng.randint(-window.max_shift, window.max_shift)
             pairs.append((ShiftedIndec(cls, sh), rng.randint(1, 3)))
-        return normalize_elliptic(pairs)
+        return EllipticObject.from_pairs(pairs)
 
 
 @lru_cache(maxsize=16)

@@ -151,23 +151,16 @@ class StandardP1(P1Family, Value):
 # --- exceptional ----------------------------------------------------------------
 
 class ExceptionalP1(P1Family, Value):
-    """Stability built on the twisting pair (O(k), O(k+1)) with interleaving p.
-
-    k is an int and p an int or INF (not bools): any other value is a
-    TypeError, and a negative p a ValueError."""
+    """Stability built on the twisting pair (O(k), O(k+1)) with interleaving p >= 0 or INF."""
 
     __slots__ = ("k", "p")
+    _ints = {"k": (), "p": (INF,)}
     kind = "exceptional"
 
     def __init__(self, k: int = 0, p: int | float = 0):
-        # bool is an int subclass; True must not pass for 1
-        if k.__class__ is not int:
-            raise TypeError(f"k must be an integer, got {k!r}")
-        if p != INF and p.__class__ is not int:
-            raise TypeError(f"p must be an integer or inf, got {p!r}")
+        assign(self, locals())
         if p < 0:
             raise ValueError("p must be a nonnegative integer or inf")
-        assign(self, locals())
 
     def slope_key(self, s: ExceptionalSlope) -> tuple[int, int]:
         """The two-column order for interleaving parameter p (module docstring)."""

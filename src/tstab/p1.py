@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 from .errors import ObjectParseError
 from .slopes import K0Class
-from .value import Value, set_field
+from .value import Value, check_ints, set_field
 
 
 # The point universe of windows, catalogs and cut checks when no order is declared.
@@ -55,12 +55,12 @@ class Point(Value):
     """
 
     __slots__ = ("label", "order_index")
+    _ints = {"order_index": ()}
 
     def __init__(self, label: str, order_index: int = 0):
         if not isinstance(label, str) or not (label.isascii() and label.isalnum()):
             raise ValueError(f"point label must be letters/digits, got {label!r}")
-        if order_index.__class__ is not int:
-            raise TypeError(f"point order indices must be integers, got {order_index!r}")
+        check_ints(self._ints, order_index)
         set_field(self, "label", label)
         set_field(self, "order_index", order_index)
 
@@ -108,10 +108,10 @@ class Line(Value):
     """The line bundle O(n), of an int degree n (not a bool)."""
 
     __slots__ = ("n",)
+    _ints = {"n": ()}
 
     def __init__(self, n: int):
-        if n.__class__ is not int:
-            raise TypeError(f"line degrees must be integers, got {n!r}")
+        check_ints(self._ints, n)
         set_field(self, "n", n)
 
     def key(self):
@@ -124,14 +124,10 @@ class Line(Value):
         return ext_dim(self, other, i)
 
     def join(self, summary: ShiftSummary) -> None:
-        """Add this line to a summary: its least and greatest line degree."""
-        n, hi = self.n, summary.hi
-        if hi is None:
-            summary.lo = summary.hi = n
-        elif n > hi:
-            summary.hi = n
-        elif n < summary.lo:
-            summary.lo = n
+        """Add this line to a summary: its degree, the greatest yet (`ShiftSummary`)."""
+        if summary.hi is None:
+            summary.lo = self.n
+        summary.hi = self.n
 
     def hits(self, summary: ShiftSummary, across: bool) -> bool:
         """Whether Ext^0(O(n), s) != 0 for a sheaf s of the summary, or with
@@ -150,10 +146,10 @@ class Torsion(Value):
     """The indecomposable torsion sheaf of int length d >= 1 (not a bool) at a point."""
 
     __slots__ = ("x", "d")
+    _ints = {"d": ()}
 
     def __init__(self, x: Point, d: int):
-        if d.__class__ is not int:
-            raise TypeError(f"torsion lengths must be integers, got {d!r}")
+        check_ints(self._ints, d)
         if d < 1:
             raise ValueError(f"torsion length must be >= 1, got {d}")
         set_field(self, "x", x)
@@ -187,12 +183,13 @@ Indec = Line | Torsion
 class ShiftSummary:
     """What the Hom sweep (`stability._first_hom_violation`) keeps of the
     sheaves placed at one shift.  Each sheaf type adds itself with `join` and
-    tests itself against a summary with `hits`, on its own fields:
+    tests itself against a summary with `hits`, on its own fields.  `join`
+    takes each sheaf as the greatest yet, as terms ascend within a normal form
+    and a later object's sheaf below the greatest hits the summary first:
 
     * `lo`, `hi`: the least and greatest line degree (None before a line);
     * `points`: the points of the torsion sheaves;
-    * `low`, `high`: a stable class of least and of greatest slope (None before
-      a class);
+    * `low`, `high`: a stable class of least and of greatest slope (None before one);
     * `classes`: the stable classes.
     """
 
@@ -216,11 +213,11 @@ class ShiftedIndec(Value):
     """
 
     __slots__ = ("base", "shift", "_hash", "_key", "_rd", "_text")
+    _ints = {"shift": ()}
     __eq__ = object.__eq__
 
     def __new__(cls, base: Line | Torsion | StableClass, shift: int = 0):
-        if shift.__class__ is not int:
-            raise TypeError(f"shifts must be integers, got {shift!r}")
+        check_ints(cls._ints, shift)  # first, so that True cannot find the atom of shift 1
         atom = _ATOMS.get((base, shift))
         if atom is None:  # stored once built in full, so a build that raises stores nothing
             atom = object.__new__(cls)
@@ -265,13 +262,13 @@ class ShiftedIndec(Value):
 class FormalSum(Value):
     """Normal form of a derived object: shifted atoms with multiplicities.
 
-    The atoms are `ShiftedIndec`s, over a `Line` or a `Torsion` on the
-    line and over a `StableClass` on the elliptic curve.  The term list
-    is sorted by atom key and free of zero multiplicities; the zero
-    object is the empty sum.  Each curve has its own subclass, and sums
-    of different subclasses are never equal.  Multiplicities are ints:
-    `from_pairs`, `single` and `m * x` raise TypeError on any other, a bool
-    too (the raw constructor checks nothing).  `rank_degree()` is the signed
+    The atoms are `ShiftedIndec`s, over a `Line` or a `Torsion` on the line
+    and over a `StableClass` on the elliptic curve.  The terms ascend by atom
+    key, with int multiplicities > 0; the zero object is the empty sum.  Each
+    curve has its own subclass, and sums of different subclasses are never
+    equal.  The constructor takes a normal form alone, else raises as
+    `from_pairs` would, or ValueError; `_raw`, the builders' path for terms
+    already in normal form, checks nothing.  `rank_degree()` is the signed
     (rank, degree) int pair, `k0()` that pair as a `K0Class`; they and `render`
     loop in `rank_degree_of` and `render_pairs`, over any run of pairs, so an HN
     term that ends with the next term's pairs is read from its head (`head_before`).
@@ -280,27 +277,35 @@ class FormalSum(Value):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[object, int], ...] = ()):
+        if terms != self.from_pairs(terms).terms:
+            raise ValueError(f"terms must be a normal form, as from_pairs builds it, got {terms}")
         set_field(self, "terms", terms)
+
+    @classmethod
+    def _raw(cls, terms: tuple[tuple[object, int], ...]):
+        """The sum of `terms`, a tuple already in normal form; nothing is checked."""
+        obj = object.__new__(cls)
+        set_field(obj, "terms", terms)
+        return obj
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[object, int]]):
         """Merge, sort and drop zeros; the normal form of a formal sum."""
         acc: dict = {}
         for t, m in pairs:
-            if m.__class__ is not int:
-                raise TypeError(f"multiplicities must be integers, got {m!r}")
+            check_ints("multiplicity", m)
             if m < 0:
                 raise ValueError("multiplicities must be >= 0")
             if m:
                 acc[t] = acc.get(t, 0) + m
-        return cls(tuple(sorted(acc.items(), key=lambda tm: tm[0].key())))
+        return cls._raw(tuple(sorted(acc.items(), key=lambda tm: tm[0].key())))
 
     @classmethod
     def single(cls, atom, mult: int):
         """`mult` copies of one atom: built as it stands when mult > 0, as one
         such summand is a normal form, else as `from_pairs` reads (or refuses) it."""
-        return cls(((atom, mult),)) if mult.__class__ is int and mult > 0 \
-            else cls.from_pairs([(atom, mult)])
+        check_ints("multiplicity", mult)
+        return cls._raw(((atom, mult),)) if mult > 0 else cls.from_pairs([(atom, mult)])
 
     @property
     def is_zero(self) -> bool:
@@ -315,23 +320,22 @@ class FormalSum(Value):
         return self.from_pairs(list(self.terms) + list(other.terms))
 
     def __rmul__(self, m: int):
-        if m.__class__ is not int:
-            raise TypeError(f"multiplicities must be integers, got {m!r}")
+        check_ints("multiplicity", m)
         if m < 0:
             raise ValueError("multiplicities must be >= 0")
-        if m == 0:
-            return type(self)()
-        return type(self)(tuple((t, m * k) for t, k in self.terms))
+        return self._raw(tuple((t, m * k) for t, k in self.terms) if m else ())
 
     def shift(self, n: int):
         # Every atom key starts with the shift, so the order is kept.
-        return type(self)(tuple((t.shifted(n), m) for t, m in self.terms))
+        return self._raw(tuple((t.shifted(n), m) for t, m in self.terms))
 
     def rank_degree(self) -> tuple[int, int]:
-        return rank_degree_of(self.terms)
+        rank, degree = rank_degree_of(self.terms)
+        check_ints("K0 component", rank, degree)
+        return rank, degree
 
     def k0(self) -> K0Class:
-        return K0Class(self.rank_degree())
+        return K0Class(rank_degree_of(self.terms))
 
     def render(self) -> str:
         return render_pairs(self.terms) if self.terms else "0"
@@ -341,14 +345,12 @@ class FormalSum(Value):
 
 
 def rank_degree_of(pairs) -> tuple[int, int]:
-    """The signed (rank, degree) of (atom, multiplicity) pairs, or K0Class's TypeError."""
+    """The signed (rank, degree) of (atom, multiplicity) pairs; unchecked, unlike `rank_degree`."""
     rank = degree = 0
     for t, m in pairs:
         r, d = t._rd
         rank += m * r
         degree += m * d
-    if rank.__class__ is not int or degree.__class__ is not int:
-        K0Class((rank, degree))  # raises its TypeError
     return rank, degree
 
 

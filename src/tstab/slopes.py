@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterable
 
 from .errors import ArityMismatchError, NotPositiveError, ZeroClassError
-from .value import Value, assign, set_field
+from .value import Value, assign, check_ints, set_field
 
 
 class Ordering(enum.Enum):
@@ -43,8 +43,7 @@ class K0Class(Value):
     """A class in the free abelian K0 model: a fixed-length integer vector.
 
     For curve categories the arity is 2 and the components are
-    (rank, degree).  Components must be ints (not bools): anything else
-    raises TypeError rather than being truncated.
+    (rank, degree), ints: anything else raises TypeError, not truncated.
     """
 
     __slots__ = ("components",)
@@ -52,8 +51,7 @@ class K0Class(Value):
     def __init__(self, components: Iterable[int]):
         components = tuple(components)
         for c in components:
-            if c.__class__ is not int:
-                raise TypeError(f"K0 components must be integers, got {c!r}")
+            check_ints("K0 component", c)
         set_field(self, "components", components)
 
     @property
@@ -193,28 +191,39 @@ def gamma_slope(system: PositiveSystem, cls: K0Class) -> tuple[ExtendedRational,
 class ExtendedRational(Value):
     """A rational number d/r or +infinity, with +infinity maximal.
 
-    The fields are coprime ints with r >= 0; +infinity is (1, 0), the value
-    `PLUS_INFINITY`.  `finite` and `reduced` are the conversions; a caller
-    of the constructor gives the fields in this form.  Values compare by
-    cross-multiplication, d*r' < d'*r, exact as no r is negative; against
-    any other type every comparison is NotImplemented.  Equal values have
-    equal fields, so `hash` reads the fields.
+    The fields are coprime ints with r > 0, or (1, 0) for +infinity, the value
+    `PLUS_INFINITY`; the constructor refuses any others, with ValueError.  `finite`
+    and `reduced` are the conversions, through the unchecked `_raw`.  Values compare by cross-multiplication, d*r' < d'*r,
+    exact as no r is negative; against any other type every comparison is
+    NotImplemented.  Equal values have equal fields, so `hash` reads the fields.
     """
 
     __slots__ = ("d", "r")
+    _ints = {"d": (), "r": ()}
 
     def __init__(self, d: int, r: int):
+        check_ints(self._ints, d, r)
+        if not (r > 0 and math.gcd(d, r) == 1 or d == 1 and r == 0):
+            raise ValueError(f"rational fields must be coprime with r > 0, or (1, 0), got {(d, r)}")
         set_field(self, "d", d)
         set_field(self, "r", r)
+
+    @staticmethod
+    def _raw(d: int, r: int) -> "ExtendedRational":
+        """d/r of fields already in lowest terms; nothing is checked."""
+        q = object.__new__(ExtendedRational)
+        set_field(q, "d", d)
+        set_field(q, "r", r)
+        return q
 
     @staticmethod
     def finite(q) -> "ExtendedRational":
         """q as an extended rational: an int (not a bool) or a Fraction, else TypeError."""
         if q.__class__ is int:
-            return ExtendedRational(q, 1)
+            return ExtendedRational._raw(q, 1)
         from fractions import Fraction  # only a caller that has a Fraction pays its import
         if isinstance(q, Fraction):
-            return ExtendedRational(q.numerator, q.denominator)
+            return ExtendedRational._raw(q.numerator, q.denominator)
         raise TypeError(f"a slope must be an int or a Fraction, got {q!r}")
 
     @staticmethod
@@ -225,7 +234,7 @@ class ExtendedRational(Value):
                 raise ZeroClassError("the zero class has no slope")
             return PLUS_INFINITY
         g = math.gcd(d, r) if r > 0 else -math.gcd(d, r)
-        return ExtendedRational(d // g, r // g)
+        return ExtendedRational._raw(d // g, r // g)
 
     @property
     def is_infinite(self) -> bool:
@@ -255,7 +264,7 @@ class ExtendedRational(Value):
         return "+inf" if self.r == 0 else str(self.d) if self.r == 1 else f"{self.d}/{self.r}"
 
 
-PLUS_INFINITY = ExtendedRational(1, 0)
+PLUS_INFINITY = ExtendedRational._raw(1, 0)
 
 # The infinite bounds of cuts and the parameter p = inf, as plain floats.
 INF = float("inf")

@@ -28,7 +28,7 @@ from .errors import FiltrationFormatError, ObjectParseError, UnsupportedFamilyEr
 from .p1 import (Point, ShiftSummary, head_before, hom_profile, point_resolver, point_universe,
                  rank_degree_of, render_pairs)
 from .slopes import ExtendedRational, K0Class, Ordering
-from .value import INT_TEXT, Value, assign, set_field
+from .value import INT_TEXT, Value, assign, check_ints, set_field
 
 
 # --- slope identifiers ------------------------------------------------------
@@ -58,8 +58,10 @@ class CoarseSlope(Value):
     """Slope in the coarse family: the shift level alone."""
 
     __slots__ = ("i",)
+    _ints = {"i": ()}
 
     def __init__(self, i: int):
+        check_ints(self._ints, i)
         set_field(self, "i", i)
 
     def __repr__(self):
@@ -70,8 +72,10 @@ class StandardSlope(Value):
     """Slope (shift, level) with level a line degree (an int) or a Point."""
 
     __slots__ = ("i", "level")
+    _ints = {"i": (), "level": (Point,)}
 
     def __init__(self, i: int, level: int | Point):
+        check_ints(self._ints, i, level)
         set_field(self, "i", i)
         set_field(self, "level", level)
 
@@ -85,16 +89,13 @@ class StandardSlope(Value):
 
 
 class ExceptionalSlope(Value):
-    """Slope (shift, column): column 0 carries O(k), column 1 carries O(k+1).
-
-    A column that is not an int (a bool included) is a TypeError, any int but
-    0 and 1 a ValueError."""
+    """Slope (shift, column): column 0 carries O(k), column 1 carries O(k+1), no other."""
 
     __slots__ = ("i", "col")
+    _ints = {"i": (), "col": ()}
 
     def __init__(self, i: int, col: int):
-        if col.__class__ is not int:  # True must not pass for column 1
-            raise TypeError(f"column must be an integer, got {col!r}")
+        check_ints(self._ints, i, col)  # True must not pass for column 1
         if col not in (0, 1):
             raise ValueError("column must be 0 or 1")
         set_field(self, "i", i)
@@ -108,8 +109,10 @@ class EllipticSlope(Value):
     """Slope (shift, stable class) on the elliptic model; mu is the class's."""
 
     __slots__ = ("i", "cls")
+    _ints = {"i": ()}
 
     def __init__(self, i: int, cls):  # cls: a StableClass
+        check_ints(self._ints, i)
         set_field(self, "i", i)
         set_field(self, "cls", cls)
 
@@ -176,6 +179,7 @@ class Window(Value):
 
     __slots__ = ("max_degree", "max_shift", "max_length", "max_summands", "points", "samples",
                  "seed")
+    _ints = dict.fromkeys(__slots__[:4] + __slots__[5:], ())  # all but points
 
     def __init__(self, max_degree: int = 8, max_shift: int = 2, max_length: int = 3,
                  max_summands: int = 6,
@@ -390,7 +394,7 @@ def merge_towers(family: StabilityFamily,
     and a step of one source hands on its own quotient.
     """
     slope_key = family.slope_key
-    make = type(family.zero)
+    make = type(family.zero)._raw
     atoms = sorted({atom for quotients, terms in sources
                     for obj in (*terms, *(q for _, q in quotients)) for atom, _ in obj.terms},
                    key=methodcaller("key"))

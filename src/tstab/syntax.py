@@ -214,7 +214,7 @@ def _read_object(text: str, category: str, resolve_point, memo: dict) -> tuple[o
                                else "an elliptic object was expected", 0)
     # Summands in strictly ascending key order with positive multiplicities
     # (as `render` writes them) are already a normal form.
-    return ((curve(tuple(pairs)), piecewise and len(pairs) == len(summands)) if ascending
+    return ((curve._raw(tuple(pairs)), piecewise and len(pairs) == len(summands)) if ascending
             else (curve.from_pairs(pairs), False))
 
 
@@ -285,7 +285,7 @@ def filtration_from_json(data: dict) -> tuple[object, HNFiltration]:
         for text in data["terms"]:
             if exact and isinstance(text, str) and prev.endswith(text) \
                     and prev.endswith(" + ", 0, len(prev) - len(text)):
-                term = type(term)(term.terms[-1 - text.count(" + "):])
+                term = term._raw(term.terms[-1 - text.count(" + "):])
             else:
                 term, exact = _read_object(text, category, resolver, memo)
             terms.append(term)

@@ -27,7 +27,7 @@ from .p1 import (DEFAULT_POINTS, DerivedObject, Indec, Line, Point, Torsion, hom
 from .slopes import INF, ExtendedRational
 from .stability import (CheckItem, CoarseSlope, EllipticSlope, ExceptionalSlope, Report,
                         StabilityFamily, StandardSlope, Window)
-from .value import Value, assign
+from .value import Value, assign, check_ints, set_field
 
 
 def _fmt_bound(v) -> str:
@@ -36,13 +36,6 @@ def _fmt_bound(v) -> str:
     if v == -INF:
         return "-inf"
     return str(v)
-
-
-def _threshold(value, name: str, infinite: bool = True) -> int | float:
-    """`value` if it is an int (not a bool) or, where `infinite`, +-INF; else TypeError."""
-    if value.__class__ is int or infinite and value in (INF, -INF):
-        return value
-    raise TypeError(f"{name} must be an integer{' or +-inf' if infinite else ''}, got {value!r}")
 
 
 def _labels(P, name: str) -> frozenset[str]:
@@ -76,9 +69,8 @@ class SlopeCut(Value):
     generators (`heart_generators`), catalog class (`catalog_class`) and
     the diagram token of a slope (`token`).  The family check, the
     defaults and the order of the checks in `classify` and `diagram`
-    are shared here.  Thresholds are ints (not bools), or +-INF where they
-    may be infinite, and point labels are strs; any other value is a
-    TypeError when the cut is built.
+    are shared here.  Thresholds are ints or, where `_ints` says, +-INF, and
+    point labels strs; any other value is a TypeError when the cut is built.
     """
 
     __slots__ = ()
@@ -134,17 +126,20 @@ class StandardCut(SlopeCut):
     """
 
     __slots__ = ("m", "K", "P")
+    _ints = {"m": (), "K": (INF, -INF)}
     family_type, mismatch = StandardP1, "a standard cut needs the standard family"
 
     def __init__(self, m: int, K: int | float = -INF, P: frozenset[str] | None = None):
-        m, K = _threshold(m, "m", False), _threshold(K, "K")
+        check_ints(self._ints, m, K)  # before the empty point set moves m
         if P is not None:
             P = _labels(P, "P")
         if K != INF:
             P = None
         elif P is not None and not P:
             m, K, P = m + 1, -INF, None
-        assign(self, locals())
+        set_field(self, "m", m)
+        set_field(self, "K", K)
+        set_field(self, "P", P)
 
     def line_threshold(self, n: int) -> int:
         return self.m + 1 if n < self.K else self.m
@@ -217,10 +212,10 @@ class ExceptionalCut(SlopeCut):
     """
 
     __slots__ = ("a", "b")
+    _ints = {"a": (INF, -INF), "b": (INF, -INF)}
     family_type, mismatch = ExceptionalP1, "an exceptional cut needs an exceptional family"
 
     def __init__(self, a: int | float, b: int | float):
-        a, b = _threshold(a, "a"), _threshold(b, "b")
         assign(self, locals())
 
     def in_plus(self, s: ExceptionalSlope) -> bool:
@@ -281,10 +276,10 @@ class CoarseCut(SlopeCut):
     """Cut of the coarse slope set: the up-set is everything at shift >= m."""
 
     __slots__ = ("m",)
+    _ints = {"m": ()}
     family_type, mismatch = CoarseZ, "a coarse cut needs the coarse family"
 
     def __init__(self, m: int):
-        m = _threshold(m, "m", False)
         assign(self, locals())
 
     def in_plus(self, s: CoarseSlope) -> bool:
@@ -319,9 +314,8 @@ def _p1_notion(what: str):
 class EllipticCut(SlopeCut):
     """Tilt of the elliptic heart at slope q and point set P, at shift m.
 
-    q is an int (not a bool), a Fraction or an `ExtendedRational`
-    (`PLUS_INFINITY` for inf), which is reduced to lowest terms; any other q
-    is a TypeError, and 0/0 a ZeroClassError.  q lies in [0, 1) or is inf.
+    q is an int (not a bool), a Fraction or an `ExtendedRational` (`PLUS_INFINITY`
+    for inf); any other q is a TypeError.  q lies in [0, 1) or is inf.
     A slope (i, S(r,d,x)) is in the up-set iff i > m, or i = m and mu > q,
     or mu = q with x not in P; up-closure forces P to be down-closed in the
     point order.  The catalog, the classifier, twists, diagrams and heart
@@ -329,12 +323,11 @@ class EllipticCut(SlopeCut):
     """
 
     __slots__ = ("m", "q", "P")
+    _ints = {"m": ()}
     family_type, mismatch = EllipticStandard, "an elliptic cut needs the elliptic family"
 
     def __init__(self, m: int, q, P: Iterable[str] = ()):
-        m = _threshold(m, "m", False)
-        q = (ExtendedRational.reduced(q.d, q.r) if isinstance(q, ExtendedRational)
-             else ExtendedRational.finite(q))
+        q = q if isinstance(q, ExtendedRational) else ExtendedRational.finite(q)
         P = _labels(P, "P")
         assign(self, locals())
 
@@ -497,9 +490,9 @@ class TorsionPair(Value):
     """
 
     __slots__ = ("line_threshold", "torsion_points")
+    _ints = {"line_threshold": (INF, -INF)}
 
     def __init__(self, line_threshold: int | float, torsion_points: frozenset[str] | None = None):
-        line_threshold = _threshold(line_threshold, "line_threshold")
         if torsion_points is not None:
             torsion_points = _labels(torsion_points, "torsion_points")
         assign(self, locals())
@@ -673,6 +666,7 @@ class Classification(Value):
     """Catalog name plus the twist/shift normalising the input cut onto it."""
 
     __slots__ = ("name", "params", "twist", "shift")
+    _ints = {"twist": (), "shift": ()}
 
     def __init__(self, name: str, params: tuple[tuple[str, object], ...], twist: int, shift: int):
         assign(self, locals())

@@ -1,43 +1,28 @@
-"""The base of the package's immutable value types.
+"""The base of the package's immutable value types, and their field contract.
 
-Every record of the package is a `__slots__` class derived from `Value`.
-Its fields are its slots whose names do not start with `_`, in
-declaration order; `Value` gives it the refusal of assignment and
-deletion, a `Name(field=value, ...)` repr, pickle/copy support, and `==`
-and `hash` over the field tuple.  No methods are generated, so defining
-a type costs no more than a plain class and one getter of its fields.
+Every record of the package is a `__slots__` class derived from `Value`.  Its
+fields are its slots whose names do not start with `_`, in declaration order;
+`Value` gives it the refusal of assignment and deletion, a `Name(field=value,
+...)` repr, pickle/copy support, and `==` and `hash` over the field tuple.  A
+slot named with a leading `_` is a derived cache, computed from the fields when
+the value is built (`p1.ShiftedIndec`'s hash, key, K0 pair and text), which
+`_fields`, `_compare`, `repr`, `==` and pickle/copy ignore.
 
-A slot whose name starts with `_` is a derived cache, not a field: a
-value computed once from the fields when the value is built, such as the
-atom's hash, sort key, K0 pair and text (`p1.ShiftedIndec`).  `_fields`,
-`_compare`, `repr`, `==` and pickle/copy ignore it; pickle and copy call
-the class, which computes it again or returns the atom that holds it.  It is
-refused assignment and deletion like a field.
+The field contract: a class names its int fields once, in `_ints`, each with
+what else it takes (a standard slope's level a `Point`, a threshold +-inf).
+`check_ints`, the one test of them and of multiplicities and K0 components,
+refuses any other value, a bool too, with TypeError "<field> must be an
+integer, got <value>"; `assign` runs it, and a hot constructor calls it on
+its values in `_ints` order.  A type with a normal form (`p1.FormalSum`,
+`slopes.ExtendedRational`) refuses fields out of it; the package builds values
+already in normal form through the class's private `_raw`, which checks nothing.
 
-The rules of `==` and `hash`:
-
-* `a == b` compares the field tuples when `a` and `b` are of the very
-  same class, and is NotImplemented (so False, unless reflected)
-  otherwise;
-* `hash(a)` is `hash` of the field tuple, so set and dict order follow
-  the field values alone;
-* a field listed outside `_compare` takes no part in either.
-
-Each class gets its getters in C, an `operator.attrgetter`: `==` compares
-the compared tuples, or the bare field of a one-field type, and `hash`
-reads the tuple, which a one-field type wraps in Python.  Two types keep
-methods of their own:
-
-* `slopes.ExtendedRational`, the exact slope and a sort key element, has
-  `<` and `<=` by cross-multiplication, and an `==` of the same form that
-  sort-key comparisons call hot; its `hash` is `hash` of its coprime fields;
-* `p1.ShiftedIndec` is hash-consed, one object per field tuple, so its `==`
-  is identity; its `hash` returns the `_hash` of that tuple it computed when
-  built, as the field hash nests the hashes of base and point.
-
-Pickle and copy rebuild a value by calling its class on its fields, so
-every constructor takes the fields in declaration order, and a value it
-has normalised comes back as it was.
+`a == b` compares the field tuples (`_compare`, all unless declared) by C
+`operator.attrgetter`s when `a` and `b` are of the very same class, and is
+NotImplemented otherwise; `hash(a)` hashes that tuple, so set and dict order
+follow the field values alone.  `slopes.ExtendedRational` compares by
+cross-multiplication, and `p1.ShiftedIndec`, hash-consed, by identity.  Pickle
+and copy call the class on the fields, which every constructor takes in order.
 
 `INT_TEXT` is the one integer literal of specs, flags and documents.
 """
@@ -70,6 +55,7 @@ class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()   # the slots but the derived ones, in declaration order
     _compare: tuple[str, ...] = ()  # the fields that == and hash read; all unless declared
+    _ints: dict = {}  # the int fields, each with what else it takes (see `check_ints`)
     _eq_key = _compared = staticmethod(_getters(())[0])  # value -> what == and hash read
 
     def __init_subclass__(cls, **kwargs):
@@ -105,7 +91,22 @@ class Value:
         return self.__class__, tuple([getattr(self, f) for f in self._fields])
 
 
+def check_ints(fields: dict | str, a, b=0) -> None:
+    """Refuse, with TypeError, `a` or `b` if it is no int (a bool is none) nor what its field
+    also takes: `fields` maps the fields, in order, to a tuple of the values and classes each
+    also takes, or a str names both.  Two values at most: a fixed arity halves a call's cost."""
+    if a.__class__ is int and b.__class__ is int:
+        return
+    for (name, also), value in zip([(fields, ())] * 2 if isinstance(fields, str)
+                                   else fields.items(), (a, b)):
+        if value.__class__ is not int and value.__class__ not in also and value not in also:
+            other = "".join(f" or {getattr(v, '__name__', repr(v))}" for v in also)
+            raise TypeError(f"{name} must be an integer{other}, got {value!r}")
+
+
 def assign(obj: Value, values: dict) -> None:
-    """Set each field of `obj` from `values`, an `__init__`'s `locals()`."""
+    """Set each field of `obj` from `values`, an `__init__`'s `locals()`, by `check_ints`."""
+    for name, also in obj._ints.items():
+        check_ints({name: also}, values[name])
     for name in obj._fields:
         set_field(obj, name, values[name])

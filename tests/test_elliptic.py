@@ -264,14 +264,17 @@ def test_elliptic_cut_slope_is_read_from_its_fields():
 
 
 def test_elliptic_cut_reduces_a_slope_given_by_its_fields():
-    """Fields not in lowest terms name the reduced slope; 0/0 names none."""
+    """Fields not in lowest terms no longer build a slope (the cut reduced them);
+    `reduced` names the slope, and 0/0 none."""
     for fields, reduced in (((2, 4), (1, 2)), ((-1, -3), (1, 3)), ((3, 0), (1, 0))):
-        cut = EllipticCut(0, ExtendedRational(*fields), {"l"})
+        with pytest.raises(ValueError, match="must be coprime with r > 0, or"):
+            ExtendedRational(*fields)
+        cut = EllipticCut(0, ExtendedRational.reduced(*fields), {"l"})
         assert (cut.q.d, cut.q.r) == reduced
         assert cut == EllipticCut(0, ExtendedRational(*reduced), {"l"})
         assert validate_cut(cut, ORDERED).ok
     with pytest.raises(ZeroClassError, match="the zero class has no slope"):
-        EllipticCut(0, ExtendedRational(0, 0))
+        EllipticCut(0, ExtendedRational.reduced(0, 0))
 
 
 @pytest.mark.parametrize("q", [0, Fraction(1, 3), Fraction(5, 7), Fraction(49, 50),
@@ -306,3 +309,13 @@ def test_window_classes_are_shared_by_windows_of_other_seeds_and_samples():
         assert FAMILY.window_classes(other, 2) == FAMILY.window_classes(base, 2)
     assert FAMILY.window_classes(base, 2) == _window_classes(2, 3, (L, M))
     assert cached((L, M), 3, 2) is not cached((L, M), 4, 2)
+
+
+def test_the_hom_sweep_reads_a_summary_of_the_other_curve_as_no_hit():
+    """A class tested against a shift's summary that only lines joined (and a line
+    against one that only classes joined) hits nothing: the curves do not mix."""
+    from tstab.p1 import line
+    from tstab.stability import _first_hom_violation
+    for objects in ((line(0), stable(1, 0, "x")), (stable(1, 0, "x"), line(0)),
+                    (line(0, 1), stable(1, 0, "x"))):
+        assert _first_hom_violation(objects) is None

@@ -113,7 +113,7 @@ def test_exceptional_slope_rejects_a_column_that_is_not_an_int():
     """ExceptionalSlope(0, True) built, printed `(0, col True)` and equalled
     ExceptionalSlope(0, 1), hash included; a bool or float column now raises."""
     for col in (True, False, 1.0, 0.0, "1", None):
-        with pytest.raises(TypeError, match="column must be an integer"):
+        with pytest.raises(TypeError, match="col must be an integer"):
             ExceptionalSlope(0, col)
     for col in (-1, 2):
         with pytest.raises(ValueError, match="column must be 0 or 1"):

@@ -41,7 +41,7 @@ def test_check_positive_arity_mismatch():
 @pytest.mark.parametrize("components", [(1.7, 2), (True, 2), (1, 2.0), ("1", 2)])
 def test_k0_class_refuses_components_that_are_not_ints(components):
     """Neither truncated (1.7 -> 1) nor coerced (True -> 1)."""
-    with pytest.raises(TypeError, match="K0 components must be integers"):
+    with pytest.raises(TypeError, match="K0 component must be an integer"):
         K0Class(components)
 
 

@@ -119,8 +119,8 @@ def test_verify_k0_additivity_detail_names_both_classes():
 def test_verify_raises_on_a_term_whose_k0_is_not_an_int():
     x = line(1) + line(2)
     filt = STD.hn(x)
-    bad = DerivedObject(((ShiftedIndec(Line(1)), 1.5),))
-    with pytest.raises(TypeError, match=r"^K0 components must be integers, got 1\.5$"):
+    bad = DerivedObject._raw(((ShiftedIndec(Line(1)), 1.5),))  # past the checks
+    with pytest.raises(TypeError, match=r"^K0 component must be an integer, got 1\.5$"):
         verify_hn(x, HNFiltration(STD, filt.quotients, (bad,) + filt.terms[1:]), STD)
 
 
