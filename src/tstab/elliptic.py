@@ -41,10 +41,10 @@ from .errors import FiltrationFormatError
 from .p1 import FormalSum, Point, ShiftSummary, ShiftedIndec, point_resolver
 from .slopes import ExtendedRational
 from .stability import EllipticSlope, StabilityFamily, Window, slope_int, slope_point
-from .value import Value, check_ints, set_field
+from .value import Interned, Value, set_field
 
 
-class StableClass(Value):
+class StableClass(Interned):
     """A stable sheaf class: int rank r >= 0, int degree d (not bools) with
     gcd(r, d) = 1, point x.
 
@@ -56,7 +56,6 @@ class StableClass(Value):
     _ints = {"r": (), "d": ()}
 
     def __init__(self, r: int, d: int, x: Point):
-        check_ints(self._ints, r, d)
         if r < 0:
             raise ValueError("rank must be nonnegative")
         if r == 0 and d != 1:
@@ -131,6 +130,7 @@ class EllipticObject(FormalSum):
     """An object of the elliptic model: a formal sum of shifted stable classes."""
 
     __slots__ = ()
+    _bases = (StableClass,)
 
 
 ELLIPTIC_ZERO = EllipticObject()

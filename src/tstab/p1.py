@@ -11,9 +11,9 @@ Hom sweep's `ShiftSummary` (`join`, `hits`).  `FormalSum` is
 the one normal form, a multiset of atoms with multiplicities, with its own
 `rank_degree`: `DerivedObject` here, `EllipticObject` on the elliptic curve.
 
-Atoms are hash-consed: one object per (base, shift), built once with its
-hash, sort key, signed (rank, degree) and text, which hashing, sorting, K0
-sums and rendering read per summand; atom `==` is identity.
+Points, sheaves and atoms are interned (`tstab.value.Interned`), so `==` is
+identity; an atom is built once with its sort key, signed (rank, degree) and
+text, which sorting, K0 sums and rendering read per summand.
 
 The Hom rule table is classical:
 
@@ -37,16 +37,14 @@ from collections.abc import Callable, Iterable, Iterator
 
 from .errors import ObjectParseError
 from .slopes import K0Class
-from .value import Value, check_ints, set_field
+from .value import Interned, Value, check_ints, set_field
 
 
 # The point universe of windows, catalogs and cut checks when no order is declared.
 DEFAULT_POINTS = ("x", "y", "z")
-# The one `ShiftedIndec` of each (base, shift); never cleared, as atom == is identity.
-_ATOMS: dict[tuple, ShiftedIndec] = {}
 
 
-class Point(Value):
+class Point(Interned):
     """A point of P1: an opaque label plus its int position (not a bool) in the point order.
 
     Points sort by `key()`, (order_index, label), so leaving order_index at
@@ -60,7 +58,6 @@ class Point(Value):
     def __init__(self, label: str, order_index: int = 0):
         if not isinstance(label, str) or not (label.isascii() and label.isalnum()):
             raise ValueError(f"point label must be letters/digits, got {label!r}")
-        check_ints(self._ints, order_index)
         set_field(self, "label", label)
         set_field(self, "order_index", order_index)
 
@@ -104,14 +101,13 @@ def point_universe(labels: tuple[str, ...] = ()) -> tuple[Point, ...]:
 
 # --- indecomposables --------------------------------------------------------
 
-class Line(Value):
+class Line(Interned):
     """The line bundle O(n), of an int degree n (not a bool)."""
 
     __slots__ = ("n",)
     _ints = {"n": ()}
 
     def __init__(self, n: int):
-        check_ints(self._ints, n)
         set_field(self, "n", n)
 
     def key(self):
@@ -142,14 +138,13 @@ class Line(Value):
         return f"O({self.n})"
 
 
-class Torsion(Value):
+class Torsion(Interned):
     """The indecomposable torsion sheaf of int length d >= 1 (not a bool) at a point."""
 
     __slots__ = ("x", "d")
     _ints = {"d": ()}
 
     def __init__(self, x: Point, d: int):
-        check_ints(self._ints, d)
         if d < 1:
             raise ValueError(f"torsion length must be >= 1, got {d}")
         set_field(self, "x", x)
@@ -200,39 +195,25 @@ class ShiftSummary:
         self.points, self.classes = set(), set()
 
 
-class ShiftedIndec(Value):
+class ShiftedIndec(Interned):
     """A sheaf placed in homological degree -shift (i.e. base[shift]): a
     `Line` or a `Torsion` on the line, a `StableClass` on the elliptic curve.
 
-    Hash-consed: `ShiftedIndec(base, shift)`, `shifted`, copy and pickle all
-    return the one atom of (base, shift) in `_ATOMS`, so `==` is identity.
-    `__new__` builds it once, with derived slots (see `tstab.value`): `_hash`,
-    the hash of its fields; `_key`, its sort key; `_rd`, its signed (rank,
-    degree); `_text`, its `render`.  A shift that is a bool or not an int, or
-    a base that is unhashable or not a sheaf, raises and stores no atom.
+    Interned; built once per (base, shift), with its sort key `_key`, signed
+    (rank, degree) `_rd` and text `_text` (see `tstab.value`), or refused: a
+    shift that is no int, or a base that is unhashable or no sheaf, raises.
     """
 
-    __slots__ = ("base", "shift", "_hash", "_key", "_rd", "_text")
+    __slots__ = ("base", "shift", "_key", "_rd", "_text")
     _ints = {"shift": ()}
-    __eq__ = object.__eq__
 
-    def __new__(cls, base: Line | Torsion | StableClass, shift: int = 0):
-        check_ints(cls._ints, shift)  # first, so that True cannot find the atom of shift 1
-        atom = _ATOMS.get((base, shift))
-        if atom is None:  # stored once built in full, so a build that raises stores nothing
-            atom = object.__new__(cls)
-            (r, d), text = base.rank_degree(), base.render()
-            set_field(atom, "base", base)
-            set_field(atom, "shift", shift)
-            set_field(atom, "_hash", hash((base, shift)))
-            set_field(atom, "_key", (shift, *base.key()))
-            set_field(atom, "_rd", (-r, -d) if shift % 2 else (r, d))
-            set_field(atom, "_text", f"{text}[{shift}]" if shift else text)
-            _ATOMS[base, shift] = atom
-        return atom
-
-    def __hash__(self):
-        return self._hash
+    def __init__(self, base: Line | Torsion | StableClass, shift: int = 0):
+        (r, d), text = base.rank_degree(), base.render()
+        set_field(self, "base", base)
+        set_field(self, "shift", shift)
+        set_field(self, "_key", (shift, *base.key()))
+        set_field(self, "_rd", (-r, -d) if shift % 2 else (r, d))
+        set_field(self, "_text", f"{text}[{shift}]" if shift else text)
 
     def shifted(self, n: int) -> "ShiftedIndec":
         return ShiftedIndec(self.base, self.shift + n)
@@ -265,16 +246,18 @@ class FormalSum(Value):
     The atoms are `ShiftedIndec`s, over a `Line` or a `Torsion` on the line
     and over a `StableClass` on the elliptic curve.  The terms ascend by atom
     key, with int multiplicities > 0; the zero object is the empty sum.  Each
-    curve has its own subclass, and sums of different subclasses are never
-    equal.  The constructor takes a normal form alone, else raises as
-    `from_pairs` would, or ValueError; `_raw`, the builders' path for terms
-    already in normal form, checks nothing.  `rank_degree()` is the signed
-    (rank, degree) int pair, `k0()` that pair as a `K0Class`; they and `render`
-    loop in `rank_degree_of` and `render_pairs`, over any run of pairs, so an HN
-    term that ends with the next term's pairs is read from its head (`head_before`).
+    curve has its own subclass, of the sheaf classes `_bases`, and sums of
+    different subclasses are never equal.  The constructor takes a normal form
+    alone, else raises as `from_pairs` would (TypeError for an atom of the other
+    curve), or ValueError; `_raw`, the builders' path for terms already in
+    normal form, checks nothing.  `rank_degree()` is the signed (rank, degree)
+    int pair, `k0()` that pair as a `K0Class`; they and `render` loop in
+    `rank_degree_of` and `render_pairs`, over any run of pairs, so an HN term
+    that ends with the next term's pairs is read from its head (`head_before`).
     """
 
     __slots__ = ("terms",)
+    _bases: tuple[type, ...] = ()
 
     def __init__(self, terms: tuple[tuple[object, int], ...] = ()):
         if terms != self.from_pairs(terms).terms:
@@ -296,16 +279,19 @@ class FormalSum(Value):
             check_ints("multiplicity", m)
             if m < 0:
                 raise ValueError("multiplicities must be >= 0")
+            if t.base.__class__ not in cls._bases:
+                raise TypeError(f"a {cls.__name__} takes no atom of the other curve, got {t!r}")
             if m:
                 acc[t] = acc.get(t, 0) + m
         return cls._raw(tuple(sorted(acc.items(), key=lambda tm: tm[0].key())))
 
     @classmethod
     def single(cls, atom, mult: int):
-        """`mult` copies of one atom: built as it stands when mult > 0, as one
-        such summand is a normal form, else as `from_pairs` reads (or refuses) it."""
+        """`mult` copies of one atom: built as it stands when mult > 0 and the atom is
+        of this curve (a normal form), else as `from_pairs` reads (or refuses) it."""
         check_ints("multiplicity", mult)
-        return cls._raw(((atom, mult),)) if mult > 0 else cls.from_pairs([(atom, mult)])
+        return cls._raw(((atom, mult),)) if mult > 0 and atom.base.__class__ in cls._bases \
+            else cls.from_pairs([(atom, mult)])
 
     @property
     def is_zero(self) -> bool:
@@ -373,6 +359,7 @@ class DerivedObject(FormalSum):
     """A derived object on P1: a formal sum of shifted lines and torsion sheaves."""
 
     __slots__ = ()
+    _bases = (Line, Torsion)
 
 
 ZERO = DerivedObject()
@@ -417,11 +404,13 @@ def hom_dim(a, b, q: int) -> int:
 
 class HomProfile(Value):
     """The graded Hom dimensions between two objects, by degree: `entries`
-    is the sorted tuple of (degree, dim) with dim > 0."""
+    is the sorted tuple of (degree, dim) with dim > 0, each an int (not a bool)."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, int], ...] = ()):
+        for q, n in entries:
+            check_ints({"degree": (), "dim": ()}, q, n)
         set_field(self, "entries", entries)
 
     @staticmethod
@@ -466,7 +455,9 @@ def hom_profile(x: FormalSum, y: FormalSum) -> HomProfile:
                 n = t.base.ext_dim(s.base, i)
                 if n:
                     acc[gap + i] = acc.get(gap + i, 0) + m * k * n
-    return HomProfile.from_dict(acc)
+    profile = object.__new__(HomProfile)  # of int entries, as the sums' multiplicities are
+    set_field(profile, "entries", tuple(sorted((q, n) for q, n in acc.items() if n)))
+    return profile
 
 
 def euler_form(a: K0Class, b: K0Class) -> int:

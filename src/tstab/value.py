@@ -1,11 +1,11 @@
-"""The base of the package's immutable value types, and their field contract.
+"""The base of the package's immutable value types, their field contract and interning.
 
 Every record of the package is a `__slots__` class derived from `Value`.  Its
 fields are its slots whose names do not start with `_`, in declaration order;
 `Value` gives it the refusal of assignment and deletion, a `Name(field=value,
 ...)` repr, pickle/copy support, and `==` and `hash` over the field tuple.  A
 slot named with a leading `_` is a derived cache, computed from the fields when
-the value is built (`p1.ShiftedIndec`'s hash, key, K0 pair and text), which
+the value is built (`p1.ShiftedIndec`'s key, K0 pair and text), which
 `_fields`, `_compare`, `repr`, `==` and pickle/copy ignore.
 
 The field contract: a class names its int fields once, in `_ints`, each with
@@ -21,8 +21,12 @@ already in normal form through the class's private `_raw`, which checks nothing.
 `operator.attrgetter`s when `a` and `b` are of the very same class, and is
 NotImplemented otherwise; `hash(a)` hashes that tuple, so set and dict order
 follow the field values alone.  `slopes.ExtendedRational` compares by
-cross-multiplication, and `p1.ShiftedIndec`, hash-consed, by identity.  Pickle
-and copy call the class on the fields, which every constructor takes in order.
+cross-multiplication.  Pickle and copy call the class on the fields, which
+every constructor takes in order.  An `Interned` class (the points, sheaves and
+atoms of `p1` and `elliptic`) maps each field tuple, defaults filled in, to one
+value in its table: a call checks the int fields, looks the tuple up, and on a
+miss runs `__init__`'s other rules and stores the value built, so a refused build
+stores nothing; `==` is identity, and copy and pickle return the table's value.
 
 `INT_TEXT` is the one integer literal of specs, flags and documents.
 """
@@ -110,3 +114,38 @@ def assign(obj: Value, values: dict) -> None:
         check_ints({name: also}, values[name])
     for name in obj._fields:
         set_field(obj, name, values[name])
+
+
+class _Interning(type):
+    """The class of the `Interned` classes: calling one returns its table's value."""
+
+    def __call__(cls, *fields):
+        if len(fields) != cls._arity:  # the defaults, so that they make no second key
+            fields += cls._defaults[len(fields) - cls._arity:]
+            if len(fields) != cls._arity:
+                return super().__call__(*fields)  # which refuses the arity
+        i, j = cls._int_at  # before the lookup, as True == 1.0 == 1 hash alike
+        if fields[i].__class__ is not int or fields[j].__class__ is not int:
+            check_ints(cls._ints, fields[i], fields[j])  # j is i for one field, unread
+        value = cls._table.get(fields)
+        if value is None:
+            value = cls._table[fields] = super().__call__(*fields)
+            set_field(value, "_hash", hash(fields))
+        return value
+
+
+class Interned(Value, metaclass=_Interning):
+    """A hash-consed value (see above) of one or two int fields, whose `__init__`
+    takes its fields in order, positionally, and sets them as given."""
+
+    __slots__ = ("_hash",)
+    __eq__ = object.__eq__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        at = [cls._fields.index(name) for name in cls._ints]
+        cls._table, cls._arity, cls._int_at = {}, len(cls._fields), (*at, *at)[:2]
+        cls._defaults = cls.__init__.__defaults__ or ()
+
+    def __hash__(self):
+        return self._hash

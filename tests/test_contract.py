@@ -6,6 +6,8 @@ no int (a bool included) and not what the field also takes.  The sums and
 the exact slope refuse fields out of their normal form.
 """
 
+import re
+
 import pytest
 
 import tstab
@@ -16,6 +18,7 @@ from tstab import (CatalogEntry, CheckItem, Classification, CoarseCut, CoarseSlo
                    K0Class, Line, PLUS_INFINITY, Point, PositiveSystem, Report, ShiftedIndec,
                    SlopeCut, SlopePartition, StableClass, StandardCut, StandardP1, StandardSlope,
                    Torsion, TorsionPair, Window, line, normalize, stable, verify_hn)
+from tstab.elliptic import normalize_elliptic
 from tstab.value import Value
 
 X = Point("x")
@@ -95,6 +98,8 @@ def test_a_field_that_is_no_int_is_refused(build):
 
 
 O0, O3 = ShiftedIndec(Line(0)), ShiftedIndec(Line(3))
+ON_THE_ELLIPTIC_CURVE = {O0: ShiftedIndec(StableClass(1, 0, X)),
+                         O3: ShiftedIndec(StableClass(1, 3, X))}  # of the same order
 
 
 @pytest.mark.parametrize("terms, error", [
@@ -106,11 +111,40 @@ O0, O3 = ShiftedIndec(Line(0)), ShiftedIndec(Line(3))
     (((O0, True),), TypeError),
 ], ids=["unsorted", "repeated", "zero", "negative", "float", "bool"])
 def test_a_sum_out_of_normal_form_is_refused(terms, error):
-    for curve in (DerivedObject, EllipticObject):
+    for curve, atoms in ((DerivedObject, {}), (EllipticObject, ON_THE_ELLIPTIC_CURVE)):
         with pytest.raises(error):
-            curve(terms)
+            curve(tuple((atoms.get(t, t), m) for t, m in terms))
     with pytest.raises(error):
         DerivedObject(list(terms))
+
+
+def test_a_sum_refuses_an_atom_of_the_other_curve():
+    """Once, `normalize` of an elliptic atom built a `DerivedObject`, whose `hn`
+    under `StandardP1` gave the slope (0, x)."""
+    s0, s3 = ON_THE_ELLIPTIC_CURVE[O0], ON_THE_ELLIPTIC_CURVE[O3]
+    builds = [lambda: normalize([(s0, 1)]), lambda: DerivedObject(((s0, 1),)),
+              lambda: DerivedObject.single(s0, 1), lambda: EllipticObject(((O0, 1),)),
+              lambda: EllipticObject.from_pairs([(s3, 1), (O0, 0)])]  # at multiplicity 0 too
+    for build in builds:
+        with pytest.raises(TypeError, match=r"^a (Derived|Elliptic)Object takes no atom of "
+                                            r"the other curve, got (O\(0\)|S\(1,0,x\))$"):
+            build()
+    assert EllipticObject.single(s0, 1) == normalize_elliptic([(s0, 1)]) == stable(1, 0, "x")
+
+
+@pytest.mark.parametrize("entries, message", [
+    (((0, 1.5),), "dim must be an integer, got 1.5"),
+    (((True, "a"),), "degree must be an integer, got True"),
+    (((0, 1), (1, True)), "dim must be an integer, got True"),
+], ids=["float-dim", "bool-degree", "bool-dim"])
+def test_a_hom_profile_takes_int_entries_only(entries, message):
+    """Once, `HomProfile(((0, 1.5),))` printed {0: 1.5} and `HomProfile(((True, "a"),))`
+    printed {True: a}."""
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        HomProfile(entries)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        HomProfile.from_dict(dict(entries))
+    assert repr(HomProfile(((0, 2), (1, 1)))) == "{0: 2, 1: 1}"
 
 
 def test_a_sum_in_normal_form_builds_and_equals_its_normalization():

@@ -2559,6 +2559,17 @@ def oracle_atoms_equal(a, b) -> bool:
     return type(a) is type(b) and vars(a) == vars(b)
 
 
+def oracle_fields(value):
+    """A sheaf or point as plain data, its class and its fields, a point field
+    read the same way: equal as the field-comparing value types compared them."""
+    if isinstance(value, Value):
+        return type(value), tuple(oracle_fields(getattr(value, f)) for f in value._fields)
+    return value
+
+
+_ROUND_TRIPS = (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)))
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_atoms_are_one_object_exactly_when_the_oracle_atoms_are_equal(data):
@@ -2567,7 +2578,7 @@ def test_atoms_are_one_object_exactly_when_the_oracle_atoms_are_equal(data):
     for oracle, _, sheaves in _sheaves(order):
         drawn = data.draw(st.lists(st.tuples(sheaves, st.integers(-2, 2)), min_size=1,
                                    max_size=8))
-        # some pairs again, over a fresh but equal sheaf (and point)
+        # some pairs again, over a sheaf (and point) built again from its fields
         drawn += [(copy.deepcopy(b), sh) for b, sh in
                   data.draw(st.lists(st.sampled_from(drawn), max_size=3))]
         atoms += [(ShiftedIndec(b, sh), oracle(b, sh)) for b, sh in drawn]
@@ -2575,14 +2586,26 @@ def test_atoms_are_one_object_exactly_when_the_oracle_atoms_are_equal(data):
         assert new.key() == old.key()
         assert new.rank_degree() == old.rank_degree()
         assert new.render() == old.render()
+        assert all(round_trip(new) is new for round_trip in _ROUND_TRIPS)
     for (a, old_a), (b, old_b) in itertools.product(atoms, repeat=2):
         assert (a is b) == (a == b) == oracle_atoms_equal(old_a, old_b)
         assert (a != b) == (not oracle_atoms_equal(old_a, old_b))
         if type(old_a) is type(old_b):  # Ext is within one curve
             for i in range(-1, 3):
                 assert a.ext_dim(b, i) == old_a.ext_dim(old_b, i)
+    # the sheaves and points under the atoms: one object exactly when the fields are equal
+    parts = [part for new, _ in atoms for part in (new.base, getattr(new.base, "x", None))
+             if part is not None]
+    for part in parts:
+        fields = tuple(getattr(part, f) for f in part._fields)
+        assert type(part)(*fields) is part and hash(part) == hash(fields)
+        assert all(round_trip(part) is part for round_trip in _ROUND_TRIPS)
+    for a, b in itertools.product(parts, repeat=2):
+        assert (a is b) == (a == b) == (oracle_fields(a) == oracle_fields(b))
+        assert (a != b) == (oracle_fields(a) != oracle_fields(b))
 
 
+_TABLES = (Point, Line, Torsion, StableClass, ShiftedIndec)  # the interned classes
 _NOT_SHIFTS = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
                         st.just(None), st.fractions())
 _NOT_SHEAVES = st.one_of(st.integers(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
@@ -2598,10 +2621,16 @@ def test_a_failed_atom_build_leaves_the_table_unchanged(data):
     base, shift = data.draw(st.one_of(
         st.tuples(st.one_of(p1_sheaves, ell_sheaves), _NOT_SHIFTS),
         st.tuples(_NOT_SHEAVES, st.integers(-3, 3))))
-    before = dict(p1._ATOMS)
+    x = data.draw(_points(order))
+    bad_base = data.draw(st.sampled_from([  # refused by the rules run on a miss
+        lambda: Torsion(x, 0), lambda: StableClass(2, 4, x), lambda: StableClass(0, 2, x),
+        lambda: Point("a b")]))
+    before = [dict(cls._table) for cls in _TABLES]
     with pytest.raises((TypeError, AttributeError)):
         ShiftedIndec(base, shift)
-    assert p1._ATOMS == before
+    with pytest.raises(ValueError):
+        bad_base()
+    assert [cls._table for cls in _TABLES] == before
 
 
 def _atoms_of(x, filt):
@@ -2981,8 +3010,9 @@ _SLOPE = st.one_of(_make("CoarseSlope", _INTS),
                    _make("StandardSlope", _INTS, st.one_of(_INTS, _POINT)),
                    _make("ExceptionalSlope", _INTS, st.integers(-1, 2)),
                    _make("EllipticSlope", _INTS, _STABLE))
-_SUMMANDS = st.one_of(st.lists(st.tuples(_SHIFTED_INDEC, st.integers(1, 3)), max_size=3),
-                      st.lists(st.tuples(_SHIFTED_STABLE, st.integers(1, 3)), max_size=3))
+_SUMMANDS = {curve: st.lists(st.tuples(atom, st.integers(1, 3)), max_size=3)  # a curve's own atoms
+             for curve, atom in (("DerivedObject", _SHIFTED_INDEC),
+                                 ("EllipticObject", _SHIFTED_STABLE))}
 
 
 def _in_normal_form(pairs):
@@ -2998,8 +3028,8 @@ def _in_normal_form(pairs):
     return tuple(first[atom] for atom in sorted(first, key=ShiftedIndec.key))
 
 
-_SUM = st.tuples(st.sampled_from(["DerivedObject", "EllipticObject"]),
-                 _SUMMANDS.map(_in_normal_form)).map(lambda nt: Make(nt[0], (nt[1],)))
+_SUM = st.sampled_from(sorted(_SUMMANDS)).flatmap(
+    lambda curve: _SUMMANDS[curve].map(lambda pairs: Make(curve, (_in_normal_form(pairs),))))
 _FAMILIES = (CoarseZ(), StandardP1(("y", "x")), ExceptionalP1(0, INF), EllipticStandard())
 _FILTRATION = _make("HNFiltration", st.sampled_from(_FAMILIES),
                     st.lists(st.tuples(_SLOPE, _SUM), max_size=2).map(tuple),

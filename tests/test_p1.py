@@ -234,10 +234,12 @@ _NOT_INTS = (1.5, 2.0, True, Fraction(2))
 
 @pytest.mark.parametrize("mult", _NOT_INTS, ids=repr)
 def test_normalize_refuses_a_multiplicity_that_is_not_an_int(mult):
-    atom = ShiftedIndec(Line(3))
-    for build in (normalize, normalize_elliptic, DerivedObject.from_pairs):
+    on_p1 = ShiftedIndec(Line(1)), ShiftedIndec(Line(3))
+    on_elliptic = ShiftedIndec(StableClass(1, 0, X)), ShiftedIndec(StableClass(1, 3, X))
+    for build, (first, atom) in ((normalize, on_p1), (normalize_elliptic, on_elliptic),
+                                 (DerivedObject.from_pairs, on_p1)):
         with pytest.raises(TypeError) as err:
-            build([(ShiftedIndec(Line(1)), 1), (atom, mult)])
+            build([(first, 1), (atom, mult)])
         assert str(err.value) == f"multiplicity must be an integer, got {mult!r}"
 
 
@@ -283,6 +285,30 @@ def test_derived_slots_survive_copy_and_pickle(atom):
     for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         again = round_trip(atom)
         assert again is atom  # the table's atom, its derived slots with it
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: Line(True), "n"), (lambda: Line(1.0), "n"), (lambda: Torsion(X, True), "d"),
+    (lambda: StableClass(1.0, 0, X), "r"), (lambda: Point("x", False), "order_index"),
+    (lambda: ShiftedIndec(Line(1), True), "shift")], ids=repr)
+def test_an_equal_value_that_is_no_int_finds_no_interned_sheaf(build, field):
+    """True == 1.0 == 1 hash alike, so each is refused before the table is read,
+    though the sheaf (or point) of the int is already in it."""
+    held = Line(1), Torsion(X, 1), StableClass(1, 0, X), Point("x", 0), ShiftedIndec(Line(1), 1)
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got "):
+        build()
+    assert (Line(1), Torsion(X, 1), StableClass(1, 0, X), Point("x", 0),
+            ShiftedIndec(Line(1), 1)) == held
+
+
+def test_interned_values_fill_in_defaults_and_keep_the_field_hash():
+    assert Point("x") is Point("x", 0) is X
+    assert ShiftedIndec(Line(3)) is ShiftedIndec(Line(3), 0)
+    assert hash(Line(3)) == hash((3,)) and hash(X) == hash(("x", 0))
+    assert hash(Torsion(X, 2)) == hash((X, 2)) and hash(StableClass(1, 0, X)) == hash((1, 0, X))
+    assert (Line(3) == Line(3)) and Line(3) != Line(4) and Line(3) != 3
+    with pytest.raises(TypeError):
+        Torsion(X)  # too few fields, as before
 
 
 @pytest.mark.parametrize("name", DERIVED)

@@ -10,9 +10,10 @@ of the two filtrations.  Under `ExceptionalP1(0, 0)` the same object has a
 few quotients whose terms mostly do not end with the next term, so they are
 rendered, read and summed in full: `exc_round_trip_ms` times its `to_json`,
 `filtration_from_json` and `verify_hn` of what that reads back.  Prints one
-JSON line: each N with its timings in ms, and whether every filtration
+JSON line: each N with its timings in ms, whether every filtration
 verified and each read-back one is equal and holds the original's atom
-objects (atoms are hash-consed, one object per sheaf and shift).
+objects (atoms are hash-consed, one object per sheaf and shift), and the
+size of each intern table once N is done (`tables`), which only grows.
 
     python tools/roundtrip_scale.py [N ...]        (default: 400 1600)
 
@@ -36,7 +37,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tstab import ExceptionalP1, StandardP1, normalize, verify_hn  # noqa: E402
 from tstab.syntax import filtration_from_json  # noqa: E402
-from tstab.p1 import Line, ShiftedIndec  # noqa: E402
+from tstab.elliptic import StableClass  # noqa: E402
+from tstab.p1 import Line, Point, ShiftedIndec, Torsion  # noqa: E402
+
+INTERNED = (Point, Line, Torsion, StableClass, ShiftedIndec)
 
 
 def timed(call):
@@ -77,7 +81,8 @@ def measure(n: int) -> dict:
             "verify_read_ms": verify_read_ms, "eq_ms": eq_ms, "exc_round_trip_ms": exc_ms,
             "ok": report.ok and report2.ok and equal and x2 == x
             and report3.ok and filt3 == exc and x3 == x
-            and same_atoms(x, filt, x2, filt2) and same_atoms(x, exc, x3, filt3)}
+            and same_atoms(x, filt, x2, filt2) and same_atoms(x, exc, x3, filt3),
+            "tables": {cls.__name__: len(cls._table) for cls in INTERNED}}
 
 
 def main(argv: list[str]) -> int:
