@@ -66,10 +66,6 @@ class StableClass(Interned):
         set_field(self, "d", d)
         set_field(self, "x", x)
 
-    @property
-    def is_skyscraper(self) -> bool:
-        return self.r == 0
-
     def mu(self) -> ExtendedRational:
         return ExtendedRational._raw(self.d, self.r)  # a skyscraper's (d, r) is (1, 0), +infinity
 

@@ -37,7 +37,7 @@ from .p1 import (DerivedObject, Line, Point, ShiftedIndec, Torsion, ZERO, hom_di
                  normalize, point_resolver, torsion)
 from .slopes import INF
 from .stability import (CheckItem, CoarseSlope, ExceptionalSlope, Report, StabilityFamily,
-                        StandardSlope, Window, slope_int, slope_point)
+                        StandardSlope, Window, slope_int, slope_point, window_slopes)
 from .value import Value, assign, set_field
 
 
@@ -258,13 +258,12 @@ def is_finer(fine: StabilityFamily, weak: StabilityFamily, window: Window) -> Fi
     shift-periodic families here a window check at the default radius
     certifies the global statement.
     """
-    gens = fine.window_generators(window)
-    if not gens:
+    table = window_slopes(fine, window)
+    if not table:
         return FinerVerdict(False, "coverage", "no cases examined")
     assignments = []  # (generator, fine slope, weak slope)
     bad = []
-    for g in gens:
-        phi = fine.semistable_slope(g)
+    for g, phi in table:
         psi = weak.semistable_slope(g)
         if psi is None:
             bad.append(g.render())
@@ -319,14 +318,29 @@ class SlopePartition(Value):
         assign(self, locals())
 
 
+# The block maps of the named partitions, module functions so that two partitions
+# built from them are equal and pickle by name.
+
+def _shift_of(s) -> int:
+    return s.i
+
+
+def _column_of(s) -> int:
+    return s.col
+
+
+def _same_block(b: int, n: int = 1) -> int:
+    """A block's own sort key, and tau^n of a block that tau fixes."""
+    return b
+
+
+def _shift_block(b: int, n: int = 1) -> int:
+    return b + n
+
+
 def by_shift_partition() -> SlopePartition:
     """Blocks of the standard slope set by shift level (the coarse analog)."""
-    return SlopePartition(
-        label="by-shift",
-        block_of=lambda s: s.i,
-        block_key=lambda b: b,
-        tau_block=lambda b, n=1: b + n,
-    )
+    return SlopePartition("by-shift", _shift_of, _same_block, _shift_block)
 
 
 def column_partition() -> SlopePartition:
@@ -336,31 +350,29 @@ def column_partition() -> SlopePartition:
     below the second; for finite p the columns interleave and `coarsen`
     rejects the partition.
     """
-    return SlopePartition(
-        label="columns",
-        block_of=lambda s: s.col,
-        block_key=lambda b: b,
-        tau_block=lambda b, n=1: b,
-    )
+    return SlopePartition("columns", _column_of, _same_block, _same_block)
 
 
 # The partitions a coarsened family's descriptor can name; their block ids are ints.
 PARTITIONS = {"by-shift": by_shift_partition, "columns": column_partition}
 
 
-class CoarsenedFamily(StabilityFamily):
+class CoarsenedFamily(StabilityFamily, Value):
     """The derived family of a validated slope-set partition.
 
     Semistable objects are those whose base HN slopes all lie in one
     block.  A summand's HN quotients are its base quotients in their
-    blocks, or the whole summand when they all lie in one block.
+    blocks, or the whole summand when they all lie in one block.  The
+    fields are (base, partition); `kind` and `zero`, read off them, are
+    plain instance attributes, as cheap to read as a class's.
     """
 
+    __slots__ = ("base", "partition")
+
     def __init__(self, base: StabilityFamily, partition: SlopePartition):
-        self.base = base
-        self.partition = partition
-        self.kind = f"coarsened({base.kind}; {partition.label})"
-        self.zero = base.zero
+        assign(self, locals())
+        set_field(self, "kind", f"coarsened({base.kind}; {partition.label})")
+        set_field(self, "zero", base.zero)
 
     @property
     def point_labels(self) -> tuple[str, ...]:
@@ -416,13 +428,7 @@ def coarsen(family: StabilityFamily, partition: SlopePartition,
     compare the way their blocks do) and permuted by tau; violations
     raise InvalidPartitionError with a witness.
     """
-    slopes = []
-    seen = set()
-    for g in family.window_generators(window):
-        s = family.semistable_slope(g)
-        if s is not None and s not in seen:
-            seen.add(s)
-            slopes.append(s)
+    slopes = list(dict.fromkeys(s for _, s in window_slopes(family, window) if s is not None))
     try:
         blocks = [partition.block_of(s) for s in slopes]
     except (AttributeError, TypeError):
@@ -454,8 +460,7 @@ def finest_check(family: StabilityFamily, window: Window) -> Report:
     Only Hom^0 is tested: multiplicities are positive, so Hom^0(a, b) != 0
     exactly when some summand pair (ta, tb) has hom_dim(ta, tb, 0) != 0."""
     groups: dict = {}
-    for g in family.window_generators(window):
-        s = family.semistable_slope(g)
+    for g, s in window_slopes(family, window):
         if s is not None:
             groups.setdefault(s, []).append(g)
     ok, detail = True, ""

@@ -239,26 +239,6 @@ class HNFiltration(Value):
     def quotient_objects(self) -> tuple:
         return tuple(o for _, o in self.quotients)
 
-    @staticmethod
-    def empty(family: "StabilityFamily") -> "HNFiltration":
-        return HNFiltration(family, (), (family.zero,))
-
-    @staticmethod
-    def from_quotients(family: "StabilityFamily",
-                       quotients: Sequence[tuple[object, object]]) -> "HNFiltration":
-        """Filtration with terms taken as partial sums of the quotients.
-
-        Only correct when the filtered object really is the direct sum
-        of the quotients (as in the standard and elliptic families, or
-        in synthetic test data); `hn` takes the terms of non-split
-        towers from the summands' own towers instead.
-        """
-        terms = [family.zero]
-        for _, obj in reversed(list(quotients)):
-            terms.append(terms[-1] + obj)
-        terms.reverse()
-        return HNFiltration(family, tuple(quotients), tuple(terms))
-
     def shifted(self, n: int) -> "HNFiltration":
         """Apply the shift [n]: slopes move by tau^n, objects by [n]."""
         fam = self.family
@@ -301,7 +281,7 @@ class StabilityFamily:
     * `slope_of_term(term)`: the slope of a semistable generator term, or
       None if it is not a generator;
     * `window_generators(window)`: single-generator objects spanning the
-      window's slopes;
+      window's slopes, which the window checks read through `window_slopes`;
     * `random_object(rng, window)`: a random object of the window.
     """
 
@@ -447,18 +427,6 @@ def merge_towers(family: StabilityFamily,
 
 # --- module-level operations --------------------------------------------------
 
-def _maps_at_or_below_zero(t, s) -> bool:
-    """Whether Hom^q(t, s) != 0 for some q <= 0, for two shifted atoms; the
-    exact test that names the first violating pair of `_first_hom_violation`.
-
-    Ext between sheaves lives in degrees 0 and 1, so Hom^q(t, s) is
-    Ext^0 at q = gap and Ext^1 at q = gap + 1, where gap = shift(t) -
-    shift(s); a gap >= 1 leaves nothing in degrees <= 0.
-    """
-    gap = t.shift - s.shift
-    return gap <= 0 and bool(t.base.ext_dim(s.base, 0) or (gap < 0 and t.base.ext_dim(s.base, 1)))
-
-
 def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
     """The first (j, i), i < j, with Hom^(<=0)(objects[j], objects[i]) != 0.
 
@@ -466,7 +434,8 @@ def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
     `p1.ShiftSummary` per shift of the summands of objects[:j].  A summand t
     of objects[j] maps to an earlier summand s in a degree <= 0 exactly when
     Ext^0(t, s) != 0 with shift(s) >= shift(t), or Ext^1(t, s) != 0 with
-    shift(s) > shift(t) (`_maps_at_or_below_zero`).  So t is tested, by its
+    shift(s) > shift(t), as Hom^q(t, s) = Ext^(q + shift(s) - shift(t))(t, s)
+    and Ext between sheaves lives in degrees 0 and 1.  So t is tested, by its
     sheaf's `hits`, against the summary of its own shift for Ext^0, and
     against those of higher shifts for Ext^0 or Ext^1; the latter only once
     a shift above t's has been seen, which ascending HN quotients seldom show.
@@ -486,8 +455,8 @@ def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
       its own, and across a gap also a least slope below its own.  Slopes
       compare by the int cross product, as `hom_dim_stable` decides.
 
-    At the first j that hits, the summands of objects[j] are scanned pairwise
-    against those of each earlier object in turn, to name the least i.
+    At the first j that hits, `hom_profile` of objects[j] against each earlier
+    object in turn names the least i.
     """
     summaries: dict[int, ShiftSummary] = {}
     top = None  # the greatest shift with a summary
@@ -499,8 +468,8 @@ def _first_hom_violation(objects: Sequence) -> tuple[int, int] | None:
             if not hit and top is not None and top > shift:
                 hit = any(base.hits(above, True) for at, above in summaries.items() if at > shift)
             if hit:
-                return j, next(i for i in range(j) for s, _ in objects[i].terms
-                               if any(_maps_at_or_below_zero(u, s) for u, _ in obj.terms))
+                return j, next(i for i in range(j)
+                               if not hom_profile(obj, objects[i]).vanishes_at_and_below(0))
         for t, _ in obj.terms:
             own = summaries.get(t.shift)
             if own is None:
@@ -577,6 +546,12 @@ def verify_hn(x, filt: HNFiltration, family: StabilityFamily) -> Report:
     return Report(tuple(checks))
 
 
+def window_slopes(family: StabilityFamily, window: Window) -> list[tuple[object, object]]:
+    """Each window generator of the family, in order, with its semistable slope
+    (None for one that is not semistable); the table the window checks read."""
+    return [(g, family.semistable_slope(g)) for g in family.window_generators(window)]
+
+
 def validate_stability(family: StabilityFamily, window: Window) -> Report:
     """Check the stability axioms on a finite window of generators.
 
@@ -588,22 +563,21 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
     summed, and `_first_hom_violation` scans the sums in ascending key
     order.  Hom dimensions are bilinear and nonnegative, so two sums
     vanish exactly when all their generator pairs do.  Only on a
-    violation are the generator pairs scanned, in generator order, to
-    name the first failing pair and count the pairs up to it.
+    violation are the generator pairs' `hom_profile`s read, in generator
+    order, to name the first failing pair and count the pairs up to it.
 
     The report ends at a failing `generators_semistable`: at a generator
     that is not semistable, or at a window with no generators.
     """
-    gens = family.window_generators(window)
-    slopes = [family.semistable_slope(g) for g in gens]
+    table = window_slopes(family, window)
     detail = next((f"window generator {g.render()} is not semistable"
-                   for g, s in zip(gens, slopes) if s is None), "")
-    checks = [CheckItem.over("generators_semistable", len(gens), not detail, detail)]
+                   for g, s in table if s is None), "")
+    checks = [CheckItem.over("generators_semistable", len(table), not detail, detail)]
     if not checks[0].ok:
         return Report(tuple(checks))
 
     ok, detail = True, ""
-    for g, s in zip(gens, slopes):
+    for g, s in table:
         shifted_slope = family.semistable_slope(g.shift(1))
         if shifted_slope != family.tau(s):
             ok, detail = False, f"slope of {g.render()}[1] is not tau(slope)"
@@ -614,24 +588,25 @@ def validate_stability(family: StabilityFamily, window: Window) -> Report:
         if family.tau(family.tau(s), -1) != s:
             ok, detail = False, f"tau_inv(tau) != id at {family.render_slope(s)}"
             break
-    checks.append(CheckItem.over("tau_equivariance", len(gens), ok, detail))
+    checks.append(CheckItem.over("tau_equivariance", len(table), ok, detail))
 
     ok, detail = True, ""
-    keys = [family.slope_key(s) for s in slopes]
+    keyed = [(g, family.slope_key(s)) for g, s in table]
     groups: dict = {}
-    for g, k in zip(gens, keys):
+    for g, k in keyed:
         groups.setdefault(k, []).append(g)
-    pairs = (len(gens) ** 2 - sum(len(grp) ** 2 for grp in groups.values())) // 2
+    pairs = (len(keyed) ** 2 - sum(len(grp) ** 2 for grp in groups.values())) // 2
     make = type(family.zero).from_pairs
     sums = [make(p for g in groups[k] for p in g.summands()) for k in sorted(groups)]
     if _first_hom_violation(sums) is not None:
         ok = False
-        scan = ((g1, g2) for g1, k1 in zip(gens, keys) for g2, k2 in zip(gens, keys) if k1 > k2)
+        scan = ((g1, g2) for g1, k1 in keyed for g2, k2 in keyed if k1 > k2)
         for pairs, (g1, g2) in enumerate(scan, 1):
-            if _first_hom_violation((g2, g1)) is not None:
+            profile = family.hom_profile(g1, g2)
+            if not profile.vanishes_at_and_below(0):
                 break
         detail = (f"Hom^(<=0)({g1.render()}, {g2.render()}) != 0 "
-                  f"against the order: profile {family.hom_profile(g1, g2)!r}")
+                  f"against the order: profile {profile!r}")
     checks.append(CheckItem.over("hom_vanishing", pairs, ok, detail))
 
     rng = random.Random(window.seed)

@@ -379,7 +379,8 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
     up-closure check on a window of slopes around the cut.  Up-closure
     fails exactly when an up slope lies below the highest down slope, so
     one pass finds that key; the detail names the first such up slope in
-    window order, and the first down slope above it.
+    window order, and the first down slope above it.  A window with no
+    slopes (a negative radius) examines nothing, so that item fails.
     """
     reason = cut.validity_reason(family)
     checks = [CheckItem("cut_constraints", reason is None, reason or "")]
@@ -395,7 +396,7 @@ def validate_cut(cut: SlopeCut, family: StabilityFamily, radius: int = 4) -> Rep
             s2 = next(s for s, key, up in keyed if not up and key > key1)
             detail = (f"up-closure fails: {family.render_slope(s1)} is in the up-set "
                       f"but {family.render_slope(s2)} above it is not")
-        checks.append(CheckItem("window_up_closure", ok, detail))
+        checks.append(CheckItem.over("window_up_closure", len(slopes), ok, detail))
     return Report(tuple(checks))
 
 
@@ -501,37 +502,6 @@ class TorsionPair(Value):
         if isinstance(base, Line):
             return base.n >= self.line_threshold
         return self.torsion_points is None or base.x.label in self.torsion_points
-
-    @staticmethod
-    def from_predicates(pred_first, degrees: Iterable[int],
-                        points: Sequence[Point], lengths: Iterable[int] = (1, 2)
-                        ) -> "TorsionPair":
-        """Infer the level-set description of a predicate on indecomposables.
-
-        Raises NotSlopeDescribableError when the predicate is not a
-        degree up-set on lines, or distinguishes torsion sheaves of the
-        same point by length.
-        """
-        degrees = sorted(degrees)
-        flags = [bool(pred_first(Line(n))) for n in degrees]
-        if any(a and not b for a, b in zip(flags, flags[1:])):
-            raise NotSlopeDescribableError("line membership is not an up-set in the degree")
-        if all(flags):
-            threshold: int | float = -INF
-        elif not any(flags):
-            threshold = INF
-        else:
-            threshold = degrees[flags.index(True)]
-        pts = set()
-        for pt in points:
-            verdicts = {bool(pred_first(Torsion(pt, d))) for d in lengths}
-            if len(verdicts) > 1:
-                raise NotSlopeDescribableError(
-                    f"torsion membership at {pt.label} depends on the length")
-            if verdicts.pop():
-                pts.add(pt.label)
-        torsion_points = None if len(pts) == len(points) else frozenset(pts)
-        return TorsionPair(threshold, torsion_points)
 
 
 def torsion_pair_cut(pair: TorsionPair, family: StandardP1 = StandardP1(),

@@ -12,12 +12,14 @@ import pytest
 
 import tstab
 from tstab import (CatalogEntry, CheckItem, Classification, CoarseCut, CoarseSlope, CoarseZ,
-                   DerivedObject, EllipticCut, EllipticObject, EllipticSlope, EllipticStandard,
+                   CoarsenedFamily, DerivedObject, EllipticCut, EllipticObject, EllipticSlope,
+                   EllipticStandard,
                    ExceptionalCut, ExceptionalP1, ExceptionalSlope, ExtendedRational,
                    FinerVerdict, FormalSum, HeartDescription, HomProfile, INF,
                    K0Class, Line, PLUS_INFINITY, Point, PositiveSystem, Report, ShiftedIndec,
                    SlopeCut, SlopePartition, StableClass, StandardCut, StandardP1, StandardSlope,
-                   Torsion, TorsionPair, Window, line, normalize, stable, verify_hn)
+                   Torsion, TorsionPair, Window, by_shift_partition, line, normalize, stable,
+                   verify_hn)
 from tstab.elliptic import normalize_elliptic
 from tstab.value import Value
 
@@ -38,7 +40,7 @@ def _examples():
         CatalogEntry("A", (), std, StandardCut(1)), Classification("A", (), 1, 2), CoarseCut(1),
         EllipticCut(1, 0, ()), ExceptionalCut(1, 2), HeartDescription(std, StandardCut(1)),
         SlopeCut(), StandardCut(1, 2), TorsionPair(1), stable(1, 0, "x", 1, 2),
-        EllipticStandard(), StableClass(2, 1, X)]
+        EllipticStandard(), StableClass(2, 1, X), CoarsenedFamily(std, by_shift_partition())]
 
 
 VALUE_CLASSES = {obj for obj in (getattr(tstab, name) for name in tstab.__all__)

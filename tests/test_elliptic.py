@@ -96,7 +96,7 @@ def test_hn_elliptic_grouping():
     assert [s.mu for s in filt.slopes] == [ExtendedRational.finite(0),
                                            ExtendedRational.finite(1)]
     filt = EllipticStandard().hn(stable(0, 1, L) + stable(1, 5, M))
-    assert [s.cls.is_skyscraper for s in filt.slopes] == [False, True]
+    assert [s.cls.r == 0 for s in filt.slopes] == [False, True]
     assert len(EllipticStandard().hn(4 * stable(2, 1, N)).quotients) == 1
 
 

@@ -396,9 +396,15 @@ def test_objects_on_different_curves_do_not_add():
 # --- descriptors ------------------------------------------------------------------------
 
 def test_family_descriptor_round_trip():
-    for fam in (StandardP1(("a", "b")), ExceptionalP1(2, 1), ExceptionalP1(0, INF), CoarseZ()):
-        rebuilt = family_from_descriptor(fam.descriptor())
-        assert rebuilt.descriptor() == fam.descriptor()
-    from tstab.elliptic import EllipticStandard
-    fam = EllipticStandard(("x", "y"))
-    assert family_from_descriptor(fam.descriptor()).descriptor() == fam.descriptor()
+    """Every family kind, both coarsenings included, equals its descriptor's read-back
+    and its pickle round trip.  A coarsened family once built its partition from fresh
+    lambdas, so it was unequal to its own read-back and did not pickle."""
+    import pickle
+    families = (CoarseZ(), StandardP1(("a", "b")), ExceptionalP1(2, 1), ExceptionalP1(0, INF),
+                EllipticStandard(("x", "y")), coarsen(StandardP1(("a", "b")), by_shift_partition()),
+                coarsen(ExceptionalP1(0, INF), column_partition()))
+    for fam in families:
+        assert family_from_descriptor(fam.descriptor()) == fam
+        assert pickle.loads(pickle.dumps(fam)) == fam
+    assert by_shift_partition() == by_shift_partition() != column_partition()
+    assert len(set(families)) == len(families)

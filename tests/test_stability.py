@@ -98,10 +98,8 @@ def test_verify_rejects_wrong_endpoints():
 
 def test_verify_hom_vanishing_detects_bad_pairing():
     # Hom^0(O(0), O(1)) != 0, so listing O(1) below O(0) must fail (c)
-    filt = HNFiltration.from_quotients(STD, (
-        (StandardSlope(0, 1), line(1)),
-        (StandardSlope(0, 0), line(0)),
-    ))
+    filt = HNFiltration(STD, ((StandardSlope(0, 1), line(1)), (StandardSlope(0, 0), line(0))),
+                        (line(0) + line(1), line(0), ZERO))
     report = verify_hn(line(0) + line(1), filt, STD)
     assert not report.ok
     failing = {c.name for c in report.failures()}

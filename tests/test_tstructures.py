@@ -9,7 +9,7 @@ from tstab.elliptic import EllipticStandard
 from tstab.errors import (BadParamsError, HomViolationError, InvalidCutError,
                           NotSlopeDescribableError, UnboundedError, UnsupportedFamilyError)
 from tstab.families import INF, CoarseZ, ExceptionalP1, StandardP1
-from tstab.p1 import Line, Point, Torsion, ZERO, hom_profile, line, point_resolver, torsion
+from tstab.p1 import Point, ZERO, hom_profile, line, point_resolver, torsion
 from tstab.slopes import Ordering
 from tstab.stability import CheckItem, Window
 from tstab.tstructures import (CoarseCut, EllipticCut, ExceptionalCut, HeartDescription,
@@ -109,6 +109,17 @@ def test_cut_family_mismatch():
     assert not validate_cut(StandardCut(0, 0, None), ExceptionalP1(0, 0)).ok
     with pytest.raises(InvalidCutError):
         truncate(line(0), ExceptionalCut(0, -2), STD3)
+
+
+@pytest.mark.parametrize("cut, family, radius", [
+    (ExceptionalCut(0, -2), ExceptionalP1(0, 0), -4),
+    (StandardCut(0, 3), StandardP1(), -1),
+], ids=["exc", "std"])
+def test_validate_cut_fails_a_window_with_no_slopes(cut, family, radius):
+    """A negative radius leaves the window empty; up-closure on no slopes once passed."""
+    report = validate_cut(cut, family, radius=radius)
+    assert report.checks == (CheckItem("cut_constraints", True),
+                             CheckItem("window_up_closure", False, "no cases examined"))
 
 
 def test_a_coarse_cut_needs_the_coarse_family():
@@ -327,24 +338,6 @@ def test_torsion_pair_hom_violation():
 def test_torsion_pair_not_describable_when_points_misordered():
     with pytest.raises(NotSlopeDescribableError):
         torsion_pair_cut(TorsionPair(INF, frozenset({"x"})), STD3)
-
-
-def test_torsion_pair_from_predicates():
-    pair = TorsionPair.from_predicates(
-        lambda base: base.n >= 2 if isinstance(base, Line) else True,
-        degrees=range(-5, 6), points=(Point("x"), Point("y")))
-    assert pair == TorsionPair(2, None)
-    every_line = TorsionPair.from_predicates(lambda base: isinstance(base, Line),
-                                             degrees=range(-3, 4), points=(Point("x"),))
-    assert every_line == TorsionPair(-INF, frozenset())
-    with pytest.raises(NotSlopeDescribableError):
-        TorsionPair.from_predicates(
-            lambda base: isinstance(base, Line) and base.n == 0,
-            degrees=range(-3, 4), points=(Point("x"),))
-    with pytest.raises(NotSlopeDescribableError):
-        TorsionPair.from_predicates(
-            lambda base: isinstance(base, Torsion) and base.d > 1,
-            degrees=range(-3, 4), points=(Point("x"),))
 
 
 # --- catalog -------------------------------------------------------------------------
