@@ -392,13 +392,10 @@ class CoarsenedFamily(StabilityFamily, Value):
             return ((low, type(self.zero).single(term, mult)),)
         return ((low, base[0][1]), (high, base[-1][1]))
 
-    def semistable_slope(self, x):
-        """The one block of x's base HN slopes, else None; those slopes are
-        the summands' base quotient slopes."""
-        self._require(x)
-        blocks = {self.partition.block_of(s) for term, mult in x.summands()
-                  for s, _ in self.base.term_filtration(term, mult)}
-        return blocks.pop() if len(blocks) == 1 else None
+    def slope_of_term(self, term):
+        """The atom's block when its base HN slopes lie in one block, else None."""
+        quotients = self.term_filtration(term, 1)
+        return quotients[0][0] if len(quotients) == 1 else None
 
     def window_generators(self, window: Window):
         return self.base.window_generators(window)

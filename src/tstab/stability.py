@@ -6,7 +6,11 @@ algorithm producing the HN filtration of any nonzero object.  The
 filtration is stored as its quotient list plus the intermediate term
 objects; in the split object models of this package those data
 determine the underlying tower of triangles up to unique isomorphism,
-so no morphisms are represented.
+so no morphisms are represented.  `StabilityFamily.hn` reads an object
+whose atoms all have slopes, with keys that never descend along its
+normal form, in one pass: its summands are semistable and already in
+slope order, so the quotients are its runs of equal key and the terms
+the suffixes after them.  Any other object goes to `merge_towers`.
 
 `verify_hn` re-checks a filtration against the defining conditions
 (ascending slopes, semistable quotients, Hom-vanishing between
@@ -211,9 +215,9 @@ class HNFiltration(Value):
     empty filtration represents the zero object.  A term need not be the
     direct sum of the quotients below it (`StabilityFamily.summand_tower`).
 
-    All terms are held eagerly.  `merge_towers` builds them in one pass
-    over a running list of multiplicities, so producing them costs about
-    as much as reading them.  A term of a split family is mostly a head
+    All terms are held eagerly: suffixes of the normal form when `hn`
+    reads runs, else built by `merge_towers` in one pass over a running
+    list of multiplicities.  A term of a split family is mostly a head
     followed by the next term's summands (`p1.head_before`), and `to_json`,
     `verify_hn` and the reader `syntax.filtration_from_json` then read only that head.
     """
@@ -279,7 +283,9 @@ class StabilityFamily:
     * `slope_json(s)`, `slope_from_json(data)` and `descriptor()`: a slope
       as a JSON dict and back, and the family as one;
     * `slope_of_term(term)`: the slope of a semistable generator term, or
-      None if it is not a generator;
+      None if it is not a generator; `hn` reads it for each atom, and an
+      object with no such slope, or whose slope order is not its atom
+      order, gets the merge;
     * `window_generators(window)`: single-generator objects spanning the
       window's slopes, which the window checks read through `window_slopes`;
     * `random_object(rng, window)`: a random object of the window.
@@ -332,9 +338,21 @@ class StabilityFamily:
                 f"object {x!r} is outside the {self.kind} family's object model")
 
     def hn(self, x) -> HNFiltration:
-        """The HN filtration: merge the summands' towers by slope (none for zero)."""
+        """The HN filtration: the runs of x.terms, or merge the summands' towers."""
         self._require(x)
-        return merge_towers(self, [self.summand_tower(term, mult) for term, mult in x.summands()])
+        terms, slopes, keys = x.terms, [], []
+        for atom, _ in terms:
+            s = self.slope_of_term(atom)
+            key = None if s is None else self.slope_key(s)
+            if key is None or keys and key < keys[-1]:
+                return merge_towers(self, [self.summand_tower(t, m) for t, m in terms])
+            slopes.append(s)
+            keys.append(key)
+        n, make = len(terms), x._raw
+        ends = [b for b in range(1, n + 1) if b == n or keys[b - 1] != keys[b]]
+        return HNFiltration(self, tuple((slopes[a], make(terms[a:b]))
+                                        for a, b in zip((0, *ends), ends)),
+                            (x, *(make(terms[b:]) for b in ends)))
 
     def semistable_slope(self, x):
         """The slope of x if all its summands are generators of one slope.

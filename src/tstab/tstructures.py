@@ -344,6 +344,8 @@ class EllipticCut(SlopeCut):
 
     def window(self, family: EllipticStandard, radius: int) -> list[EllipticSlope]:
         # ranks up to 2 near the cut, and every point's class of slope q (at inf, skyscrapers)
+        if radius < 0:  # no slopes, as for the other cuts
+            return []
         points, q = point_universe(family.point_labels), self.q
         classes = family.window_classes(Window(max_degree=radius, points=points), max_rank=2)
         classes += [StableClass(q.r, q.d, pt) for pt in points]
@@ -669,5 +671,7 @@ def classify_bounded_cut(cut: SlopeCut, family: StabilityFamily) -> Classificati
 
 def diagram(cut: SlopeCut, family: StabilityFamily, radius: int = 2) -> str:
     """ASCII slope line: generators in ascending order, the cut marked by
-    "][", and "^" under the heart slopes."""
+    "][", and "^" under the heart slopes; a negative radius raises ValueError."""
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     return cut.diagram(family, radius)

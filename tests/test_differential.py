@@ -1299,8 +1299,67 @@ def test_hn_matches_the_heart_slope_oracle(family, rng):
 @settings(max_examples=300)
 @given(family_and_object())
 def test_hn_matches_oracle_merge(case):
+    """Both paths of `hn`, the runs and the merge, against the oracle merge and
+    against `merge_towers` of the summand towers."""
     family, x = case
-    _assert_same(family.hn(x), oracle_hn(family, x))
+    filt = family.hn(x)
+    _assert_same(filt, oracle_hn(family, x))
+    _assert_same(filt, merge_towers(family, summand_towers(family, x)))
+
+
+_ZX = point_resolver(("z", "x", "y"))  # the points of StandardP1(("z", "x", "y"))
+
+# (family, object, whether `hn` reads it as runs); `merge_towers` must not be needed for runs.
+_HN_BOUNDARY = {
+    "zero": (StandardP1(), ZERO, True),
+    "ell-zero": (EllipticStandard(), EllipticStandard().zero, True),
+    "std-non-lex-torsion-everywhere": (
+        StandardP1(("z", "x", "y")),
+        line(-1) + line(2, mult=2) + torsion(_ZX("z"), 2) + torsion(_ZX("x"))
+        + torsion(_ZX("x"), 3) + torsion(_ZX("y")) + line(0, 1) + torsion(_ZX("y"), 1, 1),
+        True),
+    "coarse": (CoarseZ(), line(3, -1) + torsion("x") + line(-2) + line(1, 2), True),
+    "ell-skyscrapers-equal-mu": (
+        EllipticStandard(("y", "x")),
+        stable(1, 0, Point("x", 1)) + stable(1, 0, Point("y", 0), mult=2)
+        + stable(0, 1, Point("x", 1)) + stable(0, 1, Point("y", 0)) + stable(2, 1, Point("x", 1))
+        + stable(1, -1, Point("y", 0), 1), True),
+    "exc-generators-ascending": (ExceptionalP1(0, 0), line(0) + line(1, mult=3), True),
+    "exc-generators-descending": (ExceptionalP1(0, 0), line(1) + line(0, 1), False),
+    "exc-non-generator": (ExceptionalP1(0, 0), line(0) + line(3), False),
+    "std-by-shift": (_COARSENED["std", ORDERS[0]],
+                     line(2, -1) + torsion("x", 1, -1) + line(-3) + torsion("y") + line(0, 1), True),
+    "exc-columns-interleaved": (_COARSENED["exc", 0],
+                                line(0) + line(1) + line(0, 1) + line(1, 1), False),
+}
+
+
+@pytest.mark.parametrize("case", _HN_BOUNDARY, ids=list(_HN_BOUNDARY))
+def test_hn_boundary_cases_match_both_merges(case):
+    family, x, _ = _HN_BOUNDARY[case]
+    filt = family.hn(x)
+    _assert_same(filt, oracle_hn(family, x))
+    _assert_same(filt, merge_towers(family, summand_towers(family, x)))
+    assert verify_hn(x, filt, family).ok
+    if case == "exc-generators-descending":  # the merge puts O(0)[1] below O(1)
+        assert filt.quotient_objects == (line(0, 1), line(1))
+
+
+@pytest.mark.parametrize("case", _HN_BOUNDARY, ids=list(_HN_BOUNDARY))
+def test_hn_takes_the_runs_without_the_merge(case, monkeypatch):
+    """Which path each case takes: with `merge_towers` raising, an object of
+    semistable summands whose slope keys ascend with its atoms still gets its
+    filtration, and any other object reaches the merge."""
+    family, x, runs = _HN_BOUNDARY[case]
+
+    def no_merge(*args):
+        raise AssertionError("merge_towers called")
+    monkeypatch.setattr(stability, "merge_towers", no_merge)
+    if runs:
+        assert family.hn(x).terms[0] is x
+    else:
+        with pytest.raises(AssertionError, match="merge_towers called"):
+            family.hn(x)
 
 
 @settings(max_examples=150)

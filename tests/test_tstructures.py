@@ -114,7 +114,8 @@ def test_cut_family_mismatch():
 @pytest.mark.parametrize("cut, family, radius", [
     (ExceptionalCut(0, -2), ExceptionalP1(0, 0), -4),
     (StandardCut(0, 3), StandardP1(), -1),
-], ids=["exc", "std"])
+    (EllipticCut(0, 0), EllipticStandard(), -1),
+], ids=["exc", "std", "ell"])
 def test_validate_cut_fails_a_window_with_no_slopes(cut, family, radius):
     """A negative radius leaves the window empty; up-closure on no slopes once passed."""
     report = validate_cut(cut, family, radius=radius)
@@ -517,3 +518,14 @@ def test_diagram_marks_cut_and_heart():
     # no slope of the window is in the up-set: the cut sits at the top, the heart is empty
     text = diagram(ExceptionalCut(INF, INF), ExceptionalP1(0, 0), radius=0)
     assert text.endswith("O(1)[2]  O(1)[3]  ][  ...\n")
+
+
+@pytest.mark.parametrize("cut, family", [
+    (StandardCut(0, 3), StandardP1()), (ExceptionalCut(0, -2), ExceptionalP1(0, 0)),
+    (CoarseCut(0), CoarseZ()),
+], ids=["std", "exc", "coarse"])
+def test_diagram_refuses_a_negative_radius(cut, family):
+    """A negative radius once drew an empty slope line; radius 0 still draws one."""
+    with pytest.raises(ValueError, match=r"^radius must be >= 0, got -3$"):
+        diagram(cut, family, radius=-3)
+    assert "][" in diagram(cut, family, radius=0)

@@ -6,19 +6,23 @@ O(n)[n mod 5 - 2], n = N .. 2N-1 (so two sizes share no summand), which
 this process, once each and after a full garbage collection, `hn`,
 `verify_hn`, `to_json`, `filtration_from_json` of that document, `verify_hn`
 of the filtration read back (as each `large-hn` benchmark op does) and `==`
-of the two filtrations.  Under `ExceptionalP1(0, 0)` the same object has a
+of the two filtrations.  `hn` of `StandardP1` reads the summands' runs of
+equal slope; `merge_ms` times the same filtration built by `merge_towers` of
+the summand towers, the engine of every other object.  Under
+`ExceptionalP1(0, 0)` the same object takes the merge (`exc_hn_ms`) and has a
 few quotients whose terms mostly do not end with the next term, so they are
 rendered, read and summed in full: `exc_round_trip_ms` times its `to_json`,
 `filtration_from_json` and `verify_hn` of what that reads back.  Prints one
 JSON line: each N with its timings in ms, whether every filtration
-verified and each read-back one is equal and holds the original's atom
-objects (atoms are hash-consed, one object per sheaf and shift), and the
-size of each intern table once N is done (`tables`), which only grows.
+verified, equals its `merge_towers` build, and reads back equal and holding
+the original's atom objects (atoms are hash-consed, one object per sheaf and
+shift), and the size of each intern table once N is done (`tables`), which
+only grows.
 
     python tools/roundtrip_scale.py [N ...]        (default: 400 1600)
 
-Exits 1 if a filtration fails to verify, or a read-back one is unequal or
-holds other atom objects.
+Exits 1 if a filtration fails to verify, differs from its `merge_towers`
+build, or reads back unequal or holding other atom objects.
 Timings on a machine shared with other work move between runs: compare two
 checkouts in paired runs, not single figures.
 """
@@ -36,6 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tstab import ExceptionalP1, StandardP1, normalize, verify_hn  # noqa: E402
+from tstab.stability import merge_towers  # noqa: E402
 from tstab.syntax import filtration_from_json  # noqa: E402
 from tstab.elliptic import StableClass  # noqa: E402
 from tstab.p1 import Line, Point, ShiftedIndec, Torsion  # noqa: E402
@@ -61,8 +66,13 @@ def same_atoms(x, filt, x2, filt2) -> bool:
     return len(read) == len(held) and all(map(operator.is_, read, held))
 
 
+def merged(family, x):
+    """The filtration of x that `merge_towers` builds from the summand towers."""
+    return merge_towers(family, [family.summand_tower(t, m) for t, m in x.summands()])
+
+
 def measure(n: int) -> dict:
-    family = StandardP1()
+    family, exc_family = StandardP1(), ExceptionalP1(0, 0)
     x = normalize([(ShiftedIndec(Line(d), d % 5 - 2), 1) for d in range(n, 2 * n)])
     filt, hn_ms = timed(lambda: family.hn(x))
     report, verify_ms = timed(lambda: verify_hn(x, filt, family))
@@ -70,16 +80,20 @@ def measure(n: int) -> dict:
     (x2, filt2), from_json_ms = timed(lambda: filtration_from_json(doc))
     report2, verify_read_ms = timed(lambda: verify_hn(x2, filt2, filt2.family))
     equal, eq_ms = timed(lambda: filt2 == filt)
-    exc = ExceptionalP1(0, 0).hn(x)
+    exc, exc_hn_ms = timed(lambda: exc_family.hn(x))
 
     def exc_round_trip():
         x3, filt3 = filtration_from_json(exc.to_json())
         return x3, filt3, verify_hn(x3, filt3, filt3.family)
     (x3, filt3, report3), exc_ms = timed(exc_round_trip)
-    return {"quotients": len(filt.quotients), "hn_ms": hn_ms, "verify_hn_ms": verify_ms,
-            "to_json_ms": to_json_ms, "from_json_ms": from_json_ms,
-            "verify_read_ms": verify_read_ms, "eq_ms": eq_ms, "exc_round_trip_ms": exc_ms,
+    # last, so that the steps above run with the same live objects as without it
+    merge, merge_ms = timed(lambda: merged(family, x))
+    return {"quotients": len(filt.quotients), "hn_ms": hn_ms, "merge_ms": merge_ms,
+            "verify_hn_ms": verify_ms, "to_json_ms": to_json_ms, "from_json_ms": from_json_ms,
+            "verify_read_ms": verify_read_ms, "eq_ms": eq_ms, "exc_hn_ms": exc_hn_ms,
+            "exc_round_trip_ms": exc_ms,
             "ok": report.ok and report2.ok and equal and x2 == x
+            and merge == filt and merged(exc_family, x) == exc
             and report3.ok and filt3 == exc and x3 == x
             and same_atoms(x, filt, x2, filt2) and same_atoms(x, exc, x3, filt3),
             "tables": {cls.__name__: len(cls._table) for cls in INTERNED}}
